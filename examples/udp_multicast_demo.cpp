@@ -1,18 +1,18 @@
-// Protocol NP over REAL loopback UDP sockets: one sender thread and N
-// receiver threads, emulated multicast (unicast fan-out), loss injected
-// at each receiver, parity repair with per-TG NAK feedback, and
+// Protocol NP over REAL loopback UDP sockets: one sender and N receivers
+// on a single reactor thread, emulated multicast (unicast fan-out), loss
+// injected at each receiver, parity repair with per-TG NAK feedback, and
 // end-to-end integrity verification of every byte at every receiver.
 //
 //   $ ./udp_multicast_demo --receivers=8 --p=0.2 --bytes=20000 --k=8
 //
-// Built on the library's UdpNpSender/UdpNpReceiver (net/udp/udp_np.hpp)
+// Built on the library's session drivers (server/session_driver.hpp)
 // and the file framing of core/file_transfer.hpp.
 #include <cstdio>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "core/file_transfer.hpp"
-#include "net/udp/udp_np.hpp"
+#include "server/session_driver.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -49,41 +49,52 @@ int main(int argc, char** argv) {
               "(k=%zu, %zu B packets), injected loss p = %g\n",
               receivers, bytes, groups.size(), cfg.k, cfg.packet_len, p);
 
+  // Every receiver checks each TG it decodes against `groups`, and those
+  // reassemble to the file: a complete receiver with no mismatches holds
+  // the file.
+  if (core::reassemble_blob(groups) != blob) {
+    std::fprintf(stderr, "file framing does not round-trip\n");
+    return 1;
+  }
+
   // Sockets and the emulated multicast group.
+  server::Reactor reactor;
+  cfg.clock = &reactor.clock();
   net::UdpSocket sender_socket;
   const std::uint16_t sender_port = sender_socket.port();
-  std::vector<net::UdpSocket> rx_sockets;
+  std::vector<net::UdpSocket> rx_sockets(receivers);
   net::UdpGroup group;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    rx_sockets.emplace_back();
-    group.add_member(rx_sockets.back().port());
-  }
+  for (const auto& s : rx_sockets) group.add_member(s.port());
 
-  std::vector<net::UdpNpReceiverResult> results(receivers);
-  std::vector<std::thread> threads;
+  // One thread runs the whole session: the reactor stops once the sender
+  // and every receiver have finished.
+  std::size_t finished = 0;
+  const auto on_finished = [&] {
+    if (++finished == receivers + 1) reactor.stop();
+  };
+  std::vector<std::unique_ptr<server::ReceiverSessionDriver>> rx;
   for (std::size_t r = 0; r < receivers; ++r) {
-    threads.emplace_back([&, r, sock = std::move(rx_sockets[r])]() mutable {
-      net::UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(),
-                                  cfg, p, Rng(seed).split(100 + r));
-      results[r] = receiver.run(10.0);
-    });
+    server::ReceiverSessionDriver::Options opt;
+    opt.data_loss = p;
+    opt.rng = Rng(seed).split(100 + r);
+    opt.expected = &groups;
+    rx.push_back(std::make_unique<server::ReceiverSessionDriver>(
+        reactor, std::move(rx_sockets[r]), sender_port, groups.size(), cfg,
+        std::move(opt), on_finished));
   }
-
-  net::UdpNpSender sender(std::move(sender_socket), group, cfg);
-  const auto stats = sender.transfer(groups);
-  for (auto& t : threads) t.join();
+  server::SenderSessionDriver sender(reactor, std::move(sender_socket), group,
+                                     cfg, groups, on_finished);
+  for (auto& r : rx) r->start();
+  sender.start();
+  reactor.run();
+  const auto& stats = sender.stats();
 
   bool all_ok = true;
   std::uint64_t dropped = 0, decoded = 0;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    bool ok = results[r].complete;
-    if (ok) {
-      const auto rebuilt = core::reassemble_blob(results[r].groups);
-      ok = rebuilt == blob;
-    }
-    all_ok = all_ok && ok;
-    dropped += results[r].dropped;
-    decoded += results[r].decoded;
+  for (const auto& r : rx) {
+    all_ok = all_ok && r->result().complete && r->payload_mismatches() == 0;
+    dropped += r->result().dropped;
+    decoded += r->result().decoded;
   }
 
   std::printf("sender: %llu data + %llu parities (%.3f tx/packet), %llu "

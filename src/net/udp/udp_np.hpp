@@ -1,5 +1,7 @@
-// Protocol NP over real (loopback) UDP sockets: a blocking sender and
-// receiver pair suitable for one thread each.
+// Protocol NP over real (loopback) UDP sockets: the session
+// configuration, statistics and end-of-session marker shared by the
+// reactor drivers (server/session_driver.hpp), which run the protocol,
+// and the multicast server that hosts them (server/server.hpp).
 //
 // Multicast is emulated by unicast fan-out (net/udp/udp_transport.hpp);
 // NAK feedback is unicast to the sender, which performs the suppression
@@ -8,25 +10,21 @@
 // receivers cannot overhear each other.  Rounds are tagged (POLL/NAK
 // carry a round id) so stale feedback cannot trigger spurious repair.
 //
-// Loss is injected at each receiver with a configurable probability,
-// which keeps the demo independent of real network impairments while
-// exercising the full wire path: serialisation, sockets, RSE repair,
-// reassembly.
+// Loss can be injected at each receiver with a configurable
+// probability, which keeps sessions independent of real network
+// impairments while exercising the full wire path: serialisation,
+// sockets, RSE repair, reassembly.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "fec/rse_code.hpp"
 #include "net/impairment.hpp"
 #include "net/overload.hpp"
 #include "net/peer_guard.hpp"
 #include "net/udp/udp_transport.hpp"
 #include "protocol/retry.hpp"
-#include "util/rng.hpp"
 
 namespace pbl::net {
 
@@ -58,8 +56,8 @@ struct UdpNpConfig {
   /// deadlines, poll collect windows, NAK retransmit timers, and the
   /// receiver's idle/drain clocks.  nullptr = protocol::steady_clock().
   /// Injecting a single clock means the drain timeout and the retry
-  /// deadlines can never skew against each other, and the server's
-  /// event-driven drivers (src/server/) can be tested on a ManualClock.
+  /// deadlines can never skew against each other, and the drivers can be
+  /// tested on a ManualClock.
   const protocol::Clock* clock = nullptr;
 
   /// Receiver-side phase-aware timers (always active): once a receiver
@@ -69,8 +67,8 @@ struct UdpNpConfig {
   /// run (see UdpNpReceiverResult::end_reason).
   double drain_timeout = 1.0;
 
-  /// Fault injection for liveness tests: the receiver returns (as if
-  /// crashed) after completing this many TGs.  SIZE_MAX disables.
+  /// Fault injection for liveness tests: the receiver falls silent (as
+  /// if crashed) after completing this many TGs.  SIZE_MAX disables.
   std::size_t crash_after_tgs = static_cast<std::size_t>(-1);
 
   // ---- crash-tolerant sessions (docs/ROBUSTNESS.md) --------------------
@@ -100,9 +98,7 @@ struct UdpNpConfig {
   // ---- overload hardening (docs/ROBUSTNESS.md, "Overload") -------------
 
   /// Pacing, load shedding, NAK suppression and quarantine knobs; every
-  /// field defaults to OFF (net/overload.hpp).  Honoured by the server's
-  /// event-driven drivers (src/server/session_driver.hpp) — the blocking
-  /// UdpNpSender/Receiver pair ignores it.
+  /// field defaults to OFF (net/overload.hpp).
   OverloadConfig overload{};
   /// Sender packet-arena capacity in frames; 0 = max(k, h) (enough for
   /// the largest burst).  Smaller values force arena exhaustion: the
@@ -113,9 +109,8 @@ struct UdpNpConfig {
   // ---- hostile-peer hardening (docs/ROBUSTNESS.md, "Hostile peers") ----
 
   /// Feedback admission, keyed frame authentication and per-peer
-  /// policing; every field defaults to OFF (net/peer_guard.hpp).
-  /// Honoured by the server's event-driven drivers — the blocking pair
-  /// only applies the always-on feedback_addr_mismatch cross-check.
+  /// policing; every field defaults to OFF (net/peer_guard.hpp).  The
+  /// feedback_addr_mismatch cross-check runs with the guard off too.
   PeerGuardConfig guard{};
 };
 
@@ -140,7 +135,7 @@ struct UdpNpSenderStats {
   std::uint64_t tgs_skipped = 0;     ///< resumed TGs never retransmitted
 
   // Overload accounting (all zero unless the matching knob is on; see
-  // net/overload.hpp).  Server drivers only.
+  // net/overload.hpp).
   std::uint64_t would_block = 0;       ///< kWouldBlock batch results seen
   std::uint64_t arena_deferrals = 0;   ///< burst pauses on arena exhaustion
   std::uint64_t shed_frames = 0;       ///< staged frames dropped by shedding
@@ -156,24 +151,6 @@ struct UdpNpSenderStats {
   PeerGuardStats guard{};
 };
 
-/// Blocking sender: transfers the groups, then multicasts an end-of-
-/// session marker.
-class UdpNpSender {
- public:
-  UdpNpSender(UdpSocket socket, UdpGroup group, const UdpNpConfig& config);
-
-  /// Every TG must hold exactly k packets of packet_len bytes.
-  UdpNpSenderStats transfer(const std::vector<TgBytes>& groups);
-
-  std::uint16_t port() const noexcept { return socket_.port(); }
-
- private:
-  UdpSocket socket_;
-  UdpGroup group_;
-  UdpNpConfig cfg_;
-  fec::RseCode code_;
-};
-
 /// What ended a receiver's run — the old single idle_timeout conflated
 /// "sender finished" with "sender stalled"; these are now distinct.
 enum class UdpNpEndReason {
@@ -184,7 +161,6 @@ enum class UdpNpEndReason {
 };
 
 struct UdpNpReceiverResult {
-  std::vector<TgBytes> groups;     ///< reconstructed data, in TG order
   bool complete = false;           ///< every TG reconstructed
   std::uint64_t received = 0;      ///< packets accepted off the wire
   std::uint64_t dropped = 0;       ///< packets discarded by injected loss
@@ -199,43 +175,14 @@ struct UdpNpReceiverResult {
   std::uint64_t nak_retries = 0;   ///< reliable mode: NAK retransmissions
   std::uint64_t stale_rejected = 0;///< dead-incarnation packets dropped
   /// Runtime NAK suppression (overload.nak_suppression): slotted NAKs
-  /// cancelled because repair arrived first.  Server drivers only.
+  /// cancelled because repair arrived first.
   std::uint64_t naks_suppressed = 0;
 
-  // Hostile-peer accounting (guard knobs on; server drivers only).
+  // Hostile-peer accounting (guard knobs on).
   /// Datagrams dropped because they did not come from the sender's port.
   std::uint64_t foreign_rejected = 0;
   /// Control frames whose keyed trailer failed verification (guard.auth).
   std::uint64_t auth_rejected = 0;
-};
-
-/// Blocking receiver: processes packets until the end-of-session marker
-/// (or `idle_timeout` seconds of silence).
-class UdpNpReceiver {
- public:
-  /// `inject_loss`: probability of silently dropping each received
-  /// DATA/PARITY packet (simulated network loss); 0 disables.
-  /// `impairment`: adversarial byte-level faults (reorder, duplication,
-  /// corruption, truncation, burst drops) applied to every received
-  /// datagram before parsing; a default config disables it.
-  UdpNpReceiver(UdpSocket socket, std::uint16_t sender_port,
-                std::size_t num_tgs, const UdpNpConfig& config,
-                double inject_loss = 0.0, Rng rng = Rng(1),
-                const ImpairmentConfig& impairment = {});
-
-  UdpNpReceiverResult run(double idle_timeout = 10.0);
-
-  std::uint16_t port() const noexcept { return socket_.port(); }
-
- private:
-  UdpSocket socket_;
-  std::uint16_t sender_port_;
-  std::size_t num_tgs_;
-  UdpNpConfig cfg_;
-  double inject_loss_;
-  Rng rng_;
-  fec::RseCode code_;
-  std::shared_ptr<Impairment> impairment_;  // installed on socket_, if any
 };
 
 /// The end-of-session marker the sender multicasts when done.

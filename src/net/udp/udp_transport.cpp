@@ -425,11 +425,6 @@ std::optional<Datagram> UdpSocket::parse_pending() {
   }
 }
 
-std::optional<fec::Packet> UdpSocket::receive(double timeout_s) {
-  if (auto d = receive_from(timeout_s)) return std::move(d->packet);
-  return std::nullopt;
-}
-
 std::optional<Datagram> UdpSocket::receive_from(double timeout_s) {
   const auto start = std::chrono::steady_clock::now();
   bool polled = false;
@@ -445,7 +440,7 @@ std::optional<Datagram> UdpSocket::receive_from(double timeout_s) {
       const double remaining = timeout_s - elapsed;
       if (remaining <= 0.0) {
         // An exhausted budget still gets ONE zero-timeout poll, so
-        // receive(0) is a true non-blocking read for event-driven
+        // receive_from(0) is a true non-blocking read for event-driven
         // callers (server/session_driver) instead of always nullopt.
         if (polled) return std::nullopt;
         ms = 0;
@@ -482,25 +477,6 @@ std::size_t UdpSocket::receive_batch(std::vector<fec::Packet>& out,
   drain_ready();
   take_pending();
   return produced;
-}
-
-void UdpGroup::multicast(UdpSocket& from, const fec::Packet& packet,
-                         std::optional<std::uint16_t> exclude) const {
-  // Serialize once; the same bytes fan out to every member as one batch.
-  const auto bytes = fec::serialize(packet);
-  multicast_frame(from, bytes, exclude);
-}
-
-void UdpGroup::multicast_frame(UdpSocket& from,
-                               std::span<const std::uint8_t> frame,
-                               std::optional<std::uint16_t> exclude) const {
-  std::vector<FrameRef> refs;
-  refs.reserve(members_.size());
-  for (const std::uint16_t port : members_) {
-    if (exclude && *exclude == port) continue;
-    refs.push_back({port, frame});
-  }
-  from.send_batch_blocking(refs);
 }
 
 }  // namespace pbl::net

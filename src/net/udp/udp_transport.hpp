@@ -1,8 +1,8 @@
 // Minimal loopback UDP transport for running the protocols over real
-// sockets (examples/udp_multicast_demo, server/).
+// sockets (server/: the session drivers and the multicast server).
 //
 // Multicast is emulated by unicast fan-out on 127.0.0.1: a UdpGroup holds
-// the member ports and replicates each send.  This keeps the demo
+// the member ports the sender replicates each frame to.  This keeps it
 // independent of kernel multicast support while exercising the real wire
 // encoding (fec/packet.hpp) end to end.
 //
@@ -119,9 +119,9 @@ class UdpSocket {
   /// The socket still owns it; callers must not close it.
   int fd() const noexcept { return fd_; }
 
-  /// True when received datagrams are queued for parsing: a receive(0)
-  /// can return packets even if the descriptor is not readable, so
-  /// event-driven callers must drain until both are empty.
+  /// True when received datagrams are queued for parsing: a
+  /// receive_from(0) can return packets even if the descriptor is not
+  /// readable, so event-driven callers must drain until both are empty.
   bool has_pending() const noexcept {
     return !pending_.empty() || !parsed_.empty();
   }
@@ -143,19 +143,17 @@ class UdpSocket {
   BatchSendResult send_batch(std::span<const FrameRef> frames);
 
   /// send_batch with partial-send resume: polls the socket writable and
-  /// retries until every frame is sent.  The protocol senders use this —
-  /// backpressure slows them instead of crashing them.
+  /// retries until every frame is sent — backpressure slows the caller
+  /// instead of failing it.  (The reactor drivers use send_batch and
+  /// defer on a timer instead; they must never park the loop thread.)
   void send_batch_blocking(std::span<const FrameRef> frames);
 
-  /// Waits up to `timeout_s` for a datagram; returns std::nullopt on
-  /// timeout.  Malformed datagrams are dropped silently (the poll loop
-  /// keeps waiting for the rest of the timeout), so nullopt always means
-  /// "nothing arrived", even under impairment.
-  std::optional<fec::Packet> receive(double timeout_s);
-
-  /// receive() plus the datagram's kernel-reported source port — the
-  /// hostile-peer defenses key on where bytes actually came from, not on
-  /// what the header claims.  Same timeout/drop semantics as receive().
+  /// Waits up to `timeout_s` for a datagram and returns it with its
+  /// kernel-reported source port — the hostile-peer defenses key on where
+  /// bytes actually came from, not on what the header claims.  Returns
+  /// std::nullopt on timeout.  Malformed datagrams are dropped silently
+  /// (the poll loop keeps waiting for the rest of the timeout), so
+  /// nullopt always means "nothing arrived", even under impairment.
   std::optional<Datagram> receive_from(double timeout_s);
 
   /// Batched receive: drains queued datagrams, then waits up to
@@ -249,7 +247,7 @@ class UdpSocket {
   std::uint64_t injected_failures_ = 0;
 };
 
-/// Emulated multicast group: fan-out over member ports.
+/// Emulated multicast group: the member ports a sender fans out to.
 class UdpGroup {
  public:
   void add_member(std::uint16_t port) { members_.push_back(port); }
@@ -260,18 +258,6 @@ class UdpGroup {
   const std::vector<std::uint16_t>& members() const noexcept {
     return members_;
   }
-
-  /// Replicates the packet to every member (optionally excluding one,
-  /// e.g. the NAK's own sender).  Serializes once and fans the same
-  /// bytes out as a single batch.
-  void multicast(UdpSocket& from, const fec::Packet& packet,
-                 std::optional<std::uint16_t> exclude = std::nullopt) const;
-
-  /// Fan-out of pre-framed wire bytes (the zero-copy send path: arena
-  /// frames written by TgEncoder::write_*_frame go straight here).
-  void multicast_frame(UdpSocket& from, std::span<const std::uint8_t> frame,
-                       std::optional<std::uint16_t> exclude =
-                           std::nullopt) const;
 
  private:
   std::vector<std::uint16_t> members_;

@@ -80,7 +80,7 @@ class Deadline {
 };
 
 /// Wall-clock seconds on a monotonic clock (std::chrono::steady_clock),
-/// for driving Deadline outside the simulator (net::UdpNpSender/Receiver).
+/// for driving Deadline outside the simulator.
 double retry_clock_now();
 
 /// Injectable time source.  Every wall-clock read a protocol component

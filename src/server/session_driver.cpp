@@ -103,7 +103,8 @@ void SenderSessionDriver::stop() {
   }
 }
 
-bool SenderSessionDriver::send_mc(fec::Packet packet) {
+bool SenderSessionDriver::send_control(fec::Packet packet,
+                                       bool to_catch_up_targets) {
   if (stats_.crashed) return false;
   if (sends_ >= cfg_.crash_after_sends) {
     stats_.crashed = true;
@@ -125,44 +126,23 @@ bool SenderSessionDriver::send_mc(fec::Packet packet) {
   const auto bytes = fec::serialize(packet);
   std::vector<net::FrameRef> refs;
   refs.reserve(group_.members().size());
-  for (const std::uint16_t port : group_.members())
-    refs.push_back({port, bytes});
+  fan_out(bytes, to_catch_up_targets, refs);
   if (socket_.send_batch(refs).status == net::SendStatus::kWouldBlock)
     ++stats_.would_block;
   return true;
 }
 
-bool SenderSessionDriver::send_to_targets(fec::Packet packet) {
-  if (stats_.crashed) return false;
-  if (sends_ >= cfg_.crash_after_sends) {
-    stats_.crashed = true;
-    return false;
-  }
-  ++sends_;
-  packet.header.incarnation = static_cast<std::uint8_t>(cfg_.incarnation);
-  if (cfg_.guard.auth && packet.header.type == fec::PacketType::kPoll)
-    net::append_auth_trailer(packet, group_key_, ++ctl_seq_);
-  const auto bytes = fec::serialize(packet);
-  std::vector<net::FrameRef> refs;
-  refs.reserve(cu_targets_.size());
+void SenderSessionDriver::fan_out(std::span<const std::uint8_t> frame,
+                                  bool to_catch_up_targets,
+                                  std::vector<net::FrameRef>& out) const {
   const auto& members = group_.members();
-  for (const std::size_t m : cu_targets_) refs.push_back({members[m], bytes});
-  if (socket_.send_batch(refs).status == net::SendStatus::kWouldBlock)
-    ++stats_.would_block;
-  return true;
-}
-
-void SenderSessionDriver::stage_frame(std::span<const std::uint8_t> frame) {
-  if (burst_phase_ == BurstPhase::kCatchUpParity) {
-    // Catch-up repair is unicast to the stragglers: the healthy group
+  if (to_catch_up_targets) {
+    // Catch-up traffic is unicast to the stragglers: the healthy group
     // already holds this TG and must not pay for the laggards' loss.
-    const auto& members = group_.members();
-    for (const std::size_t m : cu_targets_)
-      burst_.push_back({members[m], frame});
+    for (const std::size_t m : cu_targets_) out.push_back({members[m], frame});
     return;
   }
-  for (const std::uint16_t port : group_.members())
-    burst_.push_back({port, frame});
+  for (const std::uint16_t port : members) out.push_back({port, frame});
 }
 
 void SenderSessionDriver::start_burst(BurstPhase phase, std::size_t count) {
@@ -215,7 +195,8 @@ void SenderSessionDriver::pump_burst() {
                                            frame->bytes);
         ++stats_.parity_sent;
       }
-      stage_frame(frame->bytes.first(len));
+      fan_out(frame->bytes.first(len),
+              burst_phase_ == BurstPhase::kCatchUpParity, burst_);
       ++stage_next_;
     }
 
@@ -455,8 +436,7 @@ void SenderSessionDriver::begin_next_tg() {
 
 void SenderSessionDriver::send_poll() {
   if (round_ >= cfg_.max_rounds) {
-    // Round cap hit: abandon this TG (same silent fall-through as the
-    // blocking sender's for-loop exhausting) and move on.
+    // Round cap hit: abandon this TG silently and move on.
     ++tg_;
     begin_next_tg();
     return;
@@ -466,7 +446,7 @@ void SenderSessionDriver::send_poll() {
   poll.header.tg = static_cast<std::uint32_t>(tg_);
   poll.header.k = static_cast<std::uint16_t>(cfg_.k);
   poll.header.seq = ++round_id_;
-  if (!send_mc(poll)) {
+  if (!send_control(poll, false)) {
     finish_session();
     return;
   }
@@ -708,7 +688,7 @@ void SenderSessionDriver::send_catch_up_poll() {
   poll.header.tg = static_cast<std::uint32_t>(tg_);
   poll.header.k = static_cast<std::uint16_t>(cfg_.k);
   poll.header.seq = ++round_id_;
-  if (!send_to_targets(poll)) {
+  if (!send_control(poll, true)) {
     finish_session();
     return;
   }
@@ -772,7 +752,7 @@ void SenderSessionDriver::finish_session() {
     fec::Packet end;
     end.header.type = fec::PacketType::kPoll;
     end.header.tg = net::kUdpEndOfSession;
-    send_mc(end);
+    send_control(end, false);
   }
   if (!groups_.empty()) {
     stats_.tx_per_packet =
@@ -1026,6 +1006,18 @@ void ReceiverSessionDriver::accept_block_packet(const fec::Packet& packet) {
   }
 }
 
+bool ReceiverSessionDriver::absorbed_by_prior(std::uint32_t tg) {
+  if (!prior_[tg]) return false;
+  // A journal-confirmed TG must never be re-multicast by the resumed
+  // sender.  A decoded-but-unconfirmed TG legitimately is (the ACK never
+  // reached the journal) — that is just a duplicate to suppress.
+  if (confirmed_[tg])
+    ++redelivered_prior_;
+  else
+    ++result_.duplicates;
+  return true;
+}
+
 void ReceiverSessionDriver::handle_packet(const fec::Packet& packet) {
   const auto& hdr = packet.header;
   // Authenticated control comes before EVERYTHING: an unverified POLL —
@@ -1056,17 +1048,7 @@ void ReceiverSessionDriver::handle_packet(const fec::Packet& packet) {
   switch (hdr.type) {
     case fec::PacketType::kData:
     case fec::PacketType::kParity:
-      if (prior_[hdr.tg]) {
-        // Exactly-once audit: a journal-confirmed TG must never be
-        // re-multicast by the resumed sender.  A decoded-but-unconfirmed
-        // TG legitimately is (the ACK never reached the journal) — that
-        // is just a duplicate to suppress.
-        if (confirmed_[hdr.tg])
-          ++redelivered_prior_;
-        else
-          ++result_.duplicates;
-        return;
-      }
+      if (absorbed_by_prior(hdr.tg)) return;
       // Repair traffic for the NAKed TG: the request was heard.  A NAK
       // still sitting in its suppression slot is cancelled outright —
       // another member's request covered ours (Section 5.1 damping).
@@ -1151,16 +1133,9 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
         }
         if ((packet.header.type == fec::PacketType::kData ||
              packet.header.type == fec::PacketType::kParity) &&
-            packet.header.tg < num_tgs_) {
-          if (prior_[packet.header.tg]) {
-            if (confirmed_[packet.header.tg])
-              ++redelivered_prior_;
-            else
-              ++result_.duplicates;
-            continue;
-          }
+            packet.header.tg < num_tgs_ &&
+            !absorbed_by_prior(packet.header.tg))
           accept_block_packet(packet);
-        }
       } catch (const std::invalid_argument&) {
         // damaged in flight: loss
       }
@@ -1168,10 +1143,9 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
     result_.impairment = impairment_->stats();
   }
 
-  // Unlike the blocking receiver, the driver does NOT materialise the
-  // reconstructed groups in the result — at server scale that is the
-  // whole payload of every session held live.  Integrity is audited
-  // eagerly against Options::expected instead.
+  // The reconstructed groups are NOT materialised in the result — at
+  // server scale that is the whole payload of every session held live.
+  // Integrity is audited eagerly against Options::expected instead.
   result_.complete = done_count_ == num_tgs_;
 
   if (timer_armed_) {

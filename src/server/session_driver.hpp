@@ -1,16 +1,16 @@
-// Event-driven ports of the blocking UDP NP session endpoints
-// (net/udp/udp_np.hpp), shaped for the reactor: where UdpNpSender owns a
-// thread and blocks in socket waits, SenderSessionDriver owns nothing
-// but its state machine — the reactor feeds it readability events and
-// timer expiries, so thousands of concurrent sessions share one thread.
+// Protocol NP over real UDP sockets (net/udp/udp_np.hpp), as event-driven
+// session endpoints for the reactor.  A driver owns nothing but its
+// state machine and never blocks: the reactor feeds it readability
+// events and timer expiries, so thousands of concurrent sessions share
+// one thread.
 //
-// The protocol logic is the SAME as the blocking pair, feature for
-// feature: reliable-control ACK/liveness/eviction, seeded re-POLL and
+// Features: reliable-control ACK/liveness/eviction, seeded re-POLL and
 // NAK-retransmit backoff, session deadlines, incarnation stamping and
 // stale rejection, journal write-ahead hooks, parity high-water resume,
-// crash fault injection.  Time comes exclusively from the injected
-// clock in UdpNpConfig::clock, so the drivers can be unit-tested on a
-// ManualClock by pumping events by hand.
+// crash fault injection, and the overload and hostile-peer knobs.  Time
+// comes exclusively from the injected clock in UdpNpConfig::clock, so
+// the drivers can be unit-tested on a ManualClock by pumping events by
+// hand.  tests/test_udp_differential.cpp pins their wire bytes.
 #pragma once
 
 #include <cstdint>
@@ -84,12 +84,13 @@ class SenderSessionDriver {
   void send_poll();
   void after_window();  // the post-collect decision logic
   void finish_session();
-  bool send_mc(fec::Packet packet);
-  /// Best-effort unicast of a control packet to the catch-up targets.
-  bool send_to_targets(fec::Packet packet);
-  /// Fans a pre-framed DATA/PARITY frame out to the burst's destination
-  /// set (the whole group, or cu_targets_ during catch-up).
-  void stage_frame(std::span<const std::uint8_t> frame);
+  /// Best-effort fan-out of a control packet to the whole group, or to
+  /// the catch-up targets; false once the crash fault has fired.
+  bool send_control(fec::Packet packet, bool to_catch_up_targets);
+  /// Appends one FrameRef per destination: the whole group, or the
+  /// catch-up targets (cu_targets_).
+  void fan_out(std::span<const std::uint8_t> frame, bool to_catch_up_targets,
+               std::vector<net::FrameRef>& out) const;
   /// Opens a resumable burst of `count` logical packets and pumps it.
   void start_burst(BurstPhase phase, std::size_t count);
   /// The burst engine: stages frames as the pacer and arena allow,
@@ -135,11 +136,11 @@ class SenderSessionDriver {
   bool stopped_ = false;
   bool fd_registered_ = false;
 
-  // Session-wide state (mirrors UdpNpSender::transfer locals).
+  // Session-wide state.
   std::uint32_t round_id_ = 0;
   std::size_t sends_ = 0;
   // Zero-copy burst path: DATA/PARITY frames are written in place into
-  // arena slabs and batched per burst (see UdpNpSender::transfer).
+  // arena slabs and batched per burst (see pump_burst).
   std::unique_ptr<net::PacketArena> arena_;
   std::vector<net::FrameRef> burst_;
   std::vector<bool> evicted_;
@@ -189,8 +190,8 @@ class SenderSessionDriver {
   std::vector<std::size_t> cu_targets_;  ///< members served this catch-up TG
 };
 
-/// Non-blocking receiver endpoint: the counterpart of UdpNpReceiver,
-/// with resume support for the server's restart path — a receiver that
+/// Non-blocking receiver endpoint, with resume support for the server's
+/// restart path — a receiver that
 /// "survived" a sender restart is reconstructed from its persisted
 /// decoded bitmap.  TGs the sender's journal had confirmed complete are
 /// never re-multicast, so DATA/PARITY arriving for one is counted as a
@@ -261,6 +262,10 @@ class ReceiverSessionDriver {
   void on_wake();
   void handle_packet(const fec::Packet& packet);
   void accept_block_packet(const fec::Packet& packet);
+  /// Exactly-once audit for DATA/PARITY of a TG decoded in a prior life:
+  /// counts it (a redelivery violation if the journal confirmed the TG,
+  /// a duplicate otherwise) and returns true; false for a live TG.
+  bool absorbed_by_prior(std::uint32_t tg);
   void send_feedback(std::uint32_t tg, std::size_t count, std::uint32_t seq);
   void finish(net::UdpNpEndReason reason);
   void reschedule(double next_due);

@@ -32,6 +32,13 @@
 #include "util/rng.hpp"
 
 namespace pbl::gf::kern {
+
+// gtest prints a pointer parameter as its address, which ASLR changes on
+// every run and which then lands in the ctest name that
+// gtest_discover_tests records.  Print the kernel's name instead, so the
+// test names are the same from build to build.
+void PrintTo(const Kernel* k, std::ostream* os) { *os << k->name; }
+
 namespace {
 
 constexpr std::size_t kLengths[] = {0, 1, 15, 16, 17, 64, 1024, 1500};

@@ -1,10 +1,12 @@
-// Differential proof that the batched UDP data plane is wire-exact
-// against the portable fallback: the same seeded session, run once per
-// backend, must put byte-identical streams on the wire for every member
-// (captured via the socket tx tap), produce identical sender stats and
-// PartialDeliveryReports, and leave every receiver with identical
-// results.  Same pattern as the PR 6 shard-equivalence harness, one
-// layer down.
+// Differential proof that the reactor drivers put the same bytes on the
+// wire whatever the data plane underneath: the same seeded session, run
+// once per UDP backend on one private Reactor, must put byte-identical
+// streams on the wire for every member (captured via the socket tx tap),
+// produce identical sender stats and PartialDeliveryReports, and leave
+// every receiver with identical counters.  Each stream is also pinned to
+// a committed CRC-32, so a change to the session engine that moves one
+// byte fails here, and two knobs documented as "same bytes" (a one-frame
+// arena, a pacer that never binds) are held to that claim.
 //
 // Also holds the FrameStreamDecoder segmentation-invariance contract
 // (the deterministic twin of fuzz/fuzz_frame_batch.cpp) so tier-1 runs
@@ -13,33 +15,21 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "core/session_state.hpp"
 #include "net/udp/frame_stream.hpp"
-#include "net/udp/udp_np.hpp"
+#include "udp_np_harness.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::net {
 namespace {
 
-std::vector<TgBytes> random_groups(std::size_t tgs, std::size_t k,
-                                   std::size_t len, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<TgBytes> groups(tgs);
-  for (auto& tg : groups) {
-    tg.resize(k);
-    for (auto& pkt : tg) {
-      pkt.resize(len);
-      for (auto& b : pkt) b = static_cast<std::uint8_t>(rng());
-    }
-  }
-  return groups;
-}
+using server::harness::random_groups;
+using server::harness::SessionRun;
+using server::harness::SessionSetup;
 
 UdpNpConfig base_config() {
   UdpNpConfig cfg;
@@ -53,57 +43,72 @@ UdpNpConfig base_config() {
   return cfg;
 }
 
-/// Everything one session run exposes, for cross-backend comparison.
-/// Sender frames carry no ports (feedback is the only port-carrying
-/// traffic, and it never crosses the tap), so the per-member streams
-/// compare cleanly across runs with different ephemeral ports.
-struct DiffRun {
-  std::vector<std::vector<std::uint8_t>> tx;  ///< per-member wire stream
-  UdpNpSenderStats sender;
-  std::vector<UdpNpReceiverResult> receivers;
-};
+UdpNpConfig reliable_config() {
+  UdpNpConfig cfg = base_config();
+  cfg.reliable_control = true;
+  cfg.seed = 23;
+  cfg.retry.grace_rounds = 20;
+  cfg.retry.max_retries = 16;
+  return cfg;
+}
 
-DiffRun run_session(UdpBackend backend, const std::vector<TgBytes>& groups,
-                    std::size_t receivers, const UdpNpConfig& cfg,
-                    double inject_loss) {
+SessionRun run_session(UdpBackend backend, const std::vector<TgBytes>& groups,
+                       std::size_t receivers, const UdpNpConfig& cfg,
+                       double inject_loss) {
   ScopedUdpBackendOverride override(backend);
-  UdpSocket sender_socket;
-  const std::uint16_t sender_port = sender_socket.port();
-
-  std::vector<UdpSocket> rx_sockets;
-  UdpGroup group;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    rx_sockets.emplace_back();
-    group.add_member(rx_sockets.back().port());
-  }
-
-  DiffRun run;
-  run.tx.resize(receivers);
-  const auto& members = group.members();
-  sender_socket.set_tx_tap(
-      [&](std::uint16_t dest, std::span<const std::uint8_t> bytes) {
-        for (std::size_t m = 0; m < members.size(); ++m)
-          if (members[m] == dest)
-            run.tx[m].insert(run.tx[m].end(), bytes.begin(), bytes.end());
-      });
-
-  run.receivers.resize(receivers);
-  std::vector<std::thread> threads;
-  for (std::size_t r = 0; r < receivers; ++r) {
-    threads.emplace_back([&, r, sock = std::move(rx_sockets[r])]() mutable {
-      UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(), cfg,
-                             inject_loss, Rng(99).split(r));
-      run.receivers[r] = receiver.run(5.0);
-    });
-  }
-
-  UdpNpSender sender(std::move(sender_socket), group, cfg);
-  run.sender = sender.transfer(groups);
-  for (auto& t : threads) t.join();
+  SessionSetup setup;
+  setup.receivers = receivers;
+  setup.data_loss = inject_loss;
+  auto run = server::harness::run_session(groups, cfg, setup);
+  EXPECT_FALSE(run.wedged) << "watchdog fired on " << to_string(backend);
   return run;
 }
 
-void expect_same_wire(const DiffRun& a, const DiffRun& b) {
+/// A member stream's digest and length.  Every member of an emulated
+/// multicast group is sent the same frames, so the digests below are one
+/// value repeated per member.
+struct WireDigest {
+  std::uint32_t crc;
+  std::size_t bytes;
+};
+
+/// CRC-32 chained over the header and payload of every frame in a
+/// stream.  The frames' own CRC trailers are left out: a CRC run over
+/// data followed by that data's CRC always ends in the same state, so a
+/// CRC of the raw concatenation would see nothing but the last frame's
+/// length.
+std::uint32_t stream_digest(std::span<const std::uint8_t> stream) {
+  FrameStreamDecoder frames;
+  frames.feed(stream);
+  std::uint32_t crc = 0;
+  for (const auto& packet : frames.take()) {
+    const auto bytes = fec::serialize(packet);
+    crc = crc32(std::span<const std::uint8_t>(bytes).first(
+                    bytes.size() - fec::kCrcWireSize),
+                crc);
+  }
+  EXPECT_EQ(frames.buffered(), 0u);
+  EXPECT_EQ(frames.resyncs(), 0u);
+  return crc;
+}
+
+// Recorded from the blocking UdpNp sender/receiver pair that preceded
+// the reactor drivers as the real-socket engine, on both backends, for
+// the sessions below (same groups, configs, loss seeds).  The drivers
+// must reproduce that engine's wire bytes exactly.
+constexpr WireDigest kCleanDigest{0x2863ba19u, 2876};        // 22 frames
+constexpr WireDigest kLossyDigest{0xf5518d22u, 5702};        // 47 frames
+constexpr WireDigest kReliableDigest{0x974d0cf7u, 3544};     // 28 frames
+constexpr WireDigest kCrashResumeDigest{0x2662f1cau, 3338};  // 25 frames
+
+void expect_digest(const SessionRun& run, WireDigest want) {
+  for (std::size_t m = 0; m < run.tx.size(); ++m) {
+    EXPECT_EQ(run.tx[m].size(), want.bytes) << "member " << m;
+    EXPECT_EQ(stream_digest(run.tx[m]), want.crc) << "member " << m;
+  }
+}
+
+void expect_same_wire(const SessionRun& a, const SessionRun& b) {
   ASSERT_EQ(a.tx.size(), b.tx.size());
   for (std::size_t m = 0; m < a.tx.size(); ++m) {
     EXPECT_EQ(a.tx[m].size(), b.tx[m].size()) << "member " << m;
@@ -137,17 +142,44 @@ void expect_same_report(const protocol::PartialDeliveryReport& a,
   EXPECT_EQ(a.poll_retries, b.poll_retries);
 }
 
-void expect_same_receivers(const DiffRun& a, const DiffRun& b) {
+void expect_same_receivers(const SessionRun& a, const SessionRun& b) {
   ASSERT_EQ(a.receivers.size(), b.receivers.size());
   for (std::size_t r = 0; r < a.receivers.size(); ++r) {
     const auto& x = a.receivers[r];
     const auto& y = b.receivers[r];
-    EXPECT_EQ(x.complete, y.complete) << "receiver " << r;
-    EXPECT_EQ(x.received, y.received) << "receiver " << r;
-    EXPECT_EQ(x.dropped, y.dropped) << "receiver " << r;
-    EXPECT_EQ(x.decoded, y.decoded) << "receiver " << r;
-    EXPECT_EQ(x.naks_sent, y.naks_sent) << "receiver " << r;
-    EXPECT_EQ(x.groups, y.groups) << "receiver " << r;
+    EXPECT_EQ(x.result.complete, y.result.complete) << "receiver " << r;
+    EXPECT_EQ(x.result.received, y.result.received) << "receiver " << r;
+    EXPECT_EQ(x.result.dropped, y.result.dropped) << "receiver " << r;
+    EXPECT_EQ(x.result.decoded, y.result.decoded) << "receiver " << r;
+    EXPECT_EQ(x.result.naks_sent, y.result.naks_sent) << "receiver " << r;
+    // Every decoded TG matched the payload on both runs.
+    EXPECT_EQ(x.payload_mismatches, 0u) << "receiver " << r;
+    EXPECT_EQ(y.payload_mismatches, 0u) << "receiver " << r;
+  }
+}
+
+// UdpNpConfig::arena_frames promises "same bytes, bounded memory": a
+// one-frame arena fills every burst across many arena generations.  A
+// pacer defers bursts on reactor timers when it binds.  Neither may move
+// a byte, so a pinned session must reproduce its digest on both
+// backends with a one-frame arena, and with a pacer far above the
+// session's send rate.
+void expect_knobs_keep_bytes(const std::vector<TgBytes>& groups,
+                             std::size_t receivers, const UdpNpConfig& cfg,
+                             double inject_loss, WireDigest want) {
+  UdpNpConfig one_frame_arena = cfg;
+  one_frame_arena.arena_frames = 1;
+  UdpNpConfig idle_pacer = cfg;
+  idle_pacer.overload.pace_rate = 1e9;
+  for (const auto backend : {UdpBackend::kBatched, UdpBackend::kFallback}) {
+    for (const auto& variant : {one_frame_arena, idle_pacer}) {
+      const auto run =
+          run_session(backend, groups, receivers, variant, inject_loss);
+      expect_digest(run, want);
+      if (cfg.reliable_control) {
+        EXPECT_TRUE(run.sender.report.complete) << run.sender.report.summary();
+      }
+    }
   }
 }
 
@@ -160,7 +192,8 @@ TEST(UdpDifferential, CleanSessionIsByteIdentical) {
   expect_same_wire(batched, fallback);
   expect_same_sender_stats(batched.sender, fallback.sender);
   expect_same_receivers(batched, fallback);
-  EXPECT_GT(batched.tx[0].size(), 0u);
+  expect_digest(batched, kCleanDigest);
+  expect_digest(fallback, kCleanDigest);
 }
 
 TEST(UdpDifferential, LossyRepairScheduleIsByteIdentical) {
@@ -176,115 +209,57 @@ TEST(UdpDifferential, LossyRepairScheduleIsByteIdentical) {
   expect_same_wire(batched, fallback);
   expect_same_sender_stats(batched.sender, fallback.sender);
   expect_same_receivers(batched, fallback);
+  expect_digest(batched, kLossyDigest);
+  expect_digest(fallback, kLossyDigest);
+  expect_knobs_keep_bytes(groups, 4, base_config(), 0.2, kLossyDigest);
 }
 
 TEST(UdpDifferential, ReliableSessionReportsAreIdentical) {
-  UdpNpConfig cfg = base_config();
-  cfg.reliable_control = true;
-  cfg.seed = 23;
-  cfg.retry.grace_rounds = 20;
-  cfg.retry.max_retries = 16;
   const auto groups = random_groups(3, 6, 128, 23);
   const auto batched =
-      run_session(UdpBackend::kBatched, groups, 3, cfg, 0.15);
+      run_session(UdpBackend::kBatched, groups, 3, reliable_config(), 0.15);
   const auto fallback =
-      run_session(UdpBackend::kFallback, groups, 3, cfg, 0.15);
+      run_session(UdpBackend::kFallback, groups, 3, reliable_config(), 0.15);
   EXPECT_TRUE(batched.sender.report.complete)
       << batched.sender.report.summary();
   expect_same_wire(batched, fallback);
   expect_same_sender_stats(batched.sender, fallback.sender);
   expect_same_report(batched.sender.report, fallback.sender.report);
   expect_same_receivers(batched, fallback);
+  expect_digest(batched, kReliableDigest);
+  expect_digest(fallback, kReliableDigest);
+  expect_knobs_keep_bytes(groups, 3, reliable_config(), 0.15, kReliableDigest);
 }
 
 // Crash + resume across two sender lives: the crash must clamp the wire
 // stream at the same frame on both backends, and the resumed life must
 // continue from the same journal state.
-DiffRun run_crash_session(UdpBackend backend,
-                          const std::vector<TgBytes>& groups,
-                          const UdpNpConfig& cfg, const std::string& journal) {
+server::harness::CrashRun run_crash_session(UdpBackend backend,
+                                            const std::vector<TgBytes>& groups,
+                                            const std::string& journal) {
   ScopedUdpBackendOverride override(backend);
-  std::remove(journal.c_str());
-
-  core::SenderSessionState fresh;
-  fresh.session_id = 0xD1FF;
-  fresh.k = static_cast<std::uint32_t>(cfg.k);
-  fresh.h = static_cast<std::uint32_t>(cfg.h);
-  fresh.packet_len = static_cast<std::uint32_t>(cfg.packet_len);
-  fresh.num_tgs = static_cast<std::uint32_t>(groups.size());
-
-  UdpSocket first_socket;
-  const std::uint16_t sender_port = first_socket.port();
-  UdpSocket rx_sock;
-  UdpGroup group;
-  group.add_member(rx_sock.port());
-
-  DiffRun run;
-  run.tx.resize(1);
-  const auto tap = [&](std::uint16_t, std::span<const std::uint8_t> bytes) {
-    run.tx[0].insert(run.tx[0].end(), bytes.begin(), bytes.end());
-  };
-  first_socket.set_tx_tap(tap);
-
-  run.receivers.resize(1);
-  std::thread rx_thread([&, sock = std::move(rx_sock)]() mutable {
-    UdpNpReceiver receiver(std::move(sock), sender_port, groups.size(), cfg,
-                           0.0, Rng(99).split(0));
-    run.receivers[0] = receiver.run(10.0);
-  });
-
-  {
-    core::SessionJournal sj(journal, fresh);
-    UdpNpConfig c1 = cfg;
-    c1.incarnation = sj.state().incarnation;
-    c1.crash_after_sends = 10;
-    c1.on_tg_completed = [&sj](std::size_t tg) { sj.record_tg_completed(tg); };
-    c1.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
-      sj.record_parities_sent(tg, hw);
-    };
-    UdpNpSender sender(std::move(first_socket), group, c1);
-    run.sender = sender.transfer(groups);
-  }
-  EXPECT_TRUE(run.sender.crashed);
-
-  core::SessionJournal sj(journal, fresh);
-  UdpNpConfig c2 = cfg;
-  c2.incarnation = sj.state().incarnation;
-  c2.resume_completed = sj.state().completed;
-  c2.resume_parities = sj.state().parities_sent;
-  c2.on_tg_completed = [&sj](std::size_t tg) { sj.record_tg_completed(tg); };
-  c2.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
-    sj.record_parities_sent(tg, hw);
-  };
-  UdpSocket second_socket(sender_port);
-  second_socket.set_tx_tap(tap);
-  UdpNpSender sender(std::move(second_socket), group, c2);
-  const auto life2 = sender.transfer(groups);
-  rx_thread.join();
-  std::remove(journal.c_str());
-
-  // Fold life-2 counters in so the comparison spans both lives.
-  run.sender.data_sent += life2.data_sent;
-  run.sender.parity_sent += life2.parity_sent;
-  run.sender.polls_sent += life2.polls_sent;
-  run.sender.tgs_skipped = life2.tgs_skipped;
+  auto run = server::harness::run_crash_session(groups, base_config(), journal);
+  EXPECT_FALSE(run.session.wedged)
+      << "watchdog fired on " << to_string(backend);
   return run;
 }
 
 TEST(UdpDifferential, CrashResumeClampsAtTheSameFrame) {
-  UdpNpConfig cfg = base_config();
-  const auto groups = random_groups(3, cfg.k, cfg.packet_len, 24);
+  const auto groups = random_groups(3, 6, 128, 24);
   const std::string dir = ::testing::TempDir();
-  const auto batched = run_crash_session(UdpBackend::kBatched, groups, cfg,
+  const auto batched = run_crash_session(UdpBackend::kBatched, groups,
                                          dir + "pbl_diff_batched.log");
-  const auto fallback = run_crash_session(UdpBackend::kFallback, groups, cfg,
+  const auto fallback = run_crash_session(UdpBackend::kFallback, groups,
                                           dir + "pbl_diff_fallback.log");
-  expect_same_wire(batched, fallback);
-  EXPECT_EQ(batched.sender.data_sent, fallback.sender.data_sent);
-  EXPECT_EQ(batched.sender.polls_sent, fallback.sender.polls_sent);
-  EXPECT_EQ(batched.sender.tgs_skipped, fallback.sender.tgs_skipped);
-  expect_same_receivers(batched, fallback);
-  EXPECT_TRUE(batched.receivers[0].complete);
+  EXPECT_TRUE(batched.life1.crashed);
+  expect_same_wire(batched.session, fallback.session);
+  expect_same_sender_stats(batched.life1, fallback.life1);
+  expect_same_sender_stats(batched.session.sender, fallback.session.sender);
+  expect_same_receivers(batched.session, fallback.session);
+  EXPECT_TRUE(batched.session.receivers[0].result.complete);
+  EXPECT_EQ(batched.session.receivers[0].redelivered_prior, 0u);
+  expect_digest(batched.session, kCrashResumeDigest);
+  expect_digest(fallback.session, kCrashResumeDigest);
 }
 
 // --- FrameStreamDecoder: deterministic segmentation invariance --------
