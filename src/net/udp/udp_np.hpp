@@ -34,7 +34,12 @@ struct UdpNpConfig {
   std::size_t k = 8;
   std::size_t h = 64;            ///< parity budget (k + h <= 255)
   std::size_t packet_len = 512;
-  double poll_window = 0.08;     ///< seconds the sender collects NAKs per round
+  /// Seconds the sender collects NAKs per round.  With reliable_control
+  /// it is the floor of the collect timeout instead: a round closes once
+  /// every gating member answered, or after max(poll_window, SRTT +
+  /// 4·RTTVAR) of measured POLL→answer latency, capped at poll_window +
+  /// retry.max_backoff (docs/ROBUSTNESS.md).
+  double poll_window = 0.08;
   int max_rounds = 200;          ///< per-TG round cap (safety against livelock)
 
   /// Control-plane reliability layer (docs/ROBUSTNESS.md).  When set,

@@ -44,6 +44,21 @@ double Deadline::remaining(double now) const noexcept {
   return std::max(0.0, expires_at() - now);
 }
 
+void RttEstimator::sample(double rtt) noexcept {
+  if (samples_++ == 0) {
+    srtt_ = rtt;
+    rttvar_ = rtt / 2.0;
+    return;
+  }
+  rttvar_ = 0.75 * rttvar_ + 0.25 * std::abs(srtt_ - rtt);
+  srtt_ = 0.875 * srtt_ + 0.125 * rtt;
+}
+
+double RttEstimator::timeout(double floor, double ceiling) const noexcept {
+  if (empty()) return floor;
+  return std::min(ceiling, std::max(floor, srtt_ + 4.0 * rttvar_));
+}
+
 double retry_clock_now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())

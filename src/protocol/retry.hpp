@@ -79,6 +79,28 @@ class Deadline {
   double budget_ = 0.0;
 };
 
+/// RFC 6298 round-trip estimator (SRTT and RTTVAR, gains 1/8 and 1/4),
+/// fed with POLL→answer latencies.  Karn's rule is unnecessary where every
+/// request carries a fresh id its answers echo: each sample is unambiguous.
+/// The timeout is clamped from above too: a peer that always answers just
+/// before the timeout feeds samples that ratchet SRTT + 4·RTTVAR upward
+/// without end, so without a ceiling it could stretch every round at will.
+class RttEstimator {
+ public:
+  void sample(double rtt) noexcept;
+  bool empty() const noexcept { return samples_ == 0; }
+  double srtt() const noexcept { return srtt_; }
+  double rttvar() const noexcept { return rttvar_; }
+  /// min(ceiling, max(floor, SRTT + 4·RTTVAR)); just `floor` before the
+  /// first sample.  `ceiling` must not be below `floor`.
+  double timeout(double floor, double ceiling) const noexcept;
+
+ private:
+  double srtt_ = 0.0;
+  double rttvar_ = 0.0;
+  std::uint64_t samples_ = 0;
+};
+
 /// Wall-clock seconds on a monotonic clock (std::chrono::steady_clock),
 /// for driving Deadline outside the simulator.
 double retry_clock_now();

@@ -320,12 +320,18 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
         }
       }
     }
+    // The journal's hooks run first (write-ahead order), then the
+    // caller's own from ServerConfig::np.
     core::SessionJournal* journal = s.journal.get();
-    np.on_tg_completed = [journal](std::size_t tg) {
+    auto completed = std::move(np.on_tg_completed);
+    auto parities = std::move(np.on_parities_sent);
+    np.on_tg_completed = [journal, completed](std::size_t tg) {
       journal->record_tg_completed(tg);
+      if (completed) completed(tg);
     };
-    np.on_parities_sent = [journal](std::size_t tg, std::size_t high_water) {
-      journal->record_parities_sent(tg, high_water);
+    np.on_parities_sent = [journal, parities](std::size_t tg, std::size_t hw) {
+      journal->record_parities_sent(tg, hw);
+      if (parities) parities(tg, hw);
     };
     if (cfg_.faults.journal_fail_every > 0)
       s.journal->journal().inject_write_failure(cfg_.faults.journal_fail_every);
@@ -683,11 +689,14 @@ void MulticastServer::finalize_session(std::uint64_t id, bool drained) {
 
   // Release the drivers (sockets, fds, timers) — at a thousand sessions
   // holding finished drivers open exhausts the descriptor table.  The
-  // journal closes too; its file stays only for drained sessions.
+  // journal closes too; its file stays only for drained sessions.  The
+  // payload the drivers borrowed goes last: a drained session persisted
+  // its state before this point, and session_metrics() never reads it.
   s.sender.reset();
   s.receivers.clear();
   s.adversary.reset();
   s.journal.reset();
+  std::vector<net::TgBytes>().swap(s.spec.groups);
   if (state != "drained") remove_session_files(s);
   s.finalized = true;
   --active_count_;

@@ -43,7 +43,8 @@ struct ServerConfig {
   /// reactor's, so every deadline in the server reads one time source.
   net::UdpNpConfig np{};
   /// Directory for write-ahead journals and receiver state files
-  /// ("" disables crash tolerance).
+  /// ("" disables crash tolerance).  The journal's write-ahead hooks run
+  /// before np.on_tg_completed / np.on_parities_sent, which still fire.
   std::string journal_dir;
   /// Directory receiving snapshot_NNNNN.json files ("" = in-memory only).
   std::string snapshot_dir;
@@ -159,7 +160,7 @@ class MulticastServer {
  private:
   struct Session {
     std::uint64_t id = 0;
-    SessionSpec spec;  ///< owns the payload; drivers borrow it
+    SessionSpec spec;  ///< owns the payload until finalize; drivers borrow it
     std::unique_ptr<core::SessionJournal> journal;
     std::unique_ptr<SenderSessionDriver> sender;
     std::vector<std::unique_ptr<ReceiverSessionDriver>> receivers;

@@ -62,6 +62,7 @@ void SenderSessionDriver::start() {
   const auto& members = group_.members();
   evicted_.assign(members.size(), false);
   silent_.assign(members.size(), 0);
+  answered_.assign(members.size(), 0);
   delivered_.assign(members.size(), std::vector<bool>(groups_.size(), false));
   deficit_.assign(members.size(), 0);
   quarantined_.assign(members.size(), false);
@@ -450,18 +451,41 @@ void SenderSessionDriver::send_poll() {
     finish_session();
     return;
   }
-  ++stats_.polls_sent;
+  open_round(window_pad_);
+}
 
+void SenderSessionDriver::open_round(double pad) {
+  ++stats_.polls_sent;
   l_ = 0;
   round_naks_ = 0;
   std::fill(heard_.begin(), heard_.end(), false);
-  const double now = clk_.now();
+  poll_sent_at_ = clk_.now();
+  // The estimator learns only from answers that echo a round id, which
+  // NAK-only receivers never send: that mode keeps the fixed window T.
+  // The ceiling is the longest round the fixed window ever ran, T plus
+  // the largest backoff pad: a member answering just before each
+  // timeout cannot stretch rounds past it.
+  const double timeout = answer_rtt_.timeout(
+      cfg_.poll_window, cfg_.poll_window + cfg_.retry.max_backoff);
   const double window =
-      std::min(cfg_.poll_window + window_pad_, deadline_.remaining(now));
+      std::min(timeout + pad, deadline_.remaining(poll_sent_at_));
+  collect_deadline_ = poll_sent_at_ + window;
   arm_window_timer(window);
 }
 
 void SenderSessionDriver::on_readable() {
+  drain_feedback();
+  // Answer-driven close: once every member that gates this round has
+  // answered its POLL there is nothing left to wait for.  Checked after
+  // the drain, so the decision sees the whole batch, and decided by the
+  // same after_window logic as a timeout: only the timing moves.
+  if (cfg_.reliable_control && timer_armed_ && all_answered()) {
+    disarm_timer();
+    close_round();
+  }
+}
+
+void SenderSessionDriver::drain_feedback() {
   while (!finished_ && !stopped_) {
     auto dg = socket_.receive_from(0.0);
     if (!dg) {
@@ -496,6 +520,10 @@ void SenderSessionDriver::on_readable() {
       if (m < group_.members().size()) {
         heard_[m] = true;
         silent_[m] = 0;
+        if (nak->header.seq == round_id_ && answered_[m] != round_id_) {
+          answered_[m] = round_id_;
+          answer_rtt_.sample(clk_.now() - poll_sent_at_);
+        }
         if (nak->header.count == 0) {
           ++stats_.acks_received;
           deficit_[m] = 0;  // a serviced member is no longer lagging
@@ -531,7 +559,23 @@ void SenderSessionDriver::on_readable() {
 void SenderSessionDriver::on_window_expired() {
   if (finished_ || stopped_) return;
   // Pull in any feedback that raced the timer into the socket buffer.
-  on_readable();
+  drain_feedback();
+  close_round();
+}
+
+bool SenderSessionDriver::all_answered() const {
+  const auto answered = [this](std::size_t m) {
+    return answered_[m] == round_id_;
+  };
+  if (catchup_)
+    return std::all_of(cu_targets_.begin(), cu_targets_.end(), answered);
+  for (std::size_t m = 0; m < answered_.size(); ++m)
+    if (!evicted_[m] && !quarantined_[m] && !expelled_[m] && !answered(m))
+      return false;
+  return true;
+}
+
+void SenderSessionDriver::close_round() {
   if (catchup_)
     after_catch_up_window();
   else
@@ -692,11 +736,7 @@ void SenderSessionDriver::send_catch_up_poll() {
     finish_session();
     return;
   }
-  ++stats_.polls_sent;
-  l_ = 0;
-  round_naks_ = 0;
-  std::fill(heard_.begin(), heard_.end(), false);
-  arm_window_timer(std::min(cfg_.poll_window, deadline_.remaining(clk_.now())));
+  open_round(0.0);
 }
 
 void SenderSessionDriver::after_catch_up_window() {

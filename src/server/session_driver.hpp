@@ -4,10 +4,11 @@
 // events and timer expiries, so thousands of concurrent sessions share
 // one thread.
 //
-// Features: reliable-control ACK/liveness/eviction, seeded re-POLL and
-// NAK-retransmit backoff, session deadlines, incarnation stamping and
-// stale rejection, journal write-ahead hooks, parity high-water resume,
-// crash fault injection, and the overload and hostile-peer knobs.  Time
+// Features: reliable-control ACK/liveness/eviction, rounds that close on
+// their last answer, seeded re-POLL and NAK-retransmit backoff, session
+// deadlines, incarnation stamping and stale rejection, journal
+// write-ahead hooks, parity high-water resume, crash fault injection,
+// and the overload and hostile-peer knobs.  Time
 // comes exclusively from the injected clock in UdpNpConfig::clock, so
 // the drivers can be unit-tested on a ManualClock by pumping events by
 // hand.  tests/test_udp_differential.cpp pins their wire bytes.
@@ -55,6 +56,9 @@ class SenderSessionDriver {
   std::uint64_t tgs_completed() const noexcept { return tgs_completed_; }
   /// Index of the TG currently in repair (== num TGs when done).
   std::size_t current_tg() const noexcept { return tg_; }
+  /// Clock time at which the open collect phase times out unless every
+  /// gating member answers first.
+  double collect_deadline() const noexcept { return collect_deadline_; }
   std::uint16_t port() const noexcept { return socket_.port(); }
   /// The session socket, exposed so overload tests and the server's
   /// fault plan can install send-errno injection on a live driver.
@@ -79,9 +83,19 @@ class SenderSessionDriver {
   enum class BurstPhase { kNone, kData, kParity, kCatchUpParity };
 
   void on_readable();
+  void drain_feedback();
   void on_window_expired();
   void begin_next_tg();
   void send_poll();
+  /// Opens the collect phase of the POLL just sent: its timeout is
+  /// min(poll_window + max_backoff, max(poll_window, SRTT + 4·RTTVAR))
+  /// + pad, clamped by the deadline.
+  void open_round(double pad);
+  /// True once every member gating this round answered its POLL: the
+  /// live non-quarantined members, or the catch-up targets.
+  bool all_answered() const;
+  /// Runs the post-collect decision for the current phase.
+  void close_round();
   void after_window();  // the post-collect decision logic
   void finish_session();
   /// Best-effort fan-out of a control packet to the whole group, or to
@@ -147,6 +161,11 @@ class SenderSessionDriver {
   std::vector<std::size_t> silent_;
   std::vector<std::vector<bool>> delivered_;
   protocol::Deadline deadline_;
+  /// Round id of each member's last answer (ACK or NAK echoing it).
+  std::vector<std::uint32_t> answered_;
+  protocol::RttEstimator answer_rtt_;  ///< POLL -> answer latency
+  double poll_sent_at_ = 0.0;
+  double collect_deadline_ = 0.0;
 
   // Per-TG round state.
   std::size_t tg_ = 0;

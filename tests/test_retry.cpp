@@ -1,7 +1,7 @@
 // Tests for the control-plane retry/backoff primitives (protocol/retry.hpp):
 // schedule determinism, jitter bounds, budget exhaustion, deadline
-// monotonicity, and thread-invariance of the reliable protocols that
-// consume them.
+// monotonicity, the answer-latency estimator, and thread-invariance of
+// the reliable protocols that consume them.
 #include "protocol/retry.hpp"
 
 #include <gtest/gtest.h>
@@ -142,6 +142,59 @@ TEST(Deadline, ExpiryIsMonotoneInTime) {
   EXPECT_TRUE(was_expired);
   EXPECT_DOUBLE_EQ(d.remaining(14.0), 0.0);
   EXPECT_DOUBLE_EQ(d.remaining(11.0), 1.5);
+}
+
+TEST(RttEstimator, TimeoutFollowsAnswerLatencyAboveItsFloor) {
+  constexpr double kFloor = 0.002;
+  constexpr double kCeiling = 1.0;  // far above every sample here
+  RttEstimator est;
+  EXPECT_TRUE(est.empty());
+  EXPECT_DOUBLE_EQ(est.timeout(kFloor, kCeiling), kFloor);  // nothing measured yet
+  // RFC 6298 initialisation: SRTT = R, RTTVAR = R / 2.
+  est.sample(0.0001);
+  EXPECT_DOUBLE_EQ(est.srtt(), 0.0001);
+  EXPECT_DOUBLE_EQ(est.rttvar(), 0.00005);
+
+  // Answers far faster than the floor: the timeout rests on the floor.
+  for (int i = 0; i < 50; ++i) {
+    est.sample(0.0001);
+    EXPECT_DOUBLE_EQ(est.timeout(kFloor, kCeiling), kFloor) << "sample " << i;
+  }
+  // Answers slow to 5 ms: the timeout rises above the floor at once and
+  // keeps covering the new latency while SRTT converges on it.
+  for (int i = 0; i < 30; ++i) {
+    est.sample(0.005);
+    EXPECT_GT(est.timeout(kFloor, kCeiling), 0.005) << "slow sample " << i;
+  }
+  EXPECT_NEAR(est.srtt(), 0.005, 0.0005);
+  // Fast again: it comes back down, and never below its floor.
+  for (int i = 0; i < 60; ++i) {
+    est.sample(0.0001);
+    EXPECT_GE(est.timeout(kFloor, kCeiling), kFloor) << "recovery sample " << i;
+  }
+  EXPECT_DOUBLE_EQ(est.timeout(kFloor, kCeiling), kFloor);
+  EXPECT_LT(est.srtt() + 4.0 * est.rttvar(), kFloor);
+}
+
+TEST(RttEstimator, AnswersJustBeforeTheTimeoutCannotRaiseItPastTheCeiling) {
+  // Three prompt answers and one that lands just before the timeout, per
+  // round: each late sample is the largest yet, so SRTT + 4·RTTVAR grows
+  // round on round.  The ceiling holds the timeout, and so the round.
+  constexpr double kFloor = 0.002;
+  constexpr double kCeiling = 0.05;
+  RttEstimator est;
+  double timeout = est.timeout(kFloor, kCeiling);
+  double previous = 0.0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 3; ++i) est.sample(0.0);
+    est.sample(timeout * 0.999);
+    previous = timeout;
+    timeout = est.timeout(kFloor, kCeiling);
+    EXPECT_LE(timeout, kCeiling) << "round " << round;
+    EXPECT_GE(timeout, previous) << "round " << round;
+  }
+  EXPECT_DOUBLE_EQ(timeout, kCeiling);  // pinned there, not past it
+  EXPECT_GT(est.srtt() + 4.0 * est.rttvar(), kCeiling);
 }
 
 TEST(RetryClock, IsMonotonic) {

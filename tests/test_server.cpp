@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "core/session_state.hpp"
 #include "fec/packet.hpp"
 #include "net/peer_guard.hpp"
 #include "util/rng.hpp"
@@ -120,11 +121,10 @@ TEST_F(ServerTest, GracefulDrainCompletesInFlightSessions) {
   for (std::uint64_t id = 0; id < 4; ++id)
     ASSERT_TRUE(server.submit(make_spec(id, 3, 0.2)));
 
-  bool refused_during_drain = false;
-  reactor.add_timer(reactor.now() + 0.01, [&] {
-    server.request_drain();
-    refused_during_drain = !server.submit(make_spec(99, 1));
-  });
+  // Drain is requested before the loop runs, so every session is still
+  // in flight when it lands, however fast rounds close.
+  server.request_drain();
+  const bool refused_during_drain = !server.submit(make_spec(99, 1));
   reactor.run();
 
   EXPECT_TRUE(refused_during_drain);
@@ -143,12 +143,20 @@ TEST_F(ServerTest, DrainThenRestartResumesExactlyOnce) {
   {
     Reactor reactor;
     ServerConfig cfg = base_config();
-    cfg.drain_grace = 0.01;  // force-stop almost immediately
+    cfg.drain_grace = 0.0;  // force-stop on the next timer pass
+    // Let real progress happen, then pull the plug mid-run: the caller's
+    // completion hook (it runs after the journal's) drains the server on
+    // the kDrainAfter-th completed TG, an event rather than a wall time.
+    constexpr std::size_t kDrainAfter = 4;
+    std::size_t tgs_completed = 0;
+    MulticastServer* running = nullptr;
+    cfg.np.on_tg_completed = [&](std::size_t) {
+      if (++tgs_completed == kDrainAfter) running->request_drain();
+    };
     MulticastServer server(reactor, cfg);
+    running = &server;
     for (std::uint64_t id = 0; id < kSessions; ++id)
       ASSERT_TRUE(server.submit(make_spec(id, kTgs, 0.3)));
-    // Let real progress happen, then pull the plug mid-run.
-    reactor.add_timer(reactor.now() + 0.06, [&] { server.request_drain(); });
     reactor.run();
     completed_first = server.completed_sessions();
     drained_first = server.drained_sessions();
@@ -195,11 +203,59 @@ TEST_F(ServerTest, SigtermSelfPipeTriggersDrain) {
   MulticastServer server(reactor, cfg);
   server.install_signal_handlers();
   ASSERT_TRUE(server.submit(make_spec(0, 2)));
-  reactor.add_timer(reactor.now() + 0.005, [] { ::raise(SIGTERM); });
+  // Raised before the loop runs: the self-pipe holds the signal until the
+  // reactor reads it, with the session still in flight.
+  ::raise(SIGTERM);
   reactor.run();
   EXPECT_EQ(server.server_metrics().counter("signals_received"), 1u);
   EXPECT_TRUE(server.draining());
   EXPECT_EQ(server.completed_sessions() + server.drained_sessions(), 1u);
+}
+
+TEST_F(ServerTest, JournalChainsCallerHooks) {
+  // With journal_dir set the server installs the journal's write-ahead
+  // hooks; the caller's own np hooks must still fire, once per event,
+  // and only after the journal on disk already holds that event.
+  Reactor reactor;
+  ServerConfig cfg = base_config();
+  ASSERT_FALSE(cfg.journal_dir.empty());
+  constexpr std::size_t kSessions = 3;
+  constexpr std::size_t kTgs = 4;
+  // True when some session's journal on disk already records `holds`.
+  const auto journaled = [this](const auto& holds) {
+    for (const auto& path : core::list_session_journals(dir_)) {
+      const auto state = core::peek_session_journal(path);
+      if (state && holds(*state)) return true;
+    }
+    return false;
+  };
+  std::vector<std::size_t> completions(kTgs, 0);
+  std::size_t parity_bursts = 0;
+  cfg.np.on_tg_completed = [&](std::size_t tg) {
+    ASSERT_LT(tg, kTgs);
+    ++completions[tg];
+    EXPECT_TRUE(journaled([tg](const core::SenderSessionState& st) {
+      return st.completed[tg];
+    })) << "TG " << tg << " reached the caller before the journal";
+  };
+  cfg.np.on_parities_sent = [&](std::size_t tg, std::size_t high_water) {
+    ++parity_bursts;
+    EXPECT_TRUE(journaled([&](const core::SenderSessionState& st) {
+      return st.parities_sent[tg] == high_water;
+    })) << "TG " << tg << " parities reached the caller before the journal";
+  };
+  MulticastServer server(reactor, cfg);
+  for (std::uint64_t id = 0; id < kSessions; ++id)
+    ASSERT_TRUE(server.submit(make_spec(id, kTgs, 0.2)));
+  reactor.run();
+
+  EXPECT_EQ(server.completed_sessions(), kSessions);
+  for (std::size_t tg = 0; tg < kTgs; ++tg)
+    EXPECT_EQ(completions[tg], kSessions) << "TG " << tg;
+  EXPECT_EQ(server.server_metrics().counter("total_tgs_completed"),
+            kSessions * kTgs);
+  EXPECT_GT(parity_bursts, 0u);  // 20 % loss needs repair
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));  // completed: files removed
 }
 
 TEST_F(ServerTest, SnapshotJsonCarriesSchemaHeaderAndSessions) {

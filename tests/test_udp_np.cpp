@@ -6,8 +6,12 @@
 // equivalence proof lives in test_udp_differential.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/file_transfer.hpp"
 #include "udp_np_harness.hpp"
@@ -77,6 +81,58 @@ void expect_all_delivered(const SessionRun& session) {
     EXPECT_EQ(rx.payload_mismatches, 0u) << "receiver " << r;
   }
 }
+
+/// One session on a hand-driven clock: a reactor, the sender and three
+/// receivers that drop 30 % of DATA/PARITY, wired and started, plus any
+/// `extra_members` ports the test answers for itself.  Time moves only
+/// when a test moves `clock`.
+struct ManualSession {
+  protocol::ManualClock clock;
+  Reactor reactor{Reactor::Backend::kAuto, &clock};
+  std::vector<net::TgBytes> groups;
+  std::vector<std::unique_ptr<ReceiverSessionDriver>> receivers;
+  std::unique_ptr<SenderSessionDriver> sender;
+
+  ManualSession(UdpNpConfig cfg, std::size_t tgs, std::uint64_t seed,
+                const std::vector<std::uint16_t>& extra_members = {},
+                double idle_timeout = 1e6)
+      : groups(random_groups(tgs, cfg.k, cfg.packet_len, seed)) {
+    cfg.clock = &clock;
+    net::UdpSocket sender_socket;
+    net::UdpGroup group;
+    for (std::size_t r = 0; r < 3; ++r) {
+      net::UdpSocket socket;
+      group.add_member(socket.port());
+      ReceiverSessionDriver::Options opt;
+      opt.idle_timeout = idle_timeout;
+      opt.data_loss = 0.3;
+      opt.rng = Rng(99).split(r);
+      opt.expected = &groups;
+      receivers.push_back(std::make_unique<ReceiverSessionDriver>(
+          reactor, std::move(socket), sender_socket.port(), tgs, cfg,
+          std::move(opt), nullptr));
+    }
+    for (const auto port : extra_members) group.add_member(port);
+    sender = std::make_unique<SenderSessionDriver>(
+        reactor, std::move(sender_socket), group, cfg, groups, nullptr);
+    for (auto& r : receivers) r->start();
+    sender->start();
+  }
+
+  bool finished() const {
+    for (const auto& r : receivers)
+      if (!r->finished()) return false;
+    return sender->finished();
+  }
+
+  /// Runs handlers until the loop sits idle for 20 ms of real time,
+  /// without moving the clock.  Loopback delivery is synchronous, so an
+  /// idle loop has nothing left in flight.
+  void settle() {
+    bool ran = true;
+    while (ran) ran = reactor.poll_once(0.02);
+  }
+};
 
 // The driver constructors carry the configuration checks: a code wider
 // than GF(2^8), injected loss outside [0,1), an impossible impairment
@@ -208,6 +264,39 @@ TEST_P(UdpNp, SenderRejectsWrongGroupShape) {
                std::invalid_argument);
 }
 
+TEST_P(UdpNp, NakOnlyRoundsLastExactlyThePollWindow) {
+  // NAK-only NP cannot know that every receiver has answered, so each
+  // round holds the full window T of Fig 13, however early its NAKs
+  // land.  On a hand-driven clock every POLL leaves at a multiple of T.
+  UdpNpConfig cfg = small_config();
+  ASSERT_FALSE(cfg.reliable_control);
+  cfg.poll_window = 0.25;
+  ManualSession session(cfg, 3, 22);
+  const auto& stats = session.sender->stats();
+  session.settle();
+  ASSERT_EQ(stats.polls_sent, 1u);
+  EXPECT_GT(stats.naks_received, 0u);  // answered, yet the round holds
+
+  for (std::size_t round = 1; !session.finished(); ++round) {
+    ASSERT_LT(round, 100u) << "session did not finish";
+    const double close_at = cfg.poll_window * static_cast<double>(round);
+    session.clock.set(close_at - 1e-6);
+    session.settle();
+    EXPECT_EQ(stats.polls_sent, round) << "round closed before T";
+    session.clock.set(close_at);
+    session.settle();
+    if (session.sender->finished()) break;
+    EXPECT_EQ(stats.polls_sent, round + 1) << "round outlived T";
+  }
+  session.settle();  // the end marker reaches the receivers
+  ASSERT_TRUE(session.finished());
+  EXPECT_GT(stats.parity_sent, 0u);
+  for (const auto& r : session.receivers) {
+    EXPECT_TRUE(r->result().complete);
+    EXPECT_EQ(r->payload_mismatches(), 0u);
+  }
+}
+
 // --- Reliable control plane over real sockets ------------------------
 
 std::uint64_t chaos_seed(std::uint64_t base) {
@@ -320,6 +409,92 @@ TEST_P(UdpNpReliable, EndReasonDistinguishesDrainFromStall) {
   ASSERT_TRUE(stalled.finished());
   EXPECT_EQ(stalled.result().end_reason, UdpNpEndReason::kMidSessionSilence);
   EXPECT_FALSE(stalled.result().complete);
+}
+
+TEST_P(UdpNpReliable, RoundsCloseOnTheirLastAnswerWithoutTheClock) {
+  // Reliable control closes a round once every member answered its POLL.
+  // With a 1000 s window on a clock that never moves, a lossy session
+  // can only finish if every round, repair rounds included, closes that
+  // way: no timer ever fires.
+  UdpNpConfig cfg = reliable_config();
+  cfg.poll_window = 1000.0;
+  ManualSession session(cfg, 4, 21);
+  const double give_up = protocol::retry_clock_now() + 10.0;
+  while (!session.finished() && protocol::retry_clock_now() < give_up)
+    session.reactor.poll_once(0.01);
+  ASSERT_TRUE(session.finished()) << "a round waited for its window";
+  EXPECT_EQ(session.clock.now(), 0.0);
+
+  const auto& stats = session.sender->stats();
+  EXPECT_TRUE(stats.report.complete) << stats.report.summary();
+  EXPECT_GT(stats.parity_sent, 0u);
+  EXPECT_GT(stats.polls_sent, session.groups.size());  // repair rounds ran
+  EXPECT_EQ(stats.poll_retries, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  for (const auto& r : session.receivers) {
+    EXPECT_TRUE(r->result().complete);
+    EXPECT_EQ(r->payload_mismatches(), 0u);
+    EXPECT_EQ(r->result().end_reason, UdpNpEndReason::kEndOfSession);
+  }
+}
+
+TEST_P(UdpNpReliable, LateAnswersCannotStretchRoundsPastTheCeiling) {
+  // One member answers every POLL just before its round would time out,
+  // so each of its samples is the largest the estimator has seen.  The
+  // collect timeout stops at poll_window + max_backoff: rounds stay
+  // bounded, and the honest receivers, on the default 10 s idle budget,
+  // finish cleanly however long the session runs.
+  UdpNpConfig cfg = reliable_config();
+  const double ceiling = cfg.poll_window + cfg.retry.max_backoff;
+  net::UdpSocket late;
+  ManualSession session(cfg, 8, 24, {late.port()}, 10.0);
+  const auto& stats = session.sender->stats();
+  session.settle();
+
+  double longest = 0.0;
+  std::size_t rounds = 0;
+  while (!session.finished()) {
+    ASSERT_LT(rounds, 400u) << "session did not finish";
+    // The newest POLL on the late member's socket is the open round: the
+    // honest receivers answered it at once, so only this member is owed.
+    std::optional<fec::PacketHeader> poll;
+    for (;;) {
+      auto dg = late.receive_from(0.0);
+      if (!dg) {
+        if (!late.has_pending()) break;
+        continue;
+      }
+      const auto& hdr = dg->packet.header;
+      if (hdr.type == fec::PacketType::kPoll && hdr.tg != net::kUdpEndOfSession)
+        poll = hdr;
+    }
+    ASSERT_TRUE(poll.has_value()) << "round " << rounds << " has no POLL";
+    ++rounds;
+    const double timeout =
+        session.sender->collect_deadline() - session.clock.now();
+    ASSERT_LE(timeout, ceiling + 1e-9) << "round " << rounds;
+    longest = std::max(longest, timeout);
+    session.clock.set(session.sender->collect_deadline() - 1e-6);
+    fec::Packet ack;
+    ack.header.type = fec::PacketType::kNak;
+    ack.header.incarnation = poll->incarnation;
+    ack.header.tg = poll->tg;
+    ack.header.seq = poll->seq;
+    ack.header.index = late.port();
+    late.send_to(session.sender->port(), ack);
+    session.settle();
+  }
+
+  EXPECT_GT(rounds, session.groups.size());  // repair rounds ran too
+  EXPECT_GT(longest, 0.9 * ceiling);  // the late answers drove it up
+  EXPECT_TRUE(stats.report.complete) << stats.report.summary();
+  EXPECT_EQ(stats.poll_retries, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  for (const auto& r : session.receivers) {
+    EXPECT_TRUE(r->result().complete);
+    EXPECT_EQ(r->payload_mismatches(), 0u);
+    EXPECT_EQ(r->result().end_reason, UdpNpEndReason::kEndOfSession);
+  }
 }
 
 // --- Crash-tolerant sessions over real sockets -----------------------

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Tests for bench/check_regression.py and bench/compare_points.py.
+"""Tests for bench/check_regression.py, bench/compare_points.py and
+tools/check_e2e_counts.py.
 
-The two gate scripts decide whether CI legs pass, so their failure
+The gate scripts decide whether CI legs pass, so their failure
 modes (malformed JSON, missing baselines, silently dropped points) are
 exercised here rather than discovered live on a red main.
 
@@ -17,13 +18,16 @@ import contextlib
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 import unittest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "bench"))
+sys.path.insert(0, os.path.join(REPO, "tools"))
 
+import check_e2e_counts  # noqa: E402
 import check_regression  # noqa: E402
 import compare_points  # noqa: E402
 
@@ -177,6 +181,82 @@ class ComparePointsTest(ScriptCase):
         b = self.write("b.json", bench_doc(points=[{"p": 1, "noise": 2}]))
         code, _ = self.run_main(compare_points, [a, b, "--ignore", "noise"])
         self.assertEqual(code, 0)
+
+
+def e2e_result(tx=1.05, correct=True, failed=0):
+    return {"correct": correct, "attempted": 20, "failed": failed,
+            "metrics": {"tx_per_packet": {"value": tx, "unit": "ratio"}}}
+
+
+class CheckE2eCountsTest(ScriptCase):
+    SPEC = {"run_seconds": 10,
+            "workloads": [{"name": "bulk"}, {"name": "many"}],
+            "end_to_end": [{"name": "goodput_MBps", "bound": 0.2},
+                           {"name": "tx_per_packet", "bound": 0.01}]}
+
+    def check(self, result, base_tx=1.05):
+        return check_e2e_counts.check("bulk", result, e2e_result(base_tx),
+                                      0.01)
+
+    def test_identical_counts_pass(self):
+        self.assertEqual(self.check(e2e_result()), [])
+
+    def test_drift_within_bound_passes(self):
+        self.assertEqual(self.check(e2e_result(tx=1.05 * 1.009)), [])
+
+    def test_drift_past_bound_fails_either_way(self):
+        self.assertEqual(len(self.check(e2e_result(tx=1.05 * 1.02))), 1)
+        self.assertEqual(len(self.check(e2e_result(tx=1.05 * 0.98))), 1)
+
+    def test_incorrect_run_fails(self):
+        self.assertEqual(len(self.check(e2e_result(correct=False))), 1)
+
+    def test_failed_session_fails(self):
+        self.assertEqual(len(self.check(e2e_result(failed=1))), 1)
+
+    def test_missing_metric_fails(self):
+        result = e2e_result()
+        del result["metrics"]["tx_per_packet"]
+        self.assertEqual(len(self.check(result)), 1)
+
+    def fake_binary(self, tx_by_workload):
+        """An executable standing in for ext_e2e: prints a log line, then
+        one result per --workload, its tx_per_packet from the table.  It
+        fails unless it is asked for seed 1 and the spec's run_seconds."""
+        path = os.path.join(self.dir.name, "fake_e2e")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("#!%s\nimport json, sys\n" % sys.executable)
+            f.write("assert '--seed=1' in sys.argv, sys.argv\n")
+            f.write("assert '--seconds=10' in sys.argv, sys.argv\n")
+            f.write("w = [a.split('=', 1)[1] for a in sys.argv\n"
+                    "     if a.startswith('--workload=')][0]\n")
+            f.write("print('log line')\n")
+            f.write("print(json.dumps(%r[w]))\n" % {
+                w: e2e_result(tx) for w, tx in tx_by_workload.items()})
+        os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
+        return path
+
+    def run_gate(self, tx_by_workload):
+        base = os.path.join(self.dir.name, "set1")
+        os.makedirs(base, exist_ok=True)
+        for w in ("bulk", "many"):
+            self.write(os.path.join("set1", "%s-1-0.json" % w), e2e_result())
+        spec = self.write("BENCHMARK.json", self.SPEC)
+        before = sorted(os.listdir(base))
+        code, out = self.run_main(check_e2e_counts, [
+            "--binary", self.fake_binary(tx_by_workload),
+            "--benchmark", spec, "--baselines", base])
+        self.assertEqual(sorted(os.listdir(base)), before)  # read only
+        return code, out
+
+    def test_main_passes_on_matching_counts(self):
+        code, out = self.run_gate({"bulk": 1.05, "many": 1.05})
+        self.assertEqual(code, 0, out)
+        self.assertIn("many", out)
+
+    def test_main_fails_on_one_drifted_workload(self):
+        code, out = self.run_gate({"bulk": 1.05, "many": 1.2})
+        self.assertEqual(code, 1, out)
 
 
 if __name__ == "__main__":
