@@ -11,6 +11,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 
 namespace pbl::server {
@@ -38,6 +39,178 @@ const char* end_reason_name(net::UdpNpEndReason reason) {
   return "none";
 }
 
+using Receivers = std::vector<std::unique_ptr<ReceiverSessionDriver>>;
+using Reader = std::uint64_t (*)(const SenderSessionDriver&, const Receivers&);
+using SS = net::UdpNpSenderStats;
+using RR = net::UdpNpReceiverResult;
+using PG = net::PeerGuardStats;
+
+// One sender figure: a driver accessor, or a stats field reached through
+// member pointers (sender_stat<&SS::guard, &PG::banned>).
+template <auto F, auto... Sub>
+std::uint64_t sender_stat(const SenderSessionDriver& s, const Receivers&) {
+  if constexpr (std::is_member_function_pointer_v<decltype(F)>)
+    return (s.*F)();
+  else
+    return ((s.stats().*F) .* ... .* Sub);
+}
+
+// One receiver figure (result field or driver accessor) summed over
+// every member.
+template <auto F>
+std::uint64_t receiver_sum(const SenderSessionDriver&, const Receivers& rs) {
+  std::uint64_t total = 0;
+  for (const auto& r : rs) {
+    if constexpr (std::is_member_function_pointer_v<decltype(F)>)
+      total += ((*r).*F)();
+    else
+      total += r->result().*F;
+  }
+  return total;
+}
+
+// A counter fed by several sources.
+template <Reader... Parts>
+std::uint64_t sum_of(const SenderSessionDriver& s, const Receivers& rs) {
+  return (Parts(s, rs) + ...);
+}
+
+// Every driver-fed session counter, in session-schema order.  A row
+// declares the counter, the server total it folds into at finalize
+// (null = none), and how to read it from the live drivers; the session
+// defs, the server total_* defs, the per-session fill and the roll-up
+// all loop over this table.
+struct SessionCounter {
+  const char* name;
+  const char* help;
+  const char* total;
+  const char* total_help;
+  Reader read;
+};
+
+const SessionCounter kSessionCounters[] = {
+    {"data_sent", "DATA packets multicast", "total_data_sent",
+     "DATA packets multicast, all sessions", sender_stat<&SS::data_sent>},
+    {"parity_sent", "PARITY packets multicast", "total_parity_sent",
+     "PARITY packets multicast, all sessions", sender_stat<&SS::parity_sent>},
+    {"polls_sent", "POLL rounds sent", "total_polls_sent",
+     "POLL rounds, all sessions", sender_stat<&SS::polls_sent>},
+    {"naks_received", "NAKs heard by the sender", "total_naks_received",
+     "NAKs heard, all sessions", sender_stat<&SS::naks_received>},
+    {"acks_received", "ACKs heard by the sender", "total_acks_received",
+     "ACKs heard, all sessions", sender_stat<&SS::acks_received>},
+    {"poll_retries", "re-POLLs after silent rounds", "total_poll_retries",
+     "sender re-POLLs after silent rounds, all sessions",
+     sender_stat<&SS::poll_retries>},
+    {"evictions", "members evicted for silence", "total_evictions",
+     "members evicted for silence, all sessions", sender_stat<&SS::evictions>},
+    {"tgs_completed", "TGs confirmed complete this life",
+     "total_tgs_completed",
+     "transmission groups confirmed complete, all sessions",
+     sender_stat<&SenderSessionDriver::tgs_completed>},
+    {"tgs_skipped", "TGs skipped as complete in a prior life",
+     "total_tgs_skipped", "resumed TGs never retransmitted, all sessions",
+     sender_stat<&SS::tgs_skipped>},
+    {"tgs_unconfirmed", "TGs whose re-POLL budget ran out", nullptr, nullptr,
+     sender_stat<&SS::tgs_unconfirmed>},
+    {"tgs_exhausted", "TGs whose parity budget ran out", nullptr, nullptr,
+     sender_stat<&SS::tgs_exhausted>},
+    {"would_block", "kernel send-buffer pushbacks absorbed by the sender",
+     "would_block_total",
+     "kernel send-buffer pushbacks absorbed, all sessions",
+     sender_stat<&SS::would_block>},
+    {"arena_deferrals", "bursts deferred on packet-arena exhaustion",
+     "total_arena_deferrals",
+     "bursts deferred on packet-arena exhaustion, all sessions",
+     sender_stat<&SS::arena_deferrals>},
+    {"shed_frames", "frames shed under sustained overload",
+     "total_shed_frames", "frames shed under sustained overload, all sessions",
+     sender_stat<&SS::shed_frames>},
+    {"naks_suppressed",
+     "NAKs suppressed by slotting or the sender feedback budget",
+     "total_naks_suppressed",
+     "NAKs suppressed (slotting or feedback budget), all sessions",
+     sum_of<sender_stat<&SS::naks_suppressed>,
+            receiver_sum<&RR::naks_suppressed>>},
+    {"members_quarantined", "slow receivers moved to parity-only catch-up",
+     "total_members_quarantined",
+     "slow receivers moved to parity-only catch-up, all sessions",
+     sender_stat<&SS::members_quarantined>},
+    {"peer_rejected",
+     "hostile datagrams dropped before protocol state (guard rejections "
+     "plus receiver-side foreign-source and auth drops)",
+     "total_peer_rejected",
+     "hostile datagrams dropped before protocol state, all sessions",
+     sum_of<sender_stat<&SS::guard, &PG::rejected>,
+            receiver_sum<&RR::foreign_rejected>,
+            receiver_sum<&RR::auth_rejected>>},
+    {"peer_greylisted", "greylist episodes pronounced by the peer guard",
+     "total_peer_greylisted", "peer greylist episodes, all sessions",
+     sender_stat<&SS::guard, &PG::greylisted>},
+    {"peer_banned", "ban episodes pronounced by the peer guard",
+     "total_peer_banned", "peer ban episodes, all sessions",
+     sender_stat<&SS::guard, &PG::banned>},
+    {"members_expelled",
+     "banned members exempted from the completeness requirement", nullptr,
+     nullptr,
+     sender_stat<&SS::report, &protocol::PartialDeliveryReport::expelled>},
+    {"feedback_addr_mismatch",
+     "feedback whose claimed identity contradicted its kernel-reported "
+     "source",
+     "total_feedback_addr_mismatch",
+     "feedback whose claimed identity contradicted its source, all sessions",
+     sum_of<sender_stat<&SS::feedback_addr_mismatch>,
+            sender_stat<&SS::guard, &PG::addr_mismatch>>},
+    {"frame_resyncs",
+     "byte-level resync slides while salvaging malformed datagrams",
+     "total_frame_resyncs",
+     "byte-level resync slides while salvaging datagrams, all sessions",
+     sum_of<sender_stat<&SenderSessionDriver::frame_resyncs>,
+            receiver_sum<&ReceiverSessionDriver::frame_resyncs>>},
+    {"frames_skipped", "unparseable frames dropped on the receive path",
+     "total_frames_skipped",
+     "unparseable frames dropped on the receive path, all sessions",
+     sum_of<sender_stat<&SenderSessionDriver::frames_skipped>,
+            receiver_sum<&ReceiverSessionDriver::frames_skipped>>},
+    {"receiver_naks_sent", "NAKs sent across all members", nullptr, nullptr,
+     receiver_sum<&RR::naks_sent>},
+    {"receiver_nak_retries", "NAK retransmissions across all members",
+     "total_nak_retries", "receiver NAK retransmissions, all sessions",
+     receiver_sum<&RR::nak_retries>},
+    {"receiver_duplicates",
+     "redundant DATA/PARITY receptions across all members", nullptr, nullptr,
+     receiver_sum<&RR::duplicates>},
+    {"receiver_stale_rejected",
+     "dead-incarnation packets dropped across all members",
+     "total_stale_rejected",
+     "dead-incarnation packets dropped, all sessions",
+     receiver_sum<&RR::stale_rejected>},
+    {"redelivered_prior", "exactly-once violations across all members",
+     "total_redelivered_prior",
+     "exactly-once violations: packets for journal-confirmed TGs",
+     receiver_sum<&ReceiverSessionDriver::redelivered_prior>},
+    {"payload_mismatches",
+     "decoded TGs failing byte verification across all members",
+     "total_payload_mismatches",
+     "decoded TGs that failed end-to-end byte verification",
+     receiver_sum<&ReceiverSessionDriver::payload_mismatches>},
+};
+
+// Sums the table counter read by `read` over every session: live ones
+// through the drivers, finalized ones (drivers released) from their
+// registry.
+template <class Sessions>
+std::uint64_t sum_over_sessions(const Sessions& sessions, Reader read) {
+  const SessionCounter* row = nullptr;
+  for (const auto& c : kSessionCounters)
+    if (c.read == read) row = &c;
+  std::uint64_t total = 0;
+  for (const auto& [id, s] : sessions)
+    total += s->finalized ? s->metrics.counter(row->name)
+                          : read(*s->sender, s->receivers);
+  return total;
+}
+
 void write_text_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw std::runtime_error("cannot write " + path);
@@ -49,7 +222,7 @@ void write_text_file(const std::string& path, const std::string& text) {
 
 std::vector<obs::MetricDef> MulticastServer::server_metric_defs() {
   using K = obs::MetricKind;
-  return {
+  std::vector<obs::MetricDef> defs = {
       {"server_state", K::kString, "lifecycle state of the server process",
        {}, {"starting", "running", "draining", "stopped"}},
       {"sessions_admitted", K::kCounter,
@@ -67,56 +240,10 @@ std::vector<obs::MetricDef> MulticastServer::server_metric_defs() {
       {"signals_received", K::kCounter, "SIGTERM/SIGINT deliveries", {}, {}},
       {"snapshots_written", K::kCounter,
        "metrics snapshots emitted (including this one)", {}, {}},
-      {"total_data_sent", K::kCounter, "DATA packets multicast, all sessions",
-       {}, {}},
-      {"total_parity_sent", K::kCounter,
-       "PARITY packets multicast, all sessions", {}, {}},
-      {"total_polls_sent", K::kCounter, "POLL rounds, all sessions", {}, {}},
-      {"total_naks_received", K::kCounter, "NAKs heard, all sessions", {}, {}},
-      {"total_acks_received", K::kCounter, "ACKs heard, all sessions", {}, {}},
-      {"total_poll_retries", K::kCounter,
-       "sender re-POLLs after silent rounds, all sessions", {}, {}},
-      {"total_nak_retries", K::kCounter,
-       "receiver NAK retransmissions, all sessions", {}, {}},
-      {"total_evictions", K::kCounter,
-       "members evicted for silence, all sessions", {}, {}},
-      {"total_tgs_completed", K::kCounter,
-       "transmission groups confirmed complete, all sessions", {}, {}},
-      {"total_tgs_skipped", K::kCounter,
-       "resumed TGs never retransmitted, all sessions", {}, {}},
-      {"total_stale_rejected", K::kCounter,
-       "dead-incarnation packets dropped, all sessions", {}, {}},
-      {"total_redelivered_prior", K::kCounter,
-       "exactly-once violations: packets for journal-confirmed TGs",
-       {}, {}},
-      {"total_payload_mismatches", K::kCounter,
-       "decoded TGs that failed end-to-end byte verification", {}, {}},
-      {"would_block_total", K::kCounter,
-       "kernel send-buffer pushbacks absorbed, all sessions", {}, {}},
-      {"total_arena_deferrals", K::kCounter,
-       "bursts deferred on packet-arena exhaustion, all sessions", {}, {}},
-      {"total_shed_frames", K::kCounter,
-       "frames shed under sustained overload, all sessions", {}, {}},
-      {"total_naks_suppressed", K::kCounter,
-       "NAKs suppressed (slotting or feedback budget), all sessions", {}, {}},
-      {"total_members_quarantined", K::kCounter,
-       "slow receivers moved to parity-only catch-up, all sessions", {}, {}},
-      {"total_peer_rejected", K::kCounter,
-       "hostile datagrams dropped before protocol state, all sessions",
-       {}, {}},
-      {"total_peer_greylisted", K::kCounter,
-       "peer greylist episodes, all sessions", {}, {}},
-      {"total_peer_banned", K::kCounter, "peer ban episodes, all sessions",
-       {}, {}},
-      {"total_feedback_addr_mismatch", K::kCounter,
-       "feedback whose claimed identity contradicted its source, all sessions",
-       {}, {}},
-      {"total_frame_resyncs", K::kCounter,
-       "byte-level resync slides while salvaging datagrams, all sessions",
-       {}, {}},
-      {"total_frames_skipped", K::kCounter,
-       "unparseable frames dropped on the receive path, all sessions",
-       {}, {}},
+  };
+  for (const auto& c : kSessionCounters)
+    if (c.total) defs.push_back({c.total, K::kCounter, c.total_help, {}, {}});
+  defs.insert(defs.end(), {
       {"fault_injected_send", K::kCounter,
        "injected send-syscall failures absorbed, all sessions", {}, {}},
       {"fault_injected_journal", K::kCounter,
@@ -138,79 +265,37 @@ std::vector<obs::MetricDef> MulticastServer::server_metric_defs() {
       {"session_tx_per_packet", K::kHistogram,
        "transmissions per data packet of finalized sessions",
        {1.0, 1.05, 1.1, 1.25, 1.5, 2.0, 3.0, 5.0}, {}},
-  };
+  });
+  return defs;
 }
 
 std::vector<obs::MetricDef> MulticastServer::session_metric_defs() {
   using K = obs::MetricKind;
-  return {
+  using net::UdpNpEndReason;
+  std::vector<std::string> reasons = {"none"};
+  for (const auto r :
+       {UdpNpEndReason::kEndOfSession, UdpNpEndReason::kDrainTimeout,
+        UdpNpEndReason::kMidSessionSilence, UdpNpEndReason::kCrashed})
+    reasons.push_back(end_reason_name(r));
+  std::vector<obs::MetricDef> defs = {
       {"state", K::kString, "session lifecycle state", {},
        {"active", "completed", "failed", "drained"}},
       {"end_reason", K::kString,
        "what ended the receivers' runs (worst across members)", {},
-       {"none", "end_of_session", "drain_timeout", "mid_session_silence",
-        "crashed"}},
+       std::move(reasons)},
       {"resumed", K::kCounter, "1 when recovered from a journal", {}, {}},
-      {"data_sent", K::kCounter, "DATA packets multicast", {}, {}},
-      {"parity_sent", K::kCounter, "PARITY packets multicast", {}, {}},
-      {"polls_sent", K::kCounter, "POLL rounds sent", {}, {}},
-      {"naks_received", K::kCounter, "NAKs heard by the sender", {}, {}},
-      {"acks_received", K::kCounter, "ACKs heard by the sender", {}, {}},
-      {"poll_retries", K::kCounter, "re-POLLs after silent rounds", {}, {}},
-      {"evictions", K::kCounter, "members evicted for silence", {}, {}},
-      {"tgs_completed", K::kCounter, "TGs confirmed complete this life", {},
-       {}},
-      {"tgs_skipped", K::kCounter, "TGs skipped as complete in a prior life",
-       {}, {}},
-      {"tgs_unconfirmed", K::kCounter, "TGs whose re-POLL budget ran out", {},
-       {}},
-      {"tgs_exhausted", K::kCounter, "TGs whose parity budget ran out", {},
-       {}},
-      {"would_block", K::kCounter,
-       "kernel send-buffer pushbacks absorbed by the sender", {}, {}},
-      {"arena_deferrals", K::kCounter,
-       "bursts deferred on packet-arena exhaustion", {}, {}},
-      {"shed_frames", K::kCounter, "frames shed under sustained overload", {},
-       {}},
-      {"naks_suppressed", K::kCounter,
-       "NAKs suppressed by slotting or the sender feedback budget", {}, {}},
-      {"members_quarantined", K::kCounter,
-       "slow receivers moved to parity-only catch-up", {}, {}},
-      {"peer_rejected", K::kCounter,
-       "hostile datagrams dropped before protocol state (guard rejections "
-       "plus receiver-side foreign-source and auth drops)", {}, {}},
-      {"peer_greylisted", K::kCounter,
-       "greylist episodes pronounced by the peer guard", {}, {}},
-      {"peer_banned", K::kCounter, "ban episodes pronounced by the peer guard",
-       {}, {}},
-      {"members_expelled", K::kCounter,
-       "banned members exempted from the completeness requirement", {}, {}},
-      {"feedback_addr_mismatch", K::kCounter,
-       "feedback whose claimed identity contradicted its kernel-reported "
-       "source", {}, {}},
-      {"frame_resyncs", K::kCounter,
-       "byte-level resync slides while salvaging malformed datagrams", {}, {}},
-      {"frames_skipped", K::kCounter,
-       "unparseable frames dropped on the receive path", {}, {}},
-      {"receiver_naks_sent", K::kCounter, "NAKs sent across all members", {},
-       {}},
-      {"receiver_nak_retries", K::kCounter,
-       "NAK retransmissions across all members", {}, {}},
-      {"receiver_duplicates", K::kCounter,
-       "redundant DATA/PARITY receptions across all members", {}, {}},
-      {"receiver_stale_rejected", K::kCounter,
-       "dead-incarnation packets dropped across all members", {}, {}},
-      {"redelivered_prior", K::kCounter,
-       "exactly-once violations across all members", {}, {}},
-      {"payload_mismatches", K::kCounter,
-       "decoded TGs failing byte verification across all members", {}, {}},
+  };
+  for (const auto& c : kSessionCounters)
+    defs.push_back({c.name, K::kCounter, c.help, {}, {}});
+  defs.insert(defs.end(), {
       {"receivers", K::kGauge, "members in the group", {}, {}},
       {"receivers_finished", K::kGauge, "members whose run has ended", {}, {}},
       {"tgs_done_min", K::kGauge, "fewest TGs decoded by any member", {}, {}},
       {"journal_bytes", K::kGauge, "write-ahead journal size on disk", {}, {}},
       {"duration_seconds", K::kGauge, "seconds since session admission", {},
        {}},
-  };
+  });
+  return defs;
 }
 
 std::string MulticastServer::schema_document() {
@@ -257,7 +342,6 @@ bool MulticastServer::submit(SessionSpec spec) {
 bool MulticastServer::admit(SessionSpec spec, bool resuming) {
   if (stopped_ || draining_ || active_count_ >= cfg_.max_sessions ||
       sessions_.count(spec.id)) {
-    ++refused_;
     server_metrics_.inc("sessions_refused");
     return false;
   }
@@ -344,7 +428,6 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
     ++sockets_created_;
     if (cfg_.faults.socket_fail_nth > 0 &&
         sockets_created_ == cfg_.faults.socket_fail_nth) {
-      ++fault_injected_socket_;
       server_metrics_.inc("fault_injected_socket");
       throw std::system_error(EMFILE, std::generic_category(),
                               "socket (injected fd limit)");
@@ -363,7 +446,6 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
   } catch (const std::system_error&) {
     s.journal.reset();
     if (!resuming) remove_session_files(s);  // fresh journal: nothing to keep
-    ++refused_;
     server_metrics_.inc("sessions_refused");
     return false;
   }
@@ -428,8 +510,6 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
 
   sessions_.emplace(id, std::move(session));
   ++active_count_;
-  ++admitted_;
-  if (resuming) ++resumed_;
   server_metrics_.inc("sessions_admitted");
   if (resuming) server_metrics_.inc("sessions_resumed");
   server_metrics_.set_gauge("sessions_active",
@@ -452,7 +532,6 @@ std::size_t MulticastServer::resume_journaled_sessions(
     if (state->all_complete()) {
       // The prior life finished every TG but was stopped before it could
       // clean up: the session IS complete — bookkeep it, no re-run.
-      ++completed_;
       server_metrics_.inc("sessions_completed");
       std::error_code ec;
       std::filesystem::remove(path, ec);
@@ -483,76 +562,11 @@ void MulticastServer::maybe_finish_session(std::uint64_t id) {
 
 void MulticastServer::refresh_session_metrics(Session& s) {
   auto& m = s.metrics;
-  if (s.sender) {
-    const net::UdpNpSenderStats& st = s.sender->stats();
-    m.set_counter("data_sent", st.data_sent);
-    m.set_counter("parity_sent", st.parity_sent);
-    m.set_counter("polls_sent", st.polls_sent);
-    m.set_counter("naks_received", st.naks_received);
-    m.set_counter("acks_received", st.acks_received);
-    m.set_counter("poll_retries", st.poll_retries);
-    m.set_counter("evictions", st.evictions);
-    m.set_counter("tgs_completed", s.sender->tgs_completed());
-    m.set_counter("tgs_skipped", st.tgs_skipped);
-    m.set_counter("tgs_unconfirmed", st.tgs_unconfirmed);
-    m.set_counter("tgs_exhausted", st.tgs_exhausted);
-    m.set_counter("would_block", st.would_block);
-    m.set_counter("arena_deferrals", st.arena_deferrals);
-    m.set_counter("shed_frames", st.shed_frames);
-    m.set_counter("members_quarantined", st.members_quarantined);
-  }
-  if (s.sender || !s.receivers.empty()) {
-    std::uint64_t supp = s.sender ? s.sender->stats().naks_suppressed : 0;
-    for (const auto& r : s.receivers) supp += r->result().naks_suppressed;
-    m.set_counter("naks_suppressed", supp);
-  }
-  if (!s.receivers.empty()) {
-    std::uint64_t naks = 0, retries = 0, dups = 0, stale = 0, redeliv = 0,
-                  mismatch = 0;
-    std::size_t min_done = static_cast<std::size_t>(-1);
-    for (const auto& r : s.receivers) {
-      const net::UdpNpReceiverResult& res = r->result();
-      naks += res.naks_sent;
-      retries += res.nak_retries;
-      dups += res.duplicates;
-      stale += res.stale_rejected;
-      redeliv += r->redelivered_prior();
-      mismatch += r->payload_mismatches();
-      min_done = std::min(min_done, r->tgs_done());
-    }
-    m.set_counter("receiver_naks_sent", naks);
-    m.set_counter("receiver_nak_retries", retries);
-    m.set_counter("receiver_duplicates", dups);
-    m.set_counter("receiver_stale_rejected", stale);
-    m.set_counter("redelivered_prior", redeliv);
-    m.set_counter("payload_mismatches", mismatch);
-    m.set_gauge("tgs_done_min", static_cast<double>(min_done));
-  }
-  if (s.sender || !s.receivers.empty()) {
-    // Hostile-peer evidence combines the sender-side guard with the
-    // receiver-side source/auth drops; frame-desync counters span every
-    // socket in the session.
-    std::uint64_t foreign = 0, auth_rej = 0, resyncs = 0, skipped = 0;
-    for (const auto& r : s.receivers) {
-      foreign += r->result().foreign_rejected;
-      auth_rej += r->result().auth_rejected;
-      resyncs += r->frame_resyncs();
-      skipped += r->frames_skipped();
-    }
-    if (s.sender) {
-      const net::UdpNpSenderStats& st = s.sender->stats();
-      m.set_counter("peer_rejected", st.guard.rejected + foreign + auth_rej);
-      m.set_counter("peer_greylisted", st.guard.greylisted);
-      m.set_counter("peer_banned", st.guard.banned);
-      m.set_counter("members_expelled", st.report.expelled);
-      m.set_counter("feedback_addr_mismatch",
-                    st.feedback_addr_mismatch + st.guard.addr_mismatch);
-      resyncs += s.sender->frame_resyncs();
-      skipped += s.sender->frames_skipped();
-    }
-    m.set_counter("frame_resyncs", resyncs);
-    m.set_counter("frames_skipped", skipped);
-  }
+  for (const auto& c : kSessionCounters)
+    m.set_counter(c.name, c.read(*s.sender, s.receivers));
+  std::size_t min_done = static_cast<std::size_t>(-1);
+  for (const auto& r : s.receivers) min_done = std::min(min_done, r->tgs_done());
+  m.set_gauge("tgs_done_min", static_cast<double>(min_done));
   m.set_gauge("receivers_finished", static_cast<double>(s.receivers_finished));
   m.set_gauge("journal_bytes",
               s.journal ? static_cast<double>(s.journal->journal().size_bytes())
@@ -562,12 +576,6 @@ void MulticastServer::refresh_session_metrics(Session& s) {
 }
 
 void MulticastServer::refresh_server_metrics() {
-  server_metrics_.set_counter("sessions_admitted", admitted_);
-  server_metrics_.set_counter("sessions_refused", refused_);
-  server_metrics_.set_counter("sessions_resumed", resumed_);
-  server_metrics_.set_counter("sessions_completed", completed_);
-  server_metrics_.set_counter("sessions_failed", failed_);
-  server_metrics_.set_counter("sessions_drained", drained_);
   server_metrics_.set_gauge("sessions_active",
                             static_cast<double>(active_count_));
   server_metrics_.set_gauge("fds_registered",
@@ -588,7 +596,6 @@ void MulticastServer::refresh_server_metrics() {
   server_metrics_.set_gauge("journal_bytes_total", journal_bytes);
   server_metrics_.set_counter("fault_injected_send", fsend);
   server_metrics_.set_counter("fault_injected_journal", fjournal);
-  server_metrics_.set_counter("fault_injected_socket", fault_injected_socket_);
 }
 
 void MulticastServer::finalize_session(std::uint64_t id, bool drained) {
@@ -617,73 +624,32 @@ void MulticastServer::finalize_session(std::uint64_t id, bool drained) {
     state = ok ? "completed" : "failed";
   }
   s.metrics.set_string("state", state);
-  if (!s.receivers.empty()) {
-    std::string reason = "end_of_session";
-    for (const auto& r : s.receivers) {
-      if (r->result().end_reason != net::UdpNpEndReason::kEndOfSession) {
-        reason = end_reason_name(r->result().end_reason);
-        break;
-      }
+  auto reason = net::UdpNpEndReason::kEndOfSession;
+  for (const auto& r : s.receivers) {
+    if (r->result().end_reason != net::UdpNpEndReason::kEndOfSession) {
+      reason = r->result().end_reason;
+      break;
     }
-    s.metrics.set_string("end_reason", drained ? "drain_timeout" : reason);
   }
+  if (drained) reason = net::UdpNpEndReason::kDrainTimeout;
+  s.metrics.set_string("end_reason", end_reason_name(reason));
 
   // Fold this session's lifetime counters into the server registry.
-  server_metrics_.inc("total_data_sent", s.metrics.counter("data_sent"));
-  server_metrics_.inc("total_parity_sent", s.metrics.counter("parity_sent"));
-  server_metrics_.inc("total_polls_sent", s.metrics.counter("polls_sent"));
-  server_metrics_.inc("total_naks_received",
-                      s.metrics.counter("naks_received"));
-  server_metrics_.inc("total_acks_received",
-                      s.metrics.counter("acks_received"));
-  server_metrics_.inc("total_poll_retries", s.metrics.counter("poll_retries"));
-  server_metrics_.inc("total_nak_retries",
-                      s.metrics.counter("receiver_nak_retries"));
-  server_metrics_.inc("total_evictions", s.metrics.counter("evictions"));
-  server_metrics_.inc("total_tgs_completed",
-                      s.metrics.counter("tgs_completed"));
-  server_metrics_.inc("total_tgs_skipped", s.metrics.counter("tgs_skipped"));
-  server_metrics_.inc("total_stale_rejected",
-                      s.metrics.counter("receiver_stale_rejected"));
-  server_metrics_.inc("total_redelivered_prior",
-                      s.metrics.counter("redelivered_prior"));
-  server_metrics_.inc("total_payload_mismatches",
-                      s.metrics.counter("payload_mismatches"));
-  server_metrics_.inc("would_block_total", s.metrics.counter("would_block"));
-  server_metrics_.inc("total_arena_deferrals",
-                      s.metrics.counter("arena_deferrals"));
-  server_metrics_.inc("total_shed_frames", s.metrics.counter("shed_frames"));
-  server_metrics_.inc("total_naks_suppressed",
-                      s.metrics.counter("naks_suppressed"));
-  server_metrics_.inc("total_members_quarantined",
-                      s.metrics.counter("members_quarantined"));
-  server_metrics_.inc("total_peer_rejected",
-                      s.metrics.counter("peer_rejected"));
-  server_metrics_.inc("total_peer_greylisted",
-                      s.metrics.counter("peer_greylisted"));
-  server_metrics_.inc("total_peer_banned", s.metrics.counter("peer_banned"));
-  server_metrics_.inc("total_feedback_addr_mismatch",
-                      s.metrics.counter("feedback_addr_mismatch"));
-  server_metrics_.inc("total_frame_resyncs",
-                      s.metrics.counter("frame_resyncs"));
-  server_metrics_.inc("total_frames_skipped",
-                      s.metrics.counter("frames_skipped"));
-  if (s.sender) fault_injected_send_ += s.sender->injected_send_failures();
+  for (const auto& c : kSessionCounters)
+    if (c.total) server_metrics_.inc(c.total, s.metrics.counter(c.name));
+  fault_injected_send_ += s.sender->injected_send_failures();
   if (s.journal)
     fault_injected_journal_ += s.journal->journal().write_failures();
   server_metrics_.observe("session_duration_seconds", duration);
-  if (s.sender && s.sender->stats().tx_per_packet > 0.0)
+  if (s.sender->stats().tx_per_packet > 0.0)
     server_metrics_.observe("session_tx_per_packet",
                             s.sender->stats().tx_per_packet);
 
   if (state == "completed") {
-    ++completed_;
     server_metrics_.inc("sessions_completed");
   } else if (state == "failed") {
-    ++failed_;
     server_metrics_.inc("sessions_failed");
   } else {
-    ++drained_;
     server_metrics_.inc("sessions_drained");
   }
 
@@ -821,27 +787,13 @@ const obs::MetricsRegistry& MulticastServer::session_metrics(
 }
 
 std::uint64_t MulticastServer::redelivered_prior_total() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, s] : sessions_) {
-    if (!s->receivers.empty()) {
-      for (const auto& r : s->receivers) total += r->redelivered_prior();
-    } else {
-      total += s->metrics.counter("redelivered_prior");
-    }
-  }
-  return total;
+  return sum_over_sessions(
+      sessions_, receiver_sum<&ReceiverSessionDriver::redelivered_prior>);
 }
 
 std::uint64_t MulticastServer::payload_mismatches_total() const {
-  std::uint64_t total = 0;
-  for (const auto& [id, s] : sessions_) {
-    if (!s->receivers.empty()) {
-      for (const auto& r : s->receivers) total += r->payload_mismatches();
-    } else {
-      total += s->metrics.counter("payload_mismatches");
-    }
-  }
-  return total;
+  return sum_over_sessions(
+      sessions_, receiver_sum<&ReceiverSessionDriver::payload_mismatches>);
 }
 
 std::string MulticastServer::snapshot_json() {

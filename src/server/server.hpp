@@ -15,7 +15,9 @@
 // metrics registries are closed-world (obs/metrics.hpp): the def lists
 // in server.cpp ARE the pbl-metrics-v1 schema, and the committed
 // metrics-schema.json is generated from them via
-// examples/multicast_server --print-schema.
+// examples/multicast_server --print-schema.  Every driver-fed session
+// counter is declared once, in server.cpp's kSessionCounters table,
+// which also drives its server total_* roll-up.
 #pragma once
 
 #include <cstdint>
@@ -133,11 +135,21 @@ class MulticastServer {
   void install_signal_handlers();
 
   std::size_t active_sessions() const noexcept { return active_count_; }
-  std::uint64_t completed_sessions() const noexcept { return completed_; }
-  std::uint64_t failed_sessions() const noexcept { return failed_; }
-  std::uint64_t drained_sessions() const noexcept { return drained_; }
-  std::uint64_t refused_sessions() const noexcept { return refused_; }
-  std::uint64_t resumed_sessions() const noexcept { return resumed_; }
+  std::uint64_t completed_sessions() const noexcept {
+    return server_metrics_.counter("sessions_completed");
+  }
+  std::uint64_t failed_sessions() const noexcept {
+    return server_metrics_.counter("sessions_failed");
+  }
+  std::uint64_t drained_sessions() const noexcept {
+    return server_metrics_.counter("sessions_drained");
+  }
+  std::uint64_t refused_sessions() const noexcept {
+    return server_metrics_.counter("sessions_refused");
+  }
+  std::uint64_t resumed_sessions() const noexcept {
+    return server_metrics_.counter("sessions_resumed");
+  }
   std::uint64_t redelivered_prior_total() const;
   std::uint64_t payload_mismatches_total() const;
 
@@ -199,15 +211,8 @@ class MulticastServer {
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
   double started_at_ = 0.0;
   std::size_t active_count_ = 0;
-  std::uint64_t admitted_ = 0;
-  std::uint64_t refused_ = 0;
-  std::uint64_t resumed_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
-  std::uint64_t drained_ = 0;
   std::uint64_t snapshot_seq_ = 0;
   std::size_t sockets_created_ = 0;   ///< FaultPlan::socket_fail_nth counter
-  std::uint64_t fault_injected_socket_ = 0;
   std::uint64_t fault_injected_send_ = 0;
   std::uint64_t fault_injected_journal_ = 0;
   bool draining_ = false;
@@ -216,7 +221,6 @@ class MulticastServer {
   Reactor::TimerId drain_timer_ = 0;
   bool snapshot_timer_armed_ = false;
   Reactor::TimerId snapshot_timer_ = 0;
-  bool csv_header_written_ = false;
   int signal_pipe_read_ = -1;
 };
 

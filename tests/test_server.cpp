@@ -18,8 +18,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/session_state.hpp"
@@ -325,6 +327,85 @@ TEST_F(ServerTest, ArenaExhaustionUnderLiveLoadShedsDefersRecovers) {
   const std::string snap = server.snapshot_json();
   EXPECT_NE(snap.find("\"arena_deferrals\""), std::string::npos);
   EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+TEST_F(ServerTest, TotalsAreSumsOfFinalizedSessions) {
+  // Every server total_* counter is the sum of one session counter over
+  // the finalized sessions.  The pairs are listed here, independently of
+  // the table in server.cpp, so a missing or misrouted roll-up fails.
+  // Loss, wire corruption, NAK suppression, a one-frame arena and an
+  // authenticated guard under a spoofing adversary make most of the
+  // summed counters non-zero.
+  const std::pair<const char*, const char*> kRollUps[] = {
+      {"total_data_sent", "data_sent"},
+      {"total_parity_sent", "parity_sent"},
+      {"total_polls_sent", "polls_sent"},
+      {"total_naks_received", "naks_received"},
+      {"total_acks_received", "acks_received"},
+      {"total_poll_retries", "poll_retries"},
+      {"total_nak_retries", "receiver_nak_retries"},
+      {"total_evictions", "evictions"},
+      {"total_tgs_completed", "tgs_completed"},
+      {"total_tgs_skipped", "tgs_skipped"},
+      {"total_stale_rejected", "receiver_stale_rejected"},
+      {"total_redelivered_prior", "redelivered_prior"},
+      {"total_payload_mismatches", "payload_mismatches"},
+      {"would_block_total", "would_block"},
+      {"total_arena_deferrals", "arena_deferrals"},
+      {"total_shed_frames", "shed_frames"},
+      {"total_naks_suppressed", "naks_suppressed"},
+      {"total_members_quarantined", "members_quarantined"},
+      {"total_peer_rejected", "peer_rejected"},
+      {"total_peer_greylisted", "peer_greylisted"},
+      {"total_peer_banned", "peer_banned"},
+      {"total_feedback_addr_mismatch", "feedback_addr_mismatch"},
+      {"total_frame_resyncs", "frame_resyncs"},
+      {"total_frames_skipped", "frames_skipped"},
+  };
+  Reactor reactor;
+  ServerConfig cfg = base_config();
+  cfg.np.arena_frames = 1;
+  cfg.np.retry.grace_rounds = 8;
+  cfg.np.overload.nak_suppression = true;
+  cfg.np.overload.nak_slot = cfg.np.poll_window;
+  cfg.np.guard.enabled = true;
+  cfg.np.guard.auth = true;
+  cfg.np.guard.feedback_rate = 60.0;
+  cfg.np.guard.feedback_burst = 2.0;
+  cfg.np.guard.greylist_after = 2;
+  cfg.np.guard.ban_after = 6;
+  cfg.np.guard.ban_duration = 30.0;
+  cfg.hostile.enabled = true;
+  cfg.hostile.profile = "spoof";
+  cfg.hostile.rate = 400.0;
+  MulticastServer server(reactor, cfg);
+  const std::uint64_t kSessions = 3;
+  for (std::uint64_t id = 0; id < kSessions; ++id) {
+    auto spec = make_spec(id, 4, 0.2);
+    spec.impairment.seed = id + 1;
+    spec.impairment.corrupt_prob = 0.05;
+    spec.impairment.truncate_prob = 0.05;
+    ASSERT_TRUE(server.submit(std::move(spec)));
+  }
+  reactor.run();
+  ASSERT_EQ(server.active_sessions(), 0u);
+
+  const obs::MetricsRegistry& totals = server.server_metrics();
+  std::size_t nonzero = 0;
+  for (const auto& [total, counter] : kRollUps) {
+    std::uint64_t sum = 0;
+    for (std::uint64_t id = 0; id < kSessions; ++id)
+      sum += server.session_metrics(id).counter(counter);
+    EXPECT_EQ(totals.counter(total), sum) << total << " vs " << counter;
+    nonzero += sum > 0;
+  }
+  // Every total_* def in the schema is one of the pairs above.
+  std::size_t roll_up_defs = 0;
+  for (const auto& def : MulticastServer::server_metric_defs())
+    roll_up_defs += def.name.rfind("total_", 0) == 0 ||
+                    def.name == "would_block_total";
+  EXPECT_EQ(roll_up_defs, std::size(kRollUps));
+  EXPECT_GE(nonzero, 10u);
 }
 
 TEST(PeerGuardTest, UnknownSourceRejectedBeforeProtocolState) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Tests for bench/check_regression.py, bench/compare_points.py and
-tools/check_e2e_counts.py.
+"""Tests for bench/check_regression.py, bench/compare_points.py,
+tools/check_e2e_counts.py and tools/validate_metrics.py.
 
 The gate scripts decide whether CI legs pass, so their failure
 modes (malformed JSON, missing baselines, silently dropped points) are
@@ -30,6 +30,7 @@ sys.path.insert(0, os.path.join(REPO, "tools"))
 import check_e2e_counts  # noqa: E402
 import check_regression  # noqa: E402
 import compare_points  # noqa: E402
+import validate_metrics  # noqa: E402
 
 
 def bench_doc(rps=100.0, points=None, bench="demo"):
@@ -257,6 +258,93 @@ class CheckE2eCountsTest(ScriptCase):
     def test_main_fails_on_one_drifted_workload(self):
         code, out = self.run_gate({"bulk": 1.05, "many": 1.2})
         self.assertEqual(code, 1, out)
+
+
+class ValidateMetricsTest(ScriptCase):
+    """The closed-world snapshot checker behind soak_smoke and the CI
+    --require gates: one valid snapshot passes, each kind of violation
+    fails on its own."""
+
+    SCHEMA = {"schema": "pbl-metrics-v1", "version": 1, "kind": "schema",
+              "server": [
+                  {"name": "server_state", "kind": "string", "help": "",
+                   "allowed": ["running", "stopped"]},
+                  {"name": "sessions_completed", "kind": "counter",
+                   "help": ""},
+                  {"name": "uptime_seconds", "kind": "gauge", "help": ""},
+                  {"name": "session_tx_per_packet", "kind": "histogram",
+                   "help": "", "buckets": [1.0, 2.0]}],
+              "session": [
+                  {"name": "label", "kind": "string", "help": ""},
+                  {"name": "data_sent", "kind": "counter", "help": ""}]}
+
+    def snapshot(self):
+        return {"schema": "pbl-metrics-v1", "version": 1, "kind": "snapshot",
+                "time": 1.5,
+                "server": {"server_state": "stopped",
+                           "sessions_completed": 2,
+                           "uptime_seconds": 1.5,
+                           "session_tx_per_packet": {
+                               "buckets": [1.0, 2.0], "counts": [0, 2, 0],
+                               "count": 2, "sum": 2.5}},
+                "sessions": {"0": {"label": "any text", "data_sent": 8},
+                             "1": {"label": "", "data_sent": 8}}}
+
+    def validate(self, snap=None, require=()):
+        argv = ["--schema", self.write("schema.json", self.SCHEMA)]
+        for name in require:
+            argv += ["--require", name]
+        if snap is not None:
+            argv.append(self.write("snapshot_00000.json", snap))
+        return self.run_main(validate_metrics, argv)
+
+    def assert_invalid(self, snap, needle):
+        code, out = self.validate(snap)
+        self.assertEqual(code, 1, out)
+        self.assertIn(needle, out)
+
+    def test_valid_snapshot_passes(self):
+        code, out = self.validate(self.snapshot())
+        self.assertEqual(code, 0, out)
+        self.assertIn("OK: 1 snapshot(s)", out)
+
+    def test_missing_metric_fails(self):
+        snap = self.snapshot()
+        del snap["sessions"]["1"]["data_sent"]
+        self.assert_invalid(snap, "missing metric 'data_sent'")
+
+    def test_extra_metric_fails(self):
+        snap = self.snapshot()
+        snap["server"]["sessions_invented"] = 1
+        self.assert_invalid(snap, "'sessions_invented' not in schema")
+
+    def test_negative_counter_fails(self):
+        snap = self.snapshot()
+        snap["server"]["sessions_completed"] = -1
+        self.assert_invalid(snap, "counter must be a non-negative integer")
+
+    def test_string_outside_allowed_set_fails(self):
+        snap = self.snapshot()
+        snap["server"]["server_state"] = "exploded"
+        self.assert_invalid(snap, "'exploded' not in allowed set")
+
+    def test_histogram_counts_must_sum_to_count(self):
+        snap = self.snapshot()
+        snap["server"]["session_tx_per_packet"]["count"] = 3
+        self.assert_invalid(snap, "sum(counts) 2 != count 3")
+
+    def test_require_declared_names_pass(self):
+        code, out = self.validate(require=["server.sessions_completed",
+                                           "session.data_sent,label"])
+        self.assertEqual(code, 0, out)
+        self.assertIn("3 required metric(s)", out)
+
+    def test_require_undeclared_name_fails(self):
+        for name in ("total_bogus", "session.sessions_completed"):
+            with self.subTest(name=name):
+                code, out = self.validate(require=[name])
+                self.assertEqual(code, 1, out)
+                self.assertIn("%r not declared" % name, out)
 
 
 if __name__ == "__main__":
