@@ -40,7 +40,6 @@ struct UdpNpConfig {
   /// 4·RTTVAR) of measured POLL→answer latency, capped at poll_window +
   /// retry.max_backoff (docs/ROBUSTNESS.md).
   double poll_window = 0.08;
-  int max_rounds = 200;          ///< per-TG round cap (safety against livelock)
 
   /// Control-plane reliability layer (docs/ROBUSTNESS.md).  When set,
   /// "silence after a POLL" no longer closes a TG: every receiver answers

@@ -67,6 +67,7 @@ void SenderSessionDriver::start() {
   deficit_.assign(members.size(), 0);
   quarantined_.assign(members.size(), false);
   parity_high_.assign(groups_.size(), 0);
+  deferred_.assign(groups_.size(), false);
   for (std::size_t i = 0;
        i < cfg_.resume_parities.size() && i < groups_.size(); ++i)
     parity_high_[i] =
@@ -104,13 +105,21 @@ void SenderSessionDriver::stop() {
   }
 }
 
-bool SenderSessionDriver::send_control(fec::Packet packet,
-                                       bool to_catch_up_targets) {
-  if (stats_.crashed) return false;
-  if (sends_ >= cfg_.crash_after_sends) {
+bool SenderSessionDriver::crash_fired() {
+  if (!stats_.crashed && sends_ >= cfg_.crash_after_sends)
     stats_.crashed = true;
-    return false;
-  }
+  return stats_.crashed;
+}
+
+bool SenderSessionDriver::end_if_deadline_passed(double now) {
+  if (!deadline_.expired(now)) return false;
+  stats_.report.deadline_expired = true;
+  finish_session();
+  return true;
+}
+
+bool SenderSessionDriver::send_control(fec::Packet packet) {
+  if (crash_fired()) return false;
   ++sends_;
   packet.header.incarnation = static_cast<std::uint8_t>(cfg_.incarnation);
   // Authenticated control plane: POLLs (including the end marker) carry
@@ -127,17 +136,16 @@ bool SenderSessionDriver::send_control(fec::Packet packet,
   const auto bytes = fec::serialize(packet);
   std::vector<net::FrameRef> refs;
   refs.reserve(group_.members().size());
-  fan_out(bytes, to_catch_up_targets, refs);
+  fan_out(bytes, refs);
   if (socket_.send_batch(refs).status == net::SendStatus::kWouldBlock)
     ++stats_.would_block;
   return true;
 }
 
 void SenderSessionDriver::fan_out(std::span<const std::uint8_t> frame,
-                                  bool to_catch_up_targets,
                                   std::vector<net::FrameRef>& out) const {
   const auto& members = group_.members();
-  if (to_catch_up_targets) {
+  if (catchup_) {
     // Catch-up traffic is unicast to the stragglers: the healthy group
     // already holds this TG and must not pay for the laggards' loss.
     for (const std::size_t m : cu_targets_) out.push_back({members[m], frame});
@@ -169,11 +177,7 @@ void SenderSessionDriver::pump_burst() {
     // clamping the burst at the same wire position regardless of how
     // many arena generations or pacer deferrals the burst spans.
     while (stage_next_ < stage_count_) {
-      if (stats_.crashed) break;
-      if (sends_ >= cfg_.crash_after_sends) {
-        stats_.crashed = true;
-        break;
-      }
+      if (crash_fired()) break;
       if (!pacer_.ready(now)) {
         pacer_blocked = true;
         break;
@@ -196,8 +200,7 @@ void SenderSessionDriver::pump_burst() {
                                            frame->bytes);
         ++stats_.parity_sent;
       }
-      fan_out(frame->bytes.first(len),
-              burst_phase_ == BurstPhase::kCatchUpParity, burst_);
+      fan_out(frame->bytes.first(len), burst_);
       ++stage_next_;
     }
 
@@ -234,11 +237,7 @@ void SenderSessionDriver::pump_burst() {
           // kDefer (and data bursts under kDropNewestParity): originals
           // are never shed — keep waiting on the retry timer.
         }
-        if (deadline_.expired(now)) {
-          stats_.report.deadline_expired = true;
-          finish_session();
-          return;
-        }
+        if (end_if_deadline_passed(now)) return;
         arm_flush_timer(now + ov.retry_interval);
         return;
       }
@@ -260,11 +259,7 @@ void SenderSessionDriver::pump_burst() {
       continue;
     }
     if (pacer_blocked) {
-      if (deadline_.expired(now)) {
-        stats_.report.deadline_expired = true;
-        finish_session();
-        return;
-      }
+      if (end_if_deadline_passed(now)) return;
       arm_flush_timer(pacer_.earliest(now));
       return;
     }
@@ -285,21 +280,8 @@ void SenderSessionDriver::on_burst_complete() {
     finish_session();
     return;
   }
-  switch (phase) {
-    case BurstPhase::kData:
-      send_poll();
-      break;
-    case BurstPhase::kParity:
-      ++round_;
-      send_poll();
-      break;
-    case BurstPhase::kCatchUpParity:
-      ++cu_round_;
-      send_catch_up_poll();
-      break;
-    case BurstPhase::kNone:
-      break;
-  }
+  if (phase == BurstPhase::kParity) ++repair_rounds_;
+  send_poll();
 }
 
 void SenderSessionDriver::arm_flush_timer(double when) {
@@ -325,20 +307,33 @@ std::size_t SenderSessionDriver::member_of(std::uint16_t port) const {
 }
 
 bool SenderSessionDriver::confirmed() const {
+  // A catch-up round gates on its stragglers, pruned as they are served,
+  // evicted or banned (after_window).
+  if (catchup_) return cu_targets_.empty();
   // Quarantined members no longer gate the round: their missing TGs are
   // owed to them by the catch-up pass (or eviction), not by the group.
   // Expelled (banned) members forfeited their claim entirely.
   for (std::size_t m = 0; m < group_.members().size(); ++m)
-    if (!evicted_[m] && !quarantined_[m] && !expelled_[m] && !acked_[m])
-      return false;
+    if (gates(m) && !acked_[m]) return false;
   return true;
+}
+
+bool SenderSessionDriver::gates(std::size_t m) const {
+  return !evicted_[m] && !quarantined_[m] && !expelled_[m];
+}
+
+bool SenderSessionDriver::resumed(std::size_t tg) const {
+  return tg < cfg_.resume_completed.size() && cfg_.resume_completed[tg];
+}
+
+bool SenderSessionDriver::owed(std::size_t m, std::size_t tg) const {
+  return quarantined_[m] && !evicted_[m] && !expelled_[m] &&
+         !delivered_[m][tg];
 }
 
 bool SenderSessionDriver::tg_fully_delivered() const {
   for (std::size_t m = 0; m < group_.members().size(); ++m)
-    if (quarantined_[m] && !evicted_[m] && !expelled_[m] &&
-        !delivered_[m][tg_])
-      return false;
+    if (owed(m, tg_)) return false;
   return true;
 }
 
@@ -360,12 +355,12 @@ void SenderSessionDriver::complete_current_tg() {
 
 void SenderSessionDriver::update_quarantine() {
   const std::size_t need = cfg_.overload.quarantine_deficit;
-  if (need == 0 || catchup_) return;
+  if (need == 0) return;
   const auto& members = group_.members();
   std::size_t live = 0;
   std::size_t acked = 0;
   for (std::size_t m = 0; m < members.size(); ++m) {
-    if (evicted_[m] || quarantined_[m] || expelled_[m]) continue;
+    if (!gates(m)) continue;
     ++live;
     if (acked_[m]) ++acked;
   }
@@ -376,7 +371,7 @@ void SenderSessionDriver::update_quarantine() {
       cfg_.overload.quarantine_quorum * static_cast<double>(live))
     return;
   for (std::size_t m = 0; m < members.size(); ++m) {
-    if (evicted_[m] || quarantined_[m] || expelled_[m] || acked_[m]) continue;
+    if (!gates(m) || acked_[m]) continue;
     if (++deficit_[m] >= need) {
       quarantined_[m] = true;
       ++stats_.members_quarantined;
@@ -399,24 +394,32 @@ void SenderSessionDriver::disarm_timer() {
 }
 
 void SenderSessionDriver::begin_next_tg() {
-  // Skip TGs confirmed complete in a prior life; they are never re-sent.
-  while (tg_ < groups_.size() && tg_ < cfg_.resume_completed.size() &&
-         cfg_.resume_completed[tg_]) {
-    ++stats_.tgs_skipped;
-    ++tg_;
+  if (!catchup_) {
+    // Skip TGs confirmed complete in a prior life; they are never re-sent.
+    while (tg_ < groups_.size() && resumed(tg_)) {
+      ++stats_.tgs_skipped;
+      ++tg_;
+    }
+    if (tg_ >= groups_.size()) start_catch_up();
   }
-  if (tg_ >= groups_.size()) {
-    maybe_start_catch_up();
-    return;
-  }
-  if (stats_.crashed) {
+  if (stats_.crashed || (catchup_ && cu_tgs_.empty())) {
     finish_session();
     return;
   }
-  if (deadline_.expired(clk_.now())) {
-    stats_.report.deadline_expired = true;
-    finish_session();
-    return;
+  if (end_if_deadline_passed(clk_.now())) return;
+  if (catchup_) {
+    tg_ = cu_tgs_.back();
+    cu_tgs_.pop_back();
+    cu_targets_.clear();
+    for (std::size_t m = 0; m < group_.members().size(); ++m)
+      if (owed(m, tg_)) cu_targets_.push_back(m);
+    if (cu_targets_.empty()) {
+      // Served, evicted or banned since the work list was built: nobody
+      // is owed this TG any more, so its deferred record journals now.
+      complete_current_tg();
+      begin_next_tg();
+      return;
+    }
   }
 
   encoder_.emplace(static_cast<std::uint32_t>(tg_), code_, groups_[tg_]);
@@ -428,33 +431,54 @@ void SenderSessionDriver::begin_next_tg() {
   poll_backoff_.emplace(cfg_.retry, Rng(cfg_.seed).split(0x9100 + tg_));
   parities_used_ = parity_high_[tg_];
   window_pad_ = 0.0;
-  round_ = 0;
+  repair_rounds_ = 0;
+  // Catch-up is parity-only (fresh indices, never re-sent data), so its
+  // TG opens straight with the stragglers' POLL.
+  if (catchup_) {
+    send_poll();
+    return;
+  }
   // Zero-copy burst: frames written in place into arena slabs, batched
   // to the kernel by the pump (see pump_burst for the crash-position
   // and byte-identity invariants).
   start_burst(BurstPhase::kData, cfg_.k);
 }
 
-void SenderSessionDriver::send_poll() {
-  if (round_ >= cfg_.max_rounds) {
-    // Round cap hit: abandon this TG silently and move on.
-    ++tg_;
-    begin_next_tg();
-    return;
+// ---- slow-receiver catch-up (net/overload.hpp) ----------------------------
+//
+// After the main pass the same round machine serves, in TG order, each
+// TG still owed to a live quarantined member: a unicast POLL to the
+// stragglers, then parity-only repair under the remaining per-TG budget,
+// bounded by catch_up_rounds — the late-join idea applied to members who
+// fell behind instead of arriving late.  A member still missing data
+// when the budget ends is evicted, so the session's outcome never waits
+// on a stuck receiver.  TGs whose journal record was deferred on a
+// straggler join the work list too, so a straggler banned or evicted in
+// the meantime cannot strand a record: with nobody left to serve, the TG
+// journals without a POLL.
+
+void SenderSessionDriver::start_catch_up() {
+  catchup_ = true;
+  // Built back to front: begin_next_tg pops the lowest TG off the back.
+  for (std::size_t t = groups_.size(); t-- > 0;) {
+    if (resumed(t)) continue;
+    bool wanted = deferred_[t];
+    for (std::size_t m = 0; m < group_.members().size() && !wanted; ++m)
+      wanted = owed(m, t);
+    if (wanted) cu_tgs_.push_back(t);
   }
+}
+
+void SenderSessionDriver::send_poll() {
   fec::Packet poll;
   poll.header.type = fec::PacketType::kPoll;
   poll.header.tg = static_cast<std::uint32_t>(tg_);
   poll.header.k = static_cast<std::uint16_t>(cfg_.k);
   poll.header.seq = ++round_id_;
-  if (!send_control(poll, false)) {
+  if (!send_control(poll)) {
     finish_session();
     return;
   }
-  open_round(window_pad_);
-}
-
-void SenderSessionDriver::open_round(double pad) {
   ++stats_.polls_sent;
   l_ = 0;
   round_naks_ = 0;
@@ -468,7 +492,7 @@ void SenderSessionDriver::open_round(double pad) {
   const double timeout = answer_rtt_.timeout(
       cfg_.poll_window, cfg_.poll_window + cfg_.retry.max_backoff);
   const double window =
-      std::min(timeout + pad, deadline_.remaining(poll_sent_at_));
+      std::min(timeout + window_pad_, deadline_.remaining(poll_sent_at_));
   collect_deadline_ = poll_sent_at_ + window;
   arm_window_timer(window);
 }
@@ -481,7 +505,7 @@ void SenderSessionDriver::on_readable() {
   // same after_window logic as a timeout: only the timing moves.
   if (cfg_.reliable_control && timer_armed_ && all_answered()) {
     disarm_timer();
-    close_round();
+    after_window();
   }
 }
 
@@ -560,7 +584,7 @@ void SenderSessionDriver::on_window_expired() {
   if (finished_ || stopped_) return;
   // Pull in any feedback that raced the timer into the socket buffer.
   drain_feedback();
-  close_round();
+  after_window();
 }
 
 bool SenderSessionDriver::all_answered() const {
@@ -570,20 +594,15 @@ bool SenderSessionDriver::all_answered() const {
   if (catchup_)
     return std::all_of(cu_targets_.begin(), cu_targets_.end(), answered);
   for (std::size_t m = 0; m < answered_.size(); ++m)
-    if (!evicted_[m] && !quarantined_[m] && !expelled_[m] && !answered(m))
-      return false;
+    if (gates(m) && !answered(m)) return false;
   return true;
-}
-
-void SenderSessionDriver::close_round() {
-  if (catchup_)
-    after_catch_up_window();
-  else
-    after_window();
 }
 
 void SenderSessionDriver::after_window() {
   refresh_expulsions();
+  if (catchup_)
+    std::erase_if(cu_targets_,
+                  [this](std::size_t m) { return !owed(m, tg_); });
   const auto next_tg = [&] {
     ++tg_;
     begin_next_tg();
@@ -593,7 +612,10 @@ void SenderSessionDriver::after_window() {
   // never re-sent, so journaling early would silently strand the
   // stragglers' copies (exactly-once).  Catch-up journals the rest.
   const auto advance_confirmed = [&] {
-    if (tg_fully_delivered()) complete_current_tg();
+    if (tg_fully_delivered())
+      complete_current_tg();
+    else
+      deferred_[tg_] = true;
     next_tg();
   };
 
@@ -605,56 +627,73 @@ void SenderSessionDriver::after_window() {
     }
   } else {
     if (confirmed()) {
-      advance_confirmed();  // every live non-quarantined member acked
+      advance_confirmed();  // every member gating the round acked
       return;
     }
-    if (deadline_.expired(clk_.now())) {
-      stats_.report.deadline_expired = true;
-      finish_session();
-      return;
-    }
-    update_quarantine();
-    if (confirmed()) {
-      advance_confirmed();  // quarantining removed the last holdout
-      return;
-    }
-    if (l_ == 0) {
-      // A totally unanswered round: age every unconfirmed member and
-      // re-POLL with a widened window — unless the budget is spent.
-      // Expelled members are expected to be silent (their feedback is
-      // dropped at the guard); aging them would turn every ban into a
-      // spurious eviction and fail sessions the adversary cannot touch.
-      for (std::size_t m = 0; m < group_.members().size(); ++m) {
-        if (evicted_[m] || expelled_[m] || acked_[m] || heard_[m]) continue;
-        if (++silent_[m] >= cfg_.retry.grace_rounds) {
+    if (end_if_deadline_passed(clk_.now())) return;
+    if (catchup_) {
+      if (repair_rounds_ >= cfg_.overload.catch_up_rounds ||
+          parities_used_ >= cfg_.h) {
+        // Budget spent: evict the stragglers via the liveness machinery
+        // so the group outcome stops waiting on them, then close the TG.
+        for (const std::size_t m : cu_targets_) {
           evicted_[m] = true;
           ++stats_.evictions;
         }
-      }
-      if (confirmed()) {
+        cu_targets_.clear();
         advance_confirmed();
         return;
       }
-      if (poll_backoff_->exhausted()) {
-        ++stats_.tgs_unconfirmed;
-        next_tg();
+      // Serve at least one fresh parity per round even when the
+      // straggler's NAK was lost — parity is the only repair currency.
+      l_ = std::max<std::size_t>(l_, 1);
+    } else {
+      update_quarantine();
+      if (confirmed()) {
+        advance_confirmed();  // quarantining removed the last holdout
         return;
       }
-      ++stats_.poll_retries;
-      window_pad_ = poll_backoff_->next();
-      ++round_;
-      send_poll();
-      return;
+      if (l_ == 0) {
+        // A totally unanswered round: age every unconfirmed member and
+        // re-POLL with a widened window — unless the budget is spent.
+        // Expelled members are expected to be silent (their feedback is
+        // dropped at the guard); aging them would turn every ban into a
+        // spurious eviction and fail sessions the adversary cannot touch.
+        for (std::size_t m = 0; m < group_.members().size(); ++m) {
+          if (evicted_[m] || expelled_[m] || acked_[m] || heard_[m]) continue;
+          if (++silent_[m] >= cfg_.retry.grace_rounds) {
+            evicted_[m] = true;
+            ++stats_.evictions;
+          }
+        }
+        if (confirmed()) {
+          advance_confirmed();
+          return;
+        }
+        if (poll_backoff_->exhausted()) {
+          ++stats_.tgs_unconfirmed;
+          next_tg();
+          return;
+        }
+        ++stats_.poll_retries;
+        window_pad_ = poll_backoff_->next();
+        send_poll();
+        return;
+      }
+      window_pad_ = 0.0;  // progress: the next round is a normal one
     }
-    window_pad_ = 0.0;  // progress: the next round is a normal one
   }
 
-  std::size_t l = std::min(l_, cfg_.h - parities_used_);
+  const std::size_t l = std::min(l_, cfg_.h - parities_used_);
   if (l == 0) {
     ++stats_.tgs_exhausted;
     next_tg();
     return;
   }
+  serve_parity(l);
+}
+
+void SenderSessionDriver::serve_parity(std::size_t l) {
   // Journal the new high-water BEFORE the parities leave: if the sender
   // dies in between, the next life merely skips indices that were never
   // sent (wasteful, never wrong) — the reverse order could re-send
@@ -664,122 +703,6 @@ void SenderSessionDriver::after_window() {
   if (cfg_.on_parities_sent) cfg_.on_parities_sent(tg_, parities_used_);
   parity_base_ = parities_used_ - l;
   start_burst(BurstPhase::kParity, l);
-}
-
-// ---- slow-receiver catch-up (net/overload.hpp) ----------------------------
-//
-// After the main pass, each TG still owed to a live quarantined member is
-// served again: a unicast POLL to the stragglers, then parity-only repair
-// under the remaining per-TG budget, bounded by catch_up_rounds — the
-// late-join idea applied to members who fell behind instead of arriving
-// late.  A member still missing data when the budget ends is evicted, so
-// the session's outcome never waits on a stuck receiver.
-
-void SenderSessionDriver::maybe_start_catch_up() {
-  if (!catchup_) {
-    catchup_ = true;
-    cu_tgs_.clear();
-    for (std::size_t t = 0; t < groups_.size(); ++t) {
-      if (t < cfg_.resume_completed.size() && cfg_.resume_completed[t])
-        continue;
-      for (std::size_t m = 0; m < group_.members().size(); ++m) {
-        if (quarantined_[m] && !evicted_[m] && !expelled_[m] &&
-            !delivered_[m][t]) {
-          cu_tgs_.push_back(t);
-          break;
-        }
-      }
-    }
-    cu_i_ = 0;
-  }
-  begin_catch_up_tg();
-}
-
-void SenderSessionDriver::begin_catch_up_tg() {
-  if (stats_.crashed || cu_i_ >= cu_tgs_.size()) {
-    finish_session();
-    return;
-  }
-  if (deadline_.expired(clk_.now())) {
-    stats_.report.deadline_expired = true;
-    finish_session();
-    return;
-  }
-  tg_ = cu_tgs_[cu_i_];
-  encoder_.emplace(static_cast<std::uint32_t>(tg_), code_, groups_[tg_]);
-  parities_used_ = parity_high_[tg_];
-  acked_.assign(group_.members().size(), false);
-  heard_.assign(group_.members().size(), false);
-  cu_targets_.clear();
-  for (std::size_t m = 0; m < group_.members().size(); ++m)
-    if (quarantined_[m] && !evicted_[m] && !expelled_[m] &&
-        !delivered_[m][tg_])
-      cu_targets_.push_back(m);
-  if (cu_targets_.empty()) {
-    // Served (or evicted) since the work list was built: safe to journal.
-    complete_current_tg();
-    ++cu_i_;
-    begin_catch_up_tg();
-    return;
-  }
-  cu_round_ = 0;
-  send_catch_up_poll();
-}
-
-void SenderSessionDriver::send_catch_up_poll() {
-  fec::Packet poll;
-  poll.header.type = fec::PacketType::kPoll;
-  poll.header.tg = static_cast<std::uint32_t>(tg_);
-  poll.header.k = static_cast<std::uint16_t>(cfg_.k);
-  poll.header.seq = ++round_id_;
-  if (!send_control(poll, true)) {
-    finish_session();
-    return;
-  }
-  open_round(0.0);
-}
-
-void SenderSessionDriver::after_catch_up_window() {
-  refresh_expulsions();
-  std::vector<std::size_t> remaining;
-  for (const std::size_t m : cu_targets_)
-    if (!evicted_[m] && !expelled_[m] && !delivered_[m][tg_])
-      remaining.push_back(m);
-  cu_targets_ = std::move(remaining);
-  const auto close_tg = [&] {
-    complete_current_tg();
-    ++cu_i_;
-    begin_catch_up_tg();
-  };
-  if (cu_targets_.empty()) {
-    close_tg();
-    return;
-  }
-  if (deadline_.expired(clk_.now())) {
-    stats_.report.deadline_expired = true;
-    finish_session();
-    return;
-  }
-  const std::size_t budget_left = cfg_.h - parities_used_;
-  if (cu_round_ >= cfg_.overload.catch_up_rounds || budget_left == 0) {
-    // Budget spent: evict the stragglers via the liveness machinery so
-    // the group outcome stops waiting on them, then close the TG.
-    for (const std::size_t m : cu_targets_) {
-      evicted_[m] = true;
-      ++stats_.evictions;
-    }
-    cu_targets_.clear();
-    close_tg();
-    return;
-  }
-  // Serve at least one fresh parity per round even when the straggler's
-  // NAK was lost — parity is the only repair currency here.
-  std::size_t l = std::min(std::max<std::size_t>(l_, 1), budget_left);
-  parities_used_ += l;
-  parity_high_[tg_] = parities_used_;
-  if (cfg_.on_parities_sent) cfg_.on_parities_sent(tg_, parities_used_);
-  parity_base_ = parities_used_ - l;
-  start_burst(BurstPhase::kCatchUpParity, l);
 }
 
 void SenderSessionDriver::finish_session() {
@@ -792,7 +715,8 @@ void SenderSessionDriver::finish_session() {
     fec::Packet end;
     end.header.type = fec::PacketType::kPoll;
     end.header.tg = net::kUdpEndOfSession;
-    send_control(end, false);
+    catchup_ = false;  // the end marker goes to the whole group
+    send_control(end);
   }
   if (!groups_.empty()) {
     stats_.tx_per_packet =
@@ -820,9 +744,7 @@ void SenderSessionDriver::finish_session() {
         if (m < expelled_.size() && expelled_[m]) continue;
         const auto& row = rep.delivered[m];
         for (std::size_t i = 0; i < row.size(); ++i)
-          if (!row[i] && !(i < cfg_.resume_completed.size() &&
-                           cfg_.resume_completed[i]))
-            rep.complete = false;
+          if (!row[i] && !resumed(i)) rep.complete = false;
       }
   }
   disarm_timer();
@@ -986,28 +908,8 @@ void ReceiverSessionDriver::on_readable() {
 void ReceiverSessionDriver::on_wake() {
   if (finished_) return;
   const double now = clk_.now();
-  if (cfg_.reliable_control && nak_pending_ && now >= nak_retry_at_) {
-    // The NAK (or its repair) may have been lost: retransmit under this
-    // TG's backoff until served or the budget runs out.
-    const std::size_t need = prior_[nak_tg_] ? 0 : decoders_[nak_tg_].needed();
-    auto& bo = nak_backoffs_[nak_tg_];
-    if (need == 0 || !bo || bo->exhausted()) {
-      nak_pending_ = false;
-      nak_first_ = false;
-    } else if (nak_first_) {
-      // The suppression slot elapsed with no repair covering us: this IS
-      // the first send of the NAK, not a retransmission.
-      nak_first_ = false;
-      ++result_.naks_sent;
-      send_feedback(nak_tg_, need, nak_round_);
-      nak_retry_at_ = clk_.now() + cfg_.poll_window + bo->next();
-    } else {
-      ++result_.nak_retries;
-      ++result_.naks_sent;
-      send_feedback(nak_tg_, need, nak_round_);
-      nak_retry_at_ = clk_.now() + cfg_.poll_window + bo->next();
-    }
-  }
+  if (cfg_.reliable_control && nak_pending_ && now >= nak_retry_at_)
+    send_pending_nak();
   if (clk_.now() >= idle_deadline()) {
     finish(done_count_ == num_tgs_ ? net::UdpNpEndReason::kDrainTimeout
                                    : net::UdpNpEndReason::kMidSessionSilence);
@@ -1044,6 +946,24 @@ void ReceiverSessionDriver::accept_block_packet(const fec::Packet& packet) {
     if (opt_.expected && data != (*opt_.expected)[hdr.tg])
       ++payload_mismatches_;
   }
+}
+
+void ReceiverSessionDriver::send_pending_nak() {
+  const std::size_t need = prior_[nak_tg_] ? 0 : decoders_[nak_tg_].needed();
+  auto& bo = *nak_backoffs_[nak_tg_];
+  // The first send answers a POLL and always goes out; a retransmission
+  // (the NAK or its repair was lost) spends this TG's backoff budget.
+  if (need == 0 || (!nak_first_ && bo.exhausted())) {
+    nak_pending_ = false;
+    nak_first_ = false;
+    return;
+  }
+  if (!nak_first_) ++result_.nak_retries;
+  nak_first_ = false;
+  ++result_.naks_sent;
+  send_feedback(nak_tg_, need, nak_round_);
+  nak_retry_at_ = clk_.now() + cfg_.poll_window +
+                  (bo.exhausted() ? cfg_.poll_window : bo.next());
 }
 
 bool ReceiverSessionDriver::absorbed_by_prior(std::uint32_t tg) {
@@ -1115,41 +1035,36 @@ void ReceiverSessionDriver::handle_packet(const fec::Packet& packet) {
         }
         break;
       }
-      if (cfg_.overload.nak_suppression && cfg_.reliable_control) {
-        // Runtime slotting (Section 5.1): instead of answering the POLL
-        // instantly, draw a seeded slot delay keyed to how much we need
-        // — the needier answer sooner — and send only if no repair for
-        // this TG lands first.  The trailing reschedule() in
-        // on_readable folds nak_retry_at_ into the wake timer.
-        auto& bo = nak_backoffs_[hdr.tg];
-        if (!bo)
-          bo = std::make_unique<Backoff>(cfg_.retry,
-                                         opt_.rng.split(0x7000 + hdr.tg));
-        const double slot =
-            cfg_.overload.nak_slot > 0.0
-                ? cfg_.overload.nak_slot
-                : cfg_.poll_window / static_cast<double>(cfg_.k + 1);
-        nak_pending_ = true;
-        nak_first_ = true;
-        nak_tg_ = hdr.tg;
-        nak_round_ = hdr.seq;
-        nak_retry_at_ =
-            clk_.now() + protocol::nak_backoff(cfg_.k, l, slot, supp_rng_);
+      if (!cfg_.reliable_control) {
+        send_feedback(hdr.tg, l, hdr.seq);
+        ++result_.naks_sent;
         break;
       }
-      send_feedback(hdr.tg, l, hdr.seq);
-      ++result_.naks_sent;
-      if (cfg_.reliable_control) {
-        auto& bo = nak_backoffs_[hdr.tg];
-        if (!bo)
-          bo = std::make_unique<Backoff>(cfg_.retry,
-                                         opt_.rng.split(0x7000 + hdr.tg));
-        nak_pending_ = true;
-        nak_tg_ = hdr.tg;
-        nak_round_ = hdr.seq;
-        nak_retry_at_ = clk_.now() + cfg_.poll_window +
-                        (bo->exhausted() ? cfg_.poll_window : bo->next());
+      // Reliable mode arms the NAK for retransmission under this TG's
+      // backoff until repair lands or the budget runs out.
+      auto& bo = nak_backoffs_[hdr.tg];
+      if (!bo)
+        bo = std::make_unique<Backoff>(cfg_.retry,
+                                       opt_.rng.split(0x7000 + hdr.tg));
+      nak_pending_ = true;
+      nak_first_ = true;
+      nak_tg_ = hdr.tg;
+      nak_round_ = hdr.seq;
+      if (!cfg_.overload.nak_suppression) {
+        send_pending_nak();
+        break;
       }
+      // Runtime slotting (Section 5.1): instead of answering the POLL
+      // instantly, draw a seeded slot delay keyed to how much we need —
+      // the needier answer sooner — and send only if no repair for this
+      // TG lands first.  The trailing reschedule() in on_readable folds
+      // nak_retry_at_ into the wake timer.
+      const double slot =
+          cfg_.overload.nak_slot > 0.0
+              ? cfg_.overload.nak_slot
+              : cfg_.poll_window / static_cast<double>(cfg_.k + 1);
+      nak_retry_at_ =
+          clk_.now() + protocol::nak_backoff(cfg_.k, l, slot, supp_rng_);
       break;
     }
     case fec::PacketType::kNak:

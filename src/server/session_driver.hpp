@@ -4,6 +4,12 @@
 // events and timer expiries, so thousands of concurrent sessions share
 // one thread.
 //
+// The sender holds one round machine: begin_next_tg, then POLL(i,s),
+// then after_window's decision (NAK(i,l) -> l fresh parities ->
+// POLL again, re-POLL, or close the TG).  Quarantine catch-up runs
+// through the same machine after the main pass; a catch-up TG gates on
+// its stragglers, skips the data burst and unicasts to them.
+//
 // Features: reliable-control ACK/liveness/eviction, rounds that close on
 // their last answer, seeded re-POLL and NAK-retransmit backoff, session
 // deadlines, incarnation stamping and stale rejection, journal
@@ -54,8 +60,6 @@ class SenderSessionDriver {
   const net::UdpNpSenderStats& stats() const noexcept { return stats_; }
   /// TGs confirmed complete this life (journal hook count).
   std::uint64_t tgs_completed() const noexcept { return tgs_completed_; }
-  /// Index of the TG currently in repair (== num TGs when done).
-  std::size_t current_tg() const noexcept { return tg_; }
   /// Clock time at which the open collect phase times out unless every
   /// gating member answers first.
   double collect_deadline() const noexcept { return collect_deadline_; }
@@ -78,32 +82,41 @@ class SenderSessionDriver {
   }
 
  private:
-  /// What the in-flight burst carries — determines the frame writer, the
-  /// fan-out set, and what happens when the burst completes.
-  enum class BurstPhase { kNone, kData, kParity, kCatchUpParity };
+  /// What the in-flight burst carries — determines the frame writer and
+  /// what happens when the burst completes.
+  enum class BurstPhase { kNone, kData, kParity };
 
   void on_readable();
   void drain_feedback();
   void on_window_expired();
+  /// Starts the next TG of the work list: the main pass in TG order,
+  /// then the catch-up pass.  A main-pass TG opens with its data burst,
+  /// a catch-up TG straight with its POLL.
   void begin_next_tg();
-  void send_poll();
-  /// Opens the collect phase of the POLL just sent: its timeout is
+  /// Builds the catch-up work list once the main pass is done.
+  void start_catch_up();
+  /// Sends the round's POLL and opens its collect phase: the timeout is
   /// min(poll_window + max_backoff, max(poll_window, SRTT + 4·RTTVAR))
-  /// + pad, clamped by the deadline.
-  void open_round(double pad);
+  /// + the re-POLL pad, clamped by the deadline.
+  void send_poll();
   /// True once every member gating this round answered its POLL: the
   /// live non-quarantined members, or the catch-up targets.
   bool all_answered() const;
-  /// Runs the post-collect decision for the current phase.
-  void close_round();
   void after_window();  // the post-collect decision logic
+  /// Journals the TG's new parity high-water, then bursts `l` fresh
+  /// parities.
+  void serve_parity(std::size_t l);
   void finish_session();
-  /// Best-effort fan-out of a control packet to the whole group, or to
-  /// the catch-up targets; false once the crash fault has fired.
-  bool send_control(fec::Packet packet, bool to_catch_up_targets);
+  /// Ends the session as deadline-expired if the deadline has passed.
+  bool end_if_deadline_passed(double now);
+  /// The crash fault: true once crash_after_sends sends were made.
+  bool crash_fired();
+  /// Best-effort fan-out of a control packet; false once the crash fault
+  /// has fired.
+  bool send_control(fec::Packet packet);
   /// Appends one FrameRef per destination: the whole group, or the
-  /// catch-up targets (cu_targets_).
-  void fan_out(std::span<const std::uint8_t> frame, bool to_catch_up_targets,
+  /// catch-up targets (cu_targets_) while catch-up runs.
+  void fan_out(std::span<const std::uint8_t> frame,
                std::vector<net::FrameRef>& out) const;
   /// Opens a resumable burst of `count` logical packets and pumps it.
   void start_burst(BurstPhase phase, std::size_t count);
@@ -117,18 +130,23 @@ class SenderSessionDriver {
   void disarm_flush_timer();
   void arm_window_timer(double window);
   void disarm_timer();
+  /// True when every member gating the round acked: the live
+  /// non-quarantined members, or the catch-up targets still owed.
   bool confirmed() const;
-  /// True when every quarantined live member holds the current TG —
-  /// only then may its completion be journaled (exactly-once).
+  /// True when member `m` gates main-pass rounds: live (not evicted),
+  /// not quarantined and not expelled.
+  bool gates(std::size_t m) const;
+  /// True for TGs a prior life confirmed complete (never re-sent).
+  bool resumed(std::size_t tg) const;
+  /// True when member `m` is a live quarantined member lacking `tg`.
+  bool owed(std::size_t m, std::size_t tg) const;
+  /// True when no member is owed the current TG — only then may its
+  /// completion be journaled (exactly-once).
   bool tg_fully_delivered() const;
   void complete_current_tg();
   /// Service-deficit accounting: once an acked quorum exists, laggards
   /// accrue deficit and cross into quarantine at the configured bound.
   void update_quarantine();
-  void maybe_start_catch_up();
-  void begin_catch_up_tg();
-  void send_catch_up_poll();
-  void after_catch_up_window();
   std::size_t member_of(std::uint16_t port) const;
   /// Marks members the guard has banned as expelled (sticky) — the round
   /// closer and the final report stop waiting for them.
@@ -175,7 +193,7 @@ class SenderSessionDriver {
   std::optional<protocol::Backoff> poll_backoff_;
   std::size_t parities_used_ = 0;
   double window_pad_ = 0.0;
-  int round_ = 0;
+  std::size_t repair_rounds_ = 0;  ///< parity bursts served for this TG
   std::size_t l_ = 0;  ///< max NAK count collected this round
   Reactor::TimerId window_timer_ = 0;
   bool timer_armed_ = false;
@@ -195,18 +213,18 @@ class SenderSessionDriver {
   std::vector<std::size_t> parity_high_;  ///< per-TG parity high-water
   std::vector<std::size_t> deficit_;      ///< rounds behind an acked quorum
   std::vector<bool> quarantined_;
+  /// Confirmed TGs whose journal record waits on a straggler.
+  std::vector<bool> deferred_;
   std::size_t round_naks_ = 0;  ///< NAKs admitted this round (budget)
-  bool catchup_ = false;
+  bool catchup_ = false;  ///< the main pass is done; catch-up runs
+  std::vector<std::size_t> cu_tgs_;  ///< catch-up TGs left; next at the back
+  std::vector<std::size_t> cu_targets_;  ///< members served this TG
 
   // Hostile-peer defense (net/peer_guard.hpp; null when guard off).
   std::unique_ptr<net::PeerGuard> guard_;
   std::vector<bool> expelled_;   ///< banned members, exempt from rounds
   std::uint32_t ctl_seq_ = 0;    ///< nonce for authenticated POLL frames
   std::uint64_t group_key_ = 0;  ///< sender->group control-frame key
-  std::vector<std::size_t> cu_tgs_;      ///< TGs a straggler still lacks
-  std::size_t cu_i_ = 0;
-  std::size_t cu_round_ = 0;
-  std::vector<std::size_t> cu_targets_;  ///< members served this catch-up TG
 };
 
 /// Non-blocking receiver endpoint, with resume support for the server's
@@ -286,6 +304,10 @@ class ReceiverSessionDriver {
   /// a duplicate otherwise) and returns true; false for a live TG.
   bool absorbed_by_prior(std::uint32_t tg);
   void send_feedback(std::uint32_t tg, std::size_t count, std::uint32_t seq);
+  /// Sends the armed NAK: its first send (a POLL answer, possibly after
+  /// a suppression slot) or a retransmission; disarms it once nothing is
+  /// needed or the retransmit budget is spent.
+  void send_pending_nak();
   void finish(net::UdpNpEndReason reason);
   void reschedule(double next_due);
   double idle_deadline() const;
@@ -315,7 +337,7 @@ class ReceiverSessionDriver {
   std::size_t done_count_ = 0;
   std::vector<std::unique_ptr<protocol::Backoff>> nak_backoffs_;
   bool nak_pending_ = false;
-  /// Suppression mode: the pending NAK has never been sent — it sits in
+  /// The pending NAK has never been sent — under suppression it sits in
   /// its slot delay and repair arriving first cancels it entirely.
   bool nak_first_ = false;
   Rng supp_rng_{1};  ///< seeds the suppression slot draws

@@ -236,5 +236,43 @@ TEST_F(HostileTest, ReplayedFramesAtReceiversRejected) {
   EXPECT_GT(server.session_metrics(0).counter("peer_rejected"), 0u);
 }
 
+// A TG confirmed while a quarantined member still lacks it defers its
+// completion to the catch-up pass.  If the guard bans that member first,
+// catch-up has nobody left to serve the TG to, and it must still journal
+// it: every TG that did not fail fires the completion hook exactly once.
+// A deficit of one quarantines aggressively, so under some chaos seeds
+// an honest straggler also exhausts its catch-up budget and is evicted.
+// The session then ends degraded, but the journaling rule still holds.
+TEST_F(HostileTest, TgsOwedToABannedStragglerAreStillJournaled) {
+  Reactor reactor;
+  ServerConfig cfg = guarded_config();
+  cfg.hostile.enabled = true;
+  cfg.hostile.profile = "storm";
+  cfg.hostile.rate = 400.0;
+  cfg.np.overload.quarantine_deficit = 1;
+  std::vector<std::size_t> completions;
+  cfg.np.on_tg_completed = [&completions](std::size_t tg) {
+    completions.push_back(tg);
+  };
+  MulticastServer server(reactor, cfg);
+  const std::size_t kTgs = 8;
+  ASSERT_TRUE(server.submit(make_spec(0, kTgs, 0.05)));
+  run_guarded(reactor);
+
+  EXPECT_EQ(server.completed_sessions() + server.failed_sessions(), 1u);
+  const auto& m = server.session_metrics(0);
+  EXPECT_GT(m.counter("members_quarantined"), 0u);
+  EXPECT_GT(m.counter("members_expelled"), 0u) << "the adversary was not banned";
+  std::vector<std::size_t> per_tg(kTgs, 0);
+  for (const std::size_t tg : completions) {
+    ASSERT_LT(tg, kTgs);
+    ++per_tg[tg];
+  }
+  for (std::size_t tg = 0; tg < kTgs; ++tg)
+    EXPECT_LE(per_tg[tg], 1u) << "TG " << tg;
+  EXPECT_EQ(completions.size(), kTgs - m.counter("tgs_unconfirmed") -
+                                    m.counter("tgs_exhausted"));
+}
+
 }  // namespace
 }  // namespace pbl::server

@@ -12,6 +12,7 @@
 // (the deterministic twin of fuzz/fuzz_frame_batch.cpp) so tier-1 runs
 // cover it without -DPBL_FUZZ=ON.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -53,15 +54,20 @@ UdpNpConfig reliable_config() {
 }
 
 SessionRun run_session(UdpBackend backend, const std::vector<TgBytes>& groups,
-                       std::size_t receivers, const UdpNpConfig& cfg,
-                       double inject_loss) {
+                       const UdpNpConfig& cfg, const SessionSetup& setup) {
   ScopedUdpBackendOverride override(backend);
-  SessionSetup setup;
-  setup.receivers = receivers;
-  setup.data_loss = inject_loss;
   auto run = server::harness::run_session(groups, cfg, setup);
   EXPECT_FALSE(run.wedged) << "watchdog fired on " << to_string(backend);
   return run;
+}
+
+SessionRun run_session(UdpBackend backend, const std::vector<TgBytes>& groups,
+                       std::size_t receivers, const UdpNpConfig& cfg,
+                       double inject_loss) {
+  SessionSetup setup;
+  setup.receivers = receivers;
+  setup.data_loss = inject_loss;
+  return run_session(backend, groups, cfg, setup);
 }
 
 /// A member stream's digest and length.  Every member of an emulated
@@ -100,12 +106,25 @@ constexpr WireDigest kCleanDigest{0x2863ba19u, 2876};        // 22 frames
 constexpr WireDigest kLossyDigest{0xf5518d22u, 5702};        // 47 frames
 constexpr WireDigest kReliableDigest{0x974d0cf7u, 3544};     // 28 frames
 constexpr WireDigest kCrashResumeDigest{0x2662f1cau, 3338};  // 25 frames
+// Recorded from the reactor drivers, on both backends, before the
+// quarantine catch-up pass was folded into the main round machine.
+// Catch-up unicasts to the stragglers, so each member gets its own
+// stream.
+constexpr WireDigest kCatchUpDigests[] = {{0xa300a62au, 5470},
+                                          {0x01ab1299u, 5676},
+                                          {0x84a22c51u, 6884}};
+constexpr WireDigest kHardenedDigest{0xde711740u, 5270};
+
+void expect_member_digest(const SessionRun& run, std::size_t m,
+                          WireDigest want) {
+  EXPECT_EQ(run.tx[m].size(), want.bytes) << "member " << m;
+  EXPECT_EQ(stream_digest(run.tx[m]), want.crc)
+      << "member " << m << std::hex << ": got 0x" << stream_digest(run.tx[m]);
+}
 
 void expect_digest(const SessionRun& run, WireDigest want) {
-  for (std::size_t m = 0; m < run.tx.size(); ++m) {
-    EXPECT_EQ(run.tx[m].size(), want.bytes) << "member " << m;
-    EXPECT_EQ(stream_digest(run.tx[m]), want.crc) << "member " << m;
-  }
+  for (std::size_t m = 0; m < run.tx.size(); ++m)
+    expect_member_digest(run, m, want);
 }
 
 void expect_same_wire(const SessionRun& a, const SessionRun& b) {
@@ -231,6 +250,59 @@ TEST(UdpDifferential, ReliableSessionReportsAreIdentical) {
   expect_knobs_keep_bytes(groups, 3, reliable_config(), 0.15, kReliableDigest);
 }
 
+// Quarantine with parity-only catch-up (net/overload.hpp): one member at
+// 60 % loss falls behind an acked quorum, is served its missing TGs by
+// unicast after the main pass, and is evicted when the catch-up budget
+// runs out.  The straggler's stream differs from the healthy members',
+// so each member's digest is pinned.
+TEST(UdpDifferential, QuarantineCatchUpIsByteIdentical) {
+  const auto groups = random_groups(5, 6, 128, 25);
+  UdpNpConfig cfg = reliable_config();
+  cfg.overload.quarantine_deficit = 2;
+  cfg.overload.quarantine_quorum = 0.5;
+  cfg.overload.catch_up_rounds = 3;
+  SessionSetup setup;
+  setup.receivers = 3;
+  setup.member_loss = {0.05, 0.05, 0.6};
+  const auto batched = run_session(UdpBackend::kBatched, groups, cfg, setup);
+  const auto fallback = run_session(UdpBackend::kFallback, groups, cfg, setup);
+  EXPECT_EQ(batched.sender.members_quarantined, 2u);
+  EXPECT_EQ(batched.sender.evictions, 1u);
+  expect_same_wire(batched, fallback);
+  expect_same_sender_stats(batched.sender, fallback.sender);
+  expect_same_report(batched.sender.report, fallback.sender.report);
+  expect_same_receivers(batched, fallback);
+  ASSERT_EQ(batched.tx.size(), std::size(kCatchUpDigests));
+  for (std::size_t m = 0; m < batched.tx.size(); ++m) {
+    expect_member_digest(batched, m, kCatchUpDigests[m]);
+    expect_member_digest(fallback, m, kCatchUpDigests[m]);
+  }
+}
+
+// The hardened mix: the peer guard with authenticated control frames
+// (every POLL carries a group-keyed trailer) and receiver-side NAK
+// suppression (slotted first NAKs, cancelled by repair that lands
+// first).
+TEST(UdpDifferential, HardenedSessionIsByteIdentical) {
+  const auto groups = random_groups(4, 6, 128, 26);
+  UdpNpConfig cfg = reliable_config();
+  cfg.guard.enabled = true;
+  cfg.guard.auth = true;
+  cfg.guard.auth_key = 0x1234;
+  cfg.overload.nak_suppression = true;
+  const auto batched = run_session(UdpBackend::kBatched, groups, 4, cfg, 0.15);
+  const auto fallback =
+      run_session(UdpBackend::kFallback, groups, 4, cfg, 0.15);
+  EXPECT_TRUE(batched.sender.report.complete)
+      << batched.sender.report.summary();
+  expect_same_wire(batched, fallback);
+  expect_same_sender_stats(batched.sender, fallback.sender);
+  expect_same_report(batched.sender.report, fallback.sender.report);
+  expect_same_receivers(batched, fallback);
+  expect_digest(batched, kHardenedDigest);
+  expect_digest(fallback, kHardenedDigest);
+}
+
 // Crash + resume across two sender lives: the crash must clamp the wire
 // stream at the same frame on both backends, and the resumed life must
 // continue from the same journal state.
@@ -246,7 +318,10 @@ server::harness::CrashRun run_crash_session(UdpBackend backend,
 
 TEST(UdpDifferential, CrashResumeClampsAtTheSameFrame) {
   const auto groups = random_groups(3, 6, 128, 24);
-  const std::string dir = ::testing::TempDir();
+  // Per-process journal names: concurrent runs of this binary must not
+  // share a journal.
+  const std::string dir =
+      ::testing::TempDir() + std::to_string(::getpid()) + "_";
   const auto batched = run_crash_session(UdpBackend::kBatched, groups,
                                          dir + "pbl_diff_batched.log");
   const auto fallback = run_crash_session(UdpBackend::kFallback, groups,

@@ -497,6 +497,29 @@ TEST_P(UdpNpReliable, LateAnswersCannotStretchRoundsPastTheCeiling) {
   }
 }
 
+TEST_P(UdpNpReliable, HopelessMemberBoundsRoundsAndCountsFailedTgs) {
+  // A member that loses 97 % of DATA/PARITY cannot be repaired within
+  // the parity budget.  Every round that does not finish a TG spends one
+  // fresh parity or one re-POLL retry, so a TG runs at most
+  // h + max_retries + 1 rounds, and each TG that fails is counted.
+  const auto groups = random_groups(3, 6, 128, 12);
+  const UdpNpConfig cfg = reliable_config();
+  SessionSetup setup;
+  setup.receivers = 2;
+  setup.member_loss = {0.0, 0.97};
+  const auto session = harness::run_session(groups, cfg, setup);
+  ASSERT_FALSE(session.wedged) << "watchdog fired";
+  const auto& stats = session.sender;
+  EXPECT_LE(stats.polls_sent,
+            groups.size() * (cfg.h + cfg.retry.max_retries + 1));
+  EXPECT_GT(stats.tgs_exhausted + stats.tgs_unconfirmed, 0u);
+  EXPECT_EQ(stats.report.units_failed,
+            stats.tgs_exhausted + stats.tgs_unconfirmed);
+  EXPECT_FALSE(stats.report.complete) << stats.report.summary();
+  EXPECT_TRUE(session.receivers[0].result.complete);
+  EXPECT_FALSE(session.receivers[1].result.complete);
+}
+
 // --- Crash-tolerant sessions over real sockets -----------------------
 
 TEST_P(UdpNpCrash, SenderRestartResumesFromJournalAcrossLiveReceiver) {

@@ -90,6 +90,9 @@ struct SessionRun {
 struct SessionSetup {
   std::size_t receivers = 1;
   double data_loss = 0.0;  ///< injected DATA/PARITY loss at every receiver
+  /// Per-receiver DATA/PARITY loss; when non-empty it replaces data_loss
+  /// and holds one probability per receiver.
+  std::vector<double> member_loss;
   /// Wire faults at every receiver; the seed is offset by the receiver
   /// index so the members see independent streams.
   net::ImpairmentConfig impairment{};
@@ -120,7 +123,8 @@ inline std::unique_ptr<ReceiverSessionDriver> make_receiver(
   if (setup.receiver_config) setup.receiver_config(r, rcfg);
   ReceiverSessionDriver::Options opt;
   opt.idle_timeout = setup.idle_timeout;
-  opt.data_loss = setup.data_loss;
+  opt.data_loss =
+      setup.member_loss.empty() ? setup.data_loss : setup.member_loss.at(r);
   opt.rng = Rng(99).split(r);
   opt.impairment = setup.impairment;
   if (opt.impairment.enabled() || opt.impairment.control_enabled())
