@@ -9,6 +9,8 @@
 // is the per-kernel throughput.  Compare e.g.
 //   BM_KernelMulAdd/scalar/1024  vs  BM_KernelMulAdd/avx2/1024
 // (docs/KERNELS.md records measured ratios; the acceptance floor is 4x).
+// BM_Crc32/<kernel>/<len> does the same for the CRC-32 kernels that seal
+// and check every wire frame (1426 B is a bulk-workload frame).
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -18,6 +20,7 @@
 #include "gf/gf.hpp"
 #include "gf/kernels.hpp"
 #include "gf/matrix.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -149,7 +152,26 @@ void BM_EncodeKernelSweep(benchmark::State& state,
                           static_cast<std::int64_t>(k * len));
 }
 
+void BM_Crc32(benchmark::State& state, const pbl::detail::Crc32Kernel* k,
+              std::size_t len) {
+  const auto frame = random_packets(1, len).front();
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = k->update(crc, frame.data(), frame.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(len));
+}
+
 void register_kernel_sweeps() {
+  for (const pbl::detail::Crc32Kernel* k : pbl::detail::crc32_kernels())
+    for (const std::size_t len : {64u, 1426u, 4096u})
+      benchmark::RegisterBenchmark(("BM_Crc32/" + std::string(k->name) + "/" +
+                                    std::to_string(len))
+                                       .c_str(),
+                                   BM_Crc32, k, len);
+
   for (const pbl::gf::kern::Kernel* k : pbl::gf::kern::available_kernels()) {
     const std::string name(k->name);
     for (const std::size_t len : {64u, 256u, 1024u, 1500u, 8192u}) {

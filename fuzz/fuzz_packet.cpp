@@ -4,7 +4,9 @@
 // std::invalid_argument or yields a Packet that (a) re-serialises to the
 // exact input bytes and (b) satisfies the DATA/PARITY header invariants
 // (0 < k <= n, index < n, DATA index < k, PARITY index >= k).  Any other
-// exception escapes (crash), and oracle violations trap.
+// exception escapes (crash), and oracle violations trap.  The dispatched
+// CRC-32 kernel must also agree with the bytewise reference on every
+// input, whole and chained at its midpoint.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -12,10 +14,17 @@
 #include <stdexcept>
 
 #include "fec/packet.hpp"
+#include "util/crc32.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   using pbl::fec::PacketType;
+  const std::span<const std::uint8_t> bytes{data, size};
+  const std::uint32_t want = pbl::detail::crc32_bytewise(bytes);
+  if (pbl::crc32(bytes) != want) __builtin_trap();
+  if (pbl::crc32(bytes.subspan(size / 2), pbl::crc32(bytes.first(size / 2))) !=
+      want)
+    __builtin_trap();
   try {
     const pbl::fec::Packet p = pbl::fec::deserialize({data, size});
     const auto again = pbl::fec::serialize(p);

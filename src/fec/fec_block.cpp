@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace pbl::fec {
 
@@ -121,7 +122,7 @@ TgDecoder::TgDecoder(std::uint32_t tg_id, const RseCode& code,
     : tg_id_(tg_id), code_(&code), packet_len_(packet_len),
       shards_(code.n()) {}
 
-bool TgDecoder::add(const Packet& packet) {
+bool TgDecoder::admit(const Packet& packet) {
   if (packet.header.tg != tg_id_) return false;
   if (packet.header.type != PacketType::kData &&
       packet.header.type != PacketType::kParity)
@@ -135,7 +136,19 @@ bool TgDecoder::add(const Packet& packet) {
     ++duplicates_;
     return false;
   }
-  shards_[idx] = packet.payload;
+  return true;
+}
+
+bool TgDecoder::add(const Packet& packet) {
+  if (!admit(packet)) return false;
+  shards_[packet.header.index] = packet.payload;
+  ++received_count_;
+  return true;
+}
+
+bool TgDecoder::add(Packet&& packet) {
+  if (!admit(packet)) return false;
+  shards_[packet.header.index] = std::move(packet.payload);
   ++received_count_;
   return true;
 }

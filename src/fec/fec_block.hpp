@@ -78,6 +78,9 @@ class TgDecoder {
   /// Feeds a DATA or PARITY packet of this block.  Duplicate or foreign
   /// packets are ignored (returns false); fresh packets return true.
   bool add(const Packet& packet);
+  /// As add(const Packet&), but a fresh packet's payload is moved into
+  /// the shard instead of copied (the receive path's last copy).
+  bool add(Packet&& packet);
 
   std::size_t received() const noexcept { return received_count_; }
   /// Number of additional packets needed to reconstruct: max(0, k - received).
@@ -97,6 +100,10 @@ class TgDecoder {
   std::size_t decoded_packets() const noexcept { return decoded_packets_; }
 
  private:
+  /// True when `packet` is a fresh shard of this block; counts
+  /// duplicates and throws on an out-of-range index or wrong length.
+  bool admit(const Packet& packet);
+
   std::uint32_t tg_id_;
   const RseCode* code_;
   std::size_t packet_len_;

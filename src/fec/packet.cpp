@@ -87,10 +87,15 @@ PacketView deserialize_view(std::span<const std::uint8_t> bytes) {
   if (bytes.size() < kHeaderWireSize + kCrcWireSize)
     throw std::invalid_argument("packet: truncated header");
   const std::size_t body = bytes.size() - kCrcWireSize;
-  const std::uint32_t stored = get_u32(bytes, body);
-  if (crc32(bytes.subspan(0, body)) != stored)
+  if (crc32(bytes.subspan(0, body)) != get_u32(bytes, body))
     throw std::invalid_argument("packet: CRC mismatch");
-  bytes = bytes.subspan(0, body);
+  return parse_sealed_frame(bytes);
+}
+
+PacketView parse_sealed_frame(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kHeaderWireSize + kCrcWireSize)
+    throw std::invalid_argument("packet: truncated header");
+  bytes = bytes.subspan(0, bytes.size() - kCrcWireSize);
   PacketView p;
   const std::uint8_t type = bytes[0];
   if (type > static_cast<std::uint8_t>(PacketType::kNak))
@@ -126,12 +131,15 @@ PacketView deserialize_view(std::span<const std::uint8_t> bytes) {
   return p;
 }
 
-Packet deserialize(std::span<const std::uint8_t> bytes) {
-  const PacketView view = deserialize_view(bytes);
+Packet to_packet(const PacketView& view) {
   Packet p;
   p.header = view.header;
   p.payload.assign(view.payload.begin(), view.payload.end());
   return p;
+}
+
+Packet deserialize(std::span<const std::uint8_t> bytes) {
+  return to_packet(deserialize_view(bytes));
 }
 
 }  // namespace pbl::fec

@@ -98,6 +98,15 @@ std::vector<std::uint8_t> serialize(const Packet& packet);
 /// and copies only what protocol state actually keeps.
 PacketView deserialize_view(std::span<const std::uint8_t> bytes);
 
+/// deserialize_view() minus the CRC check, for callers that verified the
+/// trailer themselves (FrameStreamDecoder): the header and block-shape
+/// validation of a sealed frame, so each frame costs one CRC pass.
+/// Throws std::invalid_argument like deserialize_view.
+PacketView parse_sealed_frame(std::span<const std::uint8_t> frame);
+
+/// The owning copy of a parsed view: the one payload copy on receive.
+Packet to_packet(const PacketView& view);
+
 /// Parses a buffer produced by serialize(); throws std::invalid_argument
 /// on truncated, inconsistent or corrupted (CRC mismatch) input.  The
 /// erasure code can only repair MISSING packets, so corruption must be

@@ -53,7 +53,7 @@ void FrameStreamDecoder::parse() {
       continue;
     }
     try {
-      out_.push_back(fec::deserialize(frame));
+      out_.push_back(fec::to_packet(fec::parse_sealed_frame(frame)));
       ++frames_emitted_;
     } catch (const std::invalid_argument&) {
       // Sealed by somebody, but not a packet of ours (bad type byte or

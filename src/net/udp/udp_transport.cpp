@@ -28,11 +28,6 @@ namespace {
 constexpr std::size_t kTxChunk = 128;
 constexpr std::size_t kRxChunk = 16;
 constexpr std::size_t kMaxDatagram = 65536;
-// Malformed datagrams up to this size are run through FrameStreamDecoder
-// to salvage embedded valid frames.  The byte-by-byte resync scan is
-// O(size * frame) in the worst case, so a hostile peer flooding max-size
-// garbage must not buy that work: larger junk is just counted + dropped.
-constexpr std::size_t kSalvageLimit = 4096;
 
 sockaddr_in loopback(std::uint16_t port) {
   sockaddr_in addr{};
@@ -134,7 +129,7 @@ UdpSocket::~UdpSocket() {
 UdpSocket::UdpSocket(UdpSocket&& other) noexcept
     : fd_(other.fd_), port_(other.port_),
       impairment_(std::move(other.impairment_)),
-      pending_(std::move(other.pending_)), parsed_(std::move(other.parsed_)),
+      parsed_(std::move(other.parsed_)),
       frame_resyncs_(other.frame_resyncs_),
       frames_skipped_(other.frames_skipped_), tx_tap_(std::move(other.tx_tap_)),
       inject_errno_(other.inject_errno_), inject_count_(other.inject_count_),
@@ -156,7 +151,6 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
     fd_ = other.fd_;
     port_ = other.port_;
     impairment_ = std::move(other.impairment_);
-    pending_ = std::move(other.pending_);
     parsed_ = std::move(other.parsed_);
     frame_resyncs_ = other.frame_resyncs_;
     frames_skipped_ = other.frames_skipped_;
@@ -199,7 +193,6 @@ int UdpSocket::consume_injected_send() {
 
 void UdpSocket::set_impairment(std::shared_ptr<Impairment> impairment) {
   impairment_ = std::move(impairment);
-  pending_.clear();
   parsed_.clear();
 }
 
@@ -327,131 +320,119 @@ std::size_t UdpSocket::drain_ready() {
 #ifdef PBL_HAVE_MMSG
   if (active_udp_backend() == UdpBackend::kBatched) {
     // Scratch shared by every socket on this thread: kRxChunk max-size
-    // datagram buffers plus the mmsg scaffolding (~1 MiB/thread).
+    // datagram buffers plus the mmsg scaffolding (~1 MiB/thread), wired
+    // once.  recvmmsg writes only msg_len, msg_flags and msg_namelen
+    // back, so a call resets just msg_namelen.
     struct RxScratch {
       std::vector<std::uint8_t> bufs =
           std::vector<std::uint8_t>(kRxChunk * kMaxDatagram);
-      sockaddr_in srcs[kRxChunk];
-      iovec iovs[kRxChunk];
-      mmsghdr msgs[kRxChunk];
+      sockaddr_in srcs[kRxChunk]{};
+      iovec iovs[kRxChunk]{};
+      mmsghdr msgs[kRxChunk]{};
+      RxScratch() {
+        for (std::size_t i = 0; i < kRxChunk; ++i) {
+          iovs[i].iov_base = bufs.data() + i * kMaxDatagram;
+          iovs[i].iov_len = kMaxDatagram;
+          msgs[i].msg_hdr.msg_iov = &iovs[i];
+          msgs[i].msg_hdr.msg_iovlen = 1;
+          msgs[i].msg_hdr.msg_name = &srcs[i];
+        }
+      }
     };
     thread_local RxScratch scratch;
-    std::memset(scratch.msgs, 0, sizeof(scratch.msgs));
-    std::memset(scratch.srcs, 0, sizeof(scratch.srcs));
-    for (std::size_t i = 0; i < kRxChunk; ++i) {
-      scratch.iovs[i].iov_base = scratch.bufs.data() + i * kMaxDatagram;
-      scratch.iovs[i].iov_len = kMaxDatagram;
-      scratch.msgs[i].msg_hdr.msg_iov = &scratch.iovs[i];
-      scratch.msgs[i].msg_hdr.msg_iovlen = 1;
-      scratch.msgs[i].msg_hdr.msg_name = &scratch.srcs[i];
-      scratch.msgs[i].msg_hdr.msg_namelen = sizeof(scratch.srcs[i]);
-    }
-    timespec no_wait{0, 0};
+    for (mmsghdr& m : scratch.msgs)
+      m.msg_hdr.msg_namelen = sizeof(sockaddr_in);
     int n;
     do {
-      n = ::recvmmsg(fd_, scratch.msgs, kRxChunk, MSG_DONTWAIT, &no_wait);
+      n = ::recvmmsg(fd_, scratch.msgs, kRxChunk, MSG_DONTWAIT, nullptr);
     } while (n < 0 && errno == EINTR);
     if (n <= 0) return 0;
-    for (int i = 0; i < n; ++i) {
-      const std::span<const std::uint8_t> raw{
-          static_cast<const std::uint8_t*>(scratch.iovs[i].iov_base),
-          scratch.msgs[i].msg_len};
-      const std::uint16_t src = ntohs(scratch.srcs[i].sin_port);
-      // Impairment is applied per datagram in kernel receive order —
-      // exactly the order the fallback's one-at-a-time loop would see.
-      // Duplicates inherit the original datagram's source.
-      if (impairment_) {
-        for (auto& bytes : impairment_->apply_bytes(raw))
-          pending_.push_back({src, std::move(bytes)});
-      } else {
-        pending_.push_back(
-            {src, std::vector<std::uint8_t>(raw.begin(), raw.end())});
-      }
-    }
+    // Parsed in kernel receive order — exactly the order the fallback's
+    // one-at-a-time loop sees — before the next recvmmsg reuses the
+    // buffers.
+    for (int i = 0; i < n; ++i)
+      accept_datagram(
+          ntohs(scratch.srcs[i].sin_port),
+          {static_cast<const std::uint8_t*>(scratch.iovs[i].iov_base),
+           scratch.msgs[i].msg_len});
     return static_cast<std::size_t>(n);
   }
 #endif
   std::uint8_t buf[kMaxDatagram];
   sockaddr_in src_addr{};
   socklen_t src_len = sizeof(src_addr);
-  const ssize_t got =
-      ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
-                 reinterpret_cast<sockaddr*>(&src_addr), &src_len);
+  ssize_t got;
+  do {
+    got = ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
+                     reinterpret_cast<sockaddr*>(&src_addr), &src_len);
+  } while (got < 0 && errno == EINTR);
   if (got < 0) return 0;
-  const std::span<const std::uint8_t> raw{buf, static_cast<std::size_t>(got)};
-  const std::uint16_t src = ntohs(src_addr.sin_port);
-  if (impairment_) {
-    for (auto& bytes : impairment_->apply_bytes(raw))
-      pending_.push_back({src, std::move(bytes)});
-  } else {
-    pending_.push_back(
-        {src, std::vector<std::uint8_t>(raw.begin(), raw.end())});
-  }
+  accept_datagram(ntohs(src_addr.sin_port),
+                  {buf, static_cast<std::size_t>(got)});
   return 1;
 }
 
-std::optional<Datagram> UdpSocket::parse_pending() {
-  for (;;) {
-    // Frames salvaged from an earlier malformed datagram go first (they
-    // arrived before anything still sitting in pending_).
-    if (!parsed_.empty()) {
-      Datagram d = std::move(parsed_.front());
-      parsed_.pop_front();
-      return d;
-    }
-    if (pending_.empty()) return std::nullopt;
-    RawDatagram raw = std::move(pending_.front());
-    pending_.pop_front();
-    try {
-      return Datagram{raw.src_port, fec::deserialize(raw.bytes)};
-    } catch (const std::invalid_argument&) {
-      // Corrupted/truncated in flight — or hostile garbage.  Scan for
-      // embedded sealed frames (bounded; see kSalvageLimit) and surface
-      // the desync evidence through the frame_resyncs/frames_skipped
-      // counters either way.
-      if (raw.bytes.size() <= kSalvageLimit) {
-        FrameStreamDecoder dec;
-        dec.feed(raw.bytes);
-        frame_resyncs_ += dec.resyncs();
-        frames_skipped_ += dec.skipped_invalid();
-        auto salvaged = dec.take();
-        if (salvaged.empty()) ++frames_skipped_;
-        for (auto& p : salvaged)
-          parsed_.push_back({raw.src_port, std::move(p)});
-      } else {
-        ++frames_skipped_;
-      }
+void UdpSocket::accept_datagram(std::uint16_t src_port,
+                                std::span<const std::uint8_t> bytes) {
+  // Impairment acts per datagram, before parsing; duplicates inherit the
+  // original datagram's source.
+  if (!impairment_) return parse_datagram(src_port, bytes);
+  for (const auto& b : impairment_->apply_bytes(bytes))
+    parse_datagram(src_port, b);
+}
+
+void UdpSocket::parse_datagram(std::uint16_t src_port,
+                               std::span<const std::uint8_t> bytes) {
+  try {
+    parsed_.push_back({src_port, fec::to_packet(fec::deserialize_view(bytes))});
+  } catch (const std::invalid_argument&) {
+    // Corrupted/truncated in flight — or hostile garbage.  Scan for
+    // embedded sealed frames (bounded; see kSalvageLimit) and surface
+    // the desync evidence through the frame_resyncs/frames_skipped
+    // counters either way.
+    if (bytes.size() <= kSalvageLimit) {
+      FrameStreamDecoder dec;
+      dec.feed(bytes);
+      frame_resyncs_ += dec.resyncs();
+      frames_skipped_ += dec.skipped_invalid();
+      auto salvaged = dec.take();
+      if (salvaged.empty()) ++frames_skipped_;
+      for (auto& p : salvaged) parsed_.push_back({src_port, std::move(p)});
+    } else {
+      ++frames_skipped_;
     }
   }
 }
 
+std::optional<Datagram> UdpSocket::pop_parsed() {
+  if (parsed_.empty()) return std::nullopt;
+  Datagram d = std::move(parsed_.front());
+  parsed_.pop_front();
+  return d;
+}
+
 std::optional<Datagram> UdpSocket::receive_from(double timeout_s) {
+  if (timeout_s == 0.0) {
+    // Event-driven callers read only after readiness was reported, so
+    // no clock and no poll(2): read until a packet parses or EAGAIN.
+    while (parsed_.empty())
+      if (drain_ready() == 0) return std::nullopt;
+    return pop_parsed();
+  }
   const auto start = std::chrono::steady_clock::now();
-  bool polled = false;
   for (;;) {
-    // Datagrams queued by an earlier drain go first.
-    if (auto p = parse_pending()) return p;
+    if (!parsed_.empty()) return pop_parsed();
     int ms = -1;
-    if (timeout_s >= 0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      const double remaining = timeout_s - elapsed;
-      if (remaining <= 0.0) {
-        // An exhausted budget still gets ONE zero-timeout poll, so
-        // receive_from(0) is a true non-blocking read for event-driven
-        // callers (server/session_driver) instead of always nullopt.
-        if (polled) return std::nullopt;
-        ms = 0;
-      } else {
-        ms = static_cast<int>(remaining * 1000.0);
-      }
+    if (timeout_s > 0) {
+      const double remaining =
+          timeout_s - std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+      if (remaining <= 0.0) return std::nullopt;
+      ms = static_cast<int>(remaining * 1000.0);
     }
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, ms);
-    polled = true;
-    if (ready <= 0) return std::nullopt;
+    if (::poll(&pfd, 1, ms) <= 0) return std::nullopt;
     if (drain_ready() == 0) return std::nullopt;
   }
 }
@@ -461,11 +442,9 @@ std::size_t UdpSocket::receive_batch(std::vector<fec::Packet>& out,
                                      double timeout_s) {
   std::size_t produced = 0;
   const auto take_pending = [&] {
-    while (produced < max_packets) {
-      auto p = parse_pending();
-      if (!p) break;
-      out.push_back(std::move(p->packet));
-      ++produced;
+    for (; produced < max_packets && !parsed_.empty(); ++produced) {
+      out.push_back(std::move(parsed_.front().packet));
+      parsed_.pop_front();
     }
   };
   take_pending();

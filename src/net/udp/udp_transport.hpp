@@ -97,6 +97,13 @@ struct Datagram {
 
 class UdpSocket {
  public:
+  /// Malformed datagrams up to this size are run through
+  /// FrameStreamDecoder to salvage embedded valid frames.  The
+  /// byte-by-byte resync scan is O(size * frame) in the worst case, so a
+  /// hostile peer flooding max-size garbage must not buy that work:
+  /// larger junk is just counted (frames_skipped) and dropped.
+  static constexpr std::size_t kSalvageLimit = 4096;
+
   /// Observes every frame the socket actually hands to the kernel, in
   /// send order (dest port + wire bytes).  The differential tests record
   /// the tap of each backend and require the streams byte-identical.
@@ -119,12 +126,10 @@ class UdpSocket {
   /// The socket still owns it; callers must not close it.
   int fd() const noexcept { return fd_; }
 
-  /// True when received datagrams are queued for parsing: a
-  /// receive_from(0) can return packets even if the descriptor is not
-  /// readable, so event-driven callers must drain until both are empty.
-  bool has_pending() const noexcept {
-    return !pending_.empty() || !parsed_.empty();
-  }
+  /// True when parsed packets are queued: a receive_from(0) can return
+  /// packets even if the descriptor is not readable, so event-driven
+  /// callers must drain until both are empty.
+  bool has_pending() const noexcept { return !parsed_.empty(); }
 
   /// Sends a packet to 127.0.0.1:dest_port.  Returns kWouldBlock on
   /// transient kernel pushback (EAGAIN/EWOULDBLOCK/ENOBUFS) instead of
@@ -154,6 +159,10 @@ class UdpSocket {
   /// std::nullopt on timeout.  Malformed datagrams are dropped silently
   /// (the poll loop keeps waiting for the rest of the timeout), so
   /// nullopt always means "nothing arrived", even under impairment.
+  ///
+  /// receive_from(0.0) is the event-driven read: no clock read and no
+  /// poll(2), just non-blocking reads until a packet parses or the
+  /// kernel reports EAGAIN, so nullopt means the socket is empty.
   std::optional<Datagram> receive_from(double timeout_s);
 
   /// Batched receive: drains queued datagrams, then waits up to
@@ -167,8 +176,8 @@ class UdpSocket {
   /// before parsing: drops, duplicates, bit corruption, truncation and
   /// holdback reordering all happen on the raw bytes, exercising the
   /// real fec::deserialize path.  Impairment is applied per datagram in
-  /// receive order on both backends.  Pass nullptr to remove.  The
-  /// impairment object outlives any pending datagrams it produced.
+  /// receive order on both backends.  Pass nullptr to remove (queued
+  /// packets are discarded either way).
   void set_impairment(std::shared_ptr<Impairment> impairment);
 
   /// Installs a tap observing every frame sent (nullptr to remove).
@@ -216,24 +225,24 @@ class UdpSocket {
   /// Injection gate shared by every send syscall site: returns the errno
   /// this attempt must fail with, or 0 to let the real syscall run.
   int consume_injected_send();
-  /// Pulls every readable datagram into pending_ (post-impairment).
-  /// Returns the number of raw datagrams read off the socket.
+  /// One non-blocking read (a recvmmsg batch, or one recvfrom on the
+  /// fallback); each datagram is parsed into parsed_ straight from the
+  /// receive buffer.  Returns the number of raw datagrams read.
   std::size_t drain_ready();
-  /// Pops pending_ until a datagram parses (directly or salvaged via
-  /// FrameStreamDecoder); nullopt when drained.
-  std::optional<Datagram> parse_pending();
-
-  /// A received datagram awaiting parsing, tagged with its source port.
-  struct RawDatagram {
-    std::uint16_t src_port = 0;
-    std::vector<std::uint8_t> bytes;
-  };
+  /// Runs one received datagram through the impairment, if any, and
+  /// parses what comes out.
+  void accept_datagram(std::uint16_t src_port,
+                       std::span<const std::uint8_t> bytes);
+  /// Parses one datagram into parsed_: directly, or by salvaging the
+  /// sealed frames embedded in it.
+  void parse_datagram(std::uint16_t src_port,
+                      std::span<const std::uint8_t> bytes);
+  std::optional<Datagram> pop_parsed();
 
   int fd_ = -1;
   std::uint16_t port_ = 0;
   std::shared_ptr<Impairment> impairment_;
-  std::deque<RawDatagram> pending_;  // received, not yet parsed
-  std::deque<Datagram> parsed_;      // salvaged frames awaiting delivery
+  std::deque<Datagram> parsed_;  // received, parsed, awaiting delivery
   std::uint64_t frame_resyncs_ = 0;
   std::uint64_t frames_skipped_ = 0;
   TxTap tx_tap_;

@@ -900,7 +900,7 @@ void ReceiverSessionDriver::on_readable() {
       ++result_.foreign_rejected;
       continue;
     }
-    handle_packet(dg->packet);
+    handle_packet(std::move(dg->packet));
   }
   if (!finished_) reschedule(idle_deadline());
 }
@@ -918,8 +918,8 @@ void ReceiverSessionDriver::on_wake() {
   reschedule(idle_deadline());
 }
 
-void ReceiverSessionDriver::accept_block_packet(const fec::Packet& packet) {
-  const auto& hdr = packet.header;
+void ReceiverSessionDriver::accept_block_packet(fec::Packet&& packet) {
+  const fec::PacketHeader hdr = packet.header;  // packet moves below
   if (hdr.k != cfg_.k || hdr.n != cfg_.k + cfg_.h ||
       hdr.index >= cfg_.k + cfg_.h || packet.payload.size() != cfg_.packet_len) {
     ++result_.rejected;  // foreign block shape: cannot be ours
@@ -931,7 +931,7 @@ void ReceiverSessionDriver::accept_block_packet(const fec::Packet& packet) {
   }
   ++result_.received;
   auto& dec = decoders_[hdr.tg];
-  if (!dec.add(packet)) {
+  if (!dec.add(std::move(packet))) {
     ++result_.duplicates;
     return;
   }
@@ -978,7 +978,7 @@ bool ReceiverSessionDriver::absorbed_by_prior(std::uint32_t tg) {
   return true;
 }
 
-void ReceiverSessionDriver::handle_packet(const fec::Packet& packet) {
+void ReceiverSessionDriver::handle_packet(fec::Packet&& packet) {
   const auto& hdr = packet.header;
   // Authenticated control comes before EVERYTHING: an unverified POLL —
   // including a forged or replayed end marker — must not advance
@@ -1019,7 +1019,7 @@ void ReceiverSessionDriver::handle_packet(const fec::Packet& packet) {
         }
         nak_pending_ = false;
       }
-      accept_block_packet(packet);
+      accept_block_packet(std::move(packet));
       if (done_count_ >= cfg_.crash_after_tgs) {
         finish(net::UdpNpEndReason::kCrashed);
         return;
@@ -1081,7 +1081,7 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
   if (impairment_) {
     for (const auto& bytes : impairment_->drain()) {
       try {
-        const fec::Packet packet = fec::deserialize(bytes);
+        fec::Packet packet = fec::deserialize(bytes);
         if (packet.header.incarnation < known_inc_) {
           ++result_.stale_rejected;
           continue;
@@ -1090,7 +1090,7 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
              packet.header.type == fec::PacketType::kParity) &&
             packet.header.tg < num_tgs_ &&
             !absorbed_by_prior(packet.header.tg))
-          accept_block_packet(packet);
+          accept_block_packet(std::move(packet));
       } catch (const std::invalid_argument&) {
         // damaged in flight: loss
       }

@@ -297,8 +297,8 @@ class ReceiverSessionDriver {
  private:
   void on_readable();
   void on_wake();
-  void handle_packet(const fec::Packet& packet);
-  void accept_block_packet(const fec::Packet& packet);
+  void handle_packet(fec::Packet&& packet);
+  void accept_block_packet(fec::Packet&& packet);
   /// Exactly-once audit for DATA/PARITY of a TG decoded in a prior life:
   /// counts it (a redelivery violation if the journal confirmed the TG,
   /// a duplicate otherwise) and returns true; false for a live TG.

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <cerrno>
+#include <utility>
+#include <vector>
 
 namespace pbl::net {
 namespace {
@@ -200,6 +204,92 @@ TEST_P(UdpSocketTest, SendBatchBlockingRidesThroughBackpressure) {
   a.send_batch_blocking(refs);
   for (int i = 0; i < 8; ++i)
     EXPECT_TRUE(b.receive_from(2.0).has_value()) << "frame " << i << " lost";
+}
+
+// --- Receive-path contract -------------------------------------------
+//
+// A mixed stream from two peers: valid frames, a corrupted datagram, a
+// sealed frame wrapped in garbage and an oversized junk datagram.
+// Drained the way the session drivers drain (receive_from(0.0) until
+// nothing is pending), the valid and salvaged frames must come out in
+// send order with their kernel-reported sources, and the desync
+// counters must equal the values the earlier receive path (queue raw
+// datagrams, parse on demand) gave for the same bytes.
+
+fec::Packet seq_packet(std::uint32_t seq) {
+  fec::Packet p = sample_packet();
+  p.header.seq = seq;
+  return p;
+}
+
+// Reference desync counters for the stream below (the corrupted and the
+// wrapped datagram's one-byte slides; the corrupted and the oversized
+// datagram each skipped once).
+constexpr std::uint64_t kWantResyncs = 1186;
+constexpr std::uint64_t kWantSkipped = 2;
+constexpr std::size_t kOversized = 5000;
+static_assert(kOversized > UdpSocket::kSalvageLimit);
+
+std::vector<std::uint8_t> junk(std::size_t n, std::uint8_t salt) {
+  std::vector<std::uint8_t> out(n);
+  std::uint32_t x = 0x2545F491u ^ salt;
+  for (auto& b : out) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::uint8_t>(x);
+  }
+  return out;
+}
+
+TEST_P(UdpSocketTest, DrainKeepsSendOrderSourcesAndDesyncCounters) {
+  UdpSocket a, b, rx;
+  auto corrupted = fec::serialize(seq_packet(2));
+  corrupted[fec::kHeaderWireSize + 1] ^= 0x40;  // payload bit flip
+  auto wrapped = junk(7, 1);
+  const auto sealed = fec::serialize(seq_packet(4));
+  wrapped.insert(wrapped.end(), sealed.begin(), sealed.end());
+  // The tail is long enough that no length field read inside the frame
+  // stalls the decoder before it reaches the frame start.
+  const auto tail = junk(1200, 2);
+  wrapped.insert(wrapped.end(), tail.begin(), tail.end());
+  const auto oversized = junk(kOversized, 3);
+
+  ASSERT_EQ(a.send_to(rx.port(), seq_packet(0)), SendStatus::kSent);
+  ASSERT_EQ(a.send_to(rx.port(), seq_packet(1)), SendStatus::kSent);
+  ASSERT_EQ(a.send_frame(rx.port(), corrupted), SendStatus::kSent);
+  ASSERT_EQ(b.send_frame(rx.port(), wrapped), SendStatus::kSent);
+  ASSERT_EQ(a.send_to(rx.port(), seq_packet(3)), SendStatus::kSent);
+  ASSERT_EQ(b.send_frame(rx.port(), oversized), SendStatus::kSent);
+  ASSERT_EQ(b.send_to(rx.port(), seq_packet(5)), SendStatus::kSent);
+
+  const std::vector<std::pair<std::uint16_t, std::uint32_t>> want = {
+      {a.port(), 0}, {a.port(), 1}, {b.port(), 4}, {a.port(), 3},
+      {b.port(), 5}};
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> got;
+  for (int waits = 0; got.size() < want.size() && waits < 40;) {
+    auto dg = rx.receive_from(0.0);
+    if (dg) {
+      got.emplace_back(dg->src_port, dg->packet.header.seq);
+      continue;
+    }
+    if (rx.has_pending()) continue;
+    // Nothing readable yet: wait for readiness, as the reactor does.
+    pollfd pfd{rx.fd(), POLLIN, 0};
+    ::poll(&pfd, 1, 50);
+    ++waits;
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(rx.has_pending());
+  EXPECT_EQ(rx.frame_resyncs(), kWantResyncs);
+  EXPECT_EQ(rx.frames_skipped(), kWantSkipped);
+  EXPECT_FALSE(rx.receive_from(0.0).has_value());
+}
+
+TEST_P(UdpSocketTest, ZeroTimeoutReceiveOnAnEmptySocketIsNullopt) {
+  UdpSocket s;
+  EXPECT_FALSE(s.receive_from(0.0).has_value());
+  EXPECT_FALSE(s.has_pending());
 }
 
 TEST(UdpBackendSelection, OverrideWinsAndRestores) {
