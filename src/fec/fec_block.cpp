@@ -8,8 +8,7 @@ namespace pbl::fec {
 
 TgEncoder::TgEncoder(std::uint32_t tg_id, const RseCode& code,
                      std::vector<std::vector<std::uint8_t>> data)
-    : tg_id_(tg_id), code_(&code), data_(std::move(data)),
-      parity_(code.h()) {
+    : tg_id_(tg_id), code_(&code), data_(std::move(data)) {
   if (data_.size() != code_->k())
     throw std::invalid_argument("TgEncoder: need exactly k data packets");
   for (const auto& d : data_)
@@ -32,20 +31,14 @@ Packet TgEncoder::data_packet(std::size_t i) const {
 
 Packet TgEncoder::parity_packet(std::size_t j) {
   if (j >= code_->h()) throw std::out_of_range("TgEncoder: parity index");
-  if (!parity_[j]) {
-    std::vector<std::span<const std::uint8_t>> views(data_.begin(), data_.end());
-    std::vector<std::uint8_t> buf(data_.empty() ? 0 : data_[0].size());
-    code_->encode_parity(j, views, buf);
-    parity_[j] = std::move(buf);
-    ++encoded_count_;
-  }
   Packet p;
   p.header.type = PacketType::kParity;
   p.header.tg = tg_id_;
   p.header.index = static_cast<std::uint16_t>(code_->k() + j);
   p.header.k = static_cast<std::uint16_t>(code_->k());
   p.header.n = static_cast<std::uint16_t>(code_->n());
-  p.payload = *parity_[j];
+  p.payload.resize(data_.empty() ? 0 : data_[0].size());
+  encode_parity(j, p.payload);
   p.header.payload_len = static_cast<std::uint32_t>(p.payload.size());
   return p;
 }
@@ -88,33 +81,16 @@ std::size_t TgEncoder::write_parity_frame(std::size_t j,
   h.n = static_cast<std::uint16_t>(code_->n());
   h.payload_len = static_cast<std::uint32_t>(len);
   write_header(h, frame);
-  const std::span<std::uint8_t> payload = frame.subspan(kHeaderWireSize, len);
-  if (parity_[j]) {
-    std::memcpy(payload.data(), parity_[j]->data(), len);
-  } else {
-    // Zero-copy encode: the GF kernels write the parity straight into the
-    // frame's payload region.  The result is NOT cached — the arena frame
-    // is the only copy, matching the "encode at send time into the wire
-    // buffer" fast path (cache via pre_encode() when re-sends dominate).
-    std::vector<std::span<const std::uint8_t>> views(data_.begin(),
-                                                     data_.end());
-    code_->encode_parity(j, views, payload);
-    ++encoded_count_;
-  }
+  encode_parity(j, frame.subspan(kHeaderWireSize, len));
   seal_frame(frame.subspan(0, total));
   return total;
 }
 
-void TgEncoder::pre_encode() {
-  for (std::size_t j = 0; j < code_->h(); ++j) {
-    if (!parity_[j]) {
-      std::vector<std::span<const std::uint8_t>> views(data_.begin(), data_.end());
-      std::vector<std::uint8_t> buf(data_.empty() ? 0 : data_[0].size());
-      code_->encode_parity(j, views, buf);
-      parity_[j] = std::move(buf);
-      ++encoded_count_;
-    }
-  }
+void TgEncoder::encode_parity(std::size_t j, std::span<std::uint8_t> out) {
+  const std::vector<std::span<const std::uint8_t>> views(data_.begin(),
+                                                         data_.end());
+  code_->encode_parity(j, views, out);
+  ++encoded_count_;
 }
 
 TgDecoder::TgDecoder(std::uint32_t tg_id, const RseCode& code,

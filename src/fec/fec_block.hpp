@@ -1,8 +1,9 @@
 // Transmission-group encoder/decoder state machines.
 //
 // TgEncoder owns the k data packets of one transmission group and produces
-// DATA/PARITY packets on demand (lazily, or eagerly via pre_encode(), the
-// "pre-encoding" option evaluated in Fig 18).  TgDecoder accumulates any
+// DATA/PARITY packets on demand, encoding each parity when it is asked
+// for (no protocol sends the same parity twice, so none is cached).
+// TgDecoder accumulates any
 // packets of the block and reconstructs the group as soon as k distinct
 // packets have arrived (Section 2.1).
 #pragma once
@@ -29,12 +30,9 @@ class TgEncoder {
   /// DATA packet for data index i < k.
   Packet data_packet(std::size_t i) const;
 
-  /// PARITY packet for parity index j < h (block index k + j); encodes on
-  /// first use unless pre_encode() was called.
+  /// PARITY packet for parity index j < h (block index k + j), encoded
+  /// by this call.
   Packet parity_packet(std::size_t j);
-
-  /// Eagerly computes all h parities (sender-side pre-encoding).
-  void pre_encode();
 
   /// Frames DATA packet i directly into `frame` (header + payload + CRC,
   /// byte-identical to serialize(data_packet(i)) with the incarnation
@@ -43,12 +41,12 @@ class TgEncoder {
   std::size_t write_data_frame(std::size_t i, std::uint8_t incarnation,
                                std::span<std::uint8_t> frame) const;
 
-  /// Frames PARITY j (block index k + j) directly into `frame`.  When the
-  /// parity is not yet cached, the GF kernels encode it straight into the
-  /// frame's payload region — the parity bytes are never materialised
-  /// anywhere else.  Byte-identical to serialize(parity_packet(j)) with
-  /// the incarnation stamped; counts toward parities_encoded() exactly
-  /// like parity_packet().  Returns the bytes written.
+  /// Frames PARITY j (block index k + j) directly into `frame`: the GF
+  /// kernels encode it straight into the frame's payload region, so the
+  /// parity bytes are never materialised anywhere else.  Byte-identical
+  /// to serialize(parity_packet(j)) with the incarnation stamped; counts
+  /// toward parities_encoded() exactly like parity_packet().  Returns the
+  /// bytes written.
   std::size_t write_parity_frame(std::size_t j, std::uint8_t incarnation,
                                  std::span<std::uint8_t> frame);
 
@@ -58,14 +56,16 @@ class TgEncoder {
     return wire_size(data_.empty() ? 0 : data_[0].size());
   }
 
-  /// Number of parities encoded so far (for processing-cost accounting).
+  /// Number of parity encodes so far (for processing-cost accounting).
   std::size_t parities_encoded() const noexcept { return encoded_count_; }
 
  private:
+  /// Encodes parity j of this group into `out` and counts it.
+  void encode_parity(std::size_t j, std::span<std::uint8_t> out);
+
   std::uint32_t tg_id_;
   const RseCode* code_;
   std::vector<std::vector<std::uint8_t>> data_;
-  std::vector<std::optional<std::vector<std::uint8_t>>> parity_;
   std::size_t encoded_count_ = 0;
 };
 

@@ -7,9 +7,8 @@ namespace pbl::net {
 
 MulticastChannel::MulticastChannel(sim::Simulator& sim,
                                    const loss::LossModel& model,
-                                   std::size_t receivers, double delay,
-                                   bool lossless_control)
-    : sim_(&sim), delay_(delay), lossless_control_(lossless_control) {
+                                   std::size_t receivers, double delay)
+    : sim_(&sim), delay_(delay) {
   if (receivers == 0)
     throw std::invalid_argument("MulticastChannel: need at least one receiver");
   if (delay < 0.0)
@@ -88,22 +87,8 @@ void MulticastChannel::multicast_down(const fec::Packet& packet) {
 void MulticastChannel::multicast_control_down(const fec::Packet& packet) {
   if (tap_) tap_(packet);
   ++stats_.feedback_multicasts;
-  const double t = sim_->now();
-  for (std::size_t r = 0; r < processes_.size(); ++r) {
-    if (!lossless_control_ && processes_[r]->lost(t)) continue;
-    if (control_impairments_.empty()) {
-      sim_->schedule_in(delay_, [this, r, packet] {
-        if (on_receiver_) on_receiver_(r, packet);
-      });
-      continue;
-    }
-    for (auto& d : control_impairments_[r]->apply_control(packet)) {
-      sim_->schedule_in(delay_ + d.extra_delay,
-                        [this, r, p = std::move(d.packet)] {
-                          if (on_receiver_) on_receiver_(r, p);
-                        });
-    }
-  }
+  for (std::size_t r = 0; r < processes_.size(); ++r)
+    control_to_receiver(r, packet);
 }
 
 void MulticastChannel::multicast_up(std::size_t from,
@@ -112,23 +97,24 @@ void MulticastChannel::multicast_up(std::size_t from,
     throw std::out_of_range("MulticastChannel: bad receiver index");
   if (tap_) tap_(packet);
   ++stats_.feedback_multicasts;
-  const double t = sim_->now();
   unicast_up_impl(from, packet);
-  for (std::size_t r = 0; r < processes_.size(); ++r) {
-    if (r == from) continue;
-    if (!lossless_control_ && processes_[r]->lost(t)) continue;
-    if (control_impairments_.empty()) {
-      sim_->schedule_in(delay_, [this, r, packet] {
-        if (on_receiver_) on_receiver_(r, packet);
-      });
-      continue;
-    }
-    for (auto& d : control_impairments_[r]->apply_control(packet)) {
-      sim_->schedule_in(delay_ + d.extra_delay,
-                        [this, r, p = std::move(d.packet)] {
-                          if (on_receiver_) on_receiver_(r, p);
-                        });
-    }
+  for (std::size_t r = 0; r < processes_.size(); ++r)
+    if (r != from) control_to_receiver(r, packet);
+}
+
+void MulticastChannel::control_to_receiver(std::size_t r,
+                                           const fec::Packet& packet) {
+  if (control_impairments_.empty()) {
+    sim_->schedule_in(delay_, [this, r, packet] {
+      if (on_receiver_) on_receiver_(r, packet);
+    });
+    return;
+  }
+  for (auto& d : control_impairments_[r]->apply_control(packet)) {
+    sim_->schedule_in(delay_ + d.extra_delay,
+                      [this, r, p = std::move(d.packet)] {
+                        if (on_receiver_) on_receiver_(r, p);
+                      });
   }
 }
 

@@ -6,7 +6,7 @@
 // propagation delay.  Feedback direction (receiver -> group): NAKs are
 // multicast to the sender AND all other receivers (needed for NAK
 // suppression); the paper's analysis assumes control packets are never
-// lost, which is the default here but can be disabled.
+// lost, which holds unless set_impairment configures control faults.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +34,7 @@ class MulticastChannel {
   /// sender_handler(from_receiver, packet) runs when feedback reaches the
   /// sender.  Handlers are installed after construction.
   MulticastChannel(sim::Simulator& sim, const loss::LossModel& model,
-                   std::size_t receivers, double delay,
-                   bool lossless_control = true);
+                   std::size_t receivers, double delay);
 
   using ReceiverHandler =
       std::function<void(std::size_t receiver, const fec::Packet&)>;
@@ -61,9 +60,8 @@ class MulticastChannel {
   /// RNG streams independent of the data-path ones: one per receiver for
   /// the POLL down-path and overheard NAKs, plus one for the NAK/ACK
   /// up-path to the sender.  With the control knobs at zero the control
-  /// paths stay clean (the paper's lossless-feedback assumption, also
-  /// toggled coarsely by lossless_control).  Call before any traffic; a
-  /// fully disabled config removes everything.
+  /// paths stay clean (the paper's lossless-feedback assumption).  Call
+  /// before any traffic; a fully disabled config removes everything.
   void set_impairment(const ImpairmentConfig& config);
 
   /// Sum of the per-receiver impairment fault counters (zeros when no
@@ -75,8 +73,8 @@ class MulticastChannel {
   /// Sender -> all receivers, subject to per-receiver loss.
   void multicast_down(const fec::Packet& packet);
 
-  /// Sender -> all receivers on the control path (POLLs).  Lossless when
-  /// lossless_control is set (the paper's assumption), lossy otherwise.
+  /// Sender -> all receivers on the control path (POLLs): lossless (the
+  /// paper's assumption) unless control faults are configured.
   void multicast_control_down(const fec::Packet& packet);
 
   /// Receiver `from` -> sender and all other receivers (feedback path).
@@ -93,6 +91,9 @@ class MulticastChannel {
   /// The sender leg of the feedback path, shared by multicast_up and
   /// unicast_up: clean, or through the control up-path policy.
   void unicast_up_impl(std::size_t from, const fec::Packet& packet);
+  /// The receiver leg of the control paths (POLLs down, overheard NAKs):
+  /// clean, or through receiver r's control policy.
+  void control_to_receiver(std::size_t r, const fec::Packet& packet);
 
   sim::Simulator* sim_;
   std::vector<std::unique_ptr<loss::LossProcess>> processes_;
@@ -101,7 +102,6 @@ class MulticastChannel {
   /// [receivers()] = up path to the sender.  Empty = clean control.
   std::vector<std::unique_ptr<Impairment>> control_impairments_;
   double delay_;
-  bool lossless_control_;
   ReceiverHandler on_receiver_;
   SenderHandler on_sender_;
   WireTap tap_;

@@ -166,22 +166,27 @@ std::vector<Impairment::Delivery> Impairment::apply_control(
   return out;
 }
 
-std::vector<std::vector<std::uint8_t>> Impairment::apply_bytes(
-    std::span<const std::uint8_t> bytes) {
+std::vector<Impairment::ByteDelivery> Impairment::apply_bytes(
+    std::span<const std::uint8_t> bytes, std::uint16_t src_port) {
   // On the byte path control datagrams are recognisable by the wire type
   // (byte 0: 2 = POLL, 3 = NAK).  With control faults configured they are
   // diverted to the control policy (drop/dup only; extra delay has no
   // meaning for a datagram already received); with the control knobs at
   // zero they flow through the data-path faults unchanged, preserving the
   // pre-existing byte schedules per seed.
+  const auto copy = [&] {
+    return ByteDelivery{{bytes.begin(), bytes.end()}, src_port};
+  };
+  std::vector<ByteDelivery> out;
+  // One slot of forward progress for the reorder queue, whatever happens
+  // to the current datagram: even a control datagram occupies a receive
+  // slot whether or not it survives.
+  for (auto& h : held_)
+    if (h.release_after > 0) --h.release_after;
+
   if (cfg_.control_enabled() && bytes.size() >= 1 &&
       (bytes[0] == 2 || bytes[0] == 3)) {
     ++stats_.control_processed;
-    std::vector<std::vector<std::uint8_t>> out;
-    // The reorder queue still makes one slot of forward progress: a
-    // control datagram occupies a receive slot whether or not it survives.
-    for (auto& h : held_)
-      if (h.release_after > 0) --h.release_after;
     if (!(cfg_.control_drop > 0.0 &&
           control_rng_.bernoulli(cfg_.control_drop))) {
       std::size_t copies = 1;
@@ -191,31 +196,16 @@ std::vector<std::vector<std::uint8_t>> Impairment::apply_bytes(
       }
       for (std::size_t c = 0; c < copies; ++c) {
         ++stats_.control_delivered;
-        out.emplace_back(bytes.begin(), bytes.end());
+        out.push_back(copy());
       }
     } else {
       ++stats_.control_dropped;
     }
-    for (auto it = held_.begin(); it != held_.end();) {
-      if (it->release_after == 0) {
-        ++stats_.delivered;
-        out.push_back(std::move(it->bytes));
-        it = held_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    release_expired(out);
     return out;
   }
 
   ++stats_.processed;
-  std::vector<std::vector<std::uint8_t>> out;
-
-  // One slot of forward progress for the reorder queue, whatever happens
-  // to the current datagram.
-  for (auto& h : held_)
-    if (h.release_after > 0) --h.release_after;
-
   // Drop decisions use the packet counter as the burst clock: datagrams
   // have no timestamps, so the chain advances one burst_delta per packet.
   const double now =
@@ -227,46 +217,48 @@ std::vector<std::vector<std::uint8_t>> Impairment::apply_bytes(
       copies = 2;
     }
     for (std::size_t c = 0; c < copies; ++c) {
-      std::vector<std::uint8_t> copy(bytes.begin(), bytes.end());
+      ByteDelivery d = copy();
       if (cfg_.corrupt_prob > 0.0 && rng_.bernoulli(cfg_.corrupt_prob)) {
         ++stats_.corrupted;
-        corrupt_bytes(copy);
+        corrupt_bytes(d.bytes);
       }
       if (cfg_.truncate_prob > 0.0 && rng_.bernoulli(cfg_.truncate_prob)) {
         ++stats_.truncated;
-        truncate_bytes(copy);
+        truncate_bytes(d.bytes);
       }
       if (cfg_.reorder_window > 0 && cfg_.reorder_prob > 0.0 &&
           rng_.bernoulli(cfg_.reorder_prob)) {
         ++stats_.reordered;
         held_.push_back(
-            {std::move(copy), 1 + static_cast<std::size_t>(
-                                      rng_.below(cfg_.reorder_window))});
+            {std::move(d), 1 + static_cast<std::size_t>(
+                                   rng_.below(cfg_.reorder_window))});
       } else {
         ++stats_.delivered;
-        out.push_back(std::move(copy));
+        out.push_back(std::move(d));
       }
     }
   }
+  release_expired(out);
+  return out;
+}
 
-  // Release every held datagram whose slip expired.
+void Impairment::release_expired(std::vector<ByteDelivery>& out) {
   for (auto it = held_.begin(); it != held_.end();) {
     if (it->release_after == 0) {
       ++stats_.delivered;
-      out.push_back(std::move(it->bytes));
+      out.push_back(std::move(it->datagram));
       it = held_.erase(it);
     } else {
       ++it;
     }
   }
-  return out;
 }
 
-std::vector<std::vector<std::uint8_t>> Impairment::drain() {
-  std::vector<std::vector<std::uint8_t>> out;
+std::vector<Impairment::ByteDelivery> Impairment::drain() {
+  std::vector<ByteDelivery> out;
   for (auto& h : held_) {
     ++stats_.delivered;
-    out.push_back(std::move(h.bytes));
+    out.push_back(std::move(h.datagram));
   }
   held_.clear();
   return out;

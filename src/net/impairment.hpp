@@ -127,15 +127,24 @@ class Impairment {
   /// control faults never perturbs the data-path schedule of a seed.
   std::vector<Delivery> apply_control(const fec::Packet& packet);
 
+  /// A datagram out of the byte path, with the source port it arrived
+  /// from: a held-back datagram keeps its own source when a later
+  /// datagram (possibly from another peer) releases it.
+  struct ByteDelivery {
+    std::vector<std::uint8_t> bytes;
+    std::uint16_t src_port = 0;
+    bool operator==(const ByteDelivery&) const = default;
+  };
+
   /// Byte path: returns the datagrams to deliver, in order, given one
-  /// received datagram.  Held-back (reordered) datagrams are returned by
-  /// a LATER call, after up to reorder_window successors; drain() flushes
-  /// them at end of stream.
-  std::vector<std::vector<std::uint8_t>> apply_bytes(
-      std::span<const std::uint8_t> bytes);
+  /// datagram received from `src_port`.  Held-back (reordered) datagrams
+  /// are returned by a LATER call, after up to reorder_window successors;
+  /// drain() flushes them at end of stream.
+  std::vector<ByteDelivery> apply_bytes(std::span<const std::uint8_t> bytes,
+                                        std::uint16_t src_port = 0);
 
   /// Releases any datagrams still held back by the reorder queue.
-  std::vector<std::vector<std::uint8_t>> drain();
+  std::vector<ByteDelivery> drain();
 
   const ImpairmentConfig& config() const noexcept { return cfg_; }
   const ImpairmentStats& stats() const noexcept { return stats_; }
@@ -154,9 +163,11 @@ class Impairment {
   ImpairmentStats stats_;
 
   struct Held {
-    std::vector<std::uint8_t> bytes;
+    ByteDelivery datagram;
     std::size_t release_after;  // deliveries remaining until release
   };
+  /// Moves every held datagram whose slip expired to `out`, in order.
+  void release_expired(std::vector<ByteDelivery>& out);
   std::deque<Held> held_;  // byte-path reorder queue
 };
 

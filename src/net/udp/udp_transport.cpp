@@ -375,10 +375,10 @@ std::size_t UdpSocket::drain_ready() {
 void UdpSocket::accept_datagram(std::uint16_t src_port,
                                 std::span<const std::uint8_t> bytes) {
   // Impairment acts per datagram, before parsing; duplicates inherit the
-  // original datagram's source.
+  // original datagram's source, and a held-back datagram keeps its own.
   if (!impairment_) return parse_datagram(src_port, bytes);
-  for (const auto& b : impairment_->apply_bytes(bytes))
-    parse_datagram(src_port, b);
+  for (const auto& d : impairment_->apply_bytes(bytes, src_port))
+    parse_datagram(d.src_port, d.bytes);
 }
 
 void UdpSocket::parse_datagram(std::uint16_t src_port,

@@ -34,7 +34,7 @@ struct ArqSession::Impl {
   Impl(const loss::LossModel& loss, std::size_t receivers, std::size_t num_tgs,
        const ArqConfig& config, std::uint64_t seed)
       : cfg(config), num_tgs(num_tgs), sim(seed),
-        channel(sim, loss, receivers, config.delay, config.lossless_control) {
+        channel(sim, loss, receivers, config.delay) {
     if (receivers == 0) throw std::invalid_argument("ArqSession: receivers >= 1");
     if (num_tgs == 0) throw std::invalid_argument("ArqSession: num_tgs >= 1");
 

@@ -22,7 +22,6 @@ struct ArqConfig {
   double delta = 0.001;         ///< packet spacing [s]
   double slot = 0.005;          ///< NAK suppression slot size [s]
   double delay = 0.010;         ///< one-way propagation delay [s]
-  bool lossless_control = true;
 };
 
 struct ArqStats {

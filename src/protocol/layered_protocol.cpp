@@ -52,7 +52,7 @@ struct LayeredSession::Impl {
        std::uint64_t seed)
       : cfg(config), num_packets(num_packets), session_seed(seed), sim(seed),
         code(config.k, config.k + config.h),
-        channel(sim, loss, receivers, config.delay, config.lossless_control) {
+        channel(sim, loss, receivers, config.delay) {
     if (receivers == 0)
       throw std::invalid_argument("LayeredSession: receivers >= 1");
     if (num_packets == 0)
@@ -60,9 +60,6 @@ struct LayeredSession::Impl {
     if (config.k + config.h > 255)
       throw std::invalid_argument("LayeredSession: k + h must be <= 255");
     if (config.reliable_control) config.retry.validate();
-    if (config.resume.confirmed_prefix > num_packets)
-      throw std::invalid_argument(
-          "LayeredSession: resume.confirmed_prefix exceeds num_packets");
 
     Rng data_rng(seed ^ 0x1a7e6edULL);
     originals.resize(num_packets);
@@ -71,28 +68,12 @@ struct LayeredSession::Impl {
       for (auto& b : pkt) b = static_cast<std::uint8_t>(data_rng());
     }
 
-    // Resume-at-prefix: originals confirmed in a prior life are never
-    // enqueued again; the contiguous-confirmation scan starts past them.
-    const std::uint64_t prefix = cfg.resume.confirmed_prefix;
-    confirmed_seq.assign(num_packets, false);
-    for (std::uint64_t s = 0; s < prefix; ++s) confirmed_seq[s] = true;
-    confirmed_prefix = prefix;
-    stats.resumed_skipped = prefix;
-    queued_flag.assign(num_packets, false);
-    for (std::uint64_t s = prefix; s < num_packets; ++s) {
-      queued_flag[s] = true;
-      queue.push_back(s);
-    }
+    queued_flag.assign(num_packets, true);
+    for (std::uint64_t s = 0; s < num_packets; ++s) queue.push_back(s);
 
     rx.resize(receivers);
     for (std::size_t r = 0; r < receivers; ++r) {
       rx[r].delivered.assign(num_packets, false);
-      rx[r].known_incarnation =
-          static_cast<std::uint8_t>(cfg.resume.receiver_incarnation);
-      // Receiver priors: the prefix was delivered in the sender's prior
-      // life (real receivers would simply still hold it).
-      for (std::uint64_t s = 0; s < prefix; ++s) rx[r].delivered[s] = true;
-      rx[r].delivered_count = prefix;
       rx[r].rng = Rng(seed).split(0x4000 + r);
     }
 
@@ -125,7 +106,7 @@ struct LayeredSession::Impl {
   /// Sends the next block if enough packets are queued — or a padded
   /// final block once nothing more can arrive.
   void try_form_block() {
-    if (sending || sender_dead) return;
+    if (sending) return;
     if (queue.empty()) return;
     if (queue.size() < cfg.k && outstanding_blocks > 0) return;  // wait
 
@@ -167,26 +148,12 @@ struct LayeredSession::Impl {
     send_slot(block_id, 0);
   }
 
-  /// The sender process dies: nothing further is sent, heard or closed.
-  void crash_sender() {
-    if (sender_dead) return;
-    sender_dead = true;
-    stats.sender_crashed = true;
-  }
-
   void send_slot(std::uint32_t block_id, std::size_t slot) {
-    if (sender_dead) return;
     const std::size_t n = cfg.k + cfg.h;
     if (slot < n) {
-      if (cfg.crash_after_tx != kNoSenderCrash &&
-          tx_count >= cfg.crash_after_tx) {
-        crash_sender();
-        return;
-      }
-      ++tx_count;
-      Packet p = slot < cfg.k ? encoders[block_id].data_packet(slot)
-                              : encoders[block_id].parity_packet(slot - cfg.k);
-      p.header.incarnation = static_cast<std::uint8_t>(cfg.resume.incarnation);
+      const Packet p = slot < cfg.k
+                           ? encoders[block_id].data_packet(slot)
+                           : encoders[block_id].parity_packet(slot - cfg.k);
       if (slot < cfg.k) {
         if (blocks[block_id].seqs[slot] != kPadSeq) ++stats.data_sent;
       } else {
@@ -205,16 +172,8 @@ struct LayeredSession::Impl {
   }
 
   void send_poll(std::uint32_t block_id) {
-    if (sender_dead) return;
-    if (cfg.crash_after_tx != kNoSenderCrash &&
-        tx_count >= cfg.crash_after_tx) {
-      crash_sender();
-      return;
-    }
-    ++tx_count;
     const std::size_t n = cfg.k + cfg.h;
     Packet poll;
-    poll.header.incarnation = static_cast<std::uint8_t>(cfg.resume.incarnation);
     poll.header.type = PacketType::kPoll;
     poll.header.tg = block_id;
     poll.header.k = static_cast<std::uint16_t>(cfg.k);
@@ -255,7 +214,6 @@ struct LayeredSession::Impl {
   /// receivers age toward eviction and unanswered rounds are re-POLLed
   /// under the block's backoff until the budget runs out.
   void on_block_window_closed(std::uint32_t block_id) {
-    if (sender_dead) return;
     auto& block = blocks[block_id];
     if (block.closed) return;
     if (all_responded(block_id)) {
@@ -272,10 +230,9 @@ struct LayeredSession::Impl {
     }
     if (block.poll_backoff->exhausted()) {
       // Degrade, don't spin: the block closes unconfirmed, which the
-      // late-NAK path and the final report make visible.  An unconfirmed
-      // close never advances the durable prefix.
+      // late-NAK path and the final report make visible.
       ++stats.blocks_unconfirmed;
-      close_block(block_id, /*confirmed_close=*/false);
+      close_block(block_id);
       return;
     }
     ++stats.poll_retries;
@@ -284,8 +241,7 @@ struct LayeredSession::Impl {
     });
   }
 
-  void close_block(std::uint32_t block_id, bool confirmed_close = true) {
-    if (sender_dead) return;
+  void close_block(std::uint32_t block_id) {
     auto& block = blocks[block_id];
     block.closed = true;
     --outstanding_blocks;
@@ -297,35 +253,10 @@ struct LayeredSession::Impl {
       queued_flag[seq] = true;
       queue.push_back(seq);
     }
-    // A confirmed close (every live receiver answered, or the classic
-    // silence-is-consent window) marks its non-NAKed originals delivered;
-    // the durable prefix — what a restarted sender may skip — advances
-    // over the contiguous confirmed run.
-    if (confirmed_close) {
-      for (std::size_t i = 0; i < cfg.k; ++i) {
-        if (bit_at(block.nak_union, i)) continue;
-        const std::uint64_t seq = block.seqs[i];
-        if (seq != kPadSeq) confirmed_seq[seq] = true;
-      }
-      advance_prefix();
-    }
     try_form_block();
   }
 
-  /// Slides the confirmed contiguous prefix forward and journals it via
-  /// the write-ahead hook.  Monotone: once journaled, never retracted.
-  void advance_prefix() {
-    bool advanced = false;
-    while (confirmed_prefix < num_packets && confirmed_seq[confirmed_prefix]) {
-      ++confirmed_prefix;
-      advanced = true;
-    }
-    if (advanced && cfg.on_prefix_confirmed)
-      cfg.on_prefix_confirmed(confirmed_prefix);
-  }
-
   void on_sender_feedback(std::size_t from, const Packet& p) {
-    if (sender_dead) return;  // a dead process hears nothing
     if (p.header.type != PacketType::kNak) return;
     if (p.header.tg >= blocks.size()) return;  // corrupt/foreign feedback
     auto& block = blocks[p.header.tg];
@@ -348,9 +279,6 @@ struct LayeredSession::Impl {
       for (std::size_t i = 0; i < cfg.k; ++i) {
         if (!bit_at(p.payload, i)) continue;
         const std::uint64_t seq = block.seqs[i];
-        // The journaled prefix is monotone; above it a late NAK retracts
-        // the optimistic confirmation until the repair round re-earns it.
-        if (seq != kPadSeq && seq >= confirmed_prefix) confirmed_seq[seq] = false;
         if (seq == kPadSeq || queued_flag[seq]) continue;
         queued_flag[seq] = true;
         queue.push_back(seq);
@@ -374,9 +302,6 @@ struct LayeredSession::Impl {
     std::vector<std::unique_ptr<NakTimer>> timers;        // per block
     std::vector<std::vector<std::uint8_t>> pending_bitmap;  // per block
     Rng rng;
-    /// Highest sender incarnation this receiver has heard from; packets
-    /// stamped with an older one are a dead incarnation's stragglers.
-    std::uint8_t known_incarnation = 0;
 
     // Reliable-control state, all per block and lazily sized (see
     // ensure_reliable_arrays).
@@ -421,14 +346,15 @@ struct LayeredSession::Impl {
     return missing;
   }
 
-  void send_nak_bitmap(std::size_t r, std::uint32_t b,
-                       const std::vector<bool>& missing) {
+  /// Multicasts receiver r's NAK naming the data slots of block `b` set
+  /// in `bitmap`.
+  void send_nak(std::size_t r, std::uint32_t b,
+                std::vector<std::uint8_t> bitmap) {
+    ++stats.naks_sent;
     Packet nak;
-    nak.header.incarnation = rx[r].known_incarnation;
     nak.header.type = PacketType::kNak;
     nak.header.tg = b;
-    nak.payload = bitmap_of(missing);
-    nak.header.count = 0;
+    nak.payload = std::move(bitmap);
     nak.header.payload_len = static_cast<std::uint32_t>(nak.payload.size());
     channel.multicast_up(r, nak);
   }
@@ -438,7 +364,6 @@ struct LayeredSession::Impl {
   void send_ack(std::size_t r, std::uint32_t b) {
     ++stats.acks_sent;
     Packet ack;
-    ack.header.incarnation = rx[r].known_incarnation;
     ack.header.type = PacketType::kNak;
     ack.header.tg = b;
     ack.header.count = 0;
@@ -478,8 +403,7 @@ struct LayeredSession::Impl {
                        [](bool m) { return m; }))
         return;
       ++stats.nak_retries;
-      ++stats.naks_sent;
-      send_nak_bitmap(r, b, missing);
+      send_nak(r, b, bitmap_of(missing));
       arm_retry(r, b);
     });
   }
@@ -495,8 +419,7 @@ struct LayeredSession::Impl {
     if (std::none_of(missing.begin(), missing.end(),
                      [](bool m) { return m; }))
       return;
-    ++stats.naks_sent;
-    send_nak_bitmap(r, b, missing);
+    send_nak(r, b, bitmap_of(missing));
     arm_retry(r, b);
   }
 
@@ -531,13 +454,6 @@ struct LayeredSession::Impl {
     // reach this switch with an id we never issued (decoder() would
     // otherwise allocate a multi-gigabyte vector for a corrupt tg).
     if (p.header.tg >= blocks.size()) return;
-    // Stale-incarnation filter: stragglers from a sender life that
-    // predates the last restart are dropped before any state changes.
-    if (p.header.incarnation < rx[r].known_incarnation) {
-      ++stats.stale_rejected;
-      return;
-    }
-    rx[r].known_incarnation = p.header.incarnation;
     switch (p.header.type) {
       case PacketType::kData:
       case PacketType::kParity: {
@@ -649,15 +565,7 @@ struct LayeredSession::Impl {
     rec.pending_bitmap[b] = bitmap_of(missing);
     if (!rec.timers[b]) {
       rec.timers[b] = std::make_unique<NakTimer>(sim, [this, r, b](std::size_t) {
-        ++stats.naks_sent;
-        Packet nak;
-        nak.header.type = PacketType::kNak;
-        nak.header.tg = b;
-        nak.payload = rx[r].pending_bitmap[b];
-        nak.header.incarnation = rx[r].known_incarnation;
-        nak.header.count = 0;
-        nak.header.payload_len = static_cast<std::uint32_t>(nak.payload.size());
-        channel.multicast_up(r, nak);
+        send_nak(r, b, rx[r].pending_bitmap[b]);
         // If this NAK (or its repair) is lost, retransmit under backoff.
         if (cfg.reliable_control) arm_retry(r, b);
       });
@@ -683,7 +591,6 @@ struct LayeredSession::Impl {
     for (const auto& rec : rx)
       if (rec.delivered_count != num_packets) all = false;
     stats.all_delivered = all;
-    stats.confirmed_prefix = confirmed_prefix;
     stats.impairment = channel.impairment_stats();
     const auto n = static_cast<double>(num_packets);
     stats.tx_per_packet =
@@ -727,13 +634,6 @@ struct LayeredSession::Impl {
   std::vector<fec::TgEncoder> encoders;
   std::size_t outstanding_blocks = 0;
   bool sending = false;
-
-  // Crash-recovery state: which originals every live receiver confirmed,
-  // and the contiguous prefix of them (the journaled resume point).
-  std::vector<bool> confirmed_seq;
-  std::uint64_t confirmed_prefix = 0;
-  bool sender_dead = false;
-  std::size_t tx_count = 0;
 
   std::vector<Receiver> rx;
   bool corrupted = false;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -29,26 +28,6 @@
 
 namespace pbl::protocol {
 
-/// Progress a restarted layered sender carries into its next incarnation.
-/// The layered protocol's durable unit is the application packet stream,
-/// so recovery is a confirmed contiguous PREFIX of originals rather than
-/// a TG bitmap: everything below the prefix was delivered to every live
-/// receiver in a prior life and is never re-enqueued.
-struct LayeredResume {
-  /// This run's incarnation id, stamped into every outgoing packet;
-  /// receivers reject packets from earlier incarnations.
-  std::uint32_t incarnation = 0;
-  /// What the receivers had seen before the restart.
-  std::uint32_t receiver_incarnation = 0;
-  /// Originals [0, confirmed_prefix) are confirmed delivered; receivers
-  /// are primed as already holding them.
-  std::uint64_t confirmed_prefix = 0;
-
-  bool enabled() const noexcept {
-    return incarnation > 0 || confirmed_prefix > 0;
-  }
-};
-
 struct LayeredConfig {
   std::size_t k = 7;            ///< originals per FEC block
   std::size_t h = 1;            ///< parities per FEC block
@@ -56,7 +35,6 @@ struct LayeredConfig {
   double delta = 0.001;         ///< packet spacing [s]
   double slot = 0.005;          ///< NAK suppression slot size [s]
   double delay = 0.010;         ///< one-way propagation delay [s]
-  bool lossless_control = true;
   /// Adversarial impairment of the DATA down-path; the control knobs
   /// (impairment.control_*) additionally impair the POLL/NAK paths.
   net::ImpairmentConfig impairment{};
@@ -74,18 +52,6 @@ struct LayeredConfig {
   /// lossless-feedback fast path stays byte-identical.
   bool reliable_control = false;
   RetryConfig retry{};
-
-  /// Crash-recovery state for a restarted sender (default: fresh session).
-  LayeredResume resume{};
-  /// Write-ahead hook: fired whenever the confirmed contiguous prefix of
-  /// originals advances, with the new prefix — a journal can persist it
-  /// before the crash that makes it matter.  The prefix is trustworthy
-  /// under reliable_control (positive per-receiver ACKs); on the classic
-  /// silence-is-consent path it inherits that path's optimism.
-  std::function<void(std::uint64_t prefix)> on_prefix_confirmed;
-  /// Deterministic crash injection: the sender dies after its Nth channel
-  /// transmission (data, parity or poll).  kNoSenderCrash disables.
-  std::size_t crash_after_tx = kNoSenderCrash;
 };
 
 struct LayeredStats {
@@ -116,12 +82,6 @@ struct LayeredStats {
   std::uint64_t blocks_unconfirmed = 0;  ///< closed with the budget spent
   /// Structured degradation outcome; filled on every exit path.
   PartialDeliveryReport report{};
-
-  // Crash-recovery accounting.
-  bool sender_crashed = false;         ///< crash_after_tx fired this run
-  std::uint64_t stale_rejected = 0;    ///< packets dropped: dead incarnation
-  std::uint64_t resumed_skipped = 0;   ///< originals carried in confirmed
-  std::uint64_t confirmed_prefix = 0;  ///< final contiguous confirmed prefix
 };
 
 /// One sender, `receivers` receivers, `num_packets` application packets

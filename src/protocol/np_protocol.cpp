@@ -13,6 +13,13 @@ namespace pbl::protocol {
 using fec::Packet;
 using fec::PacketType;
 
+namespace {
+
+/// Target P(no receiver needs a NAK round) when `adaptive` re-plans a.
+constexpr double kAdaptiveConfidence = 0.9;
+
+}  // namespace
+
 struct NpSession::Impl {
   Impl(const loss::LossModel& loss, std::size_t receivers, std::size_t num_tgs,
        const NpConfig& config, std::uint64_t seed,
@@ -20,26 +27,12 @@ struct NpSession::Impl {
       : cfg(config), num_receivers(receivers), num_tgs(num_tgs),
         session_seed(seed), sim(seed),
         code(config.k, config.k + config.h),
-        channel(sim, loss, receivers, config.delay, config.lossless_control) {
+        channel(sim, loss, receivers, config.delay) {
     if (receivers == 0) throw std::invalid_argument("NpSession: receivers >= 1");
     if (num_tgs == 0) throw std::invalid_argument("NpSession: num_tgs >= 1");
     if (config.k + config.h > 255)
       throw std::invalid_argument("NpSession: k + h must be <= 255");
     if (config.reliable_control) config.retry.validate();
-    if (config.crash_receiver != kNoCrashReceiver &&
-        config.crash_receiver >= receivers)
-      throw std::invalid_argument("NpSession: crash_receiver out of range");
-    if (config.join_receiver != kNoJoinReceiver) {
-      if (config.join_receiver >= receivers)
-        throw std::invalid_argument("NpSession: join_receiver out of range");
-      if (!config.reliable_control)
-        throw std::invalid_argument(
-            "NpSession: late join requires reliable_control (catch-up "
-            "bookkeeping runs on per-receiver ACKs)");
-      if (config.join_receiver == config.crash_receiver)
-        throw std::invalid_argument(
-            "NpSession: a receiver cannot both crash and late-join");
-    }
     if (!cfg.resume.completed.empty() &&
         cfg.resume.completed.size() != num_tgs)
       throw std::invalid_argument("NpSession: resume.completed size mismatch");
@@ -83,10 +76,8 @@ struct NpSession::Impl {
       source = std::move(provided);
     }
     encoders.reserve(num_tgs);
-    for (std::size_t i = 0; i < num_tgs; ++i) {
+    for (std::size_t i = 0; i < num_tgs; ++i)
       encoders.emplace_back(static_cast<std::uint32_t>(i), code, source[i]);
-      if (cfg.pre_encode) encoders.back().pre_encode();
-    }
 
     tg_state.resize(num_tgs);
     current_proactive = std::min(cfg.proactive, cfg.h);
@@ -152,27 +143,6 @@ struct NpSession::Impl {
             st.receivers_done = num_receivers;
         }
       }
-    }
-
-    // Late join: the joiner is deaf and non-blocking until join_time,
-    // then the sender reopens whatever it missed (catch-up via parity).
-    joined.assign(receivers, true);
-    if (cfg.join_receiver != kNoJoinReceiver) {
-      joined[cfg.join_receiver] = false;
-      sim.schedule_at(cfg.join_time, [this] { on_join(cfg.join_receiver); });
-    }
-
-    if (cfg.crash_receiver != kNoCrashReceiver) {
-      // Fault injection: the receiver falls silent mid-session — its
-      // timers die with it, and it ignores everything from then on.
-      sim.schedule_at(cfg.crash_time, [this, r = cfg.crash_receiver] {
-        auto& rec = rx[r];
-        rec.crashed = true;
-        for (auto& t : rec.timers)
-          if (t) t->disarm();
-        for (std::size_t tg = 0; tg < this->num_tgs; ++tg)
-          cancel_nak_retry(r, tg);
-      });
     }
 
     if (cfg.impairment.enabled() || cfg.impairment.control_enabled())
@@ -275,12 +245,14 @@ struct NpSession::Impl {
     stats.sender_crashed = true;
     urgent.clear();
     next_tg = num_tgs;
-    for (auto& st : tg_state) {
-      if (st.deadline != sim::kInvalidEvent) {
-        sim.cancel(st.deadline);
-        st.deadline = sim::kInvalidEvent;
-      }
-    }
+    for (auto& st : tg_state) cancel(st.deadline);
+  }
+
+  /// Cancels a pending event and forgets its id; no-op when none is set.
+  void cancel(sim::EventId& ev) {
+    if (ev == sim::kInvalidEvent) return;
+    sim.cancel(ev);
+    ev = sim::kInvalidEvent;
   }
 
   void emit(Packet p) {
@@ -337,7 +309,7 @@ struct NpSession::Impl {
   void arm_poll_deadline(std::size_t tg, std::size_t s) {
     auto& st = tg_state[tg];
     st.serving = false;
-    if (st.deadline != sim::kInvalidEvent) sim.cancel(st.deadline);
+    cancel(st.deadline);
     // Worst-case NAK backoff is s * Ts (a receiver needing l = 1); add the
     // poll's downlink and the NAK's uplink propagation.
     const double window =
@@ -361,12 +333,11 @@ struct NpSession::Impl {
 
   // ---- reliable control plane (sender side) ----------------------------
 
-  /// Every attached receiver has either acknowledged `tg` or been
-  /// evicted.  A late joiner that hasn't joined yet never blocks.
+  /// Every receiver has either acknowledged `tg` or been evicted.
   bool confirmed(std::size_t tg) const {
     const auto& st = tg_state[tg];
     for (std::size_t r = 0; r < num_receivers; ++r)
-      if (joined[r] && !evicted[r] && !st.acked[r]) return false;
+      if (!evicted[r] && !st.acked[r]) return false;
     return true;
   }
 
@@ -378,10 +349,7 @@ struct NpSession::Impl {
     st.completed = true;
     ++stats.tgs_completed;
     if (cfg.on_tg_completed) cfg.on_tg_completed(tg);
-    if (st.deadline != sim::kInvalidEvent) {
-      sim.cancel(st.deadline);
-      st.deadline = sim::kInvalidEvent;
-    }
+    cancel(st.deadline);
     observe_round1(tg, 0);  // a round-1 confirmation means nobody NAKed
   }
 
@@ -397,11 +365,9 @@ struct NpSession::Impl {
   void on_poll_window_closed(std::size_t tg) {
     auto& st = tg_state[tg];
     st.deadline = sim::kInvalidEvent;
-    // No early-out on st.completed: a completed TG REOPENED for a late
-    // joiner still re-polls until the joiner confirms or is evicted.
     if (sender_dead || st.failed || st.serving) return;
     if (confirmed(tg)) {
-      finish_tg(tg);  // no-op for a reopened, already-counted TG
+      finish_tg(tg);
       return;
     }
     // Liveness: every blocking receiver that stayed silent this round ages
@@ -409,7 +375,7 @@ struct NpSession::Impl {
     // off in reliable mode, so a live blocked receiver always answers —
     // per-member silence is a valid crash signal.
     for (std::size_t r = 0; r < num_receivers; ++r) {
-      if (evicted[r] || !joined[r] || st.acked[r] || st.heard[r]) continue;
+      if (evicted[r] || st.acked[r] || st.heard[r]) continue;
       if (++silent_rounds[r] >= cfg.retry.grace_rounds) evict(r);
     }
     if (confirmed(tg)) {
@@ -417,10 +383,8 @@ struct NpSession::Impl {
       return;
     }
     if (st.poll_backoff->exhausted()) {
-      if (!st.completed) {   // a reopened TG keeps its completed status
-        st.failed = true;    // retry budget spent: degrade, don't spin
-        ++stats.tgs_failed;
-      }
+      st.failed = true;  // retry budget spent: degrade, don't spin
+      ++stats.tgs_failed;
       return;
     }
     ++stats.poll_retries;
@@ -494,7 +458,7 @@ struct NpSession::Impl {
           binomial_cdf(static_cast<std::int64_t>(cfg.k + a),
                        static_cast<std::int64_t>(a), p_hat);
       if (per > 0.0 &&
-          std::exp(receivers * std::log(per)) >= cfg.adaptive_confidence)
+          std::exp(receivers * std::log(per)) >= kAdaptiveConfidence)
         break;
     }
     current_proactive = a;
@@ -525,21 +489,12 @@ struct NpSession::Impl {
         }
         return;
       }
-      if (st.completed) {
-        // Normally a late NAK after confirmation is moot — unless it is a
-        // live, attached receiver that never confirmed the TG (a late
-        // joiner) asking to be caught up.
-        serve_catch_up(tg, from, p);
-        return;
-      }
+      if (st.completed) return;  // every member confirmed: a late NAK is moot
     }
     if (st.serving || st.failed) return;  // already reacting to this round
     if (p.header.seq != st.round) return; // stale NAK from an earlier round
     observe_round1(tg, p.header.count);
-    if (st.deadline != sim::kInvalidEvent) {
-      sim.cancel(st.deadline);
-      st.deadline = sim::kInvalidEvent;
-    }
+    cancel(st.deadline);
     std::size_t l = p.header.count;
     const std::size_t available = cfg.h - st.parities_used;
     if (available == 0) {
@@ -557,54 +512,6 @@ struct NpSession::Impl {
     schedule_send();
   }
 
-  /// A NAK against a TG already confirmed complete, from a live, attached
-  /// receiver that never acknowledged it: a late joiner asking to be
-  /// caught up.  Repair runs through the same multicast parity rounds as
-  /// ordinary loss recovery — fresh parity indices first, plain data
-  /// packets only once the parity budget is spent — never a per-receiver
-  /// unicast replay.
-  void serve_catch_up(std::size_t tg, std::size_t from, const Packet& p) {
-    auto& st = tg_state[tg];
-    if (from >= num_receivers || evicted[from] || !joined[from] ||
-        st.acked[from])
-      return;
-    if (st.serving || p.header.seq != st.round) return;
-    if (st.deadline != sim::kInvalidEvent) {
-      sim.cancel(st.deadline);
-      st.deadline = sim::kInvalidEvent;
-    }
-    st.serving = true;
-    const std::size_t need = std::max<std::size_t>(p.header.count, 1);
-    const std::size_t fresh = std::min(need, cfg.h - st.parities_used);
-    for (std::size_t j = 0; j < fresh; ++j)
-      urgent.push_back(encoders[tg].parity_packet(st.parities_used + j));
-    st.parities_used += fresh;
-    if (cfg.on_parities_sent && fresh > 0)
-      cfg.on_parities_sent(tg, st.parities_used);
-    for (std::size_t j = 0; fresh + j < need && j < cfg.k; ++j)
-      urgent.push_back(encoders[tg].data_packet(j));
-    ++stats.catch_up_polls;
-    urgent.push_back(make_poll(tg, need));
-    schedule_send();
-  }
-
-  /// Late join: receiver `r` attaches now.  From here on it hears and
-  /// answers like everyone else, and the sender reopens every TG it has
-  /// already moved past so the joiner is caught up through ordinary
-  /// multicast parity rounds.
-  void on_join(std::size_t r) {
-    joined[r] = true;
-    if (sender_dead) return;
-    for (std::size_t tg = 0; tg < num_tgs; ++tg) {
-      auto& st = tg_state[tg];
-      const bool opened = st.completed || st.first_send >= 0.0;
-      if (!opened || st.failed || rx[r].done[tg]) continue;
-      ++stats.catch_up_polls;
-      urgent.push_back(make_poll(tg, cfg.k));
-      schedule_send();
-    }
-  }
-
   // ---- receivers -------------------------------------------------------
 
   struct Receiver {
@@ -620,18 +527,32 @@ struct NpSession::Impl {
     Rng rng;
 
     // Reliable-control state (sized only when reliable_control).
-    bool crashed = false;  // fault injection: ignores everything from now on
     std::vector<std::unique_ptr<Backoff>> nak_backoffs;  // per-TG, lazy
     std::vector<sim::EventId> nak_retry;  // pending retransmit per TG
   };
 
   void cancel_nak_retry(std::size_t r, std::size_t tg) {
-    if (rx[r].nak_retry.empty()) return;
-    auto& ev = rx[r].nak_retry[tg];
-    if (ev != sim::kInvalidEvent) {
-      sim.cancel(ev);
-      ev = sim::kInvalidEvent;
-    }
+    if (!rx[r].nak_retry.empty()) cancel(rx[r].nak_retry[tg]);
+  }
+
+  /// Receiver r's feedback on `tg`, answering the latest POLL's round: a
+  /// NAK asking for `need` more packets, or an ACK when need == 0.
+  Packet feedback(std::size_t r, std::size_t tg, std::size_t need) const {
+    Packet p;
+    p.header.type = PacketType::kNak;
+    p.header.tg = static_cast<std::uint32_t>(tg);
+    p.header.count = static_cast<std::uint16_t>(need);
+    p.header.seq = rx[r].poll_round[tg];
+    p.header.incarnation = rx[r].known_incarnation;
+    return p;
+  }
+
+  /// Multicasts receiver r's NAK; under reliable control it is then
+  /// retransmitted until repair (or a new POLL) shows up.
+  void send_nak(std::size_t r, std::size_t tg, std::size_t need) {
+    ++stats.naks_sent;
+    channel.multicast_up(r, feedback(r, tg, need));
+    if (cfg.reliable_control) arm_nak_retry(r, tg);
   }
 
   /// Receiver r's NAK for `tg` is in flight; if no repair (or new POLL)
@@ -649,19 +570,11 @@ struct NpSession::Impl {
     const double wait = 2.0 * cfg.delay + bo->next();
     rec.nak_retry[tg] = sim.schedule_in(wait, [this, r, tg] {
       rx[r].nak_retry[tg] = sim::kInvalidEvent;
-      if (rx[r].crashed || rx[r].done[tg]) return;
+      if (rx[r].done[tg]) return;
       const std::size_t need = decoder(r, tg).needed();
       if (need == 0) return;
       ++stats.nak_retries;
-      ++stats.naks_sent;
-      Packet nak;
-      nak.header.type = PacketType::kNak;
-      nak.header.tg = static_cast<std::uint32_t>(tg);
-      nak.header.count = static_cast<std::uint16_t>(need);
-      nak.header.seq = rx[r].poll_round[tg];
-      nak.header.incarnation = rx[r].known_incarnation;
-      channel.multicast_up(r, nak);
-      arm_nak_retry(r, tg);
+      send_nak(r, tg, need);
     });
   }
 
@@ -669,13 +582,7 @@ struct NpSession::Impl {
   /// receivers never see it, so NAK suppression statistics are untouched.
   void send_ack(std::size_t r, std::size_t tg) {
     ++stats.acks_sent;
-    Packet ack;
-    ack.header.type = PacketType::kNak;
-    ack.header.tg = static_cast<std::uint32_t>(tg);
-    ack.header.count = 0;
-    ack.header.seq = rx[r].poll_round[tg];
-    ack.header.incarnation = rx[r].known_incarnation;
-    channel.unicast_up(r, ack);
+    channel.unicast_up(r, feedback(r, tg, 0));
   }
 
   fec::TgDecoder& decoder(std::size_t r, std::size_t tg) {
@@ -691,8 +598,6 @@ struct NpSession::Impl {
     // survived the wire checks).  Every per-TG array below is indexed by
     // tg, so the receive path must be total over arbitrary headers.
     if (p.header.tg >= num_tgs) return;
-    if (rx[r].crashed) return;  // a crashed receiver hears nothing
-    if (!joined[r]) return;     // a late joiner hears nothing before joining
     // Stale-incarnation filtering: traffic from a sender life older than
     // the newest one heard is a dead incarnation's straggler — drop it
     // rather than let it answer (or corrupt) the live session.
@@ -754,18 +659,8 @@ struct NpSession::Impl {
     }
     auto& timer = rx[r].timers[tg];
     if (!timer) {
-      timer = std::make_unique<NakTimer>(sim, [this, r, tg](std::size_t need) {
-        ++stats.naks_sent;
-        Packet nak;
-        nak.header.type = PacketType::kNak;
-        nak.header.tg = static_cast<std::uint32_t>(tg);
-        nak.header.count = static_cast<std::uint16_t>(need);
-        nak.header.seq = rx[r].poll_round[tg];  // answers this round's POLL
-        nak.header.incarnation = rx[r].known_incarnation;
-        channel.multicast_up(r, nak);
-        // If the NAK (or the repair) is lost, retransmit under backoff.
-        if (cfg.reliable_control) arm_nak_retry(r, tg);
-      });
+      timer = std::make_unique<NakTimer>(
+          sim, [this, r, tg](std::size_t need) { send_nak(r, tg, need); });
     }
     timer->arm(l, nak_backoff(s, l, cfg.slot, rx[r].rng));
   }
@@ -894,8 +789,7 @@ struct NpSession::Impl {
   std::vector<bool> evicted;
   std::vector<std::size_t> silent_rounds;
 
-  // Crash injection and late join.
-  std::vector<bool> joined;   // false only for a joiner before join_time
+  // Sender crash injection.
   bool sender_dead = false;   // crash_after_tx fired: the sender is gone
   std::size_t tx_count = 0;   // transmissions so far (crash countdown)
 

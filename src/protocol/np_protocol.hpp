@@ -29,15 +29,8 @@
 
 namespace pbl::protocol {
 
-/// "No receiver crashes" sentinel for NpConfig::crash_receiver.
-inline constexpr std::size_t kNoCrashReceiver =
-    static_cast<std::size_t>(-1);
-
-/// "No late join" sentinel for NpConfig::join_receiver.
-inline constexpr std::size_t kNoJoinReceiver = static_cast<std::size_t>(-1);
-
-// kNoSenderCrash (the crash_after_tx sentinel) lives in protocol/retry.hpp,
-// shared with the layered protocol.
+/// "Sender never crashes" sentinel for NpConfig::crash_after_tx.
+inline constexpr std::size_t kNoSenderCrash = static_cast<std::size_t>(-1);
 
 /// Progress a restarted sender carries into its next incarnation
 /// (recovered from a write-ahead journal; core/session_state.hpp).  In
@@ -76,8 +69,6 @@ struct NpConfig {
   double delta = 0.001;        ///< packet send spacing [s]
   double slot = 0.005;         ///< Ts: NAK suppression slot size [s]
   double delay = 0.010;        ///< one-way propagation delay [s]
-  bool pre_encode = false;     ///< compute all parities before sending
-  bool lossless_control = true;
 
   /// Adversarial impairment of the DATA down-path (reorder, duplication,
   /// corruption, truncation, jitter, burst drops); disabled by default.
@@ -101,12 +92,6 @@ struct NpConfig {
   bool reliable_control = false;
   RetryConfig retry{};
 
-  /// Fault injection for liveness tests: receiver `crash_receiver` stops
-  /// sending and receiving at sim time `crash_time` seconds
-  /// (kNoCrashReceiver disables).
-  std::size_t crash_receiver = kNoCrashReceiver;
-  double crash_time = 0.0;
-
   /// Crash-recovery state for a restarted sender (default: fresh session).
   NpResume resume{};
 
@@ -125,24 +110,14 @@ struct NpConfig {
   /// receivers' state can be harvested for the next incarnation.
   std::size_t crash_after_tx = kNoSenderCrash;
 
-  /// Late join: receiver `join_receiver` attaches at sim time `join_time`
-  /// having heard nothing before it.  On attach the sender reopens every
-  /// TG the joiner is missing and serves it whole via parity rounds —
-  /// one parity stream catches up the joiner while repairing other
-  /// receivers' unrelated losses, never a per-receiver unicast replay.
-  /// Requires reliable_control (the catch-up bookkeeping runs on ACKs).
-  std::size_t join_receiver = kNoJoinReceiver;
-  double join_time = 0.0;
-
   /// Parities sent proactively with each TG's data ("a" in Section 3.2):
   /// trades bandwidth for fewer feedback rounds and lower latency.
   std::size_t proactive = 0;
   /// Adapt `proactive` per TG from the losses the NAKs reveal: after each
   /// completed TG the sender re-plans a so that, at the estimated loss
-  /// rate, a retransmission round is unlikely (adaptive hybrid ARQ; the
+  /// rate, P(no retransmission round) >= 0.9 (adaptive hybrid ARQ; the
   /// paper's Section 4.1 discussion of measurement-based adaptation).
   bool adaptive = false;
-  double adaptive_confidence = 0.9;  ///< target P(no NAK round) when adapting
 };
 
 struct NpStats {
@@ -179,8 +154,6 @@ struct NpStats {
   // Crash-recovery accounting.
   bool sender_crashed = false;        ///< crash_after_tx fired this run
   std::uint64_t stale_rejected = 0;   ///< packets dropped: dead incarnation
-  std::uint64_t catch_up_polls = 0;   ///< POLLs reopening TGs (late join /
-                                      ///< resume repair)
   std::uint64_t resumed_tgs_skipped = 0;  ///< TGs carried in complete
 };
 

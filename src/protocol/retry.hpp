@@ -19,10 +19,6 @@
 
 namespace pbl::protocol {
 
-/// "Sender never crashes" sentinel for the protocols' crash_after_tx
-/// fault-injection knobs (crash-tolerant sessions, docs/ROBUSTNESS.md).
-inline constexpr std::size_t kNoSenderCrash = static_cast<std::size_t>(-1);
-
 struct RetryConfig {
   double initial_backoff = 0.05;  ///< first retry delay [s]
   double multiplier = 2.0;        ///< geometric growth per retry

@@ -449,8 +449,8 @@ void SenderSessionDriver::begin_next_tg() {
 // After the main pass the same round machine serves, in TG order, each
 // TG still owed to a live quarantined member: a unicast POLL to the
 // stragglers, then parity-only repair under the remaining per-TG budget,
-// bounded by catch_up_rounds — the late-join idea applied to members who
-// fell behind instead of arriving late.  A member still missing data
+// bounded by catch_up_rounds: members who fell behind are repaired with
+// fresh parity, never re-multicast data.  A member still missing data
 // when the budget ends is evicted, so the session's outcome never waits
 // on a stuck receiver.  TGs whose journal record was deferred on a
 // straggler join the work list too, so a straggler banned or evicted in
@@ -1078,10 +1078,15 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
 
   // Datagrams still held back by the reorder queue are "in flight" when
   // the session ends; flush them so a late shard can still complete a TG.
+  // They pass the same source check as on_readable's.
   if (impairment_) {
-    for (const auto& bytes : impairment_->drain()) {
+    for (const auto& d : impairment_->drain()) {
+      if (cfg_.guard.enabled && d.src_port != sender_port_) {
+        ++result_.foreign_rejected;
+        continue;
+      }
       try {
-        fec::Packet packet = fec::deserialize(bytes);
+        fec::Packet packet = fec::deserialize(d.bytes);
         if (packet.header.incarnation < known_inc_) {
           ++result_.stale_rejected;
           continue;

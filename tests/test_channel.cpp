@@ -74,7 +74,7 @@ TEST(MulticastChannel, EmpiricalLossRate) {
 TEST(MulticastChannel, FeedbackReachesSenderAndPeers) {
   sim::Simulator sim;
   loss::BernoulliLossModel model(1.0);  // data path fully lossy...
-  MulticastChannel ch(sim, model, 3, 0.01, /*lossless_control=*/true);
+  MulticastChannel ch(sim, model, 3, 0.01);
   int sender_got = 0;
   std::vector<int> peer_got(3, 0);
   ch.set_sender_handler([&](std::size_t from, const fec::Packet&) {
@@ -95,9 +95,14 @@ TEST(MulticastChannel, FeedbackReachesSenderAndPeers) {
 }
 
 TEST(MulticastChannel, LossyControlDropsPeerNaks) {
+  // Control loss comes only from the control impairment, which drops the
+  // sender leg and every peer leg alike.
   sim::Simulator sim;
-  loss::BernoulliLossModel model(1.0);
-  MulticastChannel ch(sim, model, 3, 0.0, /*lossless_control=*/false);
+  loss::BernoulliLossModel model(0.0);
+  MulticastChannel ch(sim, model, 3, 0.0);
+  ImpairmentConfig cfg;
+  cfg.control_drop = 1.0;
+  ch.set_impairment(cfg);
   int sender_got = 0, peers_got = 0;
   ch.set_sender_handler(
       [&](std::size_t, const fec::Packet&) { ++sender_got; });
@@ -107,8 +112,9 @@ TEST(MulticastChannel, LossyControlDropsPeerNaks) {
   nak.header.type = fec::PacketType::kNak;
   ch.multicast_up(0, nak);
   sim.run();
-  EXPECT_EQ(sender_got, 1);  // the sender path never drops
-  EXPECT_EQ(peers_got, 0);   // peers lose everything at p = 1
+  EXPECT_EQ(sender_got, 0);
+  EXPECT_EQ(peers_got, 0);
+  EXPECT_EQ(ch.impairment_stats().control_dropped, 3u);
 }
 
 TEST(MulticastChannel, ControlDownIsLossless) {

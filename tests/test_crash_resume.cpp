@@ -21,7 +21,6 @@
 #include <string>
 
 #include "core/file_transfer.hpp"
-#include "protocol/layered_protocol.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::core {
@@ -206,108 +205,6 @@ TEST(NpIncarnation, ResumeValidatesParityHighWater) {
   cfg.resume.parities_sent = {0, 3};  // above the h = 2 budget
   loss::BernoulliLossModel model(0.0);
   EXPECT_THROW(protocol::NpSession(model, 1, 2, cfg), std::invalid_argument);
-}
-
-// ---- late join (parity-served catch-up) -------------------------------
-
-TEST(NpLateJoin, JoinerIsCaughtUpViaParityRounds) {
-  protocol::NpConfig cfg;
-  cfg.k = 4;
-  cfg.h = 40;
-  cfg.packet_len = 32;
-  cfg.reliable_control = true;
-  cfg.join_receiver = 2;
-  cfg.join_time = 0.08;  // well into the session: TGs already closed
-  loss::BernoulliLossModel model(0.0);
-  protocol::NpSession session(model, 3, 6, cfg, chaos_seed(13));
-  const auto stats = session.run();
-  EXPECT_TRUE(stats.all_delivered) << stats.report.summary();
-  EXPECT_TRUE(stats.report.complete);
-  // Catch-up reopened completed TGs for the joiner...
-  EXPECT_GT(stats.catch_up_polls, 0u);
-  // ...and served them with multicast parities, never data replay: the
-  // data stream stays exactly k per TG.
-  EXPECT_EQ(stats.data_sent, 4u * 6u);
-  EXPECT_GT(stats.parity_sent, 0u);
-  ASSERT_EQ(stats.report.delivered.size(), 3u);
-  for (std::size_t u = 0; u < 6; ++u)
-    EXPECT_TRUE(stats.report.delivered[2][u]) << "joiner missing TG " << u;
-}
-
-TEST(NpLateJoin, JoinRequiresReliableControl) {
-  protocol::NpConfig cfg;
-  cfg.join_receiver = 0;
-  cfg.join_time = 0.01;
-  loss::BernoulliLossModel model(0.0);
-  EXPECT_THROW(protocol::NpSession(model, 2, 2, cfg), std::invalid_argument);
-}
-
-// ---- layered protocol: prefix resume ----------------------------------
-
-TEST(LayeredResumeTest, ResumedPrefixIsNeverRetransmitted) {
-  protocol::LayeredConfig cfg;
-  cfg.k = 4;
-  cfg.h = 1;
-  cfg.packet_len = 32;
-  cfg.resume.incarnation = 1;
-  cfg.resume.receiver_incarnation = 1;
-  cfg.resume.confirmed_prefix = 8;
-  loss::BernoulliLossModel model(0.0);
-  protocol::LayeredSession session(model, 3, 16, cfg, chaos_seed(17));
-  const auto stats = session.run();
-  EXPECT_TRUE(stats.all_delivered);
-  EXPECT_EQ(stats.resumed_skipped, 8u);
-  EXPECT_EQ(stats.data_sent, 8u);  // only the unconfirmed half moved
-  EXPECT_EQ(stats.confirmed_prefix, 16u);
-}
-
-TEST(LayeredResumeTest, CrashThenResumeCompletesTheStream) {
-  const std::uint64_t seed = chaos_seed(23);
-  loss::BernoulliLossModel model(0.0);
-  protocol::LayeredConfig cfg;
-  cfg.k = 4;
-  cfg.h = 1;
-  cfg.packet_len = 32;
-  cfg.reliable_control = true;
-
-  // Life 1 dies mid-stream; its last journaled prefix is what a restart
-  // would recover.
-  std::uint64_t journaled = 0;
-  cfg.on_prefix_confirmed = [&journaled](std::uint64_t prefix) {
-    EXPECT_GT(prefix, journaled);  // the hook only ever advances
-    journaled = prefix;
-  };
-  cfg.crash_after_tx = 17;
-  protocol::LayeredSession life1(model, 3, 16, cfg, seed);
-  const auto stats1 = life1.run();
-  EXPECT_TRUE(stats1.sender_crashed);
-  EXPECT_FALSE(stats1.all_delivered);
-  EXPECT_EQ(stats1.confirmed_prefix, journaled);
-  ASSERT_LT(journaled, 16u);
-
-  // Life 2 resumes at the journaled prefix and finishes.
-  protocol::LayeredConfig cfg2;
-  cfg2.k = 4;
-  cfg2.h = 1;
-  cfg2.packet_len = 32;
-  cfg2.reliable_control = true;
-  cfg2.resume.incarnation = 1;
-  cfg2.resume.receiver_incarnation = 1;
-  cfg2.resume.confirmed_prefix = journaled;
-  protocol::LayeredSession life2(model, 3, 16, cfg2, seed);
-  const auto stats2 = life2.run();
-  EXPECT_TRUE(stats2.all_delivered);
-  EXPECT_EQ(stats2.resumed_skipped, journaled);
-  EXPECT_EQ(stats2.confirmed_prefix, 16u);
-  EXPECT_FALSE(stats2.sender_crashed);
-}
-
-TEST(LayeredResumeTest, ValidatesPrefixBound) {
-  protocol::LayeredConfig cfg;
-  cfg.resume.confirmed_prefix = 17;
-  loss::BernoulliLossModel model(0.0);
-  EXPECT_THROW(protocol::LayeredSession(model, 1, 16, cfg),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -157,20 +157,11 @@ TEST(TgEncoder, LazyParityEncoding) {
   EXPECT_EQ(enc.parities_encoded(), 1u);
   EXPECT_EQ(p0.header.index, 4u);
   EXPECT_EQ(p0.header.type, PacketType::kParity);
-  // Requesting the same parity again must not re-encode.
+  // Nothing is cached: asking again encodes again, to the same bytes.
   const Packet p0again = enc.parity_packet(0);
-  EXPECT_EQ(enc.parities_encoded(), 1u);
+  EXPECT_EQ(enc.parities_encoded(), 2u);
   EXPECT_EQ(p0.payload, p0again.payload);
   EXPECT_THROW(enc.parity_packet(3), std::out_of_range);
-}
-
-TEST(TgEncoder, PreEncodeComputesAll) {
-  RseCode code(5, 11);
-  TgEncoder enc(0, code, random_data(5, 10, 4));
-  enc.pre_encode();
-  EXPECT_EQ(enc.parities_encoded(), 6u);
-  enc.pre_encode();  // idempotent
-  EXPECT_EQ(enc.parities_encoded(), 6u);
 }
 
 TEST(TgDecoder, ReconstructsFromMixedPackets) {

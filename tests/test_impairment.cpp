@@ -58,7 +58,7 @@ TEST(Impairment, DefaultConfigIsDisabledAndTransparent) {
   const auto wire = fec::serialize(p);
   const auto bytes_out = imp.apply_bytes(wire);
   ASSERT_EQ(bytes_out.size(), 1u);
-  EXPECT_EQ(bytes_out[0], wire);
+  EXPECT_EQ(bytes_out[0].bytes, wire);
   EXPECT_TRUE(imp.drain().empty());
 }
 
@@ -233,9 +233,9 @@ TEST(Impairment, BytePathReordersWithoutLosingDatagrams) {
     const auto wire =
         fec::serialize(sample_packet(i, static_cast<std::uint16_t>(i % 8)));
     sent.push_back(wire);
-    for (auto& b : imp.apply_bytes(wire)) got.push_back(std::move(b));
+    for (auto& d : imp.apply_bytes(wire)) got.push_back(std::move(d.bytes));
   }
-  for (auto& b : imp.drain()) got.push_back(std::move(b));
+  for (auto& d : imp.drain()) got.push_back(std::move(d.bytes));
 
   ASSERT_EQ(got.size(), sent.size());
   auto sorted_sent = sent;

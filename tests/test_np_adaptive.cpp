@@ -85,7 +85,6 @@ TEST(NpAdaptive, ConvergesToPlannedRedundancy) {
   loss::BernoulliLossModel model(p);
   NpConfig cfg = base_config();
   cfg.adaptive = true;
-  cfg.adaptive_confidence = 0.9;
   NpSession session(model, receivers, 40, cfg, 11);
   const auto stats = session.run();
   ASSERT_TRUE(stats.all_delivered);

@@ -117,16 +117,6 @@ TEST(NpSession, DuplicatesStayLow) {
   EXPECT_LT(dup_rate, 0.25);
 }
 
-TEST(NpSession, PreEncodeComputesAllParities) {
-  loss::BernoulliLossModel model(0.0);
-  NpConfig cfg = small_config();
-  cfg.pre_encode = true;
-  NpSession session(model, 5, 3, cfg, 11);
-  const auto stats = session.run();
-  EXPECT_EQ(stats.parities_encoded, cfg.h * 3);
-  EXPECT_TRUE(stats.all_delivered);
-}
-
 TEST(NpSession, LazyEncodingOnlyOnDemand) {
   loss::BernoulliLossModel model(0.0);
   NpSession session(model, 5, 3, small_config(), 11);
@@ -229,22 +219,6 @@ TEST(NpReliableControl, ExactlyOnceUnderHeavyControlLoss) {
   // Recovery leaves traces: lost control must have forced retries.
   EXPECT_GT(stats.poll_retries + stats.nak_retries, 0u);
   EXPECT_GT(stats.impairment.control_dropped, 0u);
-}
-
-TEST(NpReliableControl, CrashedReceiverIsEvictedNotWaitedFor) {
-  loss::BernoulliLossModel model(0.05);
-  NpConfig cfg = reliable_config();
-  cfg.crash_receiver = 2;
-  cfg.crash_time = 0.01;  // dies almost immediately
-  NpSession session(model, 5, 4, cfg, chaos_seed(11));
-  const auto stats = session.run();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.tgs_completed, 4u);  // the others still finish
-  ASSERT_EQ(stats.report.evicted.size(), 5u);
-  EXPECT_TRUE(stats.report.evicted[2]);
-  EXPECT_FALSE(stats.report.complete);  // eviction = degraded, not clean
-  EXPECT_LT(stats.report.completion_fraction(), 1.0);
-  EXPECT_GT(stats.report.completion_fraction(), 0.5);
 }
 
 TEST(NpReliableControl, DeterministicForSameSeed) {

@@ -67,20 +67,6 @@ TEST(ProcessingAccounting, SenderIsTheBottleneckUnderPaperCosts) {
   EXPECT_GT(cpu.sender_per_packet, 1.5 * cpu.receiver_per_packet);
 }
 
-TEST(ProcessingAccounting, PreEncodingMovesCostOffline) {
-  // Pre-encoding encodes ALL h parities (more total work) but the Fig. 18
-  // point is that it happens before the transfer; the accounting helper
-  // still charges it, so a caller can subtract it explicitly.
-  loss::BernoulliLossModel model(0.05);
-  NpConfig cfg = config(20);
-  NpSession online(model, 50, 8, cfg, 9);
-  const auto so = online.run();
-  cfg.pre_encode = true;
-  NpSession pre(model, 50, 8, cfg, 9);
-  const auto sp = pre.run();
-  EXPECT_GT(sp.parities_encoded, so.parities_encoded);
-}
-
 TEST(ProcessingAccounting, ModernCodingConstantsShrinkSenderCost) {
   loss::BernoulliLossModel model(0.05);
   NpSession session(model, 100, 8, config(20), 11);

@@ -58,12 +58,15 @@ TEST(NpRobustness, LossyControlTerminatesButMayFail) {
   // KNOWN LIMITATION (documented): with lossy control a POLL can vanish;
   // the silent receiver looks complete to the sender.  The session must
   // still terminate, and the failure must be visible in all_delivered.
+  // Control loss comes from the channel's control impairment, which
+  // drops POLLs and NAKs on every leg, the NAK's sender leg included.
   loss::BernoulliLossModel model(0.4);
   NpConfig cfg;
   cfg.k = 6;
   cfg.h = 40;
   cfg.packet_len = 16;
-  cfg.lossless_control = false;
+  cfg.impairment.seed = 9;
+  cfg.impairment.control_drop = 0.4;
   NpSession session(model, 15, 5, cfg, 9);
   const auto stats = session.run();  // must not hang
   if (!stats.all_delivered) {

@@ -7,6 +7,7 @@
 #include <poll.h>
 
 #include <cerrno>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -284,6 +285,42 @@ TEST_P(UdpSocketTest, DrainKeepsSendOrderSourcesAndDesyncCounters) {
   EXPECT_EQ(rx.frame_resyncs(), kWantResyncs);
   EXPECT_EQ(rx.frames_skipped(), kWantSkipped);
   EXPECT_FALSE(rx.receive_from(0.0).has_value());
+}
+
+// Every datagram is held back one slot and released by the next one to
+// arrive, which here always comes from the other peer.  Each must still
+// surface with the port it was sent from, not its releaser's: guarded
+// receivers admit frames by source port.
+TEST_P(UdpSocketTest, HeldBackDatagramsKeepTheirOwnSource) {
+  UdpSocket a, b, rx;
+  ImpairmentConfig cfg;
+  cfg.reorder_prob = 1.0;
+  cfg.reorder_window = 1;
+  rx.set_impairment(std::make_shared<Impairment>(cfg));
+
+  UdpSocket* peers[] = {&a, &b};
+  constexpr std::uint32_t kSent = 6;
+  for (std::uint32_t i = 0; i < kSent; ++i)
+    ASSERT_EQ(peers[i % 2]->send_to(rx.port(), seq_packet(i)),
+              SendStatus::kSent);
+
+  // The last datagram stays held: nothing arrives after it to release it.
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> want;
+  for (std::uint32_t i = 0; i + 1 < kSent; ++i)
+    want.emplace_back(peers[i % 2]->port(), i);
+  std::vector<std::pair<std::uint16_t, std::uint32_t>> got;
+  for (int waits = 0; got.size() < want.size() && waits < 40;) {
+    auto dg = rx.receive_from(0.0);
+    if (dg) {
+      got.emplace_back(dg->src_port, dg->packet.header.seq);
+      continue;
+    }
+    if (rx.has_pending()) continue;
+    pollfd pfd{rx.fd(), POLLIN, 0};
+    ::poll(&pfd, 1, 50);
+    ++waits;
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST_P(UdpSocketTest, ZeroTimeoutReceiveOnAnEmptySocketIsNullopt) {

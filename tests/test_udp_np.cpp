@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "core/file_transfer.hpp"
+#include "fec/fec_block.hpp"
+#include "fec/rse_code.hpp"
 #include "udp_np_harness.hpp"
 #include "util/rng.hpp"
 
@@ -552,6 +554,42 @@ TEST_P(UdpNpCrash, SenderRestartResumesFromJournalAcrossLiveReceiver) {
   EXPECT_EQ(rx.payload_mismatches, 0u);
   EXPECT_EQ(rx.redelivered_prior, 0u);
   EXPECT_EQ(rx.result.end_reason, UdpNpEndReason::kEndOfSession);
+}
+
+// A guarded receiver admits only its sender's port.  Under a reorder
+// impairment that holds every datagram back one slot, the foreign peer's
+// first DATA frame is released by the sender's, and its second is still
+// held when the session ends.  Both must be judged by their own source:
+// live, and at the end-of-session flush.
+TEST_P(UdpNp, GuardedReceiverRejectsHeldBackForeignFrames) {
+  harness::Loop loop;
+  UdpNpConfig cfg = small_config();
+  cfg.clock = &loop.reactor.clock();
+  cfg.guard.enabled = true;
+  const auto groups = random_groups(1, cfg.k, cfg.packet_len, 31);
+  const fec::RseCode code(cfg.k, cfg.k + cfg.h);
+  const fec::TgEncoder enc(0, code, groups[0]);
+
+  net::UdpSocket sender, foreign, rx_socket;
+  const std::uint16_t rx_port = rx_socket.port();
+  SessionSetup setup;
+  setup.idle_timeout = 0.2;
+  setup.impairment.reorder_prob = 1.0;
+  setup.impairment.reorder_window = 1;
+  auto receiver = harness::make_receiver(loop, std::move(rx_socket),
+                                         sender.port(), groups, cfg, setup, 0);
+  receiver->start();
+  ASSERT_EQ(foreign.send_to(rx_port, enc.data_packet(0)),
+            net::SendStatus::kSent);
+  ASSERT_EQ(sender.send_to(rx_port, enc.data_packet(1)),
+            net::SendStatus::kSent);
+  ASSERT_EQ(foreign.send_to(rx_port, enc.data_packet(2)),
+            net::SendStatus::kSent);
+  ASSERT_TRUE(loop.run([&] { return receiver->finished(); }));
+
+  const auto& result = receiver->result();
+  EXPECT_EQ(result.foreign_rejected, 2u);
+  EXPECT_EQ(result.received, 1u);
 }
 
 TEST_P(UdpNpCrash, StaleIncarnationDatagramsAreRejected) {
