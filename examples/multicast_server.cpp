@@ -47,9 +47,10 @@ std::vector<pbl::net::TgBytes> make_payload(std::uint64_t payload_seed,
   return groups;
 }
 
-// 1000 sessions × (1 sender + R receivers) sockets: lift the soft
-// descriptor limit to the hard one so the default 1024 does not refuse
-// admissions on CI runners.
+// 1000 sessions × (1 sender + 2R receiver) sockets under group delivery
+// (each receiver holds a unicast and a group socket; R under fan-out):
+// lift the soft descriptor limit to the hard one so the default 1024
+// does not refuse admissions on CI runners.
 void raise_fd_limit() {
   rlimit lim{};
   if (getrlimit(RLIMIT_NOFILE, &lim) == 0 && lim.rlim_cur < lim.rlim_max) {

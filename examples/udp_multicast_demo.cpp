@@ -1,7 +1,8 @@
 // Protocol NP over REAL loopback UDP sockets: one sender and N receivers
-// on a single reactor thread, emulated multicast (unicast fan-out), loss
-// injected at each receiver, parity repair with per-TG NAK feedback, and
-// end-to-end integrity verification of every byte at every receiver.
+// on a single reactor thread, IP multicast on lo (unicast fan-out where
+// the host lacks it), loss injected at each receiver, parity repair with
+// per-TG NAK feedback, and end-to-end integrity verification of every
+// byte at every receiver.
 //
 //   $ ./udp_multicast_demo --receivers=8 --p=0.2 --bytes=20000 --k=8
 //
@@ -9,6 +10,7 @@
 // and the file framing of core/file_transfer.hpp.
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/file_transfer.hpp"
@@ -57,14 +59,21 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Sockets and the emulated multicast group.
+  // Sockets and the multicast group: each receiver joins it next to its
+  // unicast socket (on a fan-out group, join adds no socket).
   server::Reactor reactor;
   cfg.clock = &reactor.clock();
   net::UdpSocket sender_socket;
   const std::uint16_t sender_port = sender_socket.port();
   std::vector<net::UdpSocket> rx_sockets(receivers);
-  net::UdpGroup group;
-  for (const auto& s : rx_sockets) group.add_member(s.port());
+  net::UdpGroup group = net::UdpGroup::open();
+  std::vector<std::optional<net::UdpSocket>> group_sockets;
+  for (const auto& s : rx_sockets)
+    group_sockets.push_back(group.join(s.port()));
+  std::printf("delivery: %s\n",
+              net::to_string(group.multicast() ? net::UdpDelivery::kGroup
+                                               : net::UdpDelivery::kFanOut)
+                  .c_str());
 
   // One thread runs the whole session: the reactor stops once the sender
   // and every receiver have finished.
@@ -80,7 +89,7 @@ int main(int argc, char** argv) {
     opt.expected = &groups;
     rx.push_back(std::make_unique<server::ReceiverSessionDriver>(
         reactor, std::move(rx_sockets[r]), sender_port, groups.size(), cfg,
-        std::move(opt), on_finished));
+        std::move(opt), on_finished, std::move(group_sockets[r])));
   }
   server::SenderSessionDriver sender(reactor, std::move(sender_socket), group,
                                      cfg, groups, on_finished);

@@ -1,7 +1,10 @@
 #include "net/adversary.hpp"
 
+#include <poll.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "fec/packet.hpp"
 #include "net/peer_guard.hpp"
@@ -91,14 +94,25 @@ void AdversaryPeer::run() {
   }
 }
 
+void AdversaryPeer::join(UdpGroup& group) {
+  group_socket_ = group.join(socket_.port());
+}
+
 void AdversaryPeer::observe(double wait_s) {
-  // One timed receive, then drain whatever is queued without waiting.
-  bool first = true;
+  // One timed wait on both sockets, then drain whatever is queued.  The
+  // wait rounds up: a sub-millisecond remainder must sleep, not spin.
+  pollfd pfds[2] = {{socket_.fd(), POLLIN, 0},
+                    {group_socket_ ? group_socket_->fd() : -1, POLLIN, 0}};
+  ::poll(pfds, 2, static_cast<int>(std::ceil(wait_s * 1000.0)));
+  learn_from(socket_);
+  if (group_socket_) learn_from(*group_socket_);
+}
+
+void AdversaryPeer::learn_from(UdpSocket& socket) {
   while (!stop_.load(std::memory_order_relaxed)) {
-    auto dg = socket_.receive_from(first ? wait_s : 0.0);
-    first = false;
+    auto dg = socket.receive_from(0.0);
     if (!dg) {
-      if (!socket_.has_pending()) break;
+      if (!socket.has_pending()) break;
       continue;
     }
     const auto& hdr = dg->packet.header;

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -60,8 +61,8 @@ struct AdversaryStats {
   std::uint64_t would_block = 0;   ///< sends the kernel pushed back on
 };
 
-/// One hostile group member.  Construct (binds the socket), register
-/// port() as a group member, then start(); stop() joins the thread.
+/// One hostile group member.  Construct (binds the socket), join() the
+/// session's group, then start(); stop() joins the thread.
 class AdversaryPeer {
  public:
   explicit AdversaryPeer(AdversaryConfig config);
@@ -73,6 +74,10 @@ class AdversaryPeer {
   /// The adversary's own bound port — its admitted group identity.
   std::uint16_t port() const noexcept { return socket_.port(); }
 
+  /// Joins `group` like any member: port() becomes a member identity
+  /// and, under group delivery, the adversary overhears the group.
+  void join(UdpGroup& group);
+
   void start();
   void stop();  ///< idempotent; joins the attack thread
 
@@ -81,11 +86,13 @@ class AdversaryPeer {
 
  private:
   void run();
-  void observe(double wait_s);  ///< drain + learn from group traffic
+  void observe(double wait_s);  ///< wait, then learn from both sockets
+  void learn_from(UdpSocket& socket);  ///< drain + learn sender traffic
   void attack_once(Rng& rng);   ///< emit one attack frame (profile)
 
   AdversaryConfig cfg_;
   UdpSocket socket_;
+  std::optional<UdpSocket> group_socket_;  ///< set by join() on a group
   std::thread thread_;
   std::atomic<bool> stop_{false};
   bool started_ = false;

@@ -100,6 +100,7 @@ struct ImpairmentStats {
   std::uint64_t control_delivered = 0;   ///< control copies delivered
 
   ImpairmentStats& operator+=(const ImpairmentStats& o) noexcept;
+  bool operator==(const ImpairmentStats&) const = default;
 };
 
 class Impairment {

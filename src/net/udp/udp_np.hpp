@@ -3,12 +3,14 @@
 // reactor drivers (server/session_driver.hpp), which run the protocol,
 // and the multicast server that hosts them (server/server.hpp).
 //
-// Multicast is emulated by unicast fan-out (net/udp/udp_transport.hpp);
-// NAK feedback is unicast to the sender, which performs the suppression
-// itself by serving only the round's maximum request — the semantics of
-// Section 5.1's slotting-and-damping, adapted to a topology where
-// receivers cannot overhear each other.  Rounds are tagged (POLL/NAK
-// carry a round id) so stale feedback cannot trigger spurious repair.
+// The sender reaches the group with one IP multicast send per frame, or
+// by unicast fan-out where the host lacks multicast on lo
+// (net/udp/udp_transport.hpp).  NAK feedback is unicast to the sender,
+// which performs the suppression itself by serving only the round's
+// maximum request — the semantics of Section 5.1's slotting-and-damping,
+// adapted to a topology where receivers cannot overhear each other.
+// Rounds are tagged (POLL/NAK carry a round id) so stale feedback cannot
+// trigger spurious repair.
 //
 // Loss can be injected at each receiver with a configurable
 // probability, which keeps sessions independent of real network
@@ -187,6 +189,8 @@ struct UdpNpReceiverResult {
   std::uint64_t foreign_rejected = 0;
   /// Control frames whose keyed trailer failed verification (guard.auth).
   std::uint64_t auth_rejected = 0;
+
+  bool operator==(const UdpNpReceiverResult&) const = default;
 };
 
 /// The end-of-session marker the sender multicasts when done.

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -29,12 +30,34 @@ constexpr std::size_t kTxChunk = 128;
 constexpr std::size_t kRxChunk = 16;
 constexpr std::size_t kMaxDatagram = 65536;
 
-sockaddr_in loopback(std::uint16_t port) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  return addr;
+sockaddr_in ipv4(std::uint32_t addr, std::uint16_t port) {
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  sa.sin_addr.s_addr = htonl(addr);
+  return sa;
+}
+
+sockaddr_in destination(const FrameRef& frame) {
+  return ipv4(frame.group != 0 ? frame.group : INADDR_LOOPBACK,
+              frame.dest_port);
+}
+
+int open_udp() {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  if (fd < 0) throw std::system_error(errno, std::generic_category(), "socket");
+  return fd;
+}
+
+void set_option(int fd, int level, int name, const void* value,
+                socklen_t len, const char* what) {
+  if (::setsockopt(fd, level, name, value, len) < 0)
+    throw std::system_error(errno, std::generic_category(), what);
+}
+
+void set_int_option(int fd, int level, int name, int value,
+                    const char* what) {
+  set_option(fd, level, name, &value, sizeof(value), what);
 }
 
 bool is_would_block(int err) noexcept {
@@ -63,7 +86,92 @@ UdpBackend env_default_backend() {
   return resolved;
 }
 
+// Delivery selection state.  -1 = no scoped override.
+std::atomic<int> g_delivery_override{-1};
+
+// Group addresses come from 239.255.0.0/16 (IPv4 local scope).  A group
+// is isolated by its (address, port) pair, and the kernel hands out the
+// port; the address only spreads groups apart, so a per-process counter
+// seeded by the pid is enough.
+std::uint32_t next_group_address() {
+  static std::atomic<std::uint32_t> next{
+      static_cast<std::uint32_t>(::getpid()) * 7919u};
+  const std::uint32_t n = next.fetch_add(1, std::memory_order_relaxed);
+  return 0xEFFF0000u | (1u + n % 0xFFFEu);
+}
+
+bool probe_group_delivery() {
+  try {
+    UdpGroup group = UdpGroup::open(UdpDelivery::kGroup);
+    UdpGroup other = UdpGroup::open(UdpDelivery::kGroup);
+    UdpSocket sender, a, b, c;
+    std::optional<UdpSocket> members[] = {group.join(a.port()),
+                                          group.join(b.port())};
+    std::optional<UdpSocket> outsider = other.join(c.port());
+    fec::Packet probe;
+    probe.header.type = fec::PacketType::kPoll;
+    const auto bytes = fec::serialize(probe);
+    const FrameRef frame = group.to_all(bytes);
+    if (sender.send_batch({&frame, 1}).sent != 1) return false;
+    for (auto& m : members)
+      if (!m->receive_from(0.1)) return false;
+    // Anything more fails: a second copy at a member, or any copy at the
+    // other group's member.  The short wait lets a straggler land.
+    if (outsider->receive_from(0.002)) return false;
+    for (auto& m : members)
+      if (m->receive_from(0.0)) return false;
+    return true;
+  } catch (const std::system_error&) {
+    return false;  // no multicast on lo: setsockopt, bind or send refused
+  }
+}
+
 }  // namespace
+
+std::string to_string(UdpDelivery delivery) {
+  switch (delivery) {
+    case UdpDelivery::kGroup: return "group";
+    case UdpDelivery::kFanOut: return "fanout";
+  }
+  return "unknown";
+}
+
+bool udp_group_delivery_available() {
+  static const bool available = probe_group_delivery();
+  return available;
+}
+
+UdpDelivery active_udp_delivery() {
+  if (g_delivery_override.load(std::memory_order_acquire) ==
+      static_cast<int>(UdpDelivery::kFanOut))
+    return UdpDelivery::kFanOut;
+  return udp_group_delivery_available() ? UdpDelivery::kGroup
+                                        : UdpDelivery::kFanOut;
+}
+
+ScopedUdpDeliveryOverride::ScopedUdpDeliveryOverride(UdpDelivery delivery)
+    : previous_(g_delivery_override.exchange(static_cast<int>(delivery),
+                                             std::memory_order_acq_rel)) {}
+
+ScopedUdpDeliveryOverride::~ScopedUdpDeliveryOverride() {
+  g_delivery_override.store(previous_, std::memory_order_release);
+}
+
+UdpGroup UdpGroup::open(UdpDelivery delivery) {
+  UdpGroup group;
+  if (delivery == UdpDelivery::kGroup) group.address_ = next_group_address();
+  return group;
+}
+
+std::optional<UdpSocket> UdpGroup::join(std::uint16_t member_port) {
+  std::optional<UdpSocket> socket;
+  if (multicast()) {
+    socket.emplace(UdpSocket::group_member(address_, port_));
+    port_ = socket->port();
+  }
+  members_.push_back(member_port);
+  return socket;
+}
 
 std::string to_string(UdpBackend backend) {
   switch (backend) {
@@ -100,26 +208,51 @@ ScopedUdpBackendOverride::~ScopedUdpBackendOverride() {
   g_backend_override.store(previous_, std::memory_order_release);
 }
 
-UdpSocket::UdpSocket(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd_ < 0)
-    throw std::system_error(errno, std::generic_category(), "socket");
-  sockaddr_in addr = loopback(port);
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) < 0) {
-    const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
-    throw std::system_error(err, std::generic_category(), "bind");
-  }
+UdpSocket::UdpSocket(std::uint16_t port) : UdpSocket(Adopt{}, open_udp()) {
+  bind_to(INADDR_LOOPBACK, port);
+}
+
+UdpSocket::UdpSocket(Adopt, int fd) : fd_(fd) {}
+
+void UdpSocket::bind_to(std::uint32_t addr, std::uint16_t port) {
+  const sockaddr_in sa = ipv4(addr, port);
+  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) < 0)
+    throw std::system_error(errno, std::generic_category(), "bind");
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0) {
-    const int err = errno;
-    ::close(fd_);
-    fd_ = -1;
-    throw std::system_error(err, std::generic_category(), "getsockname");
-  }
+  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0)
+    throw std::system_error(errno, std::generic_category(), "getsockname");
   port_ = ntohs(bound.sin_port);
+}
+
+UdpSocket UdpSocket::group_member(std::uint32_t group, std::uint16_t port) {
+  UdpSocket s(Adopt{}, open_udp());
+  // Later members share the first one's port.  The first binds without
+  // SO_REUSEADDR, so the kernel picks a port no live group holds, and
+  // only then opens it to the members that follow.
+  if (port != 0)
+    set_int_option(s.fd_, SOL_SOCKET, SO_REUSEADDR, 1, "SO_REUSEADDR");
+  s.bind_to(group, port);
+  set_int_option(s.fd_, SOL_SOCKET, SO_REUSEADDR, 1, "SO_REUSEADDR");
+  ip_mreqn join{};
+  join.imr_multiaddr.s_addr = htonl(group);
+  join.imr_address.s_addr = htonl(INADDR_LOOPBACK);
+  set_option(s.fd_, IPPROTO_IP, IP_ADD_MEMBERSHIP, &join, sizeof(join),
+             "IP_ADD_MEMBERSHIP");
+#ifdef IP_MULTICAST_ALL
+  // Only the joined group's traffic, never another membership's.
+  set_int_option(s.fd_, IPPROTO_IP, IP_MULTICAST_ALL, 0, "IP_MULTICAST_ALL");
+#endif
+  return s;
+}
+
+void UdpSocket::enable_group_send() {
+  in_addr out{};
+  out.s_addr = htonl(INADDR_LOOPBACK);
+  set_option(fd_, IPPROTO_IP, IP_MULTICAST_IF, &out, sizeof(out),
+             "IP_MULTICAST_IF");
+  set_int_option(fd_, IPPROTO_IP, IP_MULTICAST_LOOP, 1, "IP_MULTICAST_LOOP");
+  group_send_ = true;
 }
 
 UdpSocket::~UdpSocket() {
@@ -137,7 +270,8 @@ UdpSocket::UdpSocket(UdpSocket&& other) noexcept
       inject_every_(other.inject_every_), inject_burst_(other.inject_burst_),
       inject_burst_left_(other.inject_burst_left_),
       attempted_sends_(other.attempted_sends_),
-      injected_failures_(other.injected_failures_) {
+      injected_failures_(other.injected_failures_),
+      group_send_(other.group_send_) {
   other.fd_ = -1;
   other.port_ = 0;
   other.inject_count_ = 0;
@@ -163,6 +297,7 @@ UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
     inject_burst_left_ = other.inject_burst_left_;
     attempted_sends_ = other.attempted_sends_;
     injected_failures_ = other.injected_failures_;
+    group_send_ = other.group_send_;
     other.fd_ = -1;
     other.port_ = 0;
     other.inject_count_ = 0;
@@ -196,9 +331,9 @@ void UdpSocket::set_impairment(std::shared_ptr<Impairment> impairment) {
   parsed_.clear();
 }
 
-SendStatus UdpSocket::send_raw(std::uint16_t dest_port,
-                               std::span<const std::uint8_t> bytes) {
-  const sockaddr_in dest = loopback(dest_port);
+SendStatus UdpSocket::send_raw(const FrameRef& frame) {
+  if (frame.group != 0 && !group_send_) enable_group_send();
+  const sockaddr_in dest = destination(frame);
   for (;;) {
     if (const int inj = consume_injected_send()) {
       if (is_would_block(inj)) return SendStatus::kWouldBlock;
@@ -206,10 +341,10 @@ SendStatus UdpSocket::send_raw(std::uint16_t dest_port,
                               "sendto (injected)");
     }
     const ssize_t sent =
-        ::sendto(fd_, bytes.data(), bytes.size(), 0,
+        ::sendto(fd_, frame.bytes.data(), frame.bytes.size(), 0,
                  reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
     if (sent >= 0) {
-      if (tx_tap_) tx_tap_(dest_port, bytes);
+      if (tx_tap_) tx_tap_(frame);
       return SendStatus::kSent;
     }
     if (errno == EINTR) continue;
@@ -224,12 +359,12 @@ SendStatus UdpSocket::send_raw(std::uint16_t dest_port,
 SendStatus UdpSocket::send_to(std::uint16_t dest_port,
                               const fec::Packet& packet) {
   const auto bytes = fec::serialize(packet);
-  return send_raw(dest_port, bytes);
+  return send_raw({dest_port, bytes});
 }
 
 SendStatus UdpSocket::send_frame(std::uint16_t dest_port,
                                  std::span<const std::uint8_t> frame) {
-  return send_raw(dest_port, frame);
+  return send_raw({dest_port, frame});
 }
 
 BatchSendResult UdpSocket::send_batch(std::span<const FrameRef> frames) {
@@ -245,7 +380,8 @@ BatchSendResult UdpSocket::send_batch(std::span<const FrameRef> frames) {
       std::memset(msgs, 0, chunk * sizeof(mmsghdr));
       for (std::size_t i = 0; i < chunk; ++i) {
         const FrameRef& f = frames[result.sent + i];
-        dests[i] = loopback(f.dest_port);
+        if (f.group != 0 && !group_send_) enable_group_send();
+        dests[i] = destination(f);
         iovs[i].iov_base = const_cast<std::uint8_t*>(f.bytes.data());
         iovs[i].iov_len = f.bytes.size();
         msgs[i].msg_hdr.msg_name = &dests[i];
@@ -274,8 +410,7 @@ BatchSendResult UdpSocket::send_batch(std::span<const FrameRef> frames) {
       }
       if (tx_tap_) {
         for (int i = 0; i < n; ++i) {
-          const FrameRef& f = frames[result.sent + static_cast<std::size_t>(i)];
-          tx_tap_(f.dest_port, f.bytes);
+          tx_tap_(frames[result.sent + static_cast<std::size_t>(i)]);
         }
       }
       result.sent += static_cast<std::size_t>(n);
@@ -292,7 +427,7 @@ BatchSendResult UdpSocket::send_batch(std::span<const FrameRef> frames) {
 #endif
   // Portable fallback: same frames, same order, one syscall each.
   for (const FrameRef& f : frames) {
-    if (send_raw(f.dest_port, f.bytes) == SendStatus::kWouldBlock) {
+    if (send_raw(f) == SendStatus::kWouldBlock) {
       result.status = SendStatus::kWouldBlock;
       result.last_errno = EAGAIN;
       return result;
@@ -429,7 +564,9 @@ std::optional<Datagram> UdpSocket::receive_from(double timeout_s) {
                           std::chrono::steady_clock::now() - start)
                           .count();
       if (remaining <= 0.0) return std::nullopt;
-      ms = static_cast<int>(remaining * 1000.0);
+      // Ceil, as Reactor::wait_ready does: a sub-millisecond remainder
+      // must wait, not busy-spin as timeout 0.
+      ms = static_cast<int>(std::ceil(remaining * 1000.0));
     }
     pollfd pfd{fd_, POLLIN, 0};
     if (::poll(&pfd, 1, ms) <= 0) return std::nullopt;
@@ -450,7 +587,7 @@ std::size_t UdpSocket::receive_batch(std::vector<fec::Packet>& out,
   take_pending();
   if (produced >= max_packets) return produced;
   const int ms =
-      timeout_s < 0 ? -1 : static_cast<int>(timeout_s * 1000.0);
+      timeout_s < 0 ? -1 : static_cast<int>(std::ceil(timeout_s * 1000.0));
   pollfd pfd{fd_, POLLIN, 0};
   if (::poll(&pfd, 1, ms) <= 0) return produced;
   drain_ready();

@@ -1,10 +1,16 @@
 // Minimal loopback UDP transport for running the protocols over real
 // sockets (server/: the session drivers and the multicast server).
 //
-// Multicast is emulated by unicast fan-out on 127.0.0.1: a UdpGroup holds
-// the member ports the sender replicates each frame to.  This keeps it
-// independent of kernel multicast support while exercising the real wire
-// encoding (fec/packet.hpp) end to end.
+// Multicast is real IP multicast on lo where the host delivers it: a
+// UdpGroup owns a per-session (group address, port) pair, each member
+// drains a receive-only socket joined to it, and the sender puts each
+// frame on the wire once.  A one-time probe decides whether the host
+// can (udp_group_delivery_available); where it cannot, a UdpGroup is
+// just the member ports and the sender fans out one unicast copy per
+// member on 127.0.0.1.  Both paths put the same bytes in front of every
+// member (tests/test_udp_differential.cpp), and ScopedUdpDeliveryOverride
+// pins one for a test's scope.  Feedback and catch-up repair are
+// unicast on either path (docs/DATAPLANE.md, "Group delivery").
 //
 // Data plane: sends and receives are batched.  Where the libc provides
 // sendmmsg/recvmmsg (PBL_HAVE_MMSG at configure time) a whole batch of
@@ -62,6 +68,41 @@ class ScopedUdpBackendOverride {
   int previous_;
 };
 
+/// How a sender reaches a session's members.
+enum class UdpDelivery {
+  kGroup,   ///< one send per frame to a per-session IP multicast group
+  kFanOut,  ///< one unicast copy per member: the fallback and reference
+};
+
+std::string to_string(UdpDelivery delivery);
+
+/// True when this host delivers IP multicast over loopback.  Probed once
+/// per process, on first call: two sockets join a scratch group, one
+/// frame is sent to it, and each member must receive exactly one copy
+/// while a member of a second scratch group receives none.
+bool udp_group_delivery_available();
+
+/// The delivery new groups use (UdpGroup::open).  Resolution order:
+/// active ScopedUdpDeliveryOverride, then kGroup when the probe passed,
+/// else kFanOut.  A kGroup request on a host whose probe failed degrades
+/// to kFanOut.
+UdpDelivery active_udp_delivery();
+
+/// Pins the delivery for a scope (the differential tests run each
+/// session once per path).  Nestable; restores the previous state on
+/// destruction.
+class ScopedUdpDeliveryOverride {
+ public:
+  explicit ScopedUdpDeliveryOverride(UdpDelivery delivery);
+  ~ScopedUdpDeliveryOverride();
+  ScopedUdpDeliveryOverride(const ScopedUdpDeliveryOverride&) = delete;
+  ScopedUdpDeliveryOverride& operator=(const ScopedUdpDeliveryOverride&) =
+      delete;
+
+ private:
+  int previous_;
+};
+
 /// Why a send stopped.  Transient kernel pushback (EAGAIN/EWOULDBLOCK/
 /// ENOBUFS) is backpressure, not failure: the caller retries after the
 /// socket drains.  Hard errors still throw std::system_error.
@@ -70,11 +111,13 @@ enum class SendStatus {
   kWouldBlock,
 };
 
-/// One frame of a batch: pre-serialized wire bytes and their destination.
-/// The bytes are borrowed — arena frames or any stable buffer.
+/// One frame of a batch: pre-serialized wire bytes and their destination,
+/// 127.0.0.1:dest_port, or group:dest_port when `group` is set.  The
+/// bytes are borrowed — arena frames or any stable buffer.
 struct FrameRef {
   std::uint16_t dest_port = 0;
   std::span<const std::uint8_t> bytes;
+  std::uint32_t group = 0;  ///< IPv4 multicast group, host order; 0 = unicast
 };
 
 /// Outcome of a (possibly partial) batch send.  `sent` frames — always a
@@ -105,10 +148,10 @@ class UdpSocket {
   static constexpr std::size_t kSalvageLimit = 4096;
 
   /// Observes every frame the socket actually hands to the kernel, in
-  /// send order (dest port + wire bytes).  The differential tests record
-  /// the tap of each backend and require the streams byte-identical.
-  using TxTap =
-      std::function<void(std::uint16_t, std::span<const std::uint8_t>)>;
+  /// send order (destination + wire bytes); a group frame is seen once.
+  /// The differential tests record the tap of each backend and delivery
+  /// path and require the per-member streams byte-identical.
+  using TxTap = std::function<void(const FrameRef&)>;
 
   /// Binds a UDP socket to 127.0.0.1:port (0 picks an ephemeral port).
   /// Throws std::system_error on failure.
@@ -220,8 +263,23 @@ class UdpSocket {
   std::uint64_t frames_skipped() const noexcept { return frames_skipped_; }
 
  private:
-  SendStatus send_raw(std::uint16_t dest_port,
-                      std::span<const std::uint8_t> bytes);
+  friend class UdpGroup;
+
+  /// A receive-only member socket of `group`: bound to group:port (port
+  /// 0 = let the kernel pick one nobody holds), SO_REUSEADDR set after
+  /// the bind so later members can share it, joined on 127.0.0.1 with
+  /// IP_MULTICAST_ALL off.
+  static UdpSocket group_member(std::uint32_t group, std::uint16_t port);
+
+  struct Adopt {};
+  /// Owns `fd`, not yet bound.
+  UdpSocket(Adopt, int fd);
+  /// Binds to addr:port and records the port the kernel assigned.
+  void bind_to(std::uint32_t addr, std::uint16_t port);
+  SendStatus send_raw(const FrameRef& frame);
+  /// Points group sends out of 127.0.0.1 with loopback delivery on; run
+  /// once, before the socket's first group frame.
+  void enable_group_send();
   /// Injection gate shared by every send syscall site: returns the errno
   /// this attempt must fail with, or 0 to let the real syscall run.
   int consume_injected_send();
@@ -254,12 +312,39 @@ class UdpSocket {
   std::size_t inject_burst_left_ = 0;
   std::uint64_t attempted_sends_ = 0;
   std::uint64_t injected_failures_ = 0;
+  bool group_send_ = false;  ///< enable_group_send has run
 };
 
-/// Emulated multicast group: the member ports a sender fans out to.
+/// A session's multicast group: the member ports the sender tracks (the
+/// reliable control plane addresses per-member state by join order) and,
+/// under group delivery, the (group address, port) pair every member's
+/// group socket is joined to.  A default-constructed group is fan-out.
 class UdpGroup {
  public:
-  void add_member(std::uint16_t port) { members_.push_back(port); }
+  UdpGroup() = default;
+
+  /// A group for `delivery`.  kGroup takes a fresh group address; its
+  /// port is fixed by the first join, whose bind runs without
+  /// SO_REUSEADDR so the kernel cannot hand out a port a live group
+  /// holds.
+  static UdpGroup open(UdpDelivery delivery = active_udp_delivery());
+
+  /// Registers the member whose unicast socket is bound to
+  /// `member_port` (its identity: the source the sender's guard checks
+  /// and the destination of catch-up repair).  Under group delivery it
+  /// also returns the member's receive-only group socket, which the
+  /// member must drain; on a fan-out group it returns nullopt.  Throws
+  /// std::system_error if the group socket cannot be made.
+  std::optional<UdpSocket> join(std::uint16_t member_port);
+
+  /// True under group delivery: a frame to every member is one send.
+  bool multicast() const noexcept { return address_ != 0; }
+
+  /// The one frame that reaches every member (multicast() only).
+  FrameRef to_all(std::span<const std::uint8_t> bytes) const {
+    return {port_, bytes, address_};
+  }
+
   std::size_t size() const noexcept { return members_.size(); }
 
   /// Member ports in join order — the reliable control plane addresses
@@ -270,6 +355,8 @@ class UdpGroup {
 
  private:
   std::vector<std::uint16_t> members_;
+  std::uint32_t address_ = 0;  ///< group address, host order; 0 = fan-out
+  std::uint16_t port_ = 0;     ///< group port, fixed by the first join
 };
 
 }  // namespace pbl::net

@@ -259,6 +259,9 @@ std::vector<obs::MetricDef> MulticastServer::server_metric_defs() {
        {}},
       {"journal_bytes_total", K::kGauge,
        "bytes across all active session journals", {}, {}},
+      {"udp_group_delivery", K::kGauge,
+       "1 when sessions reach members by IP multicast, 0 by unicast fan-out",
+       {}, {}},
       {"session_duration_seconds", K::kHistogram,
        "wall-clock lifetime of finalized sessions",
        {0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0}, {}},
@@ -309,6 +312,9 @@ MulticastServer::MulticastServer(Reactor& reactor, ServerConfig config)
   if (!cfg_.np.clock) cfg_.np.clock = &reactor_.clock();
   started_at_ = reactor_.now();
   server_metrics_.set_string("server_state", "running");
+  server_metrics_.set_gauge(
+      "udp_group_delivery",
+      net::active_udp_delivery() == net::UdpDelivery::kGroup ? 1.0 : 0.0);
   schedule_snapshot_timer();
 }
 
@@ -434,14 +440,39 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
     }
     return net::UdpSocket();  // ephemeral loopback port
   };
+  // One multicast group per session: each receiver joins it next to its
+  // unicast socket (net::UdpGroup::join; a fan-out group adds no socket).
   std::optional<net::UdpSocket> sender_socket;
   std::vector<net::UdpSocket> receiver_sockets;
-  net::UdpGroup group;
+  std::vector<std::optional<net::UdpSocket>> group_sockets;
+  net::UdpGroup group = net::UdpGroup::open();
   try {
     sender_socket.emplace(make_socket());
     for (std::size_t r = 0; r < s.spec.receivers; ++r) {
       receiver_sockets.push_back(make_socket());
-      group.add_member(receiver_sockets.back().port());
+      group_sockets.push_back(group.join(receiver_sockets.back().port()));
+    }
+    // Byzantine injection: the adversary binds its own socket and joins
+    // the group as a full member — the sender multicasts to it, tracks
+    // it, and owes it completeness until the guard bans (expels) it.  It
+    // is NOT in `receivers`, so honest-side accounting is untouched.
+    if (cfg_.hostile.enabled) {
+      net::AdversaryConfig ac;
+      if (!net::parse_adversary_profile(cfg_.hostile.profile, ac.profile))
+        throw std::invalid_argument(
+            "MulticastServer: unknown hostile profile " +
+            cfg_.hostile.profile);
+      ac.sender_port = sender_socket->port();
+      ac.victims = group.members();  // honest members only, joined so far
+      ac.rate = cfg_.hostile.rate;
+      ac.seed = s.spec.seed ^ (id * 0xAD5EC0DEull) ^ 0xBADF00Dull;
+      ac.k = np.k;
+      ac.num_tgs = num_tgs;
+      ac.auth = np.guard.auth;
+      ac.auth_key = np.guard.auth_key;
+      ac.incarnation = static_cast<std::uint8_t>(np.incarnation);
+      s.adversary = std::make_unique<net::AdversaryPeer>(std::move(ac));
+      s.adversary->join(group);
     }
   } catch (const std::system_error&) {
     s.journal.reset();
@@ -450,28 +481,7 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
     return false;
   }
   const std::uint16_t sender_port = sender_socket->port();
-
-  // Byzantine injection: the adversary binds its own socket and joins
-  // the group as a full member — the sender multicasts to it, tracks it,
-  // and owes it completeness until the guard bans (expels) it.  It is
-  // NOT in `receivers`, so honest-side accounting is untouched.
-  if (cfg_.hostile.enabled) {
-    net::AdversaryConfig ac;
-    if (!net::parse_adversary_profile(cfg_.hostile.profile, ac.profile))
-      throw std::invalid_argument("MulticastServer: unknown hostile profile " +
-                                  cfg_.hostile.profile);
-    ac.sender_port = sender_port;
-    ac.victims = group.members();  // honest members only, joined so far
-    ac.rate = cfg_.hostile.rate;
-    ac.seed = s.spec.seed ^ (id * 0xAD5EC0DEull) ^ 0xBADF00Dull;
-    ac.k = np.k;
-    ac.num_tgs = num_tgs;
-    ac.auth = np.guard.auth;
-    ac.auth_key = np.guard.auth_key;
-    ac.incarnation = static_cast<std::uint8_t>(np.incarnation);
-    s.adversary = std::make_unique<net::AdversaryPeer>(std::move(ac));
-    group.add_member(s.adversary->port());
-  }
+  const bool multicast = group.multicast();
 
   if (cfg_.faults.send_eagain_every > 0)
     sender_socket->inject_send_errno_every(EAGAIN, cfg_.faults.send_eagain_every,
@@ -490,11 +500,13 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
     opt.expected = &s.spec.groups;
     s.receivers.push_back(std::make_unique<ReceiverSessionDriver>(
         reactor_, std::move(receiver_sockets[r]), sender_port, num_tgs, np,
-        std::move(opt), [this, id] {
+        std::move(opt),
+        [this, id] {
           Session& owner = *sessions_.at(id);
           ++owner.receivers_finished;
           maybe_finish_session(id);
-        }));
+        },
+        std::move(group_sockets[r])));
   }
   s.sender = std::make_unique<SenderSessionDriver>(
       reactor_, std::move(*sender_socket), std::move(group), np, s.spec.groups,
@@ -512,6 +524,7 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
   ++active_count_;
   server_metrics_.inc("sessions_admitted");
   if (resuming) server_metrics_.inc("sessions_resumed");
+  server_metrics_.set_gauge("udp_group_delivery", multicast ? 1.0 : 0.0);
   server_metrics_.set_gauge("sessions_active",
                             static_cast<double>(active_count_));
 

@@ -125,7 +125,7 @@ bool SenderSessionDriver::send_control(fec::Packet packet) {
   // Authenticated control plane: POLLs (including the end marker) carry
   // a group-keyed trailer so a hostile member cannot forge or replay
   // them at honest receivers.  One key for the whole group keeps the
-  // fan-out bytes identical per member.
+  // bytes identical per member, so one group send serves them all.
   if (cfg_.guard.auth && packet.header.type == fec::PacketType::kPoll)
     net::append_auth_trailer(packet, group_key_, ++ctl_seq_);
   // Best-effort control fan-out: a would-block tail is dropped rather
@@ -149,6 +149,10 @@ void SenderSessionDriver::fan_out(std::span<const std::uint8_t> frame,
     // Catch-up traffic is unicast to the stragglers: the healthy group
     // already holds this TG and must not pay for the laggards' loss.
     for (const std::size_t m : cu_targets_) out.push_back({members[m], frame});
+    return;
+  }
+  if (group_.multicast()) {
+    out.push_back(group_.to_all(frame));  // one send reaches every member
     return;
   }
   for (const std::uint16_t port : members) out.push_back({port, frame});
@@ -765,8 +769,10 @@ void SenderSessionDriver::finish_session() {
 ReceiverSessionDriver::ReceiverSessionDriver(
     Reactor& reactor, net::UdpSocket socket, std::uint16_t sender_port,
     std::size_t num_tgs, const net::UdpNpConfig& config, Options options,
-    std::function<void()> on_finished)
-    : reactor_(reactor), socket_(std::move(socket)), sender_port_(sender_port),
+    std::function<void()> on_finished,
+    std::optional<net::UdpSocket> group_socket)
+    : reactor_(reactor), socket_(std::move(socket)),
+      group_socket_(std::move(group_socket)), sender_port_(sender_port),
       num_tgs_(num_tgs), cfg_(config), opt_(std::move(options)),
       code_(config.k, config.k + config.h),
       clk_(config.clock ? *config.clock : protocol::steady_clock()),
@@ -784,6 +790,7 @@ ReceiverSessionDriver::ReceiverSessionDriver(
   if (opt_.impairment.enabled() || opt_.impairment.control_enabled()) {
     impairment_ = std::make_shared<net::Impairment>(opt_.impairment);
     socket_.set_impairment(impairment_);
+    if (group_socket_) group_socket_->set_impairment(impairment_);
   }
 
   decoders_.reserve(num_tgs_);
@@ -820,7 +827,7 @@ ReceiverSessionDriver::ReceiverSessionDriver(
 
 ReceiverSessionDriver::~ReceiverSessionDriver() {
   if (timer_armed_) reactor_.cancel_timer(wake_timer_);
-  if (fd_registered_) reactor_.remove_fd(socket_.fd());
+  unregister_fds();
 }
 
 void ReceiverSessionDriver::start() {
@@ -828,9 +835,28 @@ void ReceiverSessionDriver::start() {
   started_ = true;
   last_rx_ = clk_.now();
   result_.end_reason = net::UdpNpEndReason::kMidSessionSilence;
-  reactor_.add_fd(socket_.fd(), [this] { on_readable(); });
+  reactor_.add_fd(socket_.fd(), [this] { on_readable(true); });
+  if (group_socket_)
+    reactor_.add_fd(group_socket_->fd(), [this] { on_readable(false); });
   fd_registered_ = true;
   reschedule(idle_deadline());
+}
+
+void ReceiverSessionDriver::unregister_fds() {
+  if (!fd_registered_) return;
+  reactor_.remove_fd(socket_.fd());
+  if (group_socket_) reactor_.remove_fd(group_socket_->fd());
+  fd_registered_ = false;
+}
+
+std::uint64_t ReceiverSessionDriver::frame_resyncs() const noexcept {
+  return socket_.frame_resyncs() +
+         (group_socket_ ? group_socket_->frame_resyncs() : 0);
+}
+
+std::uint64_t ReceiverSessionDriver::frames_skipped() const noexcept {
+  return socket_.frames_skipped() +
+         (group_socket_ ? group_socket_->frames_skipped() : 0);
 }
 
 void ReceiverSessionDriver::stop() {
@@ -886,11 +912,21 @@ void ReceiverSessionDriver::send_feedback(std::uint32_t tg, std::size_t count,
   socket_.send_to(sender_port_, fb);
 }
 
-void ReceiverSessionDriver::on_readable() {
+void ReceiverSessionDriver::on_readable(bool unicast) {
+  // Catch-up repair is unicast and the end marker that follows it goes to
+  // the group, so a unicast wake-up drains the group after the unicast
+  // socket: the marker never ends the run ahead of repair already queued.
+  // A group wake-up, the common case, reads the group alone.
+  if (unicast) drain(socket_);
+  if (group_socket_) drain(*group_socket_);
+  if (!finished_) reschedule(idle_deadline());
+}
+
+void ReceiverSessionDriver::drain(net::UdpSocket& socket) {
   while (!finished_) {
-    auto dg = socket_.receive_from(0.0);
+    auto dg = socket.receive_from(0.0);
     if (!dg) {
-      if (!socket_.has_pending()) break;
+      if (!socket.has_pending()) break;
       continue;
     }
     // Guarded receivers only listen to their sender: a peer injecting
@@ -902,7 +938,6 @@ void ReceiverSessionDriver::on_readable() {
     }
     handle_packet(std::move(dg->packet));
   }
-  if (!finished_) reschedule(idle_deadline());
 }
 
 void ReceiverSessionDriver::on_wake() {
@@ -1068,7 +1103,7 @@ void ReceiverSessionDriver::handle_packet(fec::Packet&& packet) {
       break;
     }
     case fec::PacketType::kNak:
-      break;  // unicast topology: receivers do not overhear NAKs
+      break;  // NAKs are unicast to the sender: never overheard
   }
 }
 
@@ -1078,7 +1113,7 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
 
   // Datagrams still held back by the reorder queue are "in flight" when
   // the session ends; flush them so a late shard can still complete a TG.
-  // They pass the same source check as on_readable's.
+  // They pass the same source check as drain's.
   if (impairment_) {
     for (const auto& d : impairment_->drain()) {
       if (cfg_.guard.enabled && d.src_port != sender_port_) {
@@ -1112,10 +1147,7 @@ void ReceiverSessionDriver::finish(net::UdpNpEndReason reason) {
     reactor_.cancel_timer(wake_timer_);
     timer_armed_ = false;
   }
-  if (fd_registered_) {
-    reactor_.remove_fd(socket_.fd());
-    fd_registered_ = false;
-  }
+  unregister_fds();
   finished_ = true;
   if (on_finished_) on_finished_();  // may reschedule our destruction; last
 }

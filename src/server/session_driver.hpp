@@ -111,11 +111,12 @@ class SenderSessionDriver {
   bool end_if_deadline_passed(double now);
   /// The crash fault: true once crash_after_sends sends were made.
   bool crash_fired();
-  /// Best-effort fan-out of a control packet; false once the crash fault
+  /// Best-effort send of a control packet; false once the crash fault
   /// has fired.
   bool send_control(fec::Packet packet);
-  /// Appends one FrameRef per destination: the whole group, or the
-  /// catch-up targets (cu_targets_) while catch-up runs.
+  /// Appends the frame's destinations: one group frame (or one unicast
+  /// copy per member on a fan-out group), or the catch-up targets
+  /// (cu_targets_) while catch-up runs.
   void fan_out(std::span<const std::uint8_t> frame,
                std::vector<net::FrameRef>& out) const;
   /// Opens a resumable burst of `count` logical packets and pumps it.
@@ -256,10 +257,15 @@ class ReceiverSessionDriver {
     const std::vector<net::TgBytes>* expected = nullptr;
   };
 
-  ReceiverSessionDriver(Reactor& reactor, net::UdpSocket socket,
-                        std::uint16_t sender_port, std::size_t num_tgs,
-                        const net::UdpNpConfig& config, Options options,
-                        std::function<void()> on_finished);
+  /// `socket` is the member's unicast socket: its port is the member's
+  /// identity, and catch-up repair arrives on it.  `group_socket` is its
+  /// socket on the session's multicast group (net::UdpGroup::join), left
+  /// empty on a fan-out group.  on_readable drains both.
+  ReceiverSessionDriver(
+      Reactor& reactor, net::UdpSocket socket, std::uint16_t sender_port,
+      std::size_t num_tgs, const net::UdpNpConfig& config, Options options,
+      std::function<void()> on_finished,
+      std::optional<net::UdpSocket> group_socket = std::nullopt);
   ~ReceiverSessionDriver();
   ReceiverSessionDriver(const ReceiverSessionDriver&) = delete;
   ReceiverSessionDriver& operator=(const ReceiverSessionDriver&) = delete;
@@ -286,16 +292,16 @@ class ReceiverSessionDriver {
   std::uint32_t incarnation_heard() const noexcept { return known_inc_; }
   std::size_t tgs_done() const noexcept { return done_count_; }
   std::uint16_t port() const noexcept { return socket_.port(); }
-  /// Receive-path desync evidence (see UdpSocket::frame_resyncs).
-  std::uint64_t frame_resyncs() const noexcept {
-    return socket_.frame_resyncs();
-  }
-  std::uint64_t frames_skipped() const noexcept {
-    return socket_.frames_skipped();
-  }
+  /// Receive-path desync evidence (see UdpSocket::frame_resyncs), summed
+  /// over the unicast and group sockets.
+  std::uint64_t frame_resyncs() const noexcept;
+  std::uint64_t frames_skipped() const noexcept;
 
  private:
-  void on_readable();
+  /// Readiness of the unicast socket (`unicast`) or the group socket.
+  void on_readable(bool unicast);
+  /// Handles every datagram queued on `socket`.
+  void drain(net::UdpSocket& socket);
   void on_wake();
   void handle_packet(fec::Packet&& packet);
   void accept_block_packet(fec::Packet&& packet);
@@ -309,11 +315,13 @@ class ReceiverSessionDriver {
   /// needed or the retransmit budget is spent.
   void send_pending_nak();
   void finish(net::UdpNpEndReason reason);
+  void unregister_fds();
   void reschedule(double next_due);
   double idle_deadline() const;
 
   Reactor& reactor_;
   net::UdpSocket socket_;
+  std::optional<net::UdpSocket> group_socket_;
   std::uint16_t sender_port_;
   std::size_t num_tgs_;
   net::UdpNpConfig cfg_;

@@ -7,7 +7,8 @@
 //
 // The adversary is a real thread against real sockets (net/adversary.hpp),
 // so frame COUNTS vary run to run; the properties asserted here must
-// hold regardless.  Chaos runs (CI) perturb seeds via PBL_CHAOS_SEED.
+// hold regardless, under group delivery and under unicast fan-out.
+// Chaos runs (CI) perturb seeds via PBL_CHAOS_SEED.
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,20 @@ class HostileTest : public ::testing::Test {
     ASSERT_FALSE(wedged) << "watchdog fired: hostile run wedged";
   }
 
+  /// Runs `body` once per delivery path, group delivery then unicast
+  /// fan-out, each from an empty journal directory.
+  template <typename Body>
+  void on_each_delivery(Body body) {
+    for (const auto delivery :
+         {net::UdpDelivery::kGroup, net::UdpDelivery::kFanOut}) {
+      SCOPED_TRACE(net::to_string(delivery));
+      net::ScopedUdpDeliveryOverride pin(delivery);
+      std::filesystem::remove_all(dir_);
+      std::filesystem::create_directories(dir_);
+      body();
+    }
+  }
+
   std::string dir_;
 };
 
@@ -109,84 +124,90 @@ class HostileTest : public ::testing::Test {
 // exactly-once, the rejections are counted, and the adversary ends
 // greylisted or banned.  (The acceptance bar for the whole subsystem.)
 TEST_F(HostileTest, EveryProfileContainedHonestCompleteExactlyOnce) {
-  const char* profiles[] = {"storm", "spoof", "replay", "garbage",
-                            "false-completion"};
-  std::uint64_t id = 0;
-  for (const char* profile : profiles) {
-    SCOPED_TRACE(profile);
-    Reactor reactor;
-    ServerConfig cfg = guarded_config();
-    cfg.hostile.enabled = true;
-    cfg.hostile.profile = profile;
-    cfg.hostile.rate = 400.0;
-    MulticastServer server(reactor, cfg);
-    const std::uint64_t sid = id++;
-    ASSERT_TRUE(server.submit(make_spec(sid, 5, 0.05)));
-    run_guarded(reactor);
+  on_each_delivery([&] {
+    const char* profiles[] = {"storm", "spoof", "replay", "garbage",
+                              "false-completion"};
+    std::uint64_t id = 0;
+    for (const char* profile : profiles) {
+      SCOPED_TRACE(profile);
+      Reactor reactor;
+      ServerConfig cfg = guarded_config();
+      cfg.hostile.enabled = true;
+      cfg.hostile.profile = profile;
+      cfg.hostile.rate = 400.0;
+      MulticastServer server(reactor, cfg);
+      const std::uint64_t sid = id++;
+      ASSERT_TRUE(server.submit(make_spec(sid, 5, 0.05)));
+      run_guarded(reactor);
 
-    EXPECT_EQ(server.completed_sessions(), 1u);
-    EXPECT_EQ(server.failed_sessions(), 0u);
-    EXPECT_EQ(server.redelivered_prior_total(), 0u);
-    EXPECT_EQ(server.payload_mismatches_total(), 0u);
-    const auto& m = server.session_metrics(sid);
-    EXPECT_GT(m.counter("peer_rejected"), 0u)
-        << "the adversary's frames never reached the guard";
-    EXPECT_GT(m.counter("peer_greylisted") + m.counter("peer_banned"), 0u)
-        << "the adversary was never escalated";
-  }
+      EXPECT_EQ(server.completed_sessions(), 1u);
+      EXPECT_EQ(server.failed_sessions(), 0u);
+      EXPECT_EQ(server.redelivered_prior_total(), 0u);
+      EXPECT_EQ(server.payload_mismatches_total(), 0u);
+      const auto& m = server.session_metrics(sid);
+      EXPECT_GT(m.counter("peer_rejected"), 0u)
+          << "the adversary's frames never reached the guard";
+      EXPECT_GT(m.counter("peer_greylisted") + m.counter("peer_banned"), 0u)
+          << "the adversary was never escalated";
+    }
+  });
 }
 
 // A sustained max-demand NAK storm at ~10x the honest feedback rate
 // must not inflate the parity spend past 2x the adversary-free
 // baseline (plus one burst of slack for the pre-greylist window).
 TEST_F(HostileTest, StormParityOverheadBounded) {
-  const std::size_t kSessions = 3;
-  const auto run = [&](bool hostile) {
-    Reactor reactor;
-    ServerConfig cfg = guarded_config();
-    cfg.hostile.enabled = hostile;
-    cfg.hostile.profile = "storm";
-    cfg.hostile.rate = 500.0;  // honest: ~50 feedback/s per member
-    MulticastServer server(reactor, cfg);
-    for (std::uint64_t id = 0; id < kSessions; ++id)
-      EXPECT_TRUE(server.submit(make_spec(id, 6, 0.1)));
-    run_guarded(reactor);
-    EXPECT_EQ(server.completed_sessions(), kSessions);
-    EXPECT_EQ(server.failed_sessions(), 0u);
-    std::uint64_t parity = 0;
-    for (std::uint64_t id = 0; id < kSessions; ++id)
-      parity += server.session_metrics(id).counter("parity_sent");
-    return parity;
-  };
+  on_each_delivery([&] {
+    const std::size_t kSessions = 3;
+    const auto run = [&](bool hostile) {
+      Reactor reactor;
+      ServerConfig cfg = guarded_config();
+      cfg.hostile.enabled = hostile;
+      cfg.hostile.profile = "storm";
+      cfg.hostile.rate = 500.0;  // honest: ~50 feedback/s per member
+      MulticastServer server(reactor, cfg);
+      for (std::uint64_t id = 0; id < kSessions; ++id)
+        EXPECT_TRUE(server.submit(make_spec(id, 6, 0.1)));
+      run_guarded(reactor);
+      EXPECT_EQ(server.completed_sessions(), kSessions);
+      EXPECT_EQ(server.failed_sessions(), 0u);
+      std::uint64_t parity = 0;
+      for (std::uint64_t id = 0; id < kSessions; ++id)
+        parity += server.session_metrics(id).counter("parity_sent");
+      return parity;
+    };
 
-  const std::uint64_t baseline = run(false);
-  const std::uint64_t stormed = run(true);
-  // Per session the storm may buy at most one pre-greylist burst of k
-  // parities on one TG; everything after that is policed.
-  const std::uint64_t slack = kSessions * 2 * 4;
-  EXPECT_LE(stormed, 2 * baseline + slack)
-      << "baseline=" << baseline << " stormed=" << stormed;
+    const std::uint64_t baseline = run(false);
+    const std::uint64_t stormed = run(true);
+    // Per session the storm may buy at most one pre-greylist burst of k
+    // parities on one TG; everything after that is policed.
+    const std::uint64_t slack = kSessions * 2 * 4;
+    EXPECT_LE(stormed, 2 * baseline + slack)
+        << "baseline=" << baseline << " stormed=" << stormed;
+  });
 }
 
 // Garbage — raw noise, truncated frames, bit-flipped seals — must be
 // absorbed on the receive path and leave evidence in the frame-desync
 // counters, never crash the parser or reach protocol state.
 TEST_F(HostileTest, GarbageLeavesFrameEvidence) {
-  Reactor reactor;
-  ServerConfig cfg = guarded_config();
-  cfg.hostile.enabled = true;
-  cfg.hostile.profile = "garbage";
-  cfg.hostile.rate = 400.0;
-  MulticastServer server(reactor, cfg);
-  ASSERT_TRUE(server.submit(make_spec(0, 5, 0.05)));
-  run_guarded(reactor);
+  on_each_delivery([&] {
+    Reactor reactor;
+    ServerConfig cfg = guarded_config();
+    cfg.hostile.enabled = true;
+    cfg.hostile.profile = "garbage";
+    cfg.hostile.rate = 400.0;
+    MulticastServer server(reactor, cfg);
+    ASSERT_TRUE(server.submit(make_spec(0, 5, 0.05)));
+    run_guarded(reactor);
 
-  EXPECT_EQ(server.completed_sessions(), 1u);
-  EXPECT_EQ(server.failed_sessions(), 0u);
-  const auto& m = server.session_metrics(0);
-  EXPECT_GT(m.counter("frames_skipped"), 0u)
-      << "no malformed datagram was recorded by the salvage path";
-  EXPECT_GT(m.counter("peer_rejected"), 0u);
+    EXPECT_EQ(server.completed_sessions(), 1u);
+    EXPECT_EQ(server.failed_sessions(), 0u);
+    const auto& m = server.session_metrics(0);
+    EXPECT_GT(m.counter("frames_skipped"), 0u)
+        << "no malformed datagram was recorded by the salvage path";
+    EXPECT_GT(m.counter("peer_rejected"), 0u);
+  });
 }
 
 // The port-smuggling fix stands alone: with the guard OFF, feedback
@@ -194,26 +215,28 @@ TEST_F(HostileTest, GarbageLeavesFrameEvidence) {
 // still rejected and counted.  A false-completion adversary forging
 // victims' ACKs would otherwise strand them unrepaired mid-loss.
 TEST_F(HostileTest, GuardOffAddrMismatchStillRejected) {
-  Reactor reactor;
-  ServerConfig cfg = guarded_config();
-  cfg.np.guard.enabled = false;
-  cfg.np.guard.auth = false;
-  cfg.hostile.enabled = true;
-  cfg.hostile.profile = "false-completion";
-  cfg.hostile.rate = 400.0;
-  MulticastServer server(reactor, cfg);
-  ASSERT_TRUE(server.submit(make_spec(0, 5, 0.1)));
-  run_guarded(reactor);
+  on_each_delivery([&] {
+    Reactor reactor;
+    ServerConfig cfg = guarded_config();
+    cfg.np.guard.enabled = false;
+    cfg.np.guard.auth = false;
+    cfg.hostile.enabled = true;
+    cfg.hostile.profile = "false-completion";
+    cfg.hostile.rate = 400.0;
+    MulticastServer server(reactor, cfg);
+    ASSERT_TRUE(server.submit(make_spec(0, 5, 0.1)));
+    run_guarded(reactor);
 
-  // The adversary ACKs for ITSELF are legitimate member feedback (the
-  // guard is off, nobody bans it), so the session completes with the
-  // adversary "delivered"; the forged victim ACKs must all have died on
-  // the source cross-check or the honest members could not finish.
-  EXPECT_EQ(server.completed_sessions(), 1u);
-  EXPECT_EQ(server.failed_sessions(), 0u);
-  EXPECT_EQ(server.payload_mismatches_total(), 0u);
-  EXPECT_GT(server.session_metrics(0).counter("feedback_addr_mismatch"), 0u)
-      << "no spoofed feedback was caught by the driver-level cross-check";
+    // The adversary ACKs for ITSELF are legitimate member feedback (the
+    // guard is off, nobody bans it), so the session completes with the
+    // adversary "delivered"; the forged victim ACKs must all have died on
+    // the source cross-check or the honest members could not finish.
+    EXPECT_EQ(server.completed_sessions(), 1u);
+    EXPECT_EQ(server.failed_sessions(), 0u);
+    EXPECT_EQ(server.payload_mismatches_total(), 0u);
+    EXPECT_GT(server.session_metrics(0).counter("feedback_addr_mismatch"), 0u)
+        << "no spoofed feedback was caught by the driver-level cross-check";
+  });
 }
 
 // Replayed sender frames injected directly at receivers come from the
@@ -221,19 +244,21 @@ TEST_F(HostileTest, GuardOffAddrMismatchStillRejected) {
 // source address (foreign_rejected feeds peer_rejected) — a replayed
 // end marker must never end an honest receiver's run early.
 TEST_F(HostileTest, ReplayedFramesAtReceiversRejected) {
-  Reactor reactor;
-  ServerConfig cfg = guarded_config();
-  cfg.hostile.enabled = true;
-  cfg.hostile.profile = "replay";
-  cfg.hostile.rate = 400.0;
-  MulticastServer server(reactor, cfg);
-  ASSERT_TRUE(server.submit(make_spec(0, 6, 0.05)));
-  run_guarded(reactor);
+  on_each_delivery([&] {
+    Reactor reactor;
+    ServerConfig cfg = guarded_config();
+    cfg.hostile.enabled = true;
+    cfg.hostile.profile = "replay";
+    cfg.hostile.rate = 400.0;
+    MulticastServer server(reactor, cfg);
+    ASSERT_TRUE(server.submit(make_spec(0, 6, 0.05)));
+    run_guarded(reactor);
 
-  EXPECT_EQ(server.completed_sessions(), 1u);
-  EXPECT_EQ(server.failed_sessions(), 0u);
-  EXPECT_EQ(server.redelivered_prior_total(), 0u);
-  EXPECT_GT(server.session_metrics(0).counter("peer_rejected"), 0u);
+    EXPECT_EQ(server.completed_sessions(), 1u);
+    EXPECT_EQ(server.failed_sessions(), 0u);
+    EXPECT_EQ(server.redelivered_prior_total(), 0u);
+    EXPECT_GT(server.session_metrics(0).counter("peer_rejected"), 0u);
+  });
 }
 
 // A TG confirmed while a quarantined member still lacks it defers its
@@ -244,34 +269,37 @@ TEST_F(HostileTest, ReplayedFramesAtReceiversRejected) {
 // an honest straggler also exhausts its catch-up budget and is evicted.
 // The session then ends degraded, but the journaling rule still holds.
 TEST_F(HostileTest, TgsOwedToABannedStragglerAreStillJournaled) {
-  Reactor reactor;
-  ServerConfig cfg = guarded_config();
-  cfg.hostile.enabled = true;
-  cfg.hostile.profile = "storm";
-  cfg.hostile.rate = 400.0;
-  cfg.np.overload.quarantine_deficit = 1;
-  std::vector<std::size_t> completions;
-  cfg.np.on_tg_completed = [&completions](std::size_t tg) {
-    completions.push_back(tg);
-  };
-  MulticastServer server(reactor, cfg);
-  const std::size_t kTgs = 8;
-  ASSERT_TRUE(server.submit(make_spec(0, kTgs, 0.05)));
-  run_guarded(reactor);
+  on_each_delivery([&] {
+    Reactor reactor;
+    ServerConfig cfg = guarded_config();
+    cfg.hostile.enabled = true;
+    cfg.hostile.profile = "storm";
+    cfg.hostile.rate = 400.0;
+    cfg.np.overload.quarantine_deficit = 1;
+    std::vector<std::size_t> completions;
+    cfg.np.on_tg_completed = [&completions](std::size_t tg) {
+      completions.push_back(tg);
+    };
+    MulticastServer server(reactor, cfg);
+    const std::size_t kTgs = 8;
+    ASSERT_TRUE(server.submit(make_spec(0, kTgs, 0.05)));
+    run_guarded(reactor);
 
-  EXPECT_EQ(server.completed_sessions() + server.failed_sessions(), 1u);
-  const auto& m = server.session_metrics(0);
-  EXPECT_GT(m.counter("members_quarantined"), 0u);
-  EXPECT_GT(m.counter("members_expelled"), 0u) << "the adversary was not banned";
-  std::vector<std::size_t> per_tg(kTgs, 0);
-  for (const std::size_t tg : completions) {
-    ASSERT_LT(tg, kTgs);
-    ++per_tg[tg];
-  }
-  for (std::size_t tg = 0; tg < kTgs; ++tg)
-    EXPECT_LE(per_tg[tg], 1u) << "TG " << tg;
-  EXPECT_EQ(completions.size(), kTgs - m.counter("tgs_unconfirmed") -
-                                    m.counter("tgs_exhausted"));
+    EXPECT_EQ(server.completed_sessions() + server.failed_sessions(), 1u);
+    const auto& m = server.session_metrics(0);
+    EXPECT_GT(m.counter("members_quarantined"), 0u);
+    EXPECT_GT(m.counter("members_expelled"), 0u)
+        << "the adversary was not banned";
+    std::vector<std::size_t> per_tg(kTgs, 0);
+    for (const std::size_t tg : completions) {
+      ASSERT_LT(tg, kTgs);
+      ++per_tg[tg];
+    }
+    for (std::size_t tg = 0; tg < kTgs; ++tg)
+      EXPECT_LE(per_tg[tg], 1u) << "TG " << tg;
+    EXPECT_EQ(completions.size(), kTgs - m.counter("tgs_unconfirmed") -
+                                      m.counter("tgs_exhausted"));
+  });
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // to the old busy-loop/park behaviour fails fast instead of wedging CI.
 //
 // Chaos runs (CI) perturb the seeds via PBL_CHAOS_SEED; the properties
-// below must hold for every seed.
+// below must hold for every seed.  The injected-EAGAIN cases run under
+// group delivery and under unicast fan-out.
 
 #include <gtest/gtest.h>
 
@@ -91,27 +92,43 @@ class OverloadTest : public ::testing::Test {
     ASSERT_FALSE(wedged) << "watchdog fired: overload run wedged";
   }
 
+  /// Runs `body` once per delivery path, group delivery then unicast
+  /// fan-out, each from an empty journal directory.
+  template <typename Body>
+  void on_each_delivery(Body body) {
+    for (const auto delivery :
+         {net::UdpDelivery::kGroup, net::UdpDelivery::kFanOut}) {
+      SCOPED_TRACE(net::to_string(delivery));
+      net::ScopedUdpDeliveryOverride pin(delivery);
+      std::filesystem::remove_all(dir_);
+      std::filesystem::create_directories(dir_);
+      body();
+    }
+  }
+
   std::string dir_;
 };
 
 TEST_F(OverloadTest, SustainedEagainAbsorbed) {
-  // Every 5th send syscall EAGAINs for a 3-attempt burst: the driver
-  // must defer and retry on its flush timer, never spin or give up.
-  Reactor reactor;
-  ServerConfig cfg = base_config();
-  cfg.faults.send_eagain_every = 5;
-  cfg.faults.send_eagain_burst = 3;
-  MulticastServer server(reactor, cfg);
-  for (std::uint64_t id = 0; id < 3; ++id)
-    ASSERT_TRUE(server.submit(make_spec(id, 3, 0.1)));
-  run_guarded(reactor);
+  on_each_delivery([&] {
+    // Every 5th send syscall EAGAINs for a 3-attempt burst: the driver
+    // must defer and retry on its flush timer, never spin or give up.
+    Reactor reactor;
+    ServerConfig cfg = base_config();
+    cfg.faults.send_eagain_every = 5;
+    cfg.faults.send_eagain_burst = 3;
+    MulticastServer server(reactor, cfg);
+    for (std::uint64_t id = 0; id < 3; ++id)
+      ASSERT_TRUE(server.submit(make_spec(id, 3, 0.1)));
+    run_guarded(reactor);
 
-  EXPECT_EQ(server.completed_sessions(), 3u);
-  EXPECT_EQ(server.failed_sessions(), 0u);
-  EXPECT_EQ(server.payload_mismatches_total(), 0u);
-  server.snapshot_json();  // refreshes the fault counters
-  EXPECT_GT(server.server_metrics().counter("fault_injected_send"), 0u);
-  EXPECT_GT(server.server_metrics().counter("would_block_total"), 0u);
+    EXPECT_EQ(server.completed_sessions(), 3u);
+    EXPECT_EQ(server.failed_sessions(), 0u);
+    EXPECT_EQ(server.payload_mismatches_total(), 0u);
+    server.snapshot_json();  // refreshes the fault counters
+    EXPECT_GT(server.server_metrics().counter("fault_injected_send"), 0u);
+    EXPECT_GT(server.server_metrics().counter("would_block_total"), 0u);
+  });
 }
 
 TEST_F(OverloadTest, TinyArenaCompletesWithDeferrals) {
@@ -260,7 +277,7 @@ TEST_F(OverloadTest, QuarantineUnblocksGroupCompletion) {
   const std::uint16_t sender_port = sender_socket.port();
   std::vector<net::UdpSocket> rx_sockets(3);
   net::UdpGroup group;
-  for (auto& s : rx_sockets) group.add_member(s.port());
+  for (auto& s : rx_sockets) group.join(s.port());
 
   std::size_t finished = 0;
   const auto on_done = [&] {
@@ -299,104 +316,110 @@ TEST_F(OverloadTest, QuarantineUnblocksGroupCompletion) {
 }
 
 TEST_F(OverloadTest, RefusePolicyYieldsStructuredPartialDelivery) {
-  // A socket that NEVER accepts a datagram plus shed_policy=refuse: the
-  // session must end quickly with report.overloaded set — a structured
-  // outcome, not a hang, not a busy-loop, not silent data loss.
-  Reactor reactor;
-  net::UdpNpConfig np;
-  np.k = 4;
-  np.h = 8;
-  np.packet_len = 32;
-  np.poll_window = 0.02;
-  np.drain_timeout = 0.2;
-  np.reliable_control = true;
-  np.seed = chaos_seed(77);
-  np.clock = &reactor.clock();
-  np.overload.stall_timeout = 0.05;
-  np.overload.retry_interval = 0.005;
-  np.overload.shed_policy = net::ShedPolicy::kRefuse;
+  on_each_delivery([&] {
+    // A socket that NEVER accepts a datagram plus shed_policy=refuse: the
+    // session must end quickly with report.overloaded set — a structured
+    // outcome, not a hang, not a busy-loop, not silent data loss.
+    Reactor reactor;
+    net::UdpNpConfig np;
+    np.k = 4;
+    np.h = 8;
+    np.packet_len = 32;
+    np.poll_window = 0.02;
+    np.drain_timeout = 0.2;
+    np.reliable_control = true;
+    np.seed = chaos_seed(77);
+    np.clock = &reactor.clock();
+    np.overload.stall_timeout = 0.05;
+    np.overload.retry_interval = 0.005;
+    np.overload.shed_policy = net::ShedPolicy::kRefuse;
 
-  const auto groups = make_payload(2, 2, np.k, np.packet_len);
-  net::UdpSocket sender_socket;
-  const std::uint16_t sender_port = sender_socket.port();
-  net::UdpSocket rx_socket;
-  net::UdpGroup group;
-  group.add_member(rx_socket.port());
+    const auto groups = make_payload(2, 2, np.k, np.packet_len);
+    net::UdpSocket sender_socket;
+    const std::uint16_t sender_port = sender_socket.port();
+    net::UdpSocket rx_socket;
+    net::UdpGroup group = net::UdpGroup::open();
+    auto rx_group_socket = group.join(rx_socket.port());
 
-  std::size_t finished = 0;
-  const auto on_done = [&] {
-    if (++finished == 2) reactor.stop();
-  };
-  ReceiverSessionDriver::Options opt;
-  opt.idle_timeout = 0.5;  // it will hear nothing at all
-  opt.expected = &groups;
-  ReceiverSessionDriver receiver(reactor, std::move(rx_socket), sender_port,
-                                 groups.size(), np, std::move(opt), on_done);
-  SenderSessionDriver sender(reactor, std::move(sender_socket),
-                             std::move(group), np, groups, on_done);
-  sender.socket().inject_send_errno_every(EAGAIN, /*every=*/1, /*burst=*/8);
-  receiver.start();
-  sender.start();
-  run_guarded(reactor, 30.0);
+    std::size_t finished = 0;
+    const auto on_done = [&] {
+      if (++finished == 2) reactor.stop();
+    };
+    ReceiverSessionDriver::Options opt;
+    opt.idle_timeout = 0.5;  // it will hear nothing at all
+    opt.expected = &groups;
+    ReceiverSessionDriver receiver(reactor, std::move(rx_socket), sender_port,
+                                   groups.size(), np, std::move(opt), on_done,
+                                   std::move(rx_group_socket));
+    SenderSessionDriver sender(reactor, std::move(sender_socket),
+                               std::move(group), np, groups, on_done);
+    sender.socket().inject_send_errno_every(EAGAIN, /*every=*/1, /*burst=*/8);
+    receiver.start();
+    sender.start();
+    run_guarded(reactor, 30.0);
 
-  ASSERT_EQ(finished, 2u);
-  const auto& st = sender.stats();
-  EXPECT_TRUE(st.report.overloaded) << st.report.summary();
-  EXPECT_FALSE(st.report.complete);
-  EXPECT_GT(st.shed_frames, 0u);
-  EXPECT_GT(st.would_block, 0u);
-  EXPECT_FALSE(receiver.result().complete);
+    ASSERT_EQ(finished, 2u);
+    const auto& st = sender.stats();
+    EXPECT_TRUE(st.report.overloaded) << st.report.summary();
+    EXPECT_FALSE(st.report.complete);
+    EXPECT_GT(st.shed_frames, 0u);
+    EXPECT_GT(st.would_block, 0u);
+    EXPECT_FALSE(receiver.result().complete);
+  });
 }
 
 TEST_F(OverloadTest, DropNewestParityShedsOnlyRepair) {
-  // drop-newest-parity under a permanently stuck socket: DATA bursts
-  // must still defer (data is never shed), so the session ends by its
-  // deadline with the stall recorded, not by dropping payload bytes.
-  Reactor reactor;
-  net::UdpNpConfig np;
-  np.k = 4;
-  np.h = 8;
-  np.packet_len = 32;
-  np.poll_window = 0.02;
-  np.drain_timeout = 0.2;
-  np.reliable_control = true;
-  np.seed = chaos_seed(78);
-  np.clock = &reactor.clock();
-  np.retry.session_deadline = 2.0;
-  np.overload.stall_timeout = 0.05;
-  np.overload.retry_interval = 0.005;
-  np.overload.shed_policy = net::ShedPolicy::kDropNewestParity;
+  on_each_delivery([&] {
+    // drop-newest-parity under a permanently stuck socket: DATA bursts
+    // must still defer (data is never shed), so the session ends by its
+    // deadline with the stall recorded, not by dropping payload bytes.
+    Reactor reactor;
+    net::UdpNpConfig np;
+    np.k = 4;
+    np.h = 8;
+    np.packet_len = 32;
+    np.poll_window = 0.02;
+    np.drain_timeout = 0.2;
+    np.reliable_control = true;
+    np.seed = chaos_seed(78);
+    np.clock = &reactor.clock();
+    np.retry.session_deadline = 2.0;
+    np.overload.stall_timeout = 0.05;
+    np.overload.retry_interval = 0.005;
+    np.overload.shed_policy = net::ShedPolicy::kDropNewestParity;
 
-  const auto groups = make_payload(3, 2, np.k, np.packet_len);
-  net::UdpSocket sender_socket;
-  const std::uint16_t sender_port = sender_socket.port();
-  net::UdpSocket rx_socket;
-  net::UdpGroup group;
-  group.add_member(rx_socket.port());
+    const auto groups = make_payload(3, 2, np.k, np.packet_len);
+    net::UdpSocket sender_socket;
+    const std::uint16_t sender_port = sender_socket.port();
+    net::UdpSocket rx_socket;
+    net::UdpGroup group = net::UdpGroup::open();
+    auto rx_group_socket = group.join(rx_socket.port());
 
-  std::size_t finished = 0;
-  const auto on_done = [&] {
-    if (++finished == 2) reactor.stop();
-  };
-  ReceiverSessionDriver::Options opt;
-  opt.idle_timeout = 0.5;
-  opt.expected = &groups;
-  ReceiverSessionDriver receiver(reactor, std::move(rx_socket), sender_port,
-                                 groups.size(), np, std::move(opt), on_done);
-  SenderSessionDriver sender(reactor, std::move(sender_socket),
-                             std::move(group), np, groups, on_done);
-  sender.socket().inject_send_errno_every(EAGAIN, /*every=*/1, /*burst=*/8);
-  receiver.start();
-  sender.start();
-  run_guarded(reactor, 30.0);
+    std::size_t finished = 0;
+    const auto on_done = [&] {
+      if (++finished == 2) reactor.stop();
+    };
+    ReceiverSessionDriver::Options opt;
+    opt.idle_timeout = 0.5;
+    opt.expected = &groups;
+    ReceiverSessionDriver receiver(reactor, std::move(rx_socket), sender_port,
+                                   groups.size(), np, std::move(opt), on_done,
+                                   std::move(rx_group_socket));
+    SenderSessionDriver sender(reactor, std::move(sender_socket),
+                               std::move(group), np, groups, on_done);
+    sender.socket().inject_send_errno_every(EAGAIN, /*every=*/1, /*burst=*/8);
+    receiver.start();
+    sender.start();
+    run_guarded(reactor, 30.0);
 
-  ASSERT_EQ(finished, 2u);
-  const auto& st = sender.stats();
-  EXPECT_FALSE(st.report.complete);
-  EXPECT_GT(st.would_block, 0u);
-  // Data frames are deferred, never shed: whatever was shed (possibly
-  // nothing — the deadline can land before any parity burst) is repair.
-  EXPECT_LE(st.shed_frames, st.parity_sent);
+    ASSERT_EQ(finished, 2u);
+    const auto& st = sender.stats();
+    EXPECT_FALSE(st.report.complete);
+    EXPECT_GT(st.would_block, 0u);
+    // Data frames are deferred, never shed: whatever was shed (possibly
+    // nothing — the deadline can land before any parity burst) is repair.
+    EXPECT_LE(st.shed_frames, st.parity_sent);
+  });
 }
 
 }  // namespace

@@ -106,6 +106,30 @@ TEST_F(ServerTest, AdmissionRefusesBeyondMaxSessions) {
   EXPECT_TRUE(std::filesystem::is_empty(dir_));
 }
 
+// Two live sessions, each on its own multicast group (or fan-out where
+// the host lacks multicast on lo), must never see each other's frames.
+// Guarded receivers count a frame from another session's sender as
+// foreign_rejected, which peer_rejected sums; a TG rebuilt from the
+// other session's payload would be a payload mismatch.
+TEST_F(ServerTest, ConcurrentSessionsStayInTheirOwnGroups) {
+  Reactor reactor;
+  ServerConfig cfg = base_config();
+  cfg.np.guard.enabled = true;
+  MulticastServer server(reactor, cfg);
+  EXPECT_EQ(server.server_metrics().gauge("udp_group_delivery"),
+            net::udp_group_delivery_available() ? 1.0 : 0.0);
+  ASSERT_TRUE(server.submit(make_spec(0, 6, 0.1)));
+  ASSERT_TRUE(server.submit(make_spec(1, 6, 0.1)));
+  reactor.run();
+
+  EXPECT_EQ(server.completed_sessions(), 2u);
+  EXPECT_EQ(server.failed_sessions(), 0u);
+  EXPECT_EQ(server.payload_mismatches_total(), 0u);
+  for (std::uint64_t id = 0; id < 2; ++id)
+    EXPECT_EQ(server.session_metrics(id).counter("peer_rejected"), 0u)
+        << "session " << id;
+}
+
 TEST_F(ServerTest, DuplicateSessionIdRefused) {
   Reactor reactor;
   MulticastServer server(reactor, base_config());

@@ -1,5 +1,6 @@
 // UDP transport tests, parameterized over the {batched, fallback} data
-// planes: every behavior here must hold identically on both backends.
+// planes: every behavior here must hold identically on both backends,
+// including group delivery (IP multicast on lo) where the host has it.
 #include "net/udp/udp_transport.hpp"
 
 #include <gtest/gtest.h>
@@ -7,9 +8,13 @@
 #include <poll.h>
 
 #include <cerrno>
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
+
+#include "udp_np_harness.hpp"
 
 namespace pbl::net {
 namespace {
@@ -144,9 +149,10 @@ TEST_P(UdpSocketTest, TxTapSeesEveryFrame) {
   UdpSocket a, b;
   std::size_t taps = 0;
   std::vector<std::uint8_t> last;
-  a.set_tx_tap([&](std::uint16_t dest, std::span<const std::uint8_t> bytes) {
-    EXPECT_EQ(dest, b.port());
-    last.assign(bytes.begin(), bytes.end());
+  a.set_tx_tap([&](const FrameRef& frame) {
+    EXPECT_EQ(frame.dest_port, b.port());
+    EXPECT_EQ(frame.group, 0u);
+    last.assign(frame.bytes.begin(), frame.bytes.end());
     ++taps;
   });
   const fec::Packet p = sample_packet();
@@ -327,6 +333,155 @@ TEST_P(UdpSocketTest, ZeroTimeoutReceiveOnAnEmptySocketIsNullopt) {
   UdpSocket s;
   EXPECT_FALSE(s.receive_from(0.0).has_value());
   EXPECT_FALSE(s.has_pending());
+}
+
+TEST_P(UdpSocketTest, SubMillisecondReceiveTimeoutWaits) {
+  // A 0.5 ms timeout must wait, not round down to poll(0) and return at
+  // once (which turned sub-millisecond waits into busy-spins).
+  UdpSocket s;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(s.receive_from(0.0005).has_value());
+  EXPECT_GE(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            0.0005);
+}
+
+// --- Group delivery (IP multicast on lo) ------------------------------
+
+/// Receives until `socket` has been quiet for 20 ms; returns the seq of
+/// every frame, in arrival order.
+std::vector<std::uint32_t> drain_seqs(UdpSocket& socket) {
+  std::vector<std::uint32_t> seqs;
+  while (auto dg = socket.receive_from(0.02))
+    seqs.push_back(dg->packet.header.seq);
+  return seqs;
+}
+
+/// Sends frames seq first..first+count-1 to every member of `group`.
+void send_to_group(UdpSocket& tx, const UdpGroup& group, std::uint32_t first,
+                   std::uint32_t count) {
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    fec::Packet p = sample_packet();
+    p.header.seq = first + i;
+    wires.push_back(fec::serialize(p));
+  }
+  std::vector<FrameRef> refs;
+  for (const auto& w : wires) refs.push_back(group.to_all(w));
+  tx.send_batch_blocking(refs);
+}
+
+std::vector<std::uint32_t> iota_seqs(std::uint32_t first,
+                                     std::uint32_t count) {
+  std::vector<std::uint32_t> seqs(count);
+  for (std::uint32_t i = 0; i < count; ++i) seqs[i] = first + i;
+  return seqs;
+}
+
+class UdpGroupTest : public UdpSocketTest {
+ protected:
+  void SetUp() override {
+    if (!udp_group_delivery_available())
+      GTEST_SKIP() << "this host does not deliver IP multicast on lo";
+  }
+  ScopedUdpDeliveryOverride delivery_{UdpDelivery::kGroup};
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, UdpGroupTest,
+                         ::testing::Values(UdpBackend::kBatched,
+                                           UdpBackend::kFallback),
+                         backend_name);
+
+TEST_P(UdpGroupTest, EveryMemberReceivesEachFrameOnceInOrder) {
+  UdpGroup group = UdpGroup::open();
+  ASSERT_TRUE(group.multicast());
+  UdpSocket tx;
+  UdpSocket unicast[3];
+  std::optional<UdpSocket> members[3];
+  for (int m = 0; m < 3; ++m) members[m] = group.join(unicast[m].port());
+  std::size_t tapped = 0;
+  tx.set_tx_tap([&](const FrameRef& frame) {
+    EXPECT_NE(frame.group, 0u);
+    ++tapped;
+  });
+  send_to_group(tx, group, 0, 40);
+  EXPECT_EQ(tapped, 40u);  // one send per frame, whatever the group size
+  for (int m = 0; m < 3; ++m) {
+    ASSERT_TRUE(members[m].has_value());
+    EXPECT_EQ(members[m]->port(), members[0]->port());
+    const auto got = drain_seqs(*members[m]);
+    EXPECT_EQ(got, iota_seqs(0, 40)) << "member " << m;
+    // Group frames never arrive on the member's unicast socket.
+    EXPECT_FALSE(unicast[m].receive_from(0.0).has_value()) << "member " << m;
+  }
+}
+
+TEST_P(UdpGroupTest, ConcurrentGroupsNeverSeeEachOthersFrames) {
+  UdpGroup first = UdpGroup::open();
+  UdpGroup second = UdpGroup::open();
+  UdpSocket tx, a, b;
+  auto in_first = first.join(a.port());
+  auto in_second = second.join(b.port());
+  ASSERT_TRUE(in_first && in_second);
+  send_to_group(tx, first, 0, 10);
+  send_to_group(tx, second, 100, 10);
+  EXPECT_EQ(drain_seqs(*in_first), iota_seqs(0, 10));
+  EXPECT_EQ(drain_seqs(*in_second), iota_seqs(100, 10));
+}
+
+TEST_P(UdpGroupTest, NonMemberReceivesNothing) {
+  UdpGroup group = UdpGroup::open();
+  UdpSocket tx, member, outsider;
+  auto joined = group.join(member.port());
+  ASSERT_TRUE(joined);
+  send_to_group(tx, group, 0, 5);
+  EXPECT_EQ(drain_seqs(*joined), iota_seqs(0, 5));
+  EXPECT_FALSE(outsider.receive_from(0.02).has_value());
+  EXPECT_FALSE(member.receive_from(0.0).has_value());
+}
+
+TEST_P(UdpSocketTest, ForcedFanOutSessionCompletes) {
+  // Under the fan-out override a group carries no group address, join
+  // adds no socket, and a lossy session still completes end to end.
+  ScopedUdpDeliveryOverride fan_out(UdpDelivery::kFanOut);
+  UdpGroup group = UdpGroup::open();
+  EXPECT_FALSE(group.multicast());
+  UdpSocket probe;
+  EXPECT_FALSE(group.join(probe.port()).has_value());
+
+  UdpNpConfig cfg;
+  cfg.k = 4;
+  cfg.h = 16;
+  cfg.packet_len = 64;
+  cfg.poll_window = 0.02;
+  server::harness::SessionSetup setup;
+  setup.receivers = 3;
+  setup.data_loss = 0.2;
+  const auto groups = server::harness::random_groups(3, 4, 64, 5);
+  const auto run = server::harness::run_session(groups, cfg, setup);
+  EXPECT_FALSE(run.wedged);
+  for (const auto& r : run.receivers) {
+    EXPECT_TRUE(r.result.complete);
+    EXPECT_EQ(r.payload_mismatches, 0u);
+  }
+}
+
+TEST(UdpDeliverySelection, OverrideWinsAndRestores) {
+  const UdpDelivery ambient = active_udp_delivery();
+  {
+    ScopedUdpDeliveryOverride fan_out(UdpDelivery::kFanOut);
+    EXPECT_EQ(active_udp_delivery(), UdpDelivery::kFanOut);
+    {
+      ScopedUdpDeliveryOverride group(UdpDelivery::kGroup);
+      // A group request on a host without multicast on lo degrades.
+      EXPECT_EQ(active_udp_delivery(), udp_group_delivery_available()
+                                           ? UdpDelivery::kGroup
+                                           : UdpDelivery::kFanOut);
+    }
+    EXPECT_EQ(active_udp_delivery(), UdpDelivery::kFanOut);
+  }
+  EXPECT_EQ(active_udp_delivery(), ambient);
 }
 
 TEST(UdpBackendSelection, OverrideWinsAndRestores) {

@@ -1,9 +1,11 @@
 // Differential proof that the reactor drivers put the same bytes on the
 // wire whatever the data plane underneath: the same seeded session, run
-// once per UDP backend on one private Reactor, must put byte-identical
-// streams on the wire for every member (captured via the socket tx tap),
-// produce identical sender stats and PartialDeliveryReports, and leave
-// every receiver with identical counters.  Each stream is also pinned to
+// on one private Reactor once per path — each UDP backend, under unicast
+// fan-out and under group delivery (IP multicast on lo) — must put
+// byte-identical streams in front of every member (captured via the
+// socket tx tap; a group frame counts once per member), produce
+// identical sender stats and PartialDeliveryReports, and leave every
+// receiver with identical counters.  Each stream is also pinned to
 // a committed CRC-32, so a change to the session engine that moves one
 // byte fails here, and two knobs documented as "same bytes" (a one-frame
 // arena, a pacer that never binds) are held to that claim.
@@ -53,26 +55,48 @@ UdpNpConfig reliable_config() {
   return cfg;
 }
 
-SessionRun run_session(UdpBackend backend, const std::vector<TgBytes>& groups,
-                       const UdpNpConfig& cfg, const SessionSetup& setup) {
-  ScopedUdpBackendOverride override(backend);
-  auto run = server::harness::run_session(groups, cfg, setup);
-  EXPECT_FALSE(run.wedged) << "watchdog fired on " << to_string(backend);
-  return run;
+/// One data plane a session can run on.
+struct Path {
+  UdpBackend backend;
+  UdpDelivery delivery;
+};
+
+/// Fan-out on the batched backend, the reference, comes first.
+constexpr Path kPaths[] = {{UdpBackend::kBatched, UdpDelivery::kFanOut},
+                           {UdpBackend::kFallback, UdpDelivery::kFanOut},
+                           {UdpBackend::kBatched, UdpDelivery::kGroup},
+                           {UdpBackend::kFallback, UdpDelivery::kGroup}};
+
+std::string path_name(std::size_t i) {
+  return to_string(kPaths[i].backend) + "/" + to_string(kPaths[i].delivery);
 }
 
-SessionRun run_session(UdpBackend backend, const std::vector<TgBytes>& groups,
-                       std::size_t receivers, const UdpNpConfig& cfg,
-                       double inject_loss) {
+/// Runs the session once per path, in kPaths order.
+std::vector<SessionRun> run_paths(const std::vector<TgBytes>& groups,
+                                  const UdpNpConfig& cfg,
+                                  const SessionSetup& setup) {
+  std::vector<SessionRun> runs;
+  for (std::size_t i = 0; i < std::size(kPaths); ++i) {
+    ScopedUdpBackendOverride backend(kPaths[i].backend);
+    ScopedUdpDeliveryOverride delivery(kPaths[i].delivery);
+    runs.push_back(server::harness::run_session(groups, cfg, setup));
+    EXPECT_FALSE(runs.back().wedged) << "watchdog fired on " << path_name(i);
+  }
+  return runs;
+}
+
+std::vector<SessionRun> run_paths(const std::vector<TgBytes>& groups,
+                                  std::size_t receivers,
+                                  const UdpNpConfig& cfg, double inject_loss) {
   SessionSetup setup;
   setup.receivers = receivers;
   setup.data_loss = inject_loss;
-  return run_session(backend, groups, cfg, setup);
+  return run_paths(groups, cfg, setup);
 }
 
-/// A member stream's digest and length.  Every member of an emulated
-/// multicast group is sent the same frames, so the digests below are one
-/// value repeated per member.
+/// A member stream's digest and length.  Every member of a multicast
+/// group is sent the same frames, so the digests below are one value
+/// repeated per member.
 struct WireDigest {
   std::uint32_t crc;
   std::size_t bytes;
@@ -171,18 +195,40 @@ void expect_same_receivers(const SessionRun& a, const SessionRun& b) {
     EXPECT_EQ(x.result.dropped, y.result.dropped) << "receiver " << r;
     EXPECT_EQ(x.result.decoded, y.result.decoded) << "receiver " << r;
     EXPECT_EQ(x.result.naks_sent, y.result.naks_sent) << "receiver " << r;
+    // ...and every other counter of the result.
+    EXPECT_TRUE(x.result == y.result) << "receiver " << r;
+    EXPECT_EQ(x.redelivered_prior, y.redelivered_prior) << "receiver " << r;
     // Every decoded TG matched the payload on both runs.
     EXPECT_EQ(x.payload_mismatches, 0u) << "receiver " << r;
     EXPECT_EQ(y.payload_mismatches, 0u) << "receiver " << r;
   }
 }
 
+/// Every run must match the first, kPaths' reference: member streams,
+/// sender stats and report, and receiver counters.
+void expect_paths_agree(const std::vector<SessionRun>& runs) {
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    SCOPED_TRACE(path_name(i) + " vs " + path_name(0));
+    expect_same_wire(runs[0], runs[i]);
+    expect_same_sender_stats(runs[0].sender, runs[i].sender);
+    expect_same_report(runs[0].sender.report, runs[i].sender.report);
+    expect_same_receivers(runs[0], runs[i]);
+  }
+}
+
+void expect_digest(const std::vector<SessionRun>& runs, WireDigest want) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(path_name(i));
+    expect_digest(runs[i], want);
+  }
+}
+
 // UdpNpConfig::arena_frames promises "same bytes, bounded memory": a
 // one-frame arena fills every burst across many arena generations.  A
 // pacer defers bursts on reactor timers when it binds.  Neither may move
-// a byte, so a pinned session must reproduce its digest on both
-// backends with a one-frame arena, and with a pacer far above the
-// session's send rate.
+// a byte, so a pinned session must reproduce its digest on every path
+// with a one-frame arena, and with a pacer far above the session's send
+// rate.
 void expect_knobs_keep_bytes(const std::vector<TgBytes>& groups,
                              std::size_t receivers, const UdpNpConfig& cfg,
                              double inject_loss, WireDigest want) {
@@ -190,12 +236,11 @@ void expect_knobs_keep_bytes(const std::vector<TgBytes>& groups,
   one_frame_arena.arena_frames = 1;
   UdpNpConfig idle_pacer = cfg;
   idle_pacer.overload.pace_rate = 1e9;
-  for (const auto backend : {UdpBackend::kBatched, UdpBackend::kFallback}) {
-    for (const auto& variant : {one_frame_arena, idle_pacer}) {
-      const auto run =
-          run_session(backend, groups, receivers, variant, inject_loss);
-      expect_digest(run, want);
-      if (cfg.reliable_control) {
+  for (const auto& variant : {one_frame_arena, idle_pacer}) {
+    const auto runs = run_paths(groups, receivers, variant, inject_loss);
+    expect_digest(runs, want);
+    if (cfg.reliable_control) {
+      for (const auto& run : runs) {
         EXPECT_TRUE(run.sender.report.complete) << run.sender.report.summary();
       }
     }
@@ -204,49 +249,30 @@ void expect_knobs_keep_bytes(const std::vector<TgBytes>& groups,
 
 TEST(UdpDifferential, CleanSessionIsByteIdentical) {
   const auto groups = random_groups(3, 6, 128, 21);
-  const auto batched =
-      run_session(UdpBackend::kBatched, groups, 3, base_config(), 0.0);
-  const auto fallback =
-      run_session(UdpBackend::kFallback, groups, 3, base_config(), 0.0);
-  expect_same_wire(batched, fallback);
-  expect_same_sender_stats(batched.sender, fallback.sender);
-  expect_same_receivers(batched, fallback);
-  expect_digest(batched, kCleanDigest);
-  expect_digest(fallback, kCleanDigest);
+  const auto runs = run_paths(groups, 3, base_config(), 0.0);
+  expect_paths_agree(runs);
+  expect_digest(runs, kCleanDigest);
 }
 
 TEST(UdpDifferential, LossyRepairScheduleIsByteIdentical) {
-  // Injected loss is seeded per receiver, so both runs lose the same
+  // Injected loss is seeded per receiver, so every run loses the same
   // packets — the NAK counts, the parity bursts they trigger, and hence
   // the whole wire stream must match frame for frame.
   const auto groups = random_groups(4, 6, 128, 22);
-  const auto batched =
-      run_session(UdpBackend::kBatched, groups, 4, base_config(), 0.2);
-  const auto fallback =
-      run_session(UdpBackend::kFallback, groups, 4, base_config(), 0.2);
-  EXPECT_GT(batched.sender.parity_sent, 0u);
-  expect_same_wire(batched, fallback);
-  expect_same_sender_stats(batched.sender, fallback.sender);
-  expect_same_receivers(batched, fallback);
-  expect_digest(batched, kLossyDigest);
-  expect_digest(fallback, kLossyDigest);
+  const auto runs = run_paths(groups, 4, base_config(), 0.2);
+  EXPECT_GT(runs[0].sender.parity_sent, 0u);
+  expect_paths_agree(runs);
+  expect_digest(runs, kLossyDigest);
   expect_knobs_keep_bytes(groups, 4, base_config(), 0.2, kLossyDigest);
 }
 
 TEST(UdpDifferential, ReliableSessionReportsAreIdentical) {
   const auto groups = random_groups(3, 6, 128, 23);
-  const auto batched =
-      run_session(UdpBackend::kBatched, groups, 3, reliable_config(), 0.15);
-  const auto fallback =
-      run_session(UdpBackend::kFallback, groups, 3, reliable_config(), 0.15);
-  EXPECT_TRUE(batched.sender.report.complete)
-      << batched.sender.report.summary();
-  expect_same_wire(batched, fallback);
-  expect_same_sender_stats(batched.sender, fallback.sender);
-  expect_same_report(batched.sender.report, fallback.sender.report);
-  expect_same_receivers(batched, fallback);
-  expect_digest(batched, kReliableDigest);
-  expect_digest(fallback, kReliableDigest);
+  const auto runs = run_paths(groups, 3, reliable_config(), 0.15);
+  EXPECT_TRUE(runs[0].sender.report.complete)
+      << runs[0].sender.report.summary();
+  expect_paths_agree(runs);
+  expect_digest(runs, kReliableDigest);
   expect_knobs_keep_bytes(groups, 3, reliable_config(), 0.15, kReliableDigest);
 }
 
@@ -254,7 +280,9 @@ TEST(UdpDifferential, ReliableSessionReportsAreIdentical) {
 // 60 % loss falls behind an acked quorum, is served its missing TGs by
 // unicast after the main pass, and is evicted when the catch-up budget
 // runs out.  The straggler's stream differs from the healthy members',
-// so each member's digest is pinned.
+// so each member's digest is pinned; under group delivery the main pass
+// reaches it through the group and the catch-up through its unicast
+// socket.
 TEST(UdpDifferential, QuarantineCatchUpIsByteIdentical) {
   const auto groups = random_groups(5, 6, 128, 25);
   UdpNpConfig cfg = reliable_config();
@@ -264,18 +292,15 @@ TEST(UdpDifferential, QuarantineCatchUpIsByteIdentical) {
   SessionSetup setup;
   setup.receivers = 3;
   setup.member_loss = {0.05, 0.05, 0.6};
-  const auto batched = run_session(UdpBackend::kBatched, groups, cfg, setup);
-  const auto fallback = run_session(UdpBackend::kFallback, groups, cfg, setup);
-  EXPECT_EQ(batched.sender.members_quarantined, 2u);
-  EXPECT_EQ(batched.sender.evictions, 1u);
-  expect_same_wire(batched, fallback);
-  expect_same_sender_stats(batched.sender, fallback.sender);
-  expect_same_report(batched.sender.report, fallback.sender.report);
-  expect_same_receivers(batched, fallback);
-  ASSERT_EQ(batched.tx.size(), std::size(kCatchUpDigests));
-  for (std::size_t m = 0; m < batched.tx.size(); ++m) {
-    expect_member_digest(batched, m, kCatchUpDigests[m]);
-    expect_member_digest(fallback, m, kCatchUpDigests[m]);
+  const auto runs = run_paths(groups, cfg, setup);
+  EXPECT_EQ(runs[0].sender.members_quarantined, 2u);
+  EXPECT_EQ(runs[0].sender.evictions, 1u);
+  expect_paths_agree(runs);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(path_name(i));
+    ASSERT_EQ(runs[i].tx.size(), std::size(kCatchUpDigests));
+    for (std::size_t m = 0; m < runs[i].tx.size(); ++m)
+      expect_member_digest(runs[i], m, kCatchUpDigests[m]);
   }
 }
 
@@ -290,51 +315,45 @@ TEST(UdpDifferential, HardenedSessionIsByteIdentical) {
   cfg.guard.auth = true;
   cfg.guard.auth_key = 0x1234;
   cfg.overload.nak_suppression = true;
-  const auto batched = run_session(UdpBackend::kBatched, groups, 4, cfg, 0.15);
-  const auto fallback =
-      run_session(UdpBackend::kFallback, groups, 4, cfg, 0.15);
-  EXPECT_TRUE(batched.sender.report.complete)
-      << batched.sender.report.summary();
-  expect_same_wire(batched, fallback);
-  expect_same_sender_stats(batched.sender, fallback.sender);
-  expect_same_report(batched.sender.report, fallback.sender.report);
-  expect_same_receivers(batched, fallback);
-  expect_digest(batched, kHardenedDigest);
-  expect_digest(fallback, kHardenedDigest);
+  const auto runs = run_paths(groups, 4, cfg, 0.15);
+  EXPECT_TRUE(runs[0].sender.report.complete)
+      << runs[0].sender.report.summary();
+  expect_paths_agree(runs);
+  expect_digest(runs, kHardenedDigest);
 }
 
 // Crash + resume across two sender lives: the crash must clamp the wire
-// stream at the same frame on both backends, and the resumed life must
+// stream at the same frame on every path, and the resumed life must
 // continue from the same journal state.
-server::harness::CrashRun run_crash_session(UdpBackend backend,
-                                            const std::vector<TgBytes>& groups,
-                                            const std::string& journal) {
-  ScopedUdpBackendOverride override(backend);
-  auto run = server::harness::run_crash_session(groups, base_config(), journal);
-  EXPECT_FALSE(run.session.wedged)
-      << "watchdog fired on " << to_string(backend);
-  return run;
-}
-
 TEST(UdpDifferential, CrashResumeClampsAtTheSameFrame) {
   const auto groups = random_groups(3, 6, 128, 24);
   // Per-process journal names: concurrent runs of this binary must not
   // share a journal.
-  const std::string dir =
-      ::testing::TempDir() + std::to_string(::getpid()) + "_";
-  const auto batched = run_crash_session(UdpBackend::kBatched, groups,
-                                         dir + "pbl_diff_batched.log");
-  const auto fallback = run_crash_session(UdpBackend::kFallback, groups,
-                                          dir + "pbl_diff_fallback.log");
-  EXPECT_TRUE(batched.life1.crashed);
-  expect_same_wire(batched.session, fallback.session);
-  expect_same_sender_stats(batched.life1, fallback.life1);
-  expect_same_sender_stats(batched.session.sender, fallback.session.sender);
-  expect_same_receivers(batched.session, fallback.session);
-  EXPECT_TRUE(batched.session.receivers[0].result.complete);
-  EXPECT_EQ(batched.session.receivers[0].redelivered_prior, 0u);
-  expect_digest(batched.session, kCrashResumeDigest);
-  expect_digest(fallback.session, kCrashResumeDigest);
+  const std::string journal = ::testing::TempDir() +
+                              std::to_string(::getpid()) + "_pbl_diff.log";
+  std::vector<server::harness::CrashRun> runs;
+  for (std::size_t i = 0; i < std::size(kPaths); ++i) {
+    ScopedUdpBackendOverride backend(kPaths[i].backend);
+    ScopedUdpDeliveryOverride delivery(kPaths[i].delivery);
+    runs.push_back(
+        server::harness::run_crash_session(groups, base_config(), journal));
+    EXPECT_FALSE(runs.back().session.wedged)
+        << "watchdog fired on " << path_name(i);
+  }
+  EXPECT_TRUE(runs[0].life1.crashed);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    SCOPED_TRACE(path_name(i));
+    if (i > 0) {
+      expect_same_wire(runs[0].session, runs[i].session);
+      expect_same_sender_stats(runs[0].life1, runs[i].life1);
+      expect_same_sender_stats(runs[0].session.sender,
+                               runs[i].session.sender);
+      expect_same_receivers(runs[0].session, runs[i].session);
+    }
+    EXPECT_TRUE(runs[i].session.receivers[0].result.complete);
+    EXPECT_EQ(runs[i].session.receivers[0].redelivered_prior, 0u);
+    expect_digest(runs[i].session, kCrashResumeDigest);
+  }
 }
 
 // --- FrameStreamDecoder: deterministic segmentation invariance --------

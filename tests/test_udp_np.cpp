@@ -104,7 +104,7 @@ struct ManualSession {
     net::UdpGroup group;
     for (std::size_t r = 0; r < 3; ++r) {
       net::UdpSocket socket;
-      group.add_member(socket.port());
+      group.join(socket.port());
       ReceiverSessionDriver::Options opt;
       opt.idle_timeout = idle_timeout;
       opt.data_loss = 0.3;
@@ -114,7 +114,7 @@ struct ManualSession {
           reactor, std::move(socket), sender_socket.port(), tgs, cfg,
           std::move(opt), nullptr));
     }
-    for (const auto port : extra_members) group.add_member(port);
+    for (const auto port : extra_members) group.join(port);
     sender = std::make_unique<SenderSessionDriver>(
         reactor, std::move(sender_socket), group, cfg, groups, nullptr);
     for (auto& r : receivers) r->start();
@@ -149,7 +149,7 @@ TEST_P(UdpNp, ValidatesConfiguration) {
   wide.h = 100;
   net::UdpSocket rx;
   net::UdpGroup group;
-  group.add_member(rx.port());
+  group.join(rx.port());
   EXPECT_THROW(SenderSessionDriver(reactor, net::UdpSocket(), group, wide,
                                    none, nullptr),
                std::invalid_argument);
@@ -258,7 +258,7 @@ TEST_P(UdpNp, SenderRejectsWrongGroupShape) {
   Reactor reactor;
   net::UdpSocket rx;
   net::UdpGroup group;
-  group.add_member(rx.port());
+  group.join(rx.port());
   const std::vector<net::TgBytes> bad{
       net::TgBytes(3, std::vector<std::uint8_t>(128))};
   EXPECT_THROW(SenderSessionDriver(reactor, net::UdpSocket(), group,
@@ -576,8 +576,9 @@ TEST_P(UdpNp, GuardedReceiverRejectsHeldBackForeignFrames) {
   setup.idle_timeout = 0.2;
   setup.impairment.reorder_prob = 1.0;
   setup.impairment.reorder_window = 1;
-  auto receiver = harness::make_receiver(loop, std::move(rx_socket),
-                                         sender.port(), groups, cfg, setup, 0);
+  auto receiver =
+      harness::make_receiver(loop, {std::move(rx_socket), std::nullopt},
+                             sender.port(), groups, cfg, setup, 0);
   receiver->start();
   ASSERT_EQ(foreign.send_to(rx_port, enc.data_packet(0)),
             net::SendStatus::kSent);

@@ -3,8 +3,10 @@
 // server::Reactor holding the SenderSessionDriver and every
 // ReceiverSessionDriver, so the whole session is one thread; the loop
 // stops once every driver reports finished, or when a watchdog fires.
-// The sender socket's tx tap records each member's wire stream, and
-// every receiver verifies each decoded TG against the payload through
+// The group is opened on the active delivery path (group or fan-out; a
+// ScopedUdpDeliveryOverride pins one), the sender socket's tx tap
+// records each member's wire stream, and every receiver verifies each
+// decoded TG against the payload through
 // ReceiverSessionDriver::Options::expected.
 #pragma once
 
@@ -12,6 +14,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -102,21 +105,36 @@ struct SessionSetup {
   std::function<void(std::size_t, net::UdpNpConfig&)> receiver_config;
 };
 
-/// Appends each frame the socket sends to its member's stream.
+/// Appends each frame the socket sends to its member's stream; a group
+/// frame, sent once, lands in every member's stream.
 inline net::UdpSocket::TxTap member_tap(
     std::vector<std::uint16_t> members,
     std::vector<std::vector<std::uint8_t>>& tx) {
   tx.resize(members.size());
-  return [members = std::move(members), &tx](
-             std::uint16_t dest, std::span<const std::uint8_t> bytes) {
+  return [members = std::move(members), &tx](const net::FrameRef& frame) {
     for (std::size_t m = 0; m < members.size(); ++m)
-      if (members[m] == dest)
-        tx[m].insert(tx[m].end(), bytes.begin(), bytes.end());
+      if (frame.group != 0 || members[m] == frame.dest_port)
+        tx[m].insert(tx[m].end(), frame.bytes.begin(), frame.bytes.end());
   };
 }
 
+/// A receiver's sockets: its unicast socket and, on a multicast group,
+/// its group socket.
+struct Member {
+  net::UdpSocket socket;
+  std::optional<net::UdpSocket> group_socket;
+};
+
+/// Binds `count` members and joins each to `group`.
+inline std::vector<Member> join_members(net::UdpGroup& group,
+                                        std::size_t count) {
+  std::vector<Member> members(count);
+  for (auto& m : members) m.group_socket = group.join(m.socket.port());
+  return members;
+}
+
 inline std::unique_ptr<ReceiverSessionDriver> make_receiver(
-    Loop& loop, net::UdpSocket socket, std::uint16_t sender_port,
+    Loop& loop, Member member, std::uint16_t sender_port,
     const std::vector<net::TgBytes>& groups, const net::UdpNpConfig& cfg,
     const SessionSetup& setup, std::size_t r) {
   net::UdpNpConfig rcfg = cfg;
@@ -131,8 +149,8 @@ inline std::unique_ptr<ReceiverSessionDriver> make_receiver(
     opt.impairment.seed += r;
   opt.expected = &groups;
   return std::make_unique<ReceiverSessionDriver>(
-      loop.reactor, std::move(socket), sender_port, groups.size(), rcfg,
-      std::move(opt), loop.notifier());
+      loop.reactor, std::move(member.socket), sender_port, groups.size(),
+      rcfg, std::move(opt), loop.notifier(), std::move(member.group_socket));
 }
 
 inline std::vector<ReceiverOutcome> outcomes(
@@ -151,15 +169,14 @@ inline SessionRun run_session(const std::vector<net::TgBytes>& groups,
   cfg.clock = &loop.reactor.clock();
   net::UdpSocket sender_socket;
   const std::uint16_t sender_port = sender_socket.port();
-  std::vector<net::UdpSocket> rx_sockets(setup.receivers);
-  net::UdpGroup group;
-  for (const auto& s : rx_sockets) group.add_member(s.port());
+  net::UdpGroup group = net::UdpGroup::open();
+  auto members = join_members(group, setup.receivers);
 
   SessionRun run;
   sender_socket.set_tx_tap(member_tap(group.members(), run.tx));
   std::vector<std::unique_ptr<ReceiverSessionDriver>> receivers;
   for (std::size_t r = 0; r < setup.receivers; ++r)
-    receivers.push_back(make_receiver(loop, std::move(rx_sockets[r]),
+    receivers.push_back(make_receiver(loop, std::move(members[r]),
                                       sender_port, groups, cfg, setup, r));
   SenderSessionDriver sender(loop.reactor, std::move(sender_socket), group,
                              cfg, groups, loop.notifier());
@@ -211,9 +228,8 @@ inline CrashRun run_crash_session(const std::vector<net::TgBytes>& groups,
   cfg.clock = &loop.reactor.clock();
   net::UdpSocket first_socket;
   const std::uint16_t sender_port = first_socket.port();
-  net::UdpSocket rx_socket;
-  net::UdpGroup group;
-  group.add_member(rx_socket.port());
+  net::UdpGroup group = net::UdpGroup::open();
+  auto members = join_members(group, 1);
 
   CrashRun out;
   SessionRun& run = out.session;
@@ -222,7 +238,7 @@ inline CrashRun run_crash_session(const std::vector<net::TgBytes>& groups,
   SessionSetup setup;
   setup.idle_timeout = 10.0;
   std::vector<std::unique_ptr<ReceiverSessionDriver>> receivers;
-  receivers.push_back(make_receiver(loop, std::move(rx_socket), sender_port,
+  receivers.push_back(make_receiver(loop, std::move(members[0]), sender_port,
                                     groups, cfg, setup, 0));
   receivers[0]->start();
 
