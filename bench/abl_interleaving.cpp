@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       cfg.timing.gap = gap_ms / 1000.0;
       const auto gilbert =
           loss::GilbertLossModel::from_packet_stats(p, burst, cfg.timing.delta);
-      protocol::IidTransmitter tx(
+      protocol::ProcessBatchTransmitter tx(
           gilbert, receivers,
           Rng(9).split(static_cast<std::uint64_t>(gap_ms * 10 + k)));
       row.emplace_back(protocol::sim_integrated_naks(tx, cfg).mean_tx);

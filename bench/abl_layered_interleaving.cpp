@@ -44,10 +44,10 @@ int main(int argc, char** argv) {
   {
     protocol::McConfig nc = cfg;
     nc.h = 0;
-    protocol::IidTransmitter t0(gilbert, receivers, Rng(2));
+    protocol::ProcessBatchTransmitter t0(gilbert, receivers, Rng(2));
     nofec_ref = protocol::sim_nofec(t0, nc).mean_tx;
     loss::BernoulliLossModel iid(p);
-    protocol::IidTransmitter t1(iid, receivers, Rng(3));
+    protocol::ProcessBatchTransmitter t1(iid, receivers, Rng(3));
     indep_ref = protocol::sim_layered(t1, cfg).mean_tx;
   }
   std::printf("references: no-FEC under bursts = %.4f, layered under "
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
 
   Table t({"depth", "layered_EM", "mean_latency_s"});
   for (const std::size_t depth : {1u, 2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
-    protocol::IidTransmitter tx(gilbert, receivers, Rng(100 + depth));
+    protocol::ProcessBatchTransmitter tx(gilbert, receivers, Rng(100 + depth));
     const auto res = protocol::sim_layered_interleaved(tx, cfg, depth);
     t.add_row({static_cast<long long>(depth), res.mean_tx, res.mean_time});
   }

@@ -95,8 +95,9 @@ int main(int argc, char** argv) {
           sim::point_seed(seed, point_index++),
           [&](std::uint64_t, Rng& rng) {
             loss::BernoulliLossModel model(p);
-            protocol::IidTransmitter tx(model, static_cast<std::size_t>(r),
-                                        rng);
+            protocol::ProcessBatchTransmitter tx(model,
+                                                 static_cast<std::size_t>(r),
+                                                 rng);
             protocol::McConfig mc;
             mc.k = k;
             mc.h = h;

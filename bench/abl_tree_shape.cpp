@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     cfg.k = 7;
     cfg.num_tgs = tgs;
 
-    std::unique_ptr<protocol::PacketTransmitter> tx1, tx2;
+    std::unique_ptr<protocol::BatchTransmitter> tx1, tx2;
     loss::BernoulliLossModel iid(p);
     std::size_t height = 0, nodes = 0, leaves = receivers;
     if (topo.tree) {
@@ -82,13 +82,17 @@ int main(int argc, char** argv) {
       nodes = topo.tree->num_nodes();
       leaves = topo.tree->num_leaves();
       const double pn = topo.tree->node_loss_for_leaf_loss(p);
-      tx1 = std::make_unique<protocol::TreeTransmitter>(*topo.tree, pn, Rng(1));
-      tx2 = std::make_unique<protocol::TreeTransmitter>(*topo.tree, pn, Rng(2));
+      tx1 = std::make_unique<protocol::TreeBatchTransmitter>(*topo.tree, pn,
+                                                             Rng(1));
+      tx2 = std::make_unique<protocol::TreeBatchTransmitter>(*topo.tree, pn,
+                                                             Rng(2));
     } else {
       nodes = receivers + 1;
       height = 1;
-      tx1 = std::make_unique<protocol::IidTransmitter>(iid, receivers, Rng(1));
-      tx2 = std::make_unique<protocol::IidTransmitter>(iid, receivers, Rng(2));
+      tx1 = std::make_unique<protocol::ProcessBatchTransmitter>(iid, receivers,
+                                                                Rng(1));
+      tx2 = std::make_unique<protocol::ProcessBatchTransmitter>(iid, receivers,
+                                                                Rng(2));
     }
     (void)leaves;
     const auto nofec = protocol::sim_nofec(*tx1, cfg);

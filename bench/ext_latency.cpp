@@ -48,15 +48,18 @@ int main(int argc, char** argv) {
     cfg.num_tgs = tgs;
     cfg.timing = timing;
 
-    protocol::IidTransmitter t0(model, receivers, Rng(1).split(4 * r));
+    protocol::ProcessBatchTransmitter t0(model, receivers, Rng(1).split(4 * r));
     const auto nofec = protocol::sim_nofec(t0, cfg);
     cfg.h = h;
-    protocol::IidTransmitter t1(model, receivers, Rng(1).split(4 * r + 1));
+    protocol::ProcessBatchTransmitter t1(model, receivers,
+                                         Rng(1).split(4 * r + 1));
     const auto layered = protocol::sim_layered(t1, cfg);
     cfg.h = 0;
-    protocol::IidTransmitter t2(model, receivers, Rng(1).split(4 * r + 2));
+    protocol::ProcessBatchTransmitter t2(model, receivers,
+                                         Rng(1).split(4 * r + 2));
     const auto fec2 = protocol::sim_integrated_naks(t2, cfg);
-    protocol::IidTransmitter t3(model, receivers, Rng(1).split(4 * r + 3));
+    protocol::ProcessBatchTransmitter t3(model, receivers,
+                                         Rng(1).split(4 * r + 3));
     const auto fec1 = protocol::sim_integrated_stream(t3, cfg);
 
     t.add_row({static_cast<long long>(r),

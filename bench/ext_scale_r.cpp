@@ -1,17 +1,19 @@
-// Extension: simulation throughput versus population size — the exact
-// per-receiver engine against the batched shard engine
-// (core::SimEngine::kBatched, docs/SCALING.md) on protocol NP and
-// layered FEC with k = 7, p = 0.01.
+// Extension: simulation throughput versus population size — the
+// per-receiver path on one shard (core::SimEngine::kExact, labelled
+// "exact") against the batched shard engine (core::SimEngine::kBatched,
+// docs/SCALING.md) on protocol NP and layered FEC with k = 7, p = 0.01.
+// Both run the same round loops; they differ in how losses are sampled.
 //
-// The exact engine walks every receiver per transmission (O(R)), so its
-// reps/sec collapses linearly with R and the sweep stops at
-// --exact-rmax (default 10^4).  The batched engine keeps per-receiver
-// state in packed bit-planes (layered) or, for NP under IID loss,
-// deficit-class counts whose per-round cost is independent of R, so the
-// same full-protocol replications reach R = 10^6.  The headline metric
-// is the per-scheme batched/exact speedup at R = --exact-rmax (the
-// largest R both engines measure); CI gates perf.reps_per_sec (batched
-// totals) against bench/baselines/BENCH_ext_scale_r.json.
+// The per-receiver path draws every receiver's loss per transmission
+// (O(R)), so its reps/sec collapses linearly with R and the sweep stops
+// at --exact-rmax (default 10^4).  The batched engine samples each IID
+// loss segment with one binomial draw per transmission (layered) or, for
+// NP, advances deficit-class counts whose per-round cost is independent
+// of R, so the same full-protocol replications reach R = 10^6.  The
+// headline metric is the per-scheme batched/exact speedup at
+// R = --exact-rmax (the largest R both engines measure); CI gates
+// perf.reps_per_sec (batched totals) against
+// bench/baselines/BENCH_ext_scale_r.json.
 //
 // --threads sets the batched engine's shard worker count and never
 // changes any point value — CI runs --threads=1 and --threads=4 and
@@ -104,11 +106,12 @@ int main(int argc, char** argv) {
   }
 
   bench::banner(
-      "Extension: reps/sec vs R, exact engine vs batched shard engine",
+      "Extension: reps/sec vs R, per-receiver path vs batched shard engine",
       "protocol NP + layered (h = 1), k = " + std::to_string(k) +
           ", p = " + std::to_string(p) + ", " + std::to_string(reps) + "x" +
           std::to_string(tgs) +
-          " TGs per point, exact to R = " + std::to_string(exact_rmax) +
+          " TGs per point, per-receiver (exact) to R = " +
+          std::to_string(exact_rmax) +
           ", batched to R = " + std::to_string(rmax),
       "batched receiver state (bit-planes; deficit-class counts for NP) "
       "keeps full-protocol simulation practical to R = 10^6");

@@ -6,7 +6,7 @@
 // result being reproduced).
 //
 // Besides the closed forms, the binary cross-checks every scheme by
-// Monte-Carlo simulation: the exact per-receiver engine up to
+// Monte-Carlo simulation: the per-receiver path up to
 // --sim-rmax receivers (--reps independent replications per point,
 // fanned out over --threads workers by sim::run_replications), and the
 // batched shard engine (core::SimEngine::kBatched, docs/SCALING.md)
@@ -42,7 +42,7 @@ struct Scheme {
 double simulate_once(const Scheme& scheme, std::size_t receivers, double p,
                      std::int64_t k, std::int64_t tgs, Rng& rng) {
   loss::BernoulliLossModel model(p);
-  protocol::IidTransmitter tx(model, receivers, rng);
+  protocol::ProcessBatchTransmitter tx(model, receivers, rng);
   protocol::McConfig mc;
   mc.k = k;
   mc.num_tgs = tgs;
@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
 
   // Batched shard engine: the same protocols simulated in full at the
   // population scale the paper's figure actually plots.  The grid picks
-  // up where the exact engine stops (one point per decade to
+  // up where the per-receiver path stops (one point per decade to
   // --batch-rmax).
   Table bt({"R", "scheme", "sim_mean", "ci95", "analytic"});
   double batch_wall = 0.0;

@@ -86,8 +86,9 @@ int main(int argc, char** argv) {
           [&](std::uint64_t, Rng& rng) {
             loss::HeterogeneousLossModel model(static_cast<std::size_t>(r),
                                                alpha, p_low, p_high);
-            protocol::IidTransmitter tx(model, static_cast<std::size_t>(r),
-                                        rng);
+            protocol::ProcessBatchTransmitter tx(model,
+                                                 static_cast<std::size_t>(r),
+                                                 rng);
             protocol::McConfig mc;
             mc.k = k;
             mc.num_tgs = tgs;

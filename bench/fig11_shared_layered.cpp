@@ -56,10 +56,13 @@ int main(int argc, char** argv) {
     const auto tree = tree::MulticastTree::full_binary(static_cast<unsigned>(d));
     const double p_node = tree.node_loss_for_leaf_loss(p);
 
-    protocol::IidTransmitter iid_tx1(iid, receivers, Rng(seed).split(2 * d));
-    protocol::IidTransmitter iid_tx2(iid, receivers, Rng(seed).split(2 * d + 1));
-    protocol::TreeTransmitter fbt_tx1(tree, p_node, Rng(seed).split(100 + 2 * d));
-    protocol::TreeTransmitter fbt_tx2(tree, p_node,
+    protocol::ProcessBatchTransmitter iid_tx1(iid, receivers,
+                                              Rng(seed).split(2 * d));
+    protocol::ProcessBatchTransmitter iid_tx2(iid, receivers,
+                                              Rng(seed).split(2 * d + 1));
+    protocol::TreeBatchTransmitter fbt_tx1(tree, p_node,
+                                           Rng(seed).split(100 + 2 * d));
+    protocol::TreeBatchTransmitter fbt_tx2(tree, p_node,
                                       Rng(seed).split(101 + 2 * d));
 
     const auto nofec_indep = protocol::sim_nofec(iid_tx1, nc);

@@ -49,15 +49,18 @@ int main(int argc, char** argv) {
     cfg.num_tgs = r >= 1000 ? std::max<std::int64_t>(60, tgs / 4) : tgs;
     cfg.timing = timing;
 
-    protocol::IidTransmitter tx0(gilbert, receivers, Rng(seed).split(3 * r));
+    protocol::ProcessBatchTransmitter tx0(gilbert, receivers,
+                                          Rng(seed).split(3 * r));
     const auto nofec = protocol::sim_nofec(tx0, cfg);
 
     cfg.h = 1;
-    protocol::IidTransmitter tx1(gilbert, receivers, Rng(seed).split(3 * r + 1));
+    protocol::ProcessBatchTransmitter tx1(gilbert, receivers,
+                                          Rng(seed).split(3 * r + 1));
     const auto l1 = protocol::sim_layered(tx1, cfg);
 
     cfg.h = 3;
-    protocol::IidTransmitter tx3(gilbert, receivers, Rng(seed).split(3 * r + 2));
+    protocol::ProcessBatchTransmitter tx3(gilbert, receivers,
+                                          Rng(seed).split(3 * r + 2));
     const auto l3 = protocol::sim_layered(tx3, cfg);
 
     const auto rd = static_cast<double>(r);

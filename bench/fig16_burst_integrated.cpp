@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   const auto simulate = [&](Variant variant, std::int64_t k,
                             std::size_t receivers, std::int64_t tgs_per_rep,
                             Rng& rng) {
-    protocol::IidTransmitter tx(gilbert, receivers, rng);
+    protocol::ProcessBatchTransmitter tx(gilbert, receivers, rng);
     protocol::McConfig cfg;
     cfg.k = k;
     cfg.num_tgs = tgs_per_rep;

@@ -17,6 +17,8 @@ void MulticastConfig::validate() const {
   if (h < 0) throw std::invalid_argument("MulticastConfig: h >= 0");
   if (receivers == 0) throw std::invalid_argument("MulticastConfig: receivers >= 1");
   if (p < 0.0 || p >= 1.0) throw std::invalid_argument("MulticastConfig: p in [0,1)");
+  if (loss == LossKind::kTwoClass && (p_high < 0.0 || p_high >= 1.0))
+    throw std::invalid_argument("MulticastConfig: p_high in [0,1)");
   if (q_f < 0.0 || q_f >= 1.0)
     throw std::invalid_argument("MulticastConfig: q_f in [0,1)");
   if (num_tgs < 1) throw std::invalid_argument("MulticastConfig: num_tgs >= 1");
@@ -49,7 +51,7 @@ unsigned tree_height_for(std::size_t receivers) {
 struct Environment {
   std::unique_ptr<loss::LossModel> model;            // null for kTree
   std::unique_ptr<tree::MulticastTree> tree;         // null otherwise
-  std::unique_ptr<protocol::PacketTransmitter> tx;
+  std::unique_ptr<protocol::BatchTransmitter> tx;
 };
 
 /// The per-receiver loss model for the non-tree loss kinds (null for
@@ -84,13 +86,13 @@ Environment make_environment(const MulticastConfig& cfg) {
       const unsigned height = tree_height_for(cfg.receivers);
       env.tree = std::make_unique<tree::MulticastTree>(
           tree::MulticastTree::full_binary(height));
-      env.tx = std::make_unique<protocol::TreeTransmitter>(
+      env.tx = std::make_unique<protocol::TreeBatchTransmitter>(
           *env.tree, env.tree->node_loss_for_leaf_loss(cfg.p), rng);
       return env;
     }
   }
-  env.tx = std::make_unique<protocol::IidTransmitter>(*env.model,
-                                                      cfg.receivers, rng);
+  env.tx = std::make_unique<protocol::ProcessBatchTransmitter>(
+      *env.model, cfg.receivers, rng);
   return env;
 }
 

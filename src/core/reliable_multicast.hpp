@@ -26,15 +26,16 @@ enum class RecoveryMode {
 
 /// Which Monte-Carlo engine simulate() runs.
 enum class SimEngine {
-  /// Per-receiver objects (protocol/rounds.hpp): supports every loss
-  /// kind and interleaving, but costs O(R) per transmission — practical
-  /// to R ~ 10^3..10^4.
+  /// The per-receiver path on one shard (protocol/rounds.hpp): one loss
+  /// process per receiver, or the multicast tree for kTree.  Supports
+  /// every loss kind and interleaving, but costs O(R) loss draws per
+  /// transmission — practical to R ~ 10^3..10^4.
   kExact,
-  /// Packed-bitmap shards with batched loss sampling
-  /// (protocol/batch_rounds.hpp): O(R/64) per transmission, scales to
-  /// R ~ 10^6.  Bit-identical to kExact for time-dependent models
-  /// (kBurst), distribution-identical for the i.i.d. kinds; kTree and
-  /// interleave_depth > 1 are not supported.  See docs/SCALING.md.
+  /// Many shards with batched loss sampling (protocol/batch_rounds.hpp):
+  /// O(R/64) per transmission, scales to R ~ 10^6.  Bit-identical to
+  /// kExact for time-dependent models (kBurst), distribution-identical
+  /// for the i.i.d. kinds; kTree and interleave_depth > 1 are not
+  /// supported.  See docs/SCALING.md.
   kBatched,
 };
 
@@ -55,7 +56,7 @@ struct MulticastConfig {
   double p = 0.01;              ///< packet loss probability per receiver
   double burst_len = 2.0;       ///< mean loss-burst length (kBurst)
   double alpha = 0.0;           ///< high-loss fraction (kTwoClass)
-  double p_high = 0.25;         ///< high-loss probability (kTwoClass)
+  double p_high = 0.25;         ///< high-loss probability (kTwoClass), in [0,1)
 
   protocol::Timing timing{};    ///< packet spacing and feedback gap
   std::int64_t num_tgs = 200;   ///< Monte-Carlo samples

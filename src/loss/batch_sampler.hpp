@@ -1,6 +1,6 @@
 // Batched loss sampling: exact binomial draws and 64-lane Bernoulli masks.
 //
-// The exact simulators ask every receiver "did you lose this packet?" —
+// The per-receiver path asks every receiver "did you lose this packet?" —
 // one PRNG draw per receiver-packet, O(R) per transmission.  Under
 // spatially independent loss the per-transmission loss pattern of a whole
 // word of 64 receivers is (count ~ Binomial(64, p), placement uniform), so

@@ -1,10 +1,12 @@
 #include "protocol/batch_rounds.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "fec/interleaver.hpp"
 #include "sim/replicator.hpp"
 #include "util/numerics.hpp"
 
@@ -82,8 +84,8 @@ ProcessBatchTransmitter::ProcessBatchTransmitter(const loss::LossModel& model,
   if (receivers == 0)
     throw std::invalid_argument("ProcessBatchTransmitter: need receivers >= 1");
   processes_.reserve(receivers);
-  // Same substream derivation as IidTransmitter over the whole population,
-  // so shard results match the exact engine bit for bit.
+  // One substream per global receiver index, so a shard split never
+  // changes any receiver's loss sequence.
   for (std::size_t r = 0; r < receivers; ++r)
     processes_.push_back(
         model.make_process(base.split(first_receiver + r), first_receiver + r));
@@ -91,12 +93,39 @@ ProcessBatchTransmitter::ProcessBatchTransmitter(const loss::LossModel& model,
 
 void ProcessBatchTransmitter::transmit(double t, const sim::BitVec& active,
                                        sim::BitVec& received) {
-  for (std::size_t w = 0; w < received.num_words(); ++w)
-    received.data()[w] = 0;
+  if (active.bits() != processes_.size() ||
+      received.bits() != processes_.size())
+    throw std::invalid_argument("ProcessBatchTransmitter: size mismatch");
+  received.fill(false);
   for (std::size_t r = 0; r < processes_.size(); ++r) {
     if (!active.test(r)) continue;
     if (!processes_[r]->lost(t)) received.set(r);
   }
+}
+
+TreeBatchTransmitter::TreeBatchTransmitter(const tree::MulticastTree& tree,
+                                           double p_node, Rng rng)
+    : tree_(&tree),
+      p_node_(p_node),
+      rng_(rng),
+      active_(tree.num_leaves()),
+      received_(tree.num_leaves()) {
+  if (p_node < 0.0 || p_node >= 1.0)
+    throw std::invalid_argument("TreeBatchTransmitter: p_node in [0,1)");
+}
+
+void TreeBatchTransmitter::transmit(double /*t*/, const sim::BitVec& active,
+                                    sim::BitVec& received) {
+  if (active.bits() != active_.size() || received.bits() != active_.size())
+    throw std::invalid_argument("TreeBatchTransmitter: size mismatch");
+  for (std::size_t r = 0; r < active_.size(); ++r) {
+    active_[r] = active.test(r);
+    received_[r] = 0;
+  }
+  tree_->multicast_once(p_node_, rng_, active_, received_);
+  received.fill(false);
+  for (std::size_t r = 0; r < received_.size(); ++r)
+    if (received_[r]) received.set(r);
 }
 
 namespace {
@@ -161,7 +190,8 @@ namespace {
 
 using sim::BitVec;
 using sim::ReceiverShard;
-using TxVec = std::vector<std::unique_ptr<BatchTransmitter>>;
+/// One transmitter per shard, in receiver order.
+using Shards = std::span<BatchTransmitter* const>;
 
 struct ShardRange {
   std::size_t first = 0;
@@ -182,9 +212,6 @@ std::vector<ShardRange> partition(std::size_t receivers, std::size_t shards) {
   return out;
 }
 
-// Mirrors of the exact engines' static helpers (rounds.cpp); they must
-// stay in lock-step so the two engines draw feedback-loss randomness and
-// account rounds identically.
 void validate(const McConfig& cfg) {
   if (cfg.k < 1) throw std::invalid_argument("McConfig: need k >= 1");
   if (cfg.h < 0) throw std::invalid_argument("McConfig: need h >= 0");
@@ -195,18 +222,25 @@ void validate(const McConfig& cfg) {
   cfg.timing.validate();
 }
 
+/// Extra feedback exchanges forced by control-plane loss: each NAK/POLL
+/// exchange is independently lost with probability q_f, and every lost
+/// one costs a timeout gap before the retry (geometric).  With q_f = 0
+/// the Rng is never touched.
 std::uint64_t lost_feedback_rounds(double q_f, Rng& rng) {
   std::uint64_t extra = 0;
   while (q_f > 0.0 && rng.bernoulli(q_f)) ++extra;
   return extra;
 }
 
+/// Charges the inter-round feedback gap, inflated by any lost feedback
+/// exchanges; returns the rounds the retries added.
 std::uint64_t charge_feedback_gap(const McConfig& cfg, Rng& rng, double& t) {
   const std::uint64_t lost = lost_feedback_rounds(cfg.q_f, rng);
   t += cfg.timing.gap * static_cast<double>(1 + lost);
   return lost;
 }
 
+/// Appends one per-round feedback aggregate to cfg.nak_log when attached.
 void log_nak(const McConfig& cfg, std::size_t value) {
   if (cfg.nak_log != nullptr)
     cfg.nak_log->push_back(static_cast<std::uint32_t>(value));
@@ -272,7 +306,7 @@ std::size_t max_deficit(const ReceiverShard& deficits) {
   return 0;
 }
 
-McResult run_nofec(TxVec& txs, const std::vector<ShardRange>& ranges,
+McResult run_nofec(Shards txs, const std::vector<ShardRange>& ranges,
                    const McConfig& cfg, unsigned threads) {
   const std::size_t k = static_cast<std::size_t>(cfg.k);
   struct State {
@@ -313,9 +347,9 @@ McResult run_nofec(TxVec& txs, const std::vector<ShardRange>& ranges,
           tt += cfg.timing.delta;
         }
       });
-      // Repeated addition, not one multiply: the exact engine accumulates
-      // t (and cost) per packet, and bit-identical mean_time requires the
-      // same rounding sequence.
+      // Repeated addition, not one multiply: t (and cost) accumulate per
+      // packet, the rounding sequence every pinned mean_time was recorded
+      // with.
       for (std::size_t i = 0; i < pending.size(); ++i) t += cfg.timing.delta;
       sent += pending.size();
 
@@ -338,7 +372,7 @@ McResult run_nofec(TxVec& txs, const std::vector<ShardRange>& ranges,
   return finish(tx_stats, round_stats, time_stats, sent_total);
 }
 
-McResult run_naks(TxVec& txs, const std::vector<ShardRange>& ranges,
+McResult run_naks(Shards txs, const std::vector<ShardRange>& ranges,
                   const McConfig& cfg, unsigned threads) {
   const std::size_t k = static_cast<std::size_t>(cfg.k);
   const std::size_t a = static_cast<std::size_t>(cfg.h);
@@ -416,7 +450,7 @@ struct ShardSegments {
 /// exact binomial draws (loss::sample_binomial), independent of R: this
 /// is what makes NP at R = 10^6 almost free (bench/ext_scale_r).
 /// Distribution-identical to run_naks over an IidBatchTransmitter and
-/// to the exact engine (tests/test_shard_equivalence.cpp); round
+/// over the per-receiver path (tests/test_shard_equivalence.cpp); round
 /// structure, NAK logging, timing and feedback draws stay in lock-step
 /// with run_naks.
 McResult run_naks_counts(const std::vector<ShardSegments>& shards,
@@ -520,99 +554,167 @@ McResult run_naks_counts(const std::vector<ShardSegments>& shards,
   return finish(tx_stats, round_stats, time_stats, sent_total);
 }
 
-McResult run_layered(TxVec& txs, const std::vector<ShardRange>& ranges,
-                     const McConfig& cfg, unsigned threads) {
+/// Layered FEC, `depth` FEC blocks per interleaving window (depth = 1:
+/// one TG at a time).  Window slot s carries packet (group, index) =
+/// fec::Interleaver::slot_to_packet(s); a slot whose group is already
+/// complete carries unrelated traffic, so time passes but nothing is
+/// sampled.
+McResult run_layered(Shards txs, const std::vector<ShardRange>& ranges,
+                     const McConfig& cfg, unsigned threads,
+                     std::size_t depth) {
   const std::size_t k = static_cast<std::size_t>(cfg.k);
   const std::size_t n = k + static_cast<std::size_t>(cfg.h);
-  struct State {
+  const fec::Interleaver interleaver(depth, n);
+  struct Block {                 // one shard's view of one FEC block
     ReceiverShard have;          // plane i: receivers holding original i
     std::vector<BitVec> counts;  // plane j: >= j+1 block slots this round
     std::vector<BitVec> direct;  // plane i: original i received directly
-    BitVec active, received;
+    BitVec active;               // receivers missing any original
+  };
+  struct State {
+    std::vector<Block> blocks;   // one per group of the window
+    BitVec received;
+  };
+  struct Group {                 // the sender's view of one FEC block
+    std::vector<char> pending;   // originals carried by the next block
+    std::size_t pending_count = 0;
+    double cost = 0.0;
+    std::uint64_t rounds = 0;
+    double start = 0.0;
+    bool finished = false;
   };
   std::vector<State> st;
   st.reserve(ranges.size());
   for (const auto& rr : ranges) {
-    State s{ReceiverShard(rr.first, rr.count, k), {}, {}, BitVec(rr.count),
-            BitVec(rr.count)};
-    s.counts.assign(k, BitVec(rr.count));
-    s.direct.assign(k, BitVec(rr.count));
+    State s{{}, BitVec(rr.count)};
+    for (std::size_t g = 0; g < depth; ++g) {
+      Block b{ReceiverShard(rr.first, rr.count, k), {}, {}, BitVec(rr.count)};
+      b.counts.assign(k, BitVec(rr.count));
+      b.direct.assign(k, BitVec(rr.count));
+      s.blocks.push_back(std::move(b));
+    }
     st.push_back(std::move(s));
   }
+  std::vector<Group> groups(depth);
 
   RunningStats tx_stats, round_stats, time_stats;
   std::uint64_t sent_total = 0;
   double t = 0.0;
   Rng fb_rng(cfg.seed ^ 0xfeedbaccULL);
 
-  for (std::int64_t tg = 0; tg < cfg.num_tgs; ++tg) {
-    const double tg_start = t;
-    for (auto& s : st) s.have.fill(false);
-    std::vector<char> pending(k, 1);
-    std::size_t pending_count = k;
+  // Whole windows of `depth` TGs: num_tgs rounds up to a multiple.
+  const auto d = static_cast<std::int64_t>(depth);
+  for (std::int64_t win = 0; win < (cfg.num_tgs + d - 1) / d; ++win) {
+    for (auto& s : st)
+      for (auto& b : s.blocks) b.have.fill(false);
+    for (auto& g : groups) g = Group{std::vector<char>(k, 1), k, 0.0, 0, t};
+    std::size_t unfinished = depth;
 
-    double cost = 0.0;
-    std::uint64_t rounds = 0;
-    while (pending_count > 0) {
-      ++rounds;
-      cost += static_cast<double>(pending_count) * static_cast<double>(n) /
-              static_cast<double>(k);
+    while (unfinished > 0) {
+      std::size_t sending = 0;
+      for (auto& g : groups) {
+        if (g.finished) continue;
+        ++g.rounds;
+        // Each pending original is charged the n/k overhead of the block
+        // that carries it (Eq. (3) accounting).
+        g.cost += static_cast<double>(g.pending_count) *
+                  static_cast<double>(n) / static_cast<double>(k);
+        ++sending;
+      }
       const double t0 = t;
       sim::detail::run_indexed(st.size(), threads, [&](std::uint64_t s) {
         State& sh = st[s];
-        // Receivers missing any original participate; fixed for the round.
-        fill_union_missing(sh.have, sh.active);
-        for (auto& c : sh.counts) c.fill(false);
-        for (std::size_t i = 0; i < k; ++i)
-          if (pending[i]) sh.direct[i].fill(false);
+        for (std::size_t gi = 0; gi < depth; ++gi) {
+          if (groups[gi].finished) continue;
+          Block& b = sh.blocks[gi];
+          // Receivers missing any original participate; fixed for the
+          // round.
+          fill_union_missing(b.have, b.active);
+          for (auto& c : b.counts) c.fill(false);
+          for (std::size_t i = 0; i < k; ++i)
+            if (groups[gi].pending[i]) b.direct[i].fill(false);
+        }
 
         double tt = t0;
-        for (std::size_t slot = 0; slot < n; ++slot) {
-          txs[s]->transmit(tt, sh.active, sh.received);
+        for (std::size_t slot = 0; slot < interleaver.window(); ++slot) {
+          const auto [gi, idx] = interleaver.slot_to_packet(slot);
+          const Group& g = groups[gi];
+          if (g.finished) {
+            tt += cfg.timing.delta;
+            continue;
+          }
+          // Slot idx < k carries original idx (a fresh packet of another
+          // group if it is not pending — it still counts towards
+          // decodability); slots >= k carry the block's parities.
+          Block& b = sh.blocks[gi];
+          txs[s]->transmit(tt, b.active, sh.received);
           tt += cfg.timing.delta;
-          bump_counts(sh.counts, sh.received);
-          if (slot < k && pending[slot]) {
-            BitVec& d = sh.direct[slot];
-            const BitVec& h = sh.have.plane(slot);
-            for (std::size_t w = 0; w < d.num_words(); ++w)
-              d.data()[w] |= sh.received.word(w) & ~h.word(w);
+          bump_counts(b.counts, sh.received);
+          if (idx < k && g.pending[idx]) {
+            BitVec& dir = b.direct[idx];
+            const BitVec& h = b.have.plane(idx);
+            for (std::size_t w = 0; w < dir.num_words(); ++w)
+              dir.data()[w] |= sh.received.word(w) & ~h.word(w);
           }
         }
+
         // Harvest: decodable receivers (>= k slots) recover every pending
         // original; the rest keep their direct receptions.
-        const BitVec& decodable = sh.counts[k - 1];
-        for (std::size_t i = 0; i < k; ++i) {
-          if (!pending[i]) continue;
-          BitVec& h = sh.have.plane(i);
-          for (std::size_t w = 0; w < h.num_words(); ++w)
-            h.data()[w] |= decodable.word(w) | sh.direct[i].word(w);
+        for (std::size_t gi = 0; gi < depth; ++gi) {
+          if (groups[gi].finished) continue;
+          Block& b = sh.blocks[gi];
+          const BitVec& decodable = b.counts[k - 1];
+          for (std::size_t i = 0; i < k; ++i) {
+            if (!groups[gi].pending[i]) continue;
+            BitVec& h = b.have.plane(i);
+            for (std::size_t w = 0; w < h.num_words(); ++w)
+              h.data()[w] |= decodable.word(w) | b.direct[i].word(w);
+          }
         }
       });
-      for (std::size_t slot = 0; slot < n; ++slot) t += cfg.timing.delta;
-      sent_total += n;
+      for (std::size_t slot = 0; slot < interleaver.window(); ++slot)
+        t += cfg.timing.delta;
+      sent_total += sending * n;
 
-      std::fill(pending.begin(), pending.end(), char{0});
-      pending_count = 0;
-      for (std::size_t i = 0; i < k; ++i) {
-        std::size_t miss = 0;
-        for (const auto& sh : st) miss += sh.have.missing(i);
-        if (miss > 0) {
-          pending[i] = 1;
-          ++pending_count;
+      // Originals still missing anywhere ride in the group's next block.
+      std::size_t nak = 0;
+      for (std::size_t gi = 0; gi < depth; ++gi) {
+        Group& g = groups[gi];
+        if (g.finished) continue;
+        std::fill(g.pending.begin(), g.pending.end(), char{0});
+        g.pending_count = 0;
+        for (std::size_t i = 0; i < k; ++i) {
+          std::size_t miss = 0;
+          for (const auto& sh : st) miss += sh.blocks[gi].have.missing(i);
+          if (miss > 0) {
+            g.pending[i] = 1;
+            ++g.pending_count;
+          }
+        }
+        nak += g.pending_count;
+        if (g.pending_count == 0) {
+          g.finished = true;
+          --unfinished;
+          tx_stats.add(g.cost / static_cast<double>(k));
+          round_stats.add(static_cast<double>(g.rounds));
+          time_stats.add(t - g.start);
         }
       }
-      log_nak(cfg, pending_count);
-      if (pending_count > 0) rounds += charge_feedback_gap(cfg, fb_rng, t);
+      log_nak(cfg, nak);
+      if (unfinished > 0) {
+        // A lost exchange stalls the whole window, so every still-active
+        // group pays the retry rounds.
+        const std::uint64_t lost = charge_feedback_gap(cfg, fb_rng, t);
+        for (auto& g : groups)
+          if (!g.finished) g.rounds += lost;
+      }
     }
-    tx_stats.add(cost / static_cast<double>(k));
-    round_stats.add(static_cast<double>(rounds));
-    time_stats.add(t - tg_start);
     t += cfg.timing.gap;
   }
   return finish(tx_stats, round_stats, time_stats, sent_total);
 }
 
-McResult run_finite(TxVec& txs, const std::vector<ShardRange>& ranges,
+McResult run_finite(Shards txs, const std::vector<ShardRange>& ranges,
                     const McConfig& cfg, unsigned threads) {
   const std::size_t k = static_cast<std::size_t>(cfg.k);
   const std::size_t h = static_cast<std::size_t>(cfg.h);
@@ -637,8 +739,7 @@ McResult run_finite(TxVec& txs, const std::vector<ShardRange>& ranges,
 
   // One parity/data burst of `slots` packets starting at t0; data bursts
   // also record per-slot reception planes.  Active receivers are the
-  // block's missers that cannot yet decode, re-read every slot, exactly
-  // like the exact engine's wants_block.
+  // block's missers that cannot yet decode, re-read every slot.
   const auto run_burst = [&](State& sh, BatchTransmitter& tx, double t0,
                              std::size_t slots, bool record_slots) {
     double tt = t0;
@@ -698,7 +799,7 @@ McResult run_finite(TxVec& txs, const std::vector<ShardRange>& ranges,
         for (auto& c : sh.counts) c.fill(false);
         run_burst(sh, *txs[s], t0, k, /*record_slots=*/true);
       });
-      // Per-packet accumulation mirrors the exact engine's rounding.
+      // Per-packet accumulation, as in run_nofec.
       for (std::size_t slot = 0; slot < k; ++slot) {
         t += cfg.timing.delta;
         cost += share;
@@ -761,7 +862,7 @@ McResult run_finite(TxVec& txs, const std::vector<ShardRange>& ranges,
   return finish(tx_stats, round_stats, time_stats, sent_total);
 }
 
-McResult run_stream(TxVec& txs, const std::vector<ShardRange>& ranges,
+McResult run_stream(Shards txs, const std::vector<ShardRange>& ranges,
                     const McConfig& cfg, unsigned threads) {
   const std::size_t k = static_cast<std::size_t>(cfg.k);
   struct State {
@@ -809,7 +910,67 @@ McResult run_stream(TxVec& txs, const std::vector<ShardRange>& ranges,
   return finish(tx_stats, round_stats, time_stats, sent_total);
 }
 
+
+/// Validates cfg and runs `scheme`'s round loop over `txs`, shard s
+/// covering the receivers that follow shards 0..s-1.
+McResult run_rounds(BatchScheme scheme, Shards txs, const McConfig& cfg,
+                    unsigned threads, std::size_t depth = 1) {
+  validate(cfg);
+  std::vector<ShardRange> ranges;
+  std::size_t first = 0;
+  for (const BatchTransmitter* tx : txs) {
+    ranges.push_back({first, tx->receivers()});
+    first += tx->receivers();
+  }
+  switch (scheme) {
+    case BatchScheme::kNoFec:
+      return run_nofec(txs, ranges, cfg, threads);
+    case BatchScheme::kLayered:
+      return run_layered(txs, ranges, cfg, threads, depth);
+    case BatchScheme::kIntegratedNaks:
+      return run_naks(txs, ranges, cfg, threads);
+    case BatchScheme::kIntegratedFinite:
+      return run_finite(txs, ranges, cfg, threads);
+    case BatchScheme::kIntegratedStream:
+      return run_stream(txs, ranges, cfg, threads);
+  }
+  throw std::invalid_argument("run_rounds: unknown scheme");
+}
+
+McResult one_shard(BatchScheme scheme, BatchTransmitter& tx,
+                   const McConfig& cfg, std::size_t depth = 1) {
+  BatchTransmitter* const shard[] = {&tx};
+  return run_rounds(scheme, shard, cfg, /*threads=*/1, depth);
+}
+
 }  // namespace
+
+McResult sim_nofec(BatchTransmitter& tx, const McConfig& cfg) {
+  return one_shard(BatchScheme::kNoFec, tx, cfg);
+}
+
+McResult sim_layered(BatchTransmitter& tx, const McConfig& cfg) {
+  return one_shard(BatchScheme::kLayered, tx, cfg);
+}
+
+McResult sim_layered_interleaved(BatchTransmitter& tx, const McConfig& cfg,
+                                 std::size_t depth) {
+  if (depth == 0)
+    throw std::invalid_argument("sim_layered_interleaved: depth >= 1");
+  return one_shard(BatchScheme::kLayered, tx, cfg, depth);
+}
+
+McResult sim_integrated_naks(BatchTransmitter& tx, const McConfig& cfg) {
+  return one_shard(BatchScheme::kIntegratedNaks, tx, cfg);
+}
+
+McResult sim_integrated_finite(BatchTransmitter& tx, const McConfig& cfg) {
+  return one_shard(BatchScheme::kIntegratedFinite, tx, cfg);
+}
+
+McResult sim_integrated_stream(BatchTransmitter& tx, const McConfig& cfg) {
+  return one_shard(BatchScheme::kIntegratedStream, tx, cfg);
+}
 
 McResult sim_batched(BatchScheme scheme, const loss::LossModel& model,
                      std::size_t receivers, const McConfig& cfg, Rng rng,
@@ -835,27 +996,16 @@ McResult sim_batched(BatchScheme scheme, const loss::LossModel& model,
       return run_naks_counts(shards, cfg, threads);
   }
 
-  TxVec txs;
-  txs.reserve(ranges.size());
-  for (std::size_t s = 0; s < ranges.size(); ++s)
-    txs.push_back(make_batch_transmitter(model, ranges[s].first,
-                                         ranges[s].count, rng,
-                                         rng.split(receivers + s),
-                                         opts.allow_fast_path));
-
-  switch (scheme) {
-    case BatchScheme::kNoFec:
-      return run_nofec(txs, ranges, cfg, threads);
-    case BatchScheme::kLayered:
-      return run_layered(txs, ranges, cfg, threads);
-    case BatchScheme::kIntegratedNaks:
-      return run_naks(txs, ranges, cfg, threads);
-    case BatchScheme::kIntegratedFinite:
-      return run_finite(txs, ranges, cfg, threads);
-    case BatchScheme::kIntegratedStream:
-      return run_stream(txs, ranges, cfg, threads);
+  std::vector<std::unique_ptr<BatchTransmitter>> owned;
+  std::vector<BatchTransmitter*> txs;
+  for (std::size_t s = 0; s < ranges.size(); ++s) {
+    owned.push_back(make_batch_transmitter(model, ranges[s].first,
+                                           ranges[s].count, rng,
+                                           rng.split(receivers + s),
+                                           opts.allow_fast_path));
+    txs.push_back(owned.back().get());
   }
-  throw std::invalid_argument("sim_batched: unknown scheme");
+  return run_rounds(scheme, txs, cfg, threads);
 }
 
 }  // namespace pbl::protocol

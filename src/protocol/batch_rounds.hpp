@@ -1,28 +1,29 @@
-// Batched, sharded round-based simulators: the million-receiver engine.
+// Batched, sharded round-based simulation: the million-receiver engine.
 //
-// These reimplement the exact per-receiver simulators of rounds.hpp on
-// packed-bitmap receiver state (sim::ReceiverShard) with batched loss
-// sampling (loss::BinomialDist): one exact binomial loss count per
-// constant-p segment per transmission, placed as a uniform random
-// subset of the segment's lanes.  One transmission costs O(R/64) word
-// operations plus O(1 + R p) PRNG draws instead of O(R) per-receiver
-// object queries.  Full-protocol points at R = 10^5..10^6 — the paper's
-// headline scaling axis — become simulable (bench/ext_scale_r).
-//
-// Semantics contract (enforced by tests/test_shard_equivalence.cpp):
-//   * Per-receiver fallback path (Gilbert or any model without a batch
-//     fast path, or allow_fast_path = false): byte-identical results to
-//     the exact engine for the same model, seed and McConfig — the same
-//     per-receiver RNG substreams are consumed at the same times, only
-//     the bookkeeping is bitmap-based.
-//   * IID fast path (Bernoulli / two-class / multi-class): per-round NAK
+// sim_batched runs the round loops of rounds.hpp over many receiver
+// shards at once, each shard with its own BatchTransmitter, fanned out
+// over the process ThreadPool.  Two transmitters serve a shard:
+//   * the per-receiver path (ProcessBatchTransmitter; Gilbert or any
+//     model without a batch fast path, or allow_fast_path = false):
+//     byte-identical to the one-shard sim_* entries for the same model,
+//     seed and McConfig, at any shard count — receiver r always queries
+//     its own RNG substream at the same packet times;
+//   * the IID fast path (IidBatchTransmitter; Bernoulli / two-class /
+//     multi-class): batched loss sampling (loss::BinomialDist), one exact
+//     binomial loss count per constant-p segment per transmission,
+//     placed as a uniform random subset of the segment's lanes.  One
+//     transmission costs O(R/64) word operations plus O(1 + R p) PRNG
+//     draws instead of O(R) loss-process queries, and per-round NAK
 //     counts and per-TG statistics are distribution-identical to the
-//     exact engine (loss counts are exact binomial draws with uniform
-//     placement, which is the i.i.d. measure).  Protocol NP goes one
-//     step further: receivers of an IID segment are exchangeable and NP
-//     keeps only a scalar deficit per receiver, so the engine tracks
+//     per-receiver path (the i.i.d. measure).  Protocol NP goes one step
+//     further: receivers of an IID segment are exchangeable and NP keeps
+//     only a scalar deficit per receiver, so the engine tracks
 //     deficit-class COUNTS and advances each round with O(k * slots)
 //     exact binomial splits — cost independent of R entirely.
+// Full-protocol points at R = 10^5..10^6 — the paper's headline scaling
+// axis — become simulable (bench/ext_scale_r).  tests/test_round_pins
+// pins the per-receiver path; tests/test_shard_equivalence checks the
+// fast path's distribution and the determinism contract.
 //
 // Determinism: results depend on (model, receivers, cfg, rng, shards)
 // but never on `threads` — every shard owns an Rng substream derived
@@ -38,17 +39,6 @@
 #include "sim/receiver_shard.hpp"
 
 namespace pbl::protocol {
-
-/// Batched counterpart of PacketTransmitter: delivers one packet to every
-/// receiver of one shard at once.  `transmit` overwrites `received` with
-/// the subset of `active` that got the packet (all words are assigned).
-class BatchTransmitter {
- public:
-  virtual ~BatchTransmitter() = default;
-  virtual std::size_t receivers() const = 0;
-  virtual void transmit(double t, const sim::BitVec& active,
-                        sim::BitVec& received) = 0;
-};
 
 /// IID fast path: loss is spatially and temporally independent with a
 /// per-receiver probability that is piecewise-constant over index ranges
@@ -86,23 +76,6 @@ class IidBatchTransmitter final : public BatchTransmitter {
   Rng rng_;
 };
 
-/// Per-receiver fallback: one loss::LossProcess per receiver, queried
-/// exactly like the exact engine's IidTransmitter (receiver r's process
-/// is model.make_process(base.split(first + r), first + r)), so results
-/// are bit-identical to it for any shard split.
-class ProcessBatchTransmitter final : public BatchTransmitter {
- public:
-  ProcessBatchTransmitter(const loss::LossModel& model,
-                          std::size_t first_receiver, std::size_t receivers,
-                          Rng base);
-  std::size_t receivers() const override { return processes_.size(); }
-  void transmit(double t, const sim::BitVec& active,
-                sim::BitVec& received) override;
-
- private:
-  std::vector<std::unique_ptr<loss::LossProcess>> processes_;
-};
-
 /// Builds the shard transmitter for receivers [first, first + count):
 /// the segmented IID fast path when the model allows it (and
 /// allow_fast_path), the per-receiver fallback otherwise.  `base` is the
@@ -112,7 +85,7 @@ std::unique_ptr<BatchTransmitter> make_batch_transmitter(
     const loss::LossModel& model, std::size_t first_receiver,
     std::size_t count, Rng base, Rng fast_rng, bool allow_fast_path);
 
-/// Which exact simulator sim_batched mirrors.
+/// Which round loop sim_batched runs.
 enum class BatchScheme {
   kNoFec,             ///< sim_nofec
   kLayered,           ///< sim_layered
@@ -128,15 +101,15 @@ struct BatchOptions {
   /// Worker threads for the per-round shard fan-out (0 = hardware,
   /// 1 = inline).  Never affects results, only wall-clock.
   unsigned threads = 1;
-  /// false forces the per-receiver fallback even for IID models — the
-  /// bit-identical cross-check against the exact engine.
+  /// false forces the per-receiver path even for IID models — the
+  /// bit-identical cross-check against the one-shard sim_* entries.
   bool allow_fast_path = true;
 };
 
 /// Runs the batched, sharded Monte-Carlo simulation of `scheme` for
 /// `receivers` receivers losing per `model`.  `rng` seeds the loss
-/// randomness exactly as the Rng passed to IidTransmitter does for the
-/// exact engine; cfg.seed still seeds the feedback-loss stream.
+/// randomness exactly as the Rng passed to ProcessBatchTransmitter does
+/// for the sim_* entries; cfg.seed still seeds the feedback-loss stream.
 McResult sim_batched(BatchScheme scheme, const loss::LossModel& model,
                      std::size_t receivers, const McConfig& cfg, Rng rng,
                      const BatchOptions& opts = {});

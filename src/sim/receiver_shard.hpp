@@ -1,8 +1,6 @@
 // Packed-bitmap receiver state for population-scale simulation.
 //
-// The exact round simulators (protocol/rounds.cpp) keep one object (or one
-// char) per receiver, which caps full-protocol runs near R ~ 10^3.  The
-// batched engine (protocol/batch_rounds.hpp) instead keeps per-TG receiver
+// The round engine (protocol/batch_rounds.cpp) keeps per-TG receiver
 // state as bit-planes over a contiguous shard of the population: plane i,
 // bit r answers "does receiver r hold original i" (or "is receiver r's
 // deficit >= i", depending on the scheme).  All per-round aggregation —

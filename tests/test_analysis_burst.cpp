@@ -64,8 +64,9 @@ TEST(LayeredBurst, MatchesTheFig15Simulation) {
   for (const double receivers : {1.0, 32.0, 300.0}) {
     const auto gilbert =
         loss::GilbertLossModel::from_packet_stats(p, burst, timing.delta);
-    protocol::IidTransmitter tx(gilbert, static_cast<std::size_t>(receivers),
-                                Rng(5));
+    protocol::ProcessBatchTransmitter tx(gilbert,
+                                         static_cast<std::size_t>(receivers),
+                                         Rng(5));
     protocol::McConfig cfg;
     cfg.k = 7;
     cfg.h = 1;

@@ -32,6 +32,13 @@ TEST(MulticastConfig, Validation) {
   cfg = base_config();
   cfg.num_tgs = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  // A class that loses every packet never completes: simulate() would
+  // loop forever.
+  cfg = base_config();
+  cfg.loss = LossKind::kTwoClass;
+  cfg.alpha = 0.1;
+  cfg.p_high = 1.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(Predict, MatchesAnalysisFunctions) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "analysis/layered.hpp"
 #include "protocol/rounds.hpp"
 
@@ -16,7 +19,7 @@ McConfig config(std::int64_t k, std::int64_t h, std::int64_t tgs = 400) {
 
 TEST(InterleavedLayered, ValidatesDepth) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 1, Rng(1));
+  ProcessBatchTransmitter tx(model, 1, Rng(1));
   EXPECT_THROW(sim_layered_interleaved(tx, config(7, 1, 4), 0),
                std::invalid_argument);
 }
@@ -26,17 +29,40 @@ TEST(InterleavedLayered, DepthOneMatchesPlainLayered) {
   // identical to sim_layered.
   const double p = 0.05;
   loss::BernoulliLossModel model(p);
-  IidTransmitter t1(model, 50, Rng(3));
-  IidTransmitter t2(model, 50, Rng(4));
+  ProcessBatchTransmitter t1(model, 50, Rng(3));
+  ProcessBatchTransmitter t2(model, 50, Rng(4));
   const auto plain = sim_layered(t1, config(7, 2, 1200));
   const auto depth1 = sim_layered_interleaved(t2, config(7, 2, 1200), 1);
   EXPECT_NEAR(plain.mean_tx, depth1.mean_tx,
               3.0 * (plain.ci95 + depth1.ci95) + 0.01);
 }
 
+TEST(InterleavedLayered, DepthOneIsSimLayeredExactly) {
+  // Depth 1 is sim_layered itself: same seed, same result and NAK log,
+  // under bursty loss and lossy feedback.
+  const auto gilbert =
+      loss::GilbertLossModel::from_packet_stats(0.1, 3.0, Timing{}.delta);
+  McConfig cfg = config(7, 2, 40);
+  cfg.q_f = 0.3;
+  std::vector<std::uint32_t> plain_naks, depth1_naks;
+  cfg.nak_log = &plain_naks;
+  ProcessBatchTransmitter t1(gilbert, 30, Rng(11));
+  const auto plain = sim_layered(t1, cfg);
+  cfg.nak_log = &depth1_naks;
+  ProcessBatchTransmitter t2(gilbert, 30, Rng(11));
+  const auto depth1 = sim_layered_interleaved(t2, cfg, 1);
+  EXPECT_EQ(plain.mean_tx, depth1.mean_tx);
+  EXPECT_EQ(plain.ci95, depth1.ci95);
+  EXPECT_EQ(plain.mean_rounds, depth1.mean_rounds);
+  EXPECT_EQ(plain.mean_time, depth1.mean_time);
+  EXPECT_EQ(plain.packets_sent, depth1.packets_sent);
+  EXPECT_FALSE(plain_naks.empty());
+  EXPECT_EQ(plain_naks, depth1_naks);
+}
+
 TEST(InterleavedLayered, LosslessCostsExactlyOverhead) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 20, Rng(5));
+  ProcessBatchTransmitter tx(model, 20, Rng(5));
   const auto res = sim_layered_interleaved(tx, config(7, 2, 8), 4);
   EXPECT_DOUBLE_EQ(res.mean_tx, 9.0 / 7.0);
   EXPECT_EQ(res.mean_rounds, 1.0);
@@ -47,8 +73,8 @@ TEST(InterleavedLayered, IidLossIsInsensitiveToDepth) {
   // already independent across slots).
   const double p = 0.05;
   loss::BernoulliLossModel model(p);
-  IidTransmitter t1(model, 50, Rng(6));
-  IidTransmitter t2(model, 50, Rng(7));
+  ProcessBatchTransmitter t1(model, 50, Rng(6));
+  ProcessBatchTransmitter t2(model, 50, Rng(7));
   const auto d1 = sim_layered_interleaved(t1, config(7, 2, 1200), 1);
   const auto d8 = sim_layered_interleaved(t2, config(7, 2, 1200), 8);
   EXPECT_NEAR(d1.mean_tx, d8.mean_tx, 3.0 * (d1.ci95 + d8.ci95) + 0.02);
@@ -63,15 +89,15 @@ TEST(InterleavedLayered, RepairsBurstLossCollapse) {
   const auto gilbert =
       loss::GilbertLossModel::from_packet_stats(p, 2.0, cfg.timing.delta);
 
-  IidTransmitter t1(gilbert, 200, Rng(8));
+  ProcessBatchTransmitter t1(gilbert, 200, Rng(8));
   const auto depth1 = sim_layered_interleaved(t1, cfg, 1);
-  IidTransmitter t8(gilbert, 200, Rng(9));
+  ProcessBatchTransmitter t8(gilbert, 200, Rng(9));
   const auto depth8 = sim_layered_interleaved(t8, cfg, 8);
   EXPECT_LT(depth8.mean_tx, depth1.mean_tx);
 
   // Deep interleaving approaches the independent-loss value.
   loss::BernoulliLossModel iid(p);
-  IidTransmitter ti(iid, 200, Rng(10));
+  ProcessBatchTransmitter ti(iid, 200, Rng(10));
   const auto indep = sim_layered(ti, cfg);
   EXPECT_NEAR(depth8.mean_tx, indep.mean_tx,
               3.0 * (depth8.ci95 + indep.ci95) + 0.05);
@@ -84,7 +110,7 @@ TEST(InterleavedLayered, DeeperIsMonotonicallyBetterUnderBursts) {
       loss::GilbertLossModel::from_packet_stats(p, 3.0, cfg.timing.delta);
   double prev = 1e9;
   for (const std::size_t depth : {1u, 2u, 4u, 12u}) {
-    IidTransmitter tx(gilbert, 100, Rng(20 + depth));
+    ProcessBatchTransmitter tx(gilbert, 100, Rng(20 + depth));
     const auto res = sim_layered_interleaved(tx, cfg, depth);
     EXPECT_LT(res.mean_tx, prev + 0.06) << "depth=" << depth;
     prev = res.mean_tx;
@@ -98,8 +124,8 @@ TEST(InterleavedLayered, LatencyCostOfInterleaving) {
   McConfig cfg = config(7, 1, 400);
   const auto gilbert =
       loss::GilbertLossModel::from_packet_stats(p, 2.0, cfg.timing.delta);
-  IidTransmitter t1(gilbert, 50, Rng(30));
-  IidTransmitter t8(gilbert, 50, Rng(31));
+  ProcessBatchTransmitter t1(gilbert, 50, Rng(30));
+  ProcessBatchTransmitter t8(gilbert, 50, Rng(31));
   const auto d1 = sim_layered_interleaved(t1, cfg, 1);
   const auto d8 = sim_layered_interleaved(t8, cfg, 8);
   EXPECT_GT(d8.mean_time, 2.0 * d1.mean_time);

@@ -65,8 +65,9 @@ class LatencyVsSimulation
 TEST_P(LatencyVsSimulation, NofecModelTracksSimulatedCompletionTime) {
   const auto [receivers, p] = GetParam();
   loss::BernoulliLossModel model(p);
-  protocol::IidTransmitter tx(model, static_cast<std::size_t>(receivers),
-                              Rng(11));
+  protocol::ProcessBatchTransmitter tx(model,
+                                       static_cast<std::size_t>(receivers),
+                                       Rng(11));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 1500;
@@ -82,8 +83,9 @@ TEST_P(LatencyVsSimulation, NofecModelTracksSimulatedCompletionTime) {
 TEST_P(LatencyVsSimulation, IntegratedModelTracksSimulatedCompletionTime) {
   const auto [receivers, p] = GetParam();
   loss::BernoulliLossModel model(p);
-  protocol::IidTransmitter tx(model, static_cast<std::size_t>(receivers),
-                              Rng(13));
+  protocol::ProcessBatchTransmitter tx(model,
+                                       static_cast<std::size_t>(receivers),
+                                       Rng(13));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 1500;
@@ -102,7 +104,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Latency, LayeredModelTracksSimulation) {
   loss::BernoulliLossModel model(0.05);
-  protocol::IidTransmitter tx(model, 100, Rng(17));
+  protocol::ProcessBatchTransmitter tx(model, 100, Rng(17));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.h = 2;
@@ -116,7 +118,7 @@ TEST(Latency, LayeredModelTracksSimulation) {
 
 TEST(Latency, StreamModelTracksSimulation) {
   loss::BernoulliLossModel model(0.05);
-  protocol::IidTransmitter tx(model, 100, Rng(19));
+  protocol::ProcessBatchTransmitter tx(model, 100, Rng(19));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 1500;

@@ -43,7 +43,7 @@ TEST(MultiClass, SimulationMatchesThreeClassAnalysis) {
   // Three-class population, integrated FEC: the Monte-Carlo result over
   // the MultiClassLossModel must match Eq. (8) with three classes.
   MultiClassLossModel model({{0.01, 200}, {0.1, 50}, {0.3, 10}});
-  protocol::IidTransmitter tx(model, model.receivers(), Rng(5));
+  protocol::ProcessBatchTransmitter tx(model, model.receivers(), Rng(5));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 1500;
@@ -56,7 +56,7 @@ TEST(MultiClass, SimulationMatchesThreeClassAnalysis) {
 
 TEST(MultiClass, NofecThreeClassAnalysisAgrees) {
   MultiClassLossModel model({{0.02, 100}, {0.2, 20}, {0.4, 5}});
-  protocol::IidTransmitter tx(model, model.receivers(), Rng(6));
+  protocol::ProcessBatchTransmitter tx(model, model.receivers(), Rng(6));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 1200;
@@ -98,14 +98,14 @@ TEST(Composite, MixedBurstAndIndependentPopulation) {
   auto bernoulli = std::make_shared<BernoulliLossModel>(0.01);
   CompositeLossModel model({{bernoulli, 20}, {gilbert, 20}});
 
-  protocol::IidTransmitter tx(model, 40, Rng(9));
+  protocol::ProcessBatchTransmitter tx(model, 40, Rng(9));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 800;
   cfg.timing.delta = 0.001;
   const auto mixed = protocol::sim_integrated_naks(tx, cfg);
 
-  protocol::IidTransmitter clean_tx(*bernoulli, 40, Rng(10));
+  protocol::ProcessBatchTransmitter clean_tx(*bernoulli, 40, Rng(10));
   const auto clean = protocol::sim_integrated_naks(clean_tx, cfg);
   EXPECT_GT(mixed.mean_tx, clean.mean_tx);
 }

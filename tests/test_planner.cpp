@@ -97,7 +97,8 @@ TEST(EquivalentReceivers, SharedLossShrinksThePopulation) {
   const double p = 0.05;
   const unsigned height = 10;  // 1024 receivers
   const auto tree = tree::MulticastTree::full_binary(height);
-  protocol::TreeTransmitter tx(tree, tree.node_loss_for_leaf_loss(p), Rng(7));
+  protocol::TreeBatchTransmitter tx(tree, tree.node_loss_for_leaf_loss(p),
+                                    Rng(7));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 400;

@@ -91,8 +91,10 @@ TEST(FullMary, WiderFanoutSharesLessLoss) {
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 400;
-  protocol::TreeTransmitter t1(deep, deep.node_loss_for_leaf_loss(p), Rng(21));
-  protocol::TreeTransmitter t2(wide, wide.node_loss_for_leaf_loss(p), Rng(22));
+  protocol::TreeBatchTransmitter t1(deep, deep.node_loss_for_leaf_loss(p),
+                                    Rng(21));
+  protocol::TreeBatchTransmitter t2(wide, wide.node_loss_for_leaf_loss(p),
+                                    Rng(22));
   const auto deep_res = protocol::sim_nofec(t1, cfg);
   const auto wide_res = protocol::sim_nofec(t2, cfg);
   EXPECT_LT(deep_res.mean_tx, wide_res.mean_tx);
@@ -122,9 +124,10 @@ TEST(RandomSplit, SharedLossStillBelowIndependent) {
   Rng rng(11);
   const auto t = MulticastTree::random_split(256, 3, rng);
   const double p = 0.05;
-  protocol::TreeTransmitter tree_tx(t, t.node_loss_for_leaf_loss(p), Rng(12));
+  protocol::TreeBatchTransmitter tree_tx(t, t.node_loss_for_leaf_loss(p),
+                                         Rng(12));
   loss::BernoulliLossModel model(p);
-  protocol::IidTransmitter iid_tx(model, 256, Rng(13));
+  protocol::ProcessBatchTransmitter iid_tx(model, 256, Rng(13));
   protocol::McConfig cfg;
   cfg.k = 7;
   cfg.num_tgs = 300;

@@ -111,7 +111,7 @@ void expect_model_pins(const loss::LossModel& model, const SchemePins& pins) {
           std::string(name_of(scheme)) + " q_f=" + std::to_string(q_f);
 
       std::vector<std::uint32_t> naks;
-      IidTransmitter tx(model, kReceivers, rng);
+      ProcessBatchTransmitter tx(model, kReceivers, rng);
       const McResult entry = run_entry(scheme, tx, config(q_f, &naks));
       EXPECT_EQ(render(pin_of(entry, naks)), render(want)) << where;
 
@@ -133,7 +133,7 @@ void expect_tree_pins(const tree::MulticastTree& tree, double p_node,
   for (const BatchScheme scheme : kSchemes) {
     for (const double q_f : {0.0, 0.3}) {
       std::vector<std::uint32_t> naks;
-      TreeTransmitter tx(tree, p_node, Rng(4242));
+      TreeBatchTransmitter tx(tree, p_node, Rng(4242));
       const McResult res = run_entry(scheme, tx, config(q_f, &naks));
       EXPECT_EQ(render(pin_of(res, naks)), render(pins[at++]))
           << name_of(scheme) << " q_f=" << q_f;
@@ -330,7 +330,7 @@ TEST(RoundPins, InterleavedLayeredGilbert) {
   std::size_t at = 0;
   for (const std::size_t depth : {std::size_t{2}, std::size_t{4}}) {
     for (const double q_f : {0.0, 0.3}) {
-      IidTransmitter tx(model, kReceivers, Rng(2024));
+      ProcessBatchTransmitter tx(model, kReceivers, Rng(2024));
       const McResult res =
           sim_layered_interleaved(tx, config(q_f, nullptr), depth);
       EXPECT_EQ(render(res), render(pins[at++]))
@@ -354,7 +354,8 @@ TEST(RoundPins, InterleavedLayeredTree) {
   std::size_t at = 0;
   for (const std::size_t depth : {std::size_t{2}, std::size_t{4}}) {
     for (const double q_f : {0.0, 0.3}) {
-      TreeTransmitter tx(tree, tree.node_loss_for_leaf_loss(0.2), Rng(4242));
+      TreeBatchTransmitter tx(tree, tree.node_loss_for_leaf_loss(0.2),
+                              Rng(4242));
       const McResult res =
           sim_layered_interleaved(tx, config(q_f, nullptr), depth);
       EXPECT_EQ(render(res), render(pins[at++]))

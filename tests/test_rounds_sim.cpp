@@ -17,24 +17,32 @@ McConfig config(std::int64_t k, std::int64_t h, std::int64_t tgs = 400) {
   return cfg;
 }
 
+/// Packs 0/1 flags into a receiver bitmap.
+sim::BitVec bits(const std::vector<int>& flags) {
+  sim::BitVec v(flags.size());
+  for (std::size_t r = 0; r < flags.size(); ++r)
+    if (flags[r]) v.set(r);
+  return v;
+}
+
 TEST(IidTransmitter, RespectsActiveMask) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 4, Rng(1));
-  std::vector<char> active{1, 0, 1, 0}, received(4, 0);
-  tx.transmit(0.0, active, received);
-  EXPECT_EQ(received, (std::vector<char>{1, 0, 1, 0}));
+  ProcessBatchTransmitter tx(model, 4, Rng(1));
+  sim::BitVec received(4, /*ones=*/true);
+  tx.transmit(0.0, bits({1, 0, 1, 0}), received);
+  EXPECT_EQ(received, bits({1, 0, 1, 0}));
 }
 
 TEST(IidTransmitter, SpanSizesChecked) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 4, Rng(1));
-  std::vector<char> wrong(3, 1), received(4, 0);
+  ProcessBatchTransmitter tx(model, 4, Rng(1));
+  sim::BitVec wrong(3, /*ones=*/true), received(4);
   EXPECT_THROW(tx.transmit(0.0, wrong, received), std::invalid_argument);
 }
 
 TEST(SimNofec, LosslessSendsExactlyOnce) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 100, Rng(1));
+  ProcessBatchTransmitter tx(model, 100, Rng(1));
   const auto res = sim_nofec(tx, config(7, 0, 10));
   EXPECT_DOUBLE_EQ(res.mean_tx, 1.0);
   EXPECT_DOUBLE_EQ(res.mean_rounds, 1.0);
@@ -45,7 +53,8 @@ TEST(SimNofec, MatchesClosedForm) {
   const double p = 0.05;
   for (double receivers : {1.0, 10.0, 100.0}) {
     loss::BernoulliLossModel model(p);
-    IidTransmitter tx(model, static_cast<std::size_t>(receivers), Rng(7));
+    ProcessBatchTransmitter tx(model, static_cast<std::size_t>(receivers),
+                               Rng(7));
     const auto res = sim_nofec(tx, config(7, 0, 1500));
     const double expect = analysis::expected_tx_nofec(p, receivers);
     EXPECT_NEAR(res.mean_tx, expect, 3.0 * res.ci95 + 0.01)
@@ -55,7 +64,7 @@ TEST(SimNofec, MatchesClosedForm) {
 
 TEST(SimLayered, LosslessCostsExactlyOverhead) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 50, Rng(2));
+  ProcessBatchTransmitter tx(model, 50, Rng(2));
   const auto res = sim_layered(tx, config(7, 2, 10));
   EXPECT_DOUBLE_EQ(res.mean_tx, 9.0 / 7.0);
 }
@@ -64,7 +73,8 @@ TEST(SimLayered, MatchesClosedForm) {
   const double p = 0.05;
   for (double receivers : {1.0, 20.0, 200.0}) {
     loss::BernoulliLossModel model(p);
-    IidTransmitter tx(model, static_cast<std::size_t>(receivers), Rng(8));
+    ProcessBatchTransmitter tx(model, static_cast<std::size_t>(receivers),
+                               Rng(8));
     const auto res = sim_layered(tx, config(7, 2, 1500));
     const double expect = analysis::expected_tx_layered(7, 9, p, receivers);
     EXPECT_NEAR(res.mean_tx, expect, 3.0 * res.ci95 + 0.02)
@@ -74,7 +84,7 @@ TEST(SimLayered, MatchesClosedForm) {
 
 TEST(SimIntegratedNaks, LosslessIsSingleRound) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 100, Rng(3));
+  ProcessBatchTransmitter tx(model, 100, Rng(3));
   const auto res = sim_integrated_naks(tx, config(20, 0, 10));
   EXPECT_DOUBLE_EQ(res.mean_tx, 1.0);
   EXPECT_DOUBLE_EQ(res.mean_rounds, 1.0);
@@ -84,7 +94,8 @@ TEST(SimIntegratedNaks, MatchesIdealClosedForm) {
   const double p = 0.05;
   for (double receivers : {1.0, 10.0, 100.0}) {
     loss::BernoulliLossModel model(p);
-    IidTransmitter tx(model, static_cast<std::size_t>(receivers), Rng(9));
+    ProcessBatchTransmitter tx(model, static_cast<std::size_t>(receivers),
+                               Rng(9));
     const auto res = sim_integrated_naks(tx, config(7, 0, 2000));
     const double expect =
         analysis::expected_tx_integrated_ideal(7, 0, p, receivers);
@@ -95,7 +106,7 @@ TEST(SimIntegratedNaks, MatchesIdealClosedForm) {
 
 TEST(SimIntegratedNaks, ProactiveParitiesIncludedInCost) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 10, Rng(4));
+  ProcessBatchTransmitter tx(model, 10, Rng(4));
   const auto res = sim_integrated_naks(tx, config(7, 3, 10));
   EXPECT_DOUBLE_EQ(res.mean_tx, 10.0 / 7.0);
 }
@@ -110,7 +121,8 @@ TEST_P(FiniteBudgetSweep, SimulationValidatesCorrectedFig6Formula) {
   // sit slightly above the simulation at heavy loss.
   const auto [h, p, receivers] = GetParam();
   loss::BernoulliLossModel model(p);
-  IidTransmitter tx(model, static_cast<std::size_t>(receivers), Rng(7));
+  ProcessBatchTransmitter tx(model, static_cast<std::size_t>(receivers),
+                             Rng(7));
   McConfig cfg = config(7, h, 2500);
   const auto sim = sim_integrated_finite(tx, cfg);
   const double formula = analysis::expected_tx_integrated(
@@ -130,8 +142,8 @@ TEST(SimIntegratedFinite, LargeBudgetMatchesIdealProtocol) {
   // and must coincide with the unlimited-parity scheme.
   const double p = 0.05;
   loss::BernoulliLossModel model(p);
-  IidTransmitter t1(model, 50, Rng(40));
-  IidTransmitter t2(model, 50, Rng(41));
+  ProcessBatchTransmitter t1(model, 50, Rng(40));
+  ProcessBatchTransmitter t2(model, 50, Rng(41));
   const auto finite = sim_integrated_finite(t1, config(7, 50, 1500));
   const auto ideal = sim_integrated_naks(t2, config(7, 0, 1500));
   EXPECT_NEAR(finite.mean_tx, ideal.mean_tx,
@@ -143,8 +155,8 @@ TEST(SimIntegratedFinite, TinyBudgetDegradesTowardsLayered) {
   // retry, just like layered FEC with h = 1.
   const double p = 0.05;
   loss::BernoulliLossModel model(p);
-  IidTransmitter t1(model, 300, Rng(42));
-  IidTransmitter t2(model, 300, Rng(43));
+  ProcessBatchTransmitter t1(model, 300, Rng(42));
+  ProcessBatchTransmitter t2(model, 300, Rng(43));
   const auto finite = sim_integrated_finite(t1, config(7, 1, 800));
   const auto layered = sim_layered(t2, config(7, 1, 800));
   // Finite-integrated <= layered (parities only when needed) but within
@@ -160,8 +172,8 @@ TEST(SimIntegratedStream, MatchesNaksUnderIidLoss) {
   // packets (k + max_r Lr); only their timing differs.
   const double p = 0.05;
   loss::BernoulliLossModel model(p);
-  IidTransmitter tx1(model, 50, Rng(10));
-  IidTransmitter tx2(model, 50, Rng(11));
+  ProcessBatchTransmitter tx1(model, 50, Rng(10));
+  ProcessBatchTransmitter tx2(model, 50, Rng(11));
   const auto stream = sim_integrated_stream(tx1, config(7, 0, 2000));
   const auto naks = sim_integrated_naks(tx2, config(7, 0, 2000));
   EXPECT_NEAR(stream.mean_tx, naks.mean_tx,
@@ -171,7 +183,7 @@ TEST(SimIntegratedStream, MatchesNaksUnderIidLoss) {
 TEST(SimIntegratedStream, MatchesIdealClosedForm) {
   const double p = 0.05;
   loss::BernoulliLossModel model(p);
-  IidTransmitter tx(model, 100, Rng(12));
+  ProcessBatchTransmitter tx(model, 100, Rng(12));
   const auto res = sim_integrated_stream(tx, config(7, 0, 2000));
   const double expect = analysis::expected_tx_integrated_ideal(7, 0, p, 100.0);
   EXPECT_NEAR(res.mean_tx, expect, 3.0 * res.ci95 + 0.01);
@@ -184,7 +196,8 @@ TEST(SimIntegratedNaks, RoundCountBoundedByEq17) {
   const double p = 0.05;
   for (double receivers : {1.0, 50.0, 500.0}) {
     loss::BernoulliLossModel model(p);
-    IidTransmitter tx(model, static_cast<std::size_t>(receivers), Rng(33));
+    ProcessBatchTransmitter tx(model, static_cast<std::size_t>(receivers),
+                               Rng(33));
     const auto res = sim_integrated_naks(tx, config(7, 0, 1500));
     const double bound = analysis::expected_rounds(7, p, receivers);
     EXPECT_LE(res.mean_rounds, bound + 0.05) << receivers;
@@ -198,9 +211,9 @@ TEST(SchemeOrdering, IntegratedBeatsLayeredBeatsNofec) {
   const double p = 0.05;
   const std::size_t receivers = 500;
   loss::BernoulliLossModel model(p);
-  IidTransmitter t1(model, receivers, Rng(13));
-  IidTransmitter t2(model, receivers, Rng(14));
-  IidTransmitter t3(model, receivers, Rng(15));
+  ProcessBatchTransmitter t1(model, receivers, Rng(13));
+  ProcessBatchTransmitter t2(model, receivers, Rng(14));
+  ProcessBatchTransmitter t3(model, receivers, Rng(15));
   const auto nofec = sim_nofec(t1, config(7, 0, 300));
   const auto layered = sim_layered(t2, config(7, 7, 300));
   const auto integrated = sim_integrated_naks(t3, config(7, 0, 300));
@@ -214,9 +227,9 @@ TEST(TreeTransmitterSim, SharedLossNeedsFewerTransmissions) {
   const double p = 0.05;
   const unsigned height = 8;  // 256 receivers
   const auto tree = tree::MulticastTree::full_binary(height);
-  TreeTransmitter tree_tx(tree, tree.node_loss_for_leaf_loss(p), Rng(16));
+  TreeBatchTransmitter tree_tx(tree, tree.node_loss_for_leaf_loss(p), Rng(16));
   loss::BernoulliLossModel model(p);
-  IidTransmitter iid_tx(model, tree.num_leaves(), Rng(17));
+  ProcessBatchTransmitter iid_tx(model, tree.num_leaves(), Rng(17));
 
   const auto shared = sim_nofec(tree_tx, config(7, 0, 300));
   const auto indep = sim_nofec(iid_tx, config(7, 0, 300));
@@ -230,9 +243,9 @@ TEST(TreeTransmitterSim, FullySharedEqualsSingleReceiver) {
   // tree matches a 1-receiver iid population.
   const double p = 0.1;
   const auto tree = tree::MulticastTree::full_binary(0);
-  TreeTransmitter tree_tx(tree, tree.node_loss_for_leaf_loss(p), Rng(18));
+  TreeBatchTransmitter tree_tx(tree, tree.node_loss_for_leaf_loss(p), Rng(18));
   loss::BernoulliLossModel model(p);
-  IidTransmitter iid_tx(model, 1, Rng(19));
+  ProcessBatchTransmitter iid_tx(model, 1, Rng(19));
   const auto a = sim_nofec(tree_tx, config(7, 0, 2000));
   const auto b = sim_nofec(iid_tx, config(7, 0, 2000));
   EXPECT_NEAR(a.mean_tx, b.mean_tx, 3.0 * (a.ci95 + b.ci95) + 0.01);
@@ -243,8 +256,8 @@ TEST(BurstLossSim, LayeredDegradesUnderBurstLoss) {
   const double p = 0.03;
   const auto gilbert = loss::GilbertLossModel::from_packet_stats(p, 2.0, 0.04);
   McConfig cfg = config(7, 1, 600);
-  IidTransmitter t1(gilbert, 200, Rng(20));
-  IidTransmitter t2(gilbert, 200, Rng(21));
+  ProcessBatchTransmitter t1(gilbert, 200, Rng(20));
+  ProcessBatchTransmitter t2(gilbert, 200, Rng(21));
   const auto layered = sim_layered(t1, cfg);
   cfg.h = 0;
   const auto nofec = sim_nofec(t2, cfg);
@@ -256,8 +269,8 @@ TEST(BurstLossSim, LargeGroupsResistBursts) {
   // FEC under burst loss.
   const double p = 0.03;
   const auto gilbert = loss::GilbertLossModel::from_packet_stats(p, 2.0, 0.04);
-  IidTransmitter t1(gilbert, 200, Rng(22));
-  IidTransmitter t2(gilbert, 200, Rng(23));
+  ProcessBatchTransmitter t1(gilbert, 200, Rng(22));
+  ProcessBatchTransmitter t2(gilbert, 200, Rng(23));
   const auto small_k = sim_integrated_naks(t1, config(7, 0, 600));
   const auto large_k = sim_integrated_naks(t2, config(100, 0, 60));
   EXPECT_LT(large_k.mean_tx, small_k.mean_tx);
@@ -268,8 +281,8 @@ TEST(BurstLossSim, Fec2InterleavingHelpsSmallGroups) {
   // periods better than FEC1's back-to-back stream.
   const double p = 0.05;
   const auto gilbert = loss::GilbertLossModel::from_packet_stats(p, 3.0, 0.04);
-  IidTransmitter t1(gilbert, 500, Rng(24));
-  IidTransmitter t2(gilbert, 500, Rng(25));
+  ProcessBatchTransmitter t1(gilbert, 500, Rng(24));
+  ProcessBatchTransmitter t2(gilbert, 500, Rng(25));
   const auto fec1 = sim_integrated_stream(t1, config(7, 0, 800));
   const auto fec2 = sim_integrated_naks(t2, config(7, 0, 800));
   EXPECT_LT(fec2.mean_tx, fec1.mean_tx + 3.0 * (fec1.ci95 + fec2.ci95));
@@ -277,7 +290,7 @@ TEST(BurstLossSim, Fec2InterleavingHelpsSmallGroups) {
 
 TEST(McConfigValidation, RejectsBadParameters) {
   loss::BernoulliLossModel model(0.0);
-  IidTransmitter tx(model, 1, Rng(1));
+  ProcessBatchTransmitter tx(model, 1, Rng(1));
   McConfig bad = config(0, 0);
   EXPECT_THROW(sim_nofec(tx, bad), std::invalid_argument);
   bad = config(7, -1);

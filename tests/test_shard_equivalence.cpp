@@ -1,22 +1,18 @@
-// Equivalence harness: the batched sharded engine versus the exact
-// per-receiver engine.
+// Equivalence harness for the batched sharded engine.
 //
-// Two tiers, matching the contract in batch_rounds.hpp:
-//   1. Same-seed EXACT match — with the per-receiver fallback transmitter
-//      (allow_fast_path = false) the batched engine consumes the same RNG
-//      substreams at the same times as the exact engine, so every result
-//      field and the per-round NAK log must be bit-identical, for any
-//      shard count, for every scheme, including lossy feedback (q_f > 0),
-//      heterogeneous populations and the bursty Gilbert model.
-//   2. Distribution identity for the IID fast path — per-replication
+// The per-receiver path (allow_fast_path = false) is pinned exactly, at
+// 1 and 3 shards, by tests/test_round_pins.cpp.  This file checks the
+// rest of the contract in batch_rounds.hpp:
+//   1. Distribution identity for the IID fast path — per-replication
 //      mean_tx samples pass a two-sample Kolmogorov-Smirnov test and the
 //      pooled per-round NAK counts pass a two-sample chi-square test
-//      against the exact engine, across p in {0.01, 0.05, 0.25} and
-//      R in {1, 7, 64, 1000}.  Thresholds are alpha = 1e-3 with fixed
-//      seeds (deterministic, verified to pass with margin).
-//
-// Plus the determinism contract: at a fixed shard count, results are
-// bit-identical for every thread count.
+//      against the per-receiver path on one shard, across p in
+//      {0.01, 0.05, 0.25} and R in {1, 7, 64, 1000}.  Thresholds are
+//      alpha = 1e-3 with fixed seeds (deterministic, verified to pass
+//      with margin).
+//   2. Determinism: at a fixed shard count, results are bit-identical
+//      for every thread count, and the per-receiver path does not even
+//      depend on the shard count.
 #include "protocol/batch_rounds.hpp"
 
 #include <gtest/gtest.h>
@@ -27,7 +23,6 @@
 #include <vector>
 
 #include "loss/loss_model.hpp"
-#include "protocol/rounds.hpp"
 #include "sim/replicator.hpp"
 #include "util/rng.hpp"
 
@@ -39,31 +34,6 @@ struct LoggedResult {
   std::vector<std::uint32_t> naks;
 };
 
-LoggedResult run_exact(BatchScheme scheme, const loss::LossModel& model,
-                       std::size_t receivers, McConfig cfg, Rng rng) {
-  LoggedResult out;
-  cfg.nak_log = &out.naks;
-  IidTransmitter tx(model, receivers, rng);
-  switch (scheme) {
-    case BatchScheme::kNoFec:
-      out.res = sim_nofec(tx, cfg);
-      break;
-    case BatchScheme::kLayered:
-      out.res = sim_layered(tx, cfg);
-      break;
-    case BatchScheme::kIntegratedNaks:
-      out.res = sim_integrated_naks(tx, cfg);
-      break;
-    case BatchScheme::kIntegratedFinite:
-      out.res = sim_integrated_finite(tx, cfg);
-      break;
-    case BatchScheme::kIntegratedStream:
-      out.res = sim_integrated_stream(tx, cfg);
-      break;
-  }
-  return out;
-}
-
 LoggedResult run_batched(BatchScheme scheme, const loss::LossModel& model,
                          std::size_t receivers, McConfig cfg, Rng rng,
                          const BatchOptions& opts) {
@@ -73,14 +43,14 @@ LoggedResult run_batched(BatchScheme scheme, const loss::LossModel& model,
   return out;
 }
 
-void expect_identical(const LoggedResult& exact, const LoggedResult& batched,
+void expect_identical(const LoggedResult& a, const LoggedResult& b,
                       const char* what) {
-  EXPECT_EQ(exact.res.mean_tx, batched.res.mean_tx) << what;
-  EXPECT_EQ(exact.res.ci95, batched.res.ci95) << what;
-  EXPECT_EQ(exact.res.mean_rounds, batched.res.mean_rounds) << what;
-  EXPECT_EQ(exact.res.mean_time, batched.res.mean_time) << what;
-  EXPECT_EQ(exact.res.packets_sent, batched.res.packets_sent) << what;
-  EXPECT_EQ(exact.naks, batched.naks) << what;
+  EXPECT_EQ(a.res.mean_tx, b.res.mean_tx) << what;
+  EXPECT_EQ(a.res.ci95, b.res.ci95) << what;
+  EXPECT_EQ(a.res.mean_rounds, b.res.mean_rounds) << what;
+  EXPECT_EQ(a.res.mean_time, b.res.mean_time) << what;
+  EXPECT_EQ(a.res.packets_sent, b.res.packets_sent) << what;
+  EXPECT_EQ(a.naks, b.naks) << what;
 }
 
 const BatchScheme kAllSchemes[] = {
@@ -101,69 +71,6 @@ const char* scheme_name(BatchScheme s) {
       return "stream";
   }
   return "?";
-}
-
-TEST(SameSeedExactMatch, AllSchemesBernoulli) {
-  // R = 37 keeps the last word partial; shard counts 1 and 3 both split
-  // receivers at non-word-aligned boundaries.
-  const loss::BernoulliLossModel model(0.2);
-  McConfig cfg;
-  cfg.k = 7;
-  cfg.h = 2;
-  cfg.num_tgs = 6;
-  const Rng rng(2024);
-  for (const BatchScheme scheme : kAllSchemes) {
-    const LoggedResult exact = run_exact(scheme, model, 37, cfg, rng);
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-      const LoggedResult batched =
-          run_batched(scheme, model, 37, cfg, rng,
-                      {.shards = shards, .threads = 1, .allow_fast_path = false});
-      expect_identical(exact, batched, scheme_name(scheme));
-    }
-  }
-}
-
-TEST(SameSeedExactMatch, LossyFeedbackDrawsAlign) {
-  // q_f > 0 makes both engines consume the feedback-loss stream; a
-  // mismatch in draw placement would desynchronise rounds and times.
-  const loss::BernoulliLossModel model(0.15);
-  McConfig cfg;
-  cfg.k = 5;
-  cfg.h = 3;
-  cfg.num_tgs = 8;
-  cfg.q_f = 0.3;
-  const Rng rng(77);
-  for (const BatchScheme scheme : kAllSchemes) {
-    const LoggedResult exact = run_exact(scheme, model, 21, cfg, rng);
-    const LoggedResult batched =
-        run_batched(scheme, model, 21, cfg, rng,
-                    {.shards = 2, .threads = 1, .allow_fast_path = false});
-    expect_identical(exact, batched, scheme_name(scheme));
-  }
-}
-
-TEST(SameSeedExactMatch, HeterogeneousAndGilbertModels) {
-  // Gilbert is time-dependent: matching results prove the batched engine
-  // queries every receiver at exactly the exact engine's packet times.
-  const std::size_t receivers = 40;
-  const loss::HeterogeneousLossModel het(receivers, 0.25, 0.02, 0.3);
-  const auto gil = loss::GilbertLossModel::from_packet_stats(0.1, 3.0, 0.001);
-  McConfig cfg;
-  cfg.k = 7;
-  cfg.h = 2;
-  cfg.num_tgs = 5;
-  const Rng rng(5150);
-  for (const loss::LossModel* model :
-       {static_cast<const loss::LossModel*>(&het),
-        static_cast<const loss::LossModel*>(&gil)}) {
-    for (const BatchScheme scheme : kAllSchemes) {
-      const LoggedResult exact = run_exact(scheme, *model, receivers, cfg, rng);
-      const LoggedResult batched =
-          run_batched(scheme, *model, receivers, cfg, rng,
-                      {.shards = 3, .threads = 1, .allow_fast_path = false});
-      expect_identical(exact, batched, scheme_name(scheme));
-    }
-  }
 }
 
 TEST(ShardDeterminism, ThreadCountNeverChangesResults) {
@@ -211,7 +118,11 @@ TEST(ShardDeterminism, FallbackPathIsShardCountInvariant) {
 }
 
 // ---------------------------------------------------------------------------
-// Tier 2: distribution identity of the IID fast path.
+// Distribution identity of the IID fast path.
+
+/// The reference: the per-receiver path on one shard.
+const BatchOptions kPerReceiver{
+    .shards = 1, .threads = 1, .allow_fast_path = false};
 
 /// Two-sample Kolmogorov-Smirnov statistic.
 double ks_statistic(std::vector<double> a, std::vector<double> b) {
@@ -289,17 +200,19 @@ TEST(FastPathDistribution, MeanTxPassesKsAndNaksPassChiSquare) {
     for (const std::size_t receivers :
          {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{1000}}) {
       const loss::BernoulliLossModel model(p);
-      std::vector<std::uint64_t> exact_naks(64, 0), batched_naks(64, 0);
+      std::vector<std::uint64_t> reference_naks(64, 0), batched_naks(64, 0);
 
-      const auto exact_samples = sim::replicate_map<double>(
+      const auto reference_samples = sim::replicate_map<double>(
           reps, /*seed=*/901, [&](std::uint64_t, Rng& rng) {
             std::vector<std::uint32_t> log;
             McConfig c = cfg;
             c.nak_log = &log;
-            IidTransmitter tx(model, receivers, rng);
-            const double v = sim_integrated_naks(tx, c).mean_tx;
+            const double v =
+                sim_batched(BatchScheme::kIntegratedNaks, model, receivers, c,
+                            rng, kPerReceiver)
+                    .mean_tx;
             for (const auto nak : log)
-              if (nak < exact_naks.size()) ++exact_naks[nak];
+              if (nak < reference_naks.size()) ++reference_naks[nak];
             return v;
           },
           {.threads = 1});  // the lambda mutates the shared histogram
@@ -318,10 +231,10 @@ TEST(FastPathDistribution, MeanTxPassesKsAndNaksPassChiSquare) {
           },
           {.threads = 1});
 
-      const double d = ks_statistic(exact_samples, batched_samples);
+      const double d = ks_statistic(reference_samples, batched_samples);
       EXPECT_LT(d, ks_crit) << "p=" << p << " R=" << receivers;
 
-      const Chi2 c2 = two_sample_chi2(exact_naks, batched_naks);
+      const Chi2 c2 = two_sample_chi2(reference_naks, batched_naks);
       EXPECT_LT(c2.stat, chi2_crit(c2.df)) << "p=" << p << " R=" << receivers;
     }
   }
@@ -340,10 +253,11 @@ TEST(FastPathDistribution, SegmentedHeterogeneousFastPathMatchesExact) {
   const double ks_crit =
       1.9495 * std::sqrt(2.0 / static_cast<double>(reps));
 
-  const auto exact_samples = sim::replicate_map<double>(
+  const auto reference_samples = sim::replicate_map<double>(
       reps, 31, [&](std::uint64_t, Rng& rng) {
-        IidTransmitter tx(model, receivers, rng);
-        return sim_integrated_naks(tx, cfg).mean_tx;
+        return sim_batched(BatchScheme::kIntegratedNaks, model, receivers,
+                           cfg, rng, kPerReceiver)
+            .mean_tx;
       });
   const auto batched_samples = sim::replicate_map<double>(
       reps, 32, [&](std::uint64_t, Rng& rng) {
@@ -351,7 +265,7 @@ TEST(FastPathDistribution, SegmentedHeterogeneousFastPathMatchesExact) {
                            cfg, rng, {.shards = 3, .threads = 1})
             .mean_tx;
       });
-  EXPECT_LT(ks_statistic(exact_samples, batched_samples), ks_crit);
+  EXPECT_LT(ks_statistic(reference_samples, batched_samples), ks_crit);
 }
 
 TEST(BatchedEngine, RejectsInvalidConfigs) {
