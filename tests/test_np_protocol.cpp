@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 
 #include "analysis/integrated.hpp"
@@ -79,6 +80,40 @@ TEST(NpSession, TxPerPacketTracksClosedForm) {
   // overshoot the idealised bound; allow a modest band.
   EXPECT_NEAR(measured.mean(), expect, 0.1);
   EXPECT_GT(measured.mean() + 3.0 * measured.ci95_halfwidth() + 0.01, expect);
+
+  // The paper's oracle (Eqs. 4-6, finite h): NP serves the round's
+  // largest need with fresh parities, so E[M] holds in both control
+  // modes.  A wrong parity count (say l + 1 per NAK) lands many standard
+  // errors away.
+  struct Shape {
+    std::size_t k, h, receivers;
+    double p;
+  };
+  for (const Shape s : {Shape{32, 32, 4, 0.02}, Shape{16, 48, 16, 0.10},
+                        Shape{8, 40, 25, 0.05}}) {
+    for (const bool reliable : {false, true}) {
+      NpConfig shape_cfg = small_config();
+      shape_cfg.k = s.k;
+      shape_cfg.h = s.h;
+      shape_cfg.reliable_control = reliable;
+      loss::BernoulliLossModel shape_model(s.p);
+      RunningStats tx;
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        NpSession session(shape_model, s.receivers, 40, shape_cfg, seed);
+        const auto stats = session.run();
+        ASSERT_TRUE(stats.all_delivered) << "seed " << seed;
+        tx.add(stats.tx_per_packet);
+      }
+      const double em = analysis::expected_tx_integrated(
+          static_cast<std::int64_t>(s.k), static_cast<std::int64_t>(s.h), 0,
+          s.p, static_cast<double>(s.receivers));
+      const double z = (tx.mean() - em) / tx.std_error();
+      EXPECT_LT(std::abs(z), 4.0)
+          << "k=" << s.k << " h=" << s.h << " R=" << s.receivers
+          << " p=" << s.p << " reliable=" << reliable << ": mean "
+          << tx.mean() << " vs E[M] " << em << " (z = " << z << ")";
+    }
+  }
 }
 
 TEST(NpSession, SuppressionKeepsNaksNearOnePerRound)
