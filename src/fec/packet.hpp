@@ -29,9 +29,12 @@ struct PacketHeader {
   PacketType type = PacketType::kData;
   /// Sender incarnation: bumped each time a crashed sender restarts from
   /// its journal (core/session_state.hpp).  Receivers remember the
-  /// highest incarnation they have seen and drop packets from earlier
+  /// newest incarnation they have seen and drop packets from earlier
   /// ones — a dead incarnation's in-flight traffic must not pollute
-  /// rounds of its successor.  Incarnation 0 is the first life of a
+  /// rounds of its successor.  The journal counts lives in 32 bits and
+  /// the wire carries the low 8, so lives compare by RFC 1982 serial
+  /// arithmetic (protocol::stale_incarnation): life 256 goes out as 0
+  /// and is newer than 255.  Incarnation 0 is the first life of a
   /// session, so the field is wire-compatible with the old always-zero
   /// reserved byte.
   std::uint8_t incarnation = 0;

@@ -26,6 +26,7 @@
 #include "net/overload.hpp"
 #include "net/peer_guard.hpp"
 #include "net/udp/udp_transport.hpp"
+#include "protocol/np_core.hpp"
 #include "protocol/retry.hpp"
 
 namespace pbl::net {
@@ -120,33 +121,22 @@ struct UdpNpConfig {
   PeerGuardConfig guard{};
 };
 
-struct UdpNpSenderStats {
+/// Sender statistics: the round machine's counters (polls, NAKs, ACKs,
+/// re-POLLs, evictions, TG outcomes, quarantine) plus the transport's.
+struct UdpNpSenderStats : protocol::NpSenderCounters {
   std::uint64_t data_sent = 0;
   std::uint64_t parity_sent = 0;
-  std::uint64_t polls_sent = 0;
-  std::uint64_t naks_received = 0;
-  std::uint64_t tgs_exhausted = 0;  ///< parity budget ran out
   double tx_per_packet = 0.0;
-
-  // Reliable-control accounting (all zero unless reliable_control).
-  std::uint64_t acks_received = 0;
-  std::uint64_t poll_retries = 0;   ///< re-POLLs after unconfirmed rounds
-  std::uint64_t evictions = 0;      ///< members evicted for silence
-  std::uint64_t tgs_unconfirmed = 0;  ///< re-POLL budget ran out
   /// Structured degradation outcome; filled on every exit path.
   protocol::PartialDeliveryReport report{};
 
-  // Crash-recovery accounting.
-  bool crashed = false;              ///< crash_after_sends fired
-  std::uint64_t tgs_skipped = 0;     ///< resumed TGs never retransmitted
+  bool crashed = false;  ///< crash_after_sends fired
 
   // Overload accounting (all zero unless the matching knob is on; see
   // net/overload.hpp).
   std::uint64_t would_block = 0;       ///< kWouldBlock batch results seen
   std::uint64_t arena_deferrals = 0;   ///< burst pauses on arena exhaustion
   std::uint64_t shed_frames = 0;       ///< staged frames dropped by shedding
-  std::uint64_t naks_suppressed = 0;   ///< NAKs past the feedback budget
-  std::uint64_t members_quarantined = 0;  ///< members moved to catch-up
 
   // Hostile-peer accounting (net/peer_guard.hpp).
   /// Feedback whose advertised member identity contradicted the
@@ -166,23 +156,11 @@ enum class UdpNpEndReason {
   kCrashed,           ///< fault injection: crash_after_tgs reached
 };
 
-struct UdpNpReceiverResult {
+/// Receiver outcome: the round machine's counters plus the transport's.
+struct UdpNpReceiverResult : protocol::NpReceiverCounters {
   bool complete = false;           ///< every TG reconstructed
-  std::uint64_t received = 0;      ///< packets accepted off the wire
-  std::uint64_t dropped = 0;       ///< packets discarded by injected loss
-  std::uint64_t decoded = 0;       ///< packets rebuilt by RSE decoding
-  std::uint64_t naks_sent = 0;
-  std::uint64_t duplicates = 0;    ///< redundant DATA/PARITY receptions
-  std::uint64_t rejected = 0;      ///< block-shape/length mismatches dropped
   ImpairmentStats impairment{};    ///< wire fault counters (zero when clean)
-
   UdpNpEndReason end_reason = UdpNpEndReason::kMidSessionSilence;
-  std::uint64_t acks_sent = 0;     ///< reliable mode: positive poll answers
-  std::uint64_t nak_retries = 0;   ///< reliable mode: NAK retransmissions
-  std::uint64_t stale_rejected = 0;///< dead-incarnation packets dropped
-  /// Runtime NAK suppression (overload.nak_suppression): slotted NAKs
-  /// cancelled because repair arrived first.
-  std::uint64_t naks_suppressed = 0;
 
   // Hostile-peer accounting (guard knobs on).
   /// Datagrams dropped because they did not come from the sender's port.
@@ -194,6 +172,6 @@ struct UdpNpReceiverResult {
 };
 
 /// The end-of-session marker the sender multicasts when done.
-inline constexpr std::uint32_t kUdpEndOfSession = 0xFFFFFFFFu;
+inline constexpr std::uint32_t kUdpEndOfSession = protocol::kEndOfSession;
 
 }  // namespace pbl::net

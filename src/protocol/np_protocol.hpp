@@ -1,13 +1,18 @@
 // Protocol NP: the paper's hybrid-ARQ reliable multicast protocol
-// (Section 5.1), implemented end-to-end on the discrete-event simulator.
+// (Section 5.1), run end-to-end on the discrete-event simulator.
 //
-// The sender multicasts the k data packets of each transmission group,
-// then a POLL(i, k).  Receivers that cannot yet reconstruct TG i schedule
-// a NAK(i, l) under slotting-and-damping (nak_suppression.hpp); NAKs are
-// multicast, so one NAK per round ideally survives.  On NAK(i, l) the
-// sender interrupts the current group, multicasts l parities of TG i
-// followed by POLL(i, l), and resumes.  A TG is complete when a POLL's
-// response window closes with no NAK.
+// The round logic is the NP cores' (np_core.hpp), the same state machine
+// the reactor drivers run over real sockets; NpSession is the simulated
+// engine around them.  The sender multicasts the k data packets of a
+// transmission group, one every `delta`, then a POLL(i), and waits:
+// stop-and-wait per TG.  A receiver that cannot yet reconstruct TG i
+// draws a slot delay keyed to how much it misses (nak_suppression.hpp)
+// and then multicasts NAK(i, l); a receiver that overhears a NAK asking
+// for at least as much as it needs stays silent (damping), so ideally
+// one NAK per round survives.  When the collect window — the POLL's
+// downlink, k + 1 slots and the NAK's uplink — closes, the sender
+// serves the largest l it heard with l fresh parities followed by a new
+// POLL(i).  A TG is complete when a round closes with no NAK.
 //
 // Unlike the idealised models, this runs the real RSE codec on real bytes
 // and verifies the reconstruction, counts duplicate receptions, encode/
@@ -23,9 +28,7 @@
 #include "fec/rse_code.hpp"
 #include "loss/loss_model.hpp"
 #include "net/channel.hpp"
-#include "protocol/nak_suppression.hpp"
 #include "protocol/retry.hpp"
-#include "sim/simulator.hpp"
 
 namespace pbl::protocol {
 
@@ -56,10 +59,6 @@ struct NpResume {
   /// those TGs from its bitmap (ACK under reliable control, silence
   /// otherwise) instead of NAKing for content it already delivered.
   std::vector<std::vector<bool>> receiver_decoded;
-
-  bool enabled() const noexcept {
-    return incarnation > 0 || !completed.empty();
-  }
 };
 
 struct NpConfig {
@@ -67,7 +66,9 @@ struct NpConfig {
   std::size_t h = 100;         ///< parity budget per TG (n = k + h <= 255)
   std::size_t packet_len = 256;///< payload bytes per packet
   double delta = 0.001;        ///< packet send spacing [s]
-  double slot = 0.005;         ///< Ts: NAK suppression slot size [s]
+  /// Ts: NAK suppression slot size [s].  A round collects NAKs for
+  /// 2·delay + (k + 1)·Ts, the slowest slotted NAK's round trip.
+  double slot = 0.005;
   double delay = 0.010;        ///< one-way propagation delay [s]
 
   /// Adversarial impairment of the DATA down-path (reorder, duplication,
@@ -78,8 +79,9 @@ struct NpConfig {
 
   /// Control-plane reliability layer (docs/ROBUSTNESS.md).  When set,
   /// "silence after a POLL" no longer means completion: every receiver
-  /// positively acknowledges each TG (an ACK is a NAK with count == 0,
-  /// unicast to the sender), unanswered POLL rounds are re-polled under
+  /// answers every POLL, with its NAK or with an ACK (a NAK with count
+  /// == 0, unicast to the sender); a round closes once every receiver
+  /// answered, unanswered POLL rounds are re-polled under
   /// `retry`'s seeded exponential backoff, receivers whose NAKs go
   /// unanswered retransmit them, and receivers silent for
   /// retry.grace_rounds consecutive rounds are evicted instead of

@@ -596,24 +596,42 @@ TEST_P(UdpNp, GuardedReceiverRejectsHeldBackForeignFrames) {
 TEST_P(UdpNpCrash, StaleIncarnationDatagramsAreRejected) {
   // A receiver that has already heard incarnation 1 must drop everything
   // a sender stamped with incarnation 0 — including its end-of-session
-  // marker, which must NOT end the run as a clean session.
-  const UdpNpConfig cfg = small_config();  // the sender: a dead life
-  const auto groups = random_groups(2, cfg.k, cfg.packet_len, 12);
-  SessionSetup setup;
-  setup.idle_timeout = 0.5;
-  setup.receiver_config = [](std::size_t, UdpNpConfig& c) {
-    c.incarnation = 1;  // the receiver's world has moved on
-    c.drain_timeout = 0.2;
+  // marker, which must NOT end the run as a clean session.  The 8-bit
+  // wire field wraps: life 256 goes out as 0 and is newer than 255, while
+  // a straggler from 255 is still stale once 256 was heard.
+  struct Lives {
+    std::uint32_t sender, receiver;
+    bool stale;
   };
-  const auto session = harness::run_session(groups, cfg, setup);
-  ASSERT_FALSE(session.wedged);
-  const auto& result = session.receivers[0].result;
+  for (const Lives lives :
+       {Lives{0, 1, true}, Lives{255, 256, true}, Lives{256, 255, false}}) {
+    SCOPED_TRACE("sender life " + std::to_string(lives.sender) +
+                 ", receiver heard " + std::to_string(lives.receiver));
+    UdpNpConfig cfg = small_config();  // the sender
+    cfg.incarnation = lives.sender;
+    const auto groups = random_groups(2, cfg.k, cfg.packet_len, 12);
+    SessionSetup setup;
+    setup.idle_timeout = 0.5;
+    setup.receiver_config = [&lives](std::size_t, UdpNpConfig& c) {
+      c.incarnation = lives.receiver;
+      c.drain_timeout = 0.2;
+    };
+    const auto session = harness::run_session(groups, cfg, setup);
+    ASSERT_FALSE(session.wedged);
+    const auto& result = session.receivers[0].result;
 
-  EXPECT_GT(session.sender.data_sent, 0u);
-  EXPECT_GT(result.stale_rejected, 0u);
-  EXPECT_FALSE(result.complete);
-  EXPECT_EQ(result.received, 0u);
-  EXPECT_EQ(result.end_reason, UdpNpEndReason::kMidSessionSilence);
+    EXPECT_GT(session.sender.data_sent, 0u);
+    if (!lives.stale) {
+      EXPECT_TRUE(result.complete);
+      EXPECT_EQ(result.stale_rejected, 0u);
+      EXPECT_EQ(result.end_reason, UdpNpEndReason::kEndOfSession);
+      continue;
+    }
+    EXPECT_GT(result.stale_rejected, 0u);
+    EXPECT_FALSE(result.complete);
+    EXPECT_EQ(result.received, 0u);
+    EXPECT_EQ(result.end_reason, UdpNpEndReason::kMidSessionSilence);
+  }
 }
 
 }  // namespace
