@@ -134,7 +134,10 @@ TEST_F(CrashResumeTest, SurvivesRepeatedCrashesUnderLoss) {
   cfg.np.packet_len = 64;
   cfg.np.reliable_control = true;
   cfg.journal_path = temp_path();
-  cfg.crash_plan = {6, 20, 35};  // three lives die on schedule
+  // Three lives die on schedule.  A second life dying at 20 transmissions
+  // cannot finish TG 2, so the third life has at least 16 data frames to
+  // send and its crash at 10 always fires, whatever the loss draws.
+  cfg.crash_plan = {6, 20, 10};
   loss::BernoulliLossModel model(0.1);
   const auto report = run_resumable_session(
       model, 3, random_groups(4, cfg.np.k, cfg.np.packet_len, 9), cfg,
