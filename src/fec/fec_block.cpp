@@ -139,20 +139,35 @@ const std::vector<std::vector<std::uint8_t>>& TgDecoder::reconstruct() {
   if (!decodable())
     throw std::logic_error("TgDecoder: not enough packets to reconstruct");
 
+  // Each received data shard moves into the reconstruction, so its bytes
+  // stay in the buffer add(Packet&&) took; RseCode::decode skips the copy
+  // of an output that aliases its input.  Only the l missing packets get
+  // fresh buffers: they cannot reuse a chosen parity shard, since every
+  // output reads every chosen input.
+  const std::size_t k = code_->k();
+  std::vector<std::vector<std::uint8_t>> out(k);
   std::vector<Shard> received;
   received.reserve(received_count_);
-  for (std::size_t i = 0; i < shards_.size(); ++i)
-    if (shards_[i]) received.push_back({i, *shards_[i]});
-
-  std::vector<std::vector<std::uint8_t>> out(
-      code_->k(), std::vector<std::uint8_t>(packet_len_));
+  std::size_t missing = 0;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    if (i >= k) {
+      if (shards_[i]) received.push_back({i, *shards_[i]});
+    } else if (shards_[i]) {
+      out[i] = std::move(*shards_[i]);
+      received.push_back({i, out[i]});
+    } else {
+      out[i].resize(packet_len_);
+      ++missing;
+    }
+  }
   std::vector<std::span<std::uint8_t>> views(out.begin(), out.end());
   code_->decode(received, views);
 
-  for (std::size_t i = 0; i < code_->k(); ++i)
-    if (!shards_[i]) ++decoded_packets_;
-
+  decoded_packets_ += missing;
   result_ = std::move(out);
+  // The shards are spent: parity buffers go, and result_ now marks every
+  // later packet of the block a duplicate.
+  for (auto& shard : shards_) shard.reset();
   return *result_;
 }
 

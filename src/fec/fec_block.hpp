@@ -92,7 +92,11 @@ class TgDecoder {
   std::size_t duplicates() const noexcept { return duplicates_; }
 
   /// Reconstructs and returns the k data packets; requires decodable().
-  /// Idempotent; subsequent calls return the cached reconstruction.
+  /// Received data payloads move into the result (a packet given to
+  /// add(Packet&&) keeps its buffer); only the l lost packets are
+  /// allocated and decoded.  The shards are released afterwards, and
+  /// every later packet of the block counts as a duplicate.  Idempotent;
+  /// subsequent calls return the cached reconstruction.
   const std::vector<std::vector<std::uint8_t>>& reconstruct();
 
   /// Number of data packets that were actually rebuilt by RSE decoding

@@ -51,7 +51,8 @@ class RseCode {
   /// Reconstructs the k data packets from any >= k received shards with
   /// distinct indices.  `out[i]` receives data packet i (each of the k
   /// spans must be packet-length).  Shards present among the received
-  /// data packets are copied; only missing ones are decoded.
+  /// data packets are copied, unless `out[i]` already is that shard's
+  /// buffer; only missing ones are decoded.
   /// Throws std::invalid_argument on insufficient/duplicate shards.
   void decode(std::span<const Shard> received,
               std::span<const std::span<std::uint8_t>> out) const;

@@ -574,7 +574,7 @@ NpReceiverCore::NpReceiverCore(const fec::RseCode& code, NpOptions options,
 }
 
 std::size_t NpReceiverCore::needed(std::uint32_t tg) const {
-  if (prior_[tg]) return 0;
+  if (done_[tg]) return 0;
   return decoders_[tg] ? decoders_[tg]->needed() : code_.k();
 }
 
@@ -602,19 +602,30 @@ void NpReceiverCore::accept_block(Packet&& packet) {
     return;
   }
   ++counters_.received;
+  // A decoded TG is only its done_ bit: any later block is a duplicate.
+  // The loss draw above still comes first, so the RNG stream does not
+  // depend on whether a decoder is held.
+  if (done_[hdr.tg]) {
+    ++counters_.duplicates;
+    return;
+  }
   auto& dec = decoders_[hdr.tg];
   if (!dec) dec.emplace(hdr.tg, code_, opt_.packet_len);
   if (!dec->add(std::move(packet))) {
     ++counters_.duplicates;
     return;
   }
-  if (dec->decodable() && !done_[hdr.tg]) {
-    const auto& data = dec->reconstruct();
-    counters_.decoded += dec->decoded_packets();
-    done_[hdr.tg] = true;
-    ++done_count_;
-    io_.decoded(hdr.tg, data);
-  }
+  if (!dec->decodable()) return;
+  const auto& data = dec->reconstruct();
+  counters_.decoded += dec->decoded_packets();
+  done_[hdr.tg] = true;
+  ++done_count_;
+  io_.decoded(hdr.tg, data);
+  // The engine has verified the bytes (Io::decoded): release the TG's
+  // shards, reconstruction and NAK backoff.  Only in-flight TGs hold
+  // memory.
+  dec.reset();
+  nak_backoffs_[hdr.tg].reset();
 }
 
 void NpReceiverCore::send_feedback(std::uint32_t tg, std::size_t count,

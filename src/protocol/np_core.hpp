@@ -284,7 +284,8 @@ class NpReceiverCore {
    public:
     /// A NAK (count > 0) or ACK (count == 0) for the sender.
     virtual void send_feedback(fec::Packet&& feedback) = 0;
-    /// TG `tg` just decoded to `data`.
+    /// TG `tg` just decoded to `data`.  Verify or copy it here: the core
+    /// releases the TG's decoder, and `data` with it, when this returns.
     virtual void decoded(std::size_t tg,
                          const std::vector<std::vector<std::uint8_t>>& data) = 0;
 
@@ -339,12 +340,15 @@ class NpReceiverCore {
   NpOptions opt_;
   Io& io_;
   NpReceiverCounters& counters_;
+  /// Decoders of the TGs in flight: one is made by a TG's first block
+  /// and dropped once the TG decodes and Io::decoded has seen its bytes.
+  /// A decoded TG is then only its done_ bit.
   std::vector<std::optional<fec::TgDecoder>> decoders_;
   std::vector<bool> done_;
   std::vector<bool> prior_;      ///< decoded before this life
   std::vector<bool> confirmed_;  ///< journal-confirmed before this life
   std::size_t done_count_ = 0;
-  std::vector<std::optional<Backoff>> nak_backoffs_;
+  std::vector<std::optional<Backoff>> nak_backoffs_;  ///< until decoded
   bool nak_pending_ = false;
   /// The pending NAK was never sent: it sits in its slot, and repair or
   /// an overheard NAK arriving first cancels it.

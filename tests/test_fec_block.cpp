@@ -186,6 +186,34 @@ TEST(TgDecoder, ReconstructsFromMixedPackets) {
   EXPECT_EQ(dec.decoded_packets(), 2u);  // packets 0 and 2 were rebuilt
 }
 
+TEST(TgDecoder, ReconstructionKeepsTheReceivedDataBuffers) {
+  RseCode code(6, 10);
+  const auto data = random_data(6, 32, 11);
+  TgEncoder enc(3, code, data);
+  TgDecoder dec(3, code, 32);
+
+  // Data 0, 2, 3 and 5 arrive; 1 and 4 are lost and rebuilt from
+  // parities 1 and 3.
+  std::vector<const std::uint8_t*> buffers(6, nullptr);
+  for (std::size_t i : {0u, 2u, 3u, 5u}) {
+    Packet p = enc.data_packet(i);
+    buffers[i] = p.payload.data();
+    ASSERT_TRUE(dec.add(std::move(p)));
+  }
+  ASSERT_TRUE(dec.add(enc.parity_packet(1)));
+  ASSERT_TRUE(dec.add(enc.parity_packet(3)));
+
+  const auto& out = dec.reconstruct();
+  ASSERT_EQ(out.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(out[i], data[i]) << "packet " << i;
+    if (buffers[i]) {
+      EXPECT_EQ(out[i].data(), buffers[i]) << "packet " << i;
+    }
+  }
+  EXPECT_EQ(dec.decoded_packets(), 2u);
+}
+
 TEST(TgDecoder, DuplicatesCountedAndIgnored) {
   RseCode code(3, 5);
   TgEncoder enc(1, code, random_data(3, 8, 6));

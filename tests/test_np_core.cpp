@@ -69,6 +69,19 @@ NpOptions options(std::size_t members, std::size_t num_tgs, bool reliable) {
   return o;
 }
 
+struct ReceiverRecorder final : NpReceiverCore::Io {
+  std::vector<fec::PacketHeader> feedback;
+  std::vector<std::size_t> decoded_tgs;
+
+  void send_feedback(fec::Packet&& fb) override {
+    feedback.push_back(fb.header);
+  }
+  void decoded(std::size_t tg,
+               const std::vector<std::vector<std::uint8_t>>&) override {
+    decoded_tgs.push_back(tg);
+  }
+};
+
 TEST(NpSenderCore, LosslessTgIsKDataOnePollAndOneJournalRecord) {
   Session s(options(3, 1, true));
   s.core->start(0.0);
@@ -193,6 +206,50 @@ TEST(NpSenderCore, BannedStragglerStillLetsItsDeferredTgJournalOnce) {
   EXPECT_EQ(journaled, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(s.core->report().expelled, 1u);
   EXPECT_TRUE(s.core->report().complete) << s.core->report().summary();
+}
+
+TEST(NpReceiverCore, DecodedTgIsDuplicatesAndAcksAfterItsDecoderIsReleased) {
+  // Once a TG decodes the core drops its decoder.  Late DATA and PARITY
+  // for it still count as received duplicates, and a POLL for it is
+  // ACKed, not NAKed for k packets.
+  NpOptions o = options(1, 2, true);
+  o.packet_len = 16;
+  const fec::RseCode code(o.k, o.k + o.h);
+  std::vector<std::vector<std::uint8_t>> data(
+      o.k, std::vector<std::uint8_t>(o.packet_len));
+  for (std::size_t i = 0; i < o.k; ++i) data[i][0] = static_cast<std::uint8_t>(i);
+  fec::TgEncoder enc(0, code, data);
+  ReceiverRecorder io;
+  NpReceiverCounters counters;
+  NpReceiverCore core(code, o, io, counters);
+
+  // Data 0..2 and parity 0 decode TG 0 (data 3 rebuilt).
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(core.on_packet(0.0, enc.data_packet(i)),
+              NpReceiverCore::Input::kBlock);
+  core.on_packet(0.0, enc.parity_packet(0));
+  ASSERT_EQ(io.decoded_tgs, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(counters.decoded, 1u);
+  EXPECT_EQ(counters.duplicates, 0u);
+
+  core.on_packet(0.01, enc.data_packet(3));
+  core.on_packet(0.01, enc.parity_packet(1));
+  fec::Packet poll;
+  poll.header.type = fec::PacketType::kPoll;
+  poll.header.tg = 0;
+  poll.header.seq = 7;
+  core.on_packet(0.02, std::move(poll));
+
+  EXPECT_EQ(io.decoded_tgs.size(), 1u);
+  EXPECT_EQ(counters.received, 6u);
+  EXPECT_EQ(counters.duplicates, 2u);
+  EXPECT_EQ(counters.naks_sent, 0u);
+  EXPECT_EQ(counters.acks_sent, 1u);
+  ASSERT_EQ(io.feedback.size(), 1u);
+  EXPECT_EQ(io.feedback[0].tg, 0u);
+  EXPECT_EQ(io.feedback[0].count, 0u);
+  EXPECT_EQ(io.feedback[0].seq, 7u);
+  EXPECT_EQ(core.done_count(), 1u);
 }
 
 }  // namespace
