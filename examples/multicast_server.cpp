@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
   const double nak_slot = cli.get_double("nak-slot", 0.0);
   const int feedback_budget = cli.get_int("feedback-budget", 0);
   const int quarantine_deficit = cli.get_int("quarantine-deficit", 0);
-  const double quarantine_quorum = cli.get_double("quarantine-quorum", 0.5);
   const int catch_up_rounds = cli.get_int("catch-up-rounds", 4);
   const int arena_frames = cli.get_int("arena-frames", 0);
   // Resource-exhaustion fault injection: all off by default.
@@ -161,7 +160,6 @@ int main(int argc, char** argv) {
   cfg.np.overload.feedback_budget = static_cast<std::size_t>(feedback_budget);
   cfg.np.overload.quarantine_deficit =
       static_cast<std::size_t>(quarantine_deficit);
-  cfg.np.overload.quarantine_quorum = quarantine_quorum;
   cfg.np.overload.catch_up_rounds = static_cast<std::size_t>(catch_up_rounds);
   cfg.np.arena_frames = static_cast<std::size_t>(arena_frames);
   cfg.np.guard.enabled = guard;

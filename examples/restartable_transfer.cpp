@@ -92,19 +92,14 @@ int main(int argc, char** argv) {
   const auto blob = demo_blob(3000);
   const auto groups = core::segment_blob(blob, cfg.k, cfg.packet_len);
 
-  // Sender journal: create fresh or recover the previous life.  The
-  // constructor folds the record stream, checks the shape, and journals
-  // the incarnation bump before we send anything.
+  // Sender journal: create fresh or recover the previous life.  Opening
+  // folds the record stream, checks the shape, journals the incarnation
+  // bump before we send anything, and hands the journaled progress and
+  // the write-ahead hooks to cfg.
   constexpr std::uint64_t kSessionId = 0x5e55;
-  core::SenderSessionState fresh;
-  fresh.session_id = kSessionId;
-  fresh.k = static_cast<std::uint32_t>(cfg.k);
-  fresh.h = static_cast<std::uint32_t>(cfg.h);
-  fresh.packet_len = static_cast<std::uint32_t>(cfg.packet_len);
-  fresh.num_tgs = static_cast<std::uint32_t>(groups.size());
-  fresh.completed.assign(groups.size(), false);
-  fresh.parities_sent.assign(groups.size(), 0);
-  core::SessionJournal sj(path, fresh, {.checkpoint_interval = 8});
+  const auto journal = core::open_session_journal(
+      path, kSessionId, groups.size(), cfg, {.checkpoint_interval = 8});
+  core::SessionJournal& sj = *journal;
 
   const auto& st = sj.state();
   std::printf("life %u (%s): %zu/%u TGs already confirmed complete\n",
@@ -127,16 +122,9 @@ int main(int argc, char** argv) {
   if (crash_flag < 0 && st.incarnation < 2)
     crash_after = 40;  // enough to confirm a few TGs, not the whole file
 
-  cfg.resume.incarnation = st.incarnation;
   cfg.resume.receiver_incarnation = st.incarnation;  // heard the last life
-  cfg.resume.completed = st.completed;
-  cfg.resume.parities_sent = st.parities_sent;
   cfg.resume.receiver_decoded = priors;
   cfg.crash_after_tx = crash_after;
-  cfg.on_tg_completed = [&sj](std::size_t tg) { sj.record_tg_completed(tg); };
-  cfg.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
-    sj.record_parities_sent(tg, hw);
-  };
 
   loss::BernoulliLossModel loss(p);
   protocol::NpSession session(loss, receivers, groups, cfg, kSessionId);

@@ -295,6 +295,36 @@ void SessionJournal::after_delta() {
     checkpoint();
 }
 
+std::unique_ptr<SessionJournal> open_session_journal(
+    const std::string& path, std::uint64_t session_id, std::size_t num_tgs,
+    protocol::NpParams& params, SessionJournal::Options options) {
+  SenderSessionState fresh;
+  fresh.session_id = session_id;
+  fresh.k = static_cast<std::uint32_t>(params.k);
+  fresh.h = static_cast<std::uint32_t>(params.h);
+  fresh.packet_len = static_cast<std::uint32_t>(params.packet_len);
+  fresh.num_tgs = static_cast<std::uint32_t>(num_tgs);
+  auto journal = std::make_unique<SessionJournal>(path, fresh, options);
+  const SenderSessionState& st = journal->state();
+  params.incarnation = st.incarnation;
+  params.resume_completed = st.completed;
+  params.resume_parities = st.parities_sent;
+  // Write-ahead order: the journal holds each event before anyone else
+  // hears of it.
+  SessionJournal* sj = journal.get();
+  params.on_tg_completed = [sj, next = std::move(params.on_tg_completed)](
+                               std::size_t tg) {
+    sj->record_tg_completed(tg);
+    if (next) next(tg);
+  };
+  params.on_parities_sent = [sj, next = std::move(params.on_parities_sent)](
+                                std::size_t tg, std::size_t hw) {
+    sj->record_parities_sent(tg, hw);
+    if (next) next(tg, hw);
+  };
+  return journal;
+}
+
 ResumableReport run_resumable_session(const loss::LossModel& loss,
                                       std::size_t receivers,
                                       std::vector<TgData> data,
@@ -305,34 +335,18 @@ ResumableReport run_resumable_session(const loss::LossModel& loss,
   if (data.empty())
     throw std::invalid_argument("run_resumable_session: no data");
 
-  SenderSessionState fresh;
-  fresh.session_id = seed;
-  fresh.k = static_cast<std::uint32_t>(config.np.k);
-  fresh.h = static_cast<std::uint32_t>(config.np.h);
-  fresh.packet_len = static_cast<std::uint32_t>(config.np.packet_len);
-  fresh.num_tgs = static_cast<std::uint32_t>(data.size());
-  fresh.completed.assign(data.size(), false);
-  fresh.parities_sent.assign(data.size(), 0);
-
   ResumableReport report;
   std::vector<std::vector<bool>> priors;  // receiver decoded bitmaps
   std::uint32_t receiver_incarnation = 0;
 
   for (std::size_t life = 0; life < config.max_incarnations; ++life) {
-    SessionJournal sj(config.journal_path, fresh,
-                      {config.checkpoint_interval, config.sync_every});
-    report.incarnations = life + 1;
-
     protocol::NpConfig np = config.np;
-    np.resume.incarnation = sj.state().incarnation;
+    const auto sj =
+        open_session_journal(config.journal_path, seed, data.size(), np,
+                             {config.checkpoint_interval, config.sync_every});
+    report.incarnations = life + 1;
     np.resume.receiver_incarnation = receiver_incarnation;
-    np.resume.completed = sj.state().completed;
-    np.resume.parities_sent = sj.state().parities_sent;
     np.resume.receiver_decoded = priors;
-    np.on_tg_completed = [&sj](std::size_t tg) { sj.record_tg_completed(tg); };
-    np.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
-      sj.record_parities_sent(tg, hw);
-    };
     np.crash_after_tx = life < config.crash_plan.size()
                             ? config.crash_plan[life]
                             : protocol::kNoSenderCrash;
@@ -350,8 +364,8 @@ ResumableReport run_resumable_session(const loss::LossModel& loss,
     // Real receivers outlive the sender; in the DES each life is a new
     // session object, so their decoded bitmaps thread through explicitly.
     priors = stats.report.delivered;
-    receiver_incarnation = sj.state().incarnation;
-    report.state = sj.state();
+    receiver_incarnation = sj->state().incarnation;
+    report.state = sj->state();
 
     const bool crashed = stats.sender_crashed;
     report.last = std::move(stats);

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -141,10 +142,21 @@ class SessionJournal {
   bool resumed_ = false;
 };
 
+/// The journal glue both engines share.  Opens (or recovers) the
+/// write-ahead journal at `path` for a session of `num_tgs` TGs shaped by
+/// `params`, then resumes `params` from it: the incarnation, the
+/// confirmed TGs and the parity high-water marks.  The journal's hooks go
+/// ahead of `params`' own, which still fire after them.  The hooks point
+/// into the returned journal, so it must outlive the session.
+std::unique_ptr<SessionJournal> open_session_journal(
+    const std::string& path, std::uint64_t session_id, std::size_t num_tgs,
+    protocol::NpParams& params, SessionJournal::Options options = {});
+
 /// Crash→recover→resume driver configuration.
 struct ResumableConfig {
-  /// Base protocol config; the resume/crash/hook fields are overwritten
-  /// per incarnation by the driver.
+  /// Base protocol config.  Per incarnation the driver overwrites the
+  /// incarnation, resume and crash fields, and runs the journal's hooks
+  /// ahead of np's own.
   protocol::NpConfig np{};
   /// Where the sender's write-ahead journal lives.  Required.
   std::string journal_path;

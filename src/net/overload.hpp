@@ -38,9 +38,6 @@ struct OverloadConfig {
   /// Sustained-would-block budget [s] before `shed_policy` applies;
   /// 0 = defer indefinitely (the session deadline still bounds the run).
   double stall_timeout = 0.0;
-  /// Reactor-timer retry cadence while a burst is stalled or the arena
-  /// is exhausted [s].
-  double retry_interval = 0.005;
   ShedPolicy shed_policy = ShedPolicy::kDefer;
 
   /// Receiver-side runtime NAK suppression (Section 5.1 slotting): a
@@ -56,13 +53,9 @@ struct OverloadConfig {
   /// (the next round re-collects); 0 = unbounded.
   std::size_t feedback_budget = 0;
 
-  /// Rounds a member may lag behind an acked quorum before quarantine;
-  /// 0 disables quarantine.
+  /// Rounds a member may lag while at least half the live members ACKed
+  /// before it is quarantined; 0 disables quarantine.
   std::size_t quarantine_deficit = 0;
-  /// Fraction of live members that must have ACKed the round for the
-  /// laggards to accrue deficit (no one is penalised when the whole
-  /// group is struggling).
-  double quarantine_quorum = 0.5;
   /// Parity-only catch-up rounds served to quarantined members per TG
   /// after the main transfer; members still missing data after the
   /// budget are evicted via the liveness machinery.

@@ -2,6 +2,9 @@
 // configuration, statistics and end-of-session marker shared by the
 // reactor drivers (server/session_driver.hpp), which run the protocol,
 // and the multicast server that hosts them (server/server.hpp).
+// UdpNpConfig is NP's parameters (protocol::NpParams, documented there)
+// plus what sockets need: clocks, faults, overload and guard knobs.  The
+// drivers hand it to the NP cores as it is.
 //
 // The sender reaches the group with one IP multicast send per frame, or
 // by unicast fan-out where the host lacks multicast on lo
@@ -19,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "net/impairment.hpp"
@@ -33,10 +35,11 @@ namespace pbl::net {
 
 using TgBytes = std::vector<std::vector<std::uint8_t>>;  ///< k packets
 
-struct UdpNpConfig {
-  std::size_t k = 8;
-  std::size_t h = 64;            ///< parity budget (k + h <= 255)
-  std::size_t packet_len = 512;
+/// The drivers' configuration: NP's parameters (k = 8, h = 64 and
+/// 512-byte packets by default) plus the socket engine's.  With
+/// reliable_control, feedback carries the receiver's own port in
+/// header.index, so the sender tracks per-member liveness.
+struct UdpNpConfig : protocol::NpParams {
   /// Seconds the sender collects NAKs per round.  With reliable_control
   /// it is the floor of the collect timeout instead: a round closes once
   /// every gating member answered, or after max(poll_window, SRTT +
@@ -44,19 +47,6 @@ struct UdpNpConfig {
   /// retry.max_backoff (docs/ROBUSTNESS.md).
   double poll_window = 0.08;
 
-  /// Control-plane reliability layer (docs/ROBUSTNESS.md).  When set,
-  /// "silence after a POLL" no longer closes a TG: every receiver answers
-  /// every POLL (NAK, or an ACK — a NAK with count == 0 — when it needs
-  /// nothing; both carry the receiver's own port in header.index so the
-  /// sender can track per-member liveness), unanswered rounds are
-  /// re-POLLed with a widened collect window under `retry`'s seeded
-  /// backoff, receivers retransmit NAKs whose repair never arrives, and
-  /// members silent for retry.grace_rounds rounds are evicted instead of
-  /// stalling the transfer.  Wall-clock deadlines (retry.session_deadline)
-  /// bound the whole session; every exit fills UdpNpSenderStats::report.
-  /// Off by default — the legacy silence-is-consent path is unchanged.
-  bool reliable_control = false;
-  protocol::RetryConfig retry{};
   std::uint64_t seed = 1;        ///< seeds the reliable-mode backoff jitter
 
   /// The ONE time source every deadline in the session reads: retry
@@ -78,29 +68,10 @@ struct UdpNpConfig {
   /// if crashed) after completing this many TGs.  SIZE_MAX disables.
   std::size_t crash_after_tgs = static_cast<std::size_t>(-1);
 
-  // ---- crash-tolerant sessions (docs/ROBUSTNESS.md) --------------------
-
-  /// Sender incarnation, stamped into every outgoing packet's header.
-  /// Receivers remember the highest incarnation heard and drop anything
-  /// older — a dead life's stragglers (including its end-of-session
-  /// marker) cannot answer for the live one.
-  std::uint32_t incarnation = 0;
-  /// Resume: TGs confirmed complete in a prior life are skipped outright
-  /// (empty = fresh session; otherwise one flag per TG).
-  std::vector<bool> resume_completed;
-  /// Resume: per-TG parities-sent high-water, so a resumed TG serves
-  /// fresh parity indices instead of re-multicasting repair packets the
-  /// receivers already hold.
-  std::vector<std::uint16_t> resume_parities;
   /// Deterministic crash injection: the sender process "dies" after this
   /// many datagram sends (data, parity or poll) — no end-of-session
   /// marker, no further feedback processing.  SIZE_MAX disables.
   std::size_t crash_after_sends = static_cast<std::size_t>(-1);
-  /// Write-ahead hooks, invoked the moment durable progress changes
-  /// (same shapes as NpConfig's — plug core::SessionJournal straight in).
-  std::function<void(std::size_t tg)> on_tg_completed;
-  std::function<void(std::size_t tg, std::size_t parities_used)>
-      on_parities_sent;
 
   // ---- overload hardening (docs/ROBUSTNESS.md, "Overload") -------------
 
@@ -109,8 +80,8 @@ struct UdpNpConfig {
   OverloadConfig overload{};
   /// Sender packet-arena capacity in frames; 0 = max(k, h) (enough for
   /// the largest burst).  Smaller values force arena exhaustion: the
-  /// driver then fills bursts in multiple arena generations, deferring
-  /// on its retry timer between them — same bytes, bounded memory.
+  /// driver then flushes and refills bursts in multiple arena
+  /// generations — same bytes, bounded memory.
   std::size_t arena_frames = 0;
 
   // ---- hostile-peer hardening (docs/ROBUSTNESS.md, "Hostile peers") ----

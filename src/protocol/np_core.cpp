@@ -18,49 +18,73 @@ namespace {
 /// Target P(no receiver needs a NAK round) when `adaptive` re-plans a.
 constexpr double kAdaptiveConfidence = 0.9;
 
+/// Fraction of the live members that must have ACKed a round before the
+/// rest accrue quarantine deficit: no one is penalised when the whole
+/// group is struggling.
+constexpr double kQuarantineQuorum = 0.5;
+
 }  // namespace
+
+void check_tg_shape(
+    const NpParams& params,
+    const std::vector<std::vector<std::vector<std::uint8_t>>>& groups) {
+  if (groups.empty())
+    throw std::invalid_argument("NP payload: a session needs >= 1 TG");
+  for (const auto& tg : groups) {
+    if (tg.size() != params.k)
+      throw std::invalid_argument("NP payload: each TG needs k packets");
+    for (const auto& pkt : tg)
+      if (pkt.size() != params.packet_len)
+        throw std::invalid_argument(
+            "NP payload: packets must be packet_len bytes");
+  }
+}
 
 // ---------------------------------------------------------------------------
 // NpSenderCore
 // ---------------------------------------------------------------------------
 
-NpSenderCore::NpSenderCore(NpOptions options, Io& io,
+NpSenderCore::NpSenderCore(const NpParams& params, Setup setup, Io& io,
                            NpSenderCounters& counters)
-    : opt_(std::move(options)), io_(io), counters_(counters) {
-  if (opt_.members == 0)
+    : params_(params), setup_(setup), io_(io), counters_(counters) {
+  if (setup_.members == 0)
     throw std::invalid_argument("NpSenderCore: no members");
-  if (opt_.reliable_control) opt_.retry.validate();
-  if (!opt_.resume_completed.empty() &&
-      opt_.resume_completed.size() != opt_.num_tgs)
+  if (params_.reliable_control) params_.retry.validate();
+  if (!params_.resume_completed.empty() &&
+      params_.resume_completed.size() != setup_.num_tgs)
     throw std::invalid_argument("NpSenderCore: resume_completed size mismatch");
-  if (!opt_.resume_parities.empty() &&
-      opt_.resume_parities.size() != opt_.num_tgs)
+  if (!params_.resume_parities.empty() &&
+      params_.resume_parities.size() != setup_.num_tgs)
     throw std::invalid_argument("NpSenderCore: resume_parities size mismatch");
-  proactive_ = std::min(opt_.proactive, opt_.h);
+  for (const auto hw : params_.resume_parities)
+    if (hw > params_.h)
+      throw std::invalid_argument(
+          "NpSenderCore: resume_parities exceeds parity budget h");
+  proactive_ = std::min(setup_.proactive, params_.h);
 }
 
 void NpSenderCore::start(double now) {
-  const std::size_t members = opt_.members;
+  const std::size_t members = setup_.members;
   evicted_.assign(members, false);
   silent_.assign(members, 0);
   answered_.assign(members, 0);
-  delivered_.assign(members, std::vector<bool>(opt_.num_tgs, false));
+  delivered_.assign(members, std::vector<bool>(setup_.num_tgs, false));
   deficit_.assign(members, 0);
   quarantined_.assign(members, false);
   banned_.assign(members, false);
   expelled_.assign(members, false);
-  parity_high_.assign(opt_.num_tgs, 0);
-  deferred_.assign(opt_.num_tgs, false);
-  for (std::size_t i = 0; i < opt_.resume_parities.size(); ++i)
-    parity_high_[i] = std::min<std::size_t>(opt_.resume_parities[i], opt_.h);
+  parity_high_.assign(setup_.num_tgs, 0);
+  deferred_.assign(setup_.num_tgs, false);
+  for (std::size_t i = 0; i < params_.resume_parities.size(); ++i)
+    parity_high_[i] = params_.resume_parities[i];
   deadline_ = Deadline(
-      now, opt_.reliable_control ? opt_.retry.session_deadline : 0.0);
+      now, params_.reliable_control ? params_.retry.session_deadline : 0.0);
   tg_ = 0;
   begin_next_tg(now);
 }
 
 bool NpSenderCore::resumed(std::size_t tg) const {
-  return tg < opt_.resume_completed.size() && opt_.resume_completed[tg];
+  return tg < params_.resume_completed.size() && params_.resume_completed[tg];
 }
 
 bool NpSenderCore::gates(std::size_t m) const {
@@ -73,7 +97,7 @@ bool NpSenderCore::owed(std::size_t m, std::size_t tg) const {
 }
 
 bool NpSenderCore::tg_fully_delivered() const {
-  for (std::size_t m = 0; m < opt_.members; ++m)
+  for (std::size_t m = 0; m < setup_.members; ++m)
     if (owed(m, tg_)) return false;
   return true;
 }
@@ -85,7 +109,7 @@ bool NpSenderCore::confirmed() const {
   // Quarantined members no longer gate the round: their missing TGs are
   // owed to them by the catch-up pass (or eviction), not by the group.
   // Expelled (banned) members forfeited their claim entirely.
-  for (std::size_t m = 0; m < opt_.members; ++m)
+  for (std::size_t m = 0; m < setup_.members; ++m)
     if (gates(m) && !acked_[m]) return false;
   return true;
 }
@@ -96,7 +120,7 @@ bool NpSenderCore::all_answered() const {
   };
   if (catchup_)
     return std::all_of(cu_targets_.begin(), cu_targets_.end(), answered);
-  for (std::size_t m = 0; m < opt_.members; ++m)
+  for (std::size_t m = 0; m < setup_.members; ++m)
     if (gates(m) && !answered(m)) return false;
   return true;
 }
@@ -134,16 +158,16 @@ void NpSenderCore::abort_overloaded() {
 }
 
 void NpSenderCore::complete_current_tg() {
-  if (opt_.on_tg_completed) opt_.on_tg_completed(tg_);
+  if (params_.on_tg_completed) params_.on_tg_completed(tg_);
   ++counters_.tgs_completed;
 }
 
 void NpSenderCore::update_quarantine() {
-  const std::size_t need = opt_.overload.quarantine_deficit;
+  const std::size_t need = setup_.overload.quarantine_deficit;
   if (need == 0) return;
   std::size_t live = 0;
   std::size_t acked = 0;
-  for (std::size_t m = 0; m < opt_.members; ++m) {
+  for (std::size_t m = 0; m < setup_.members; ++m) {
     if (!gates(m)) continue;
     ++live;
     if (acked_[m]) ++acked;
@@ -152,9 +176,9 @@ void NpSenderCore::update_quarantine() {
   // is struggling the problem is the sender/network, not a member.
   if (live == 0 || acked >= live) return;
   if (static_cast<double>(acked) + 1e-9 <
-      opt_.overload.quarantine_quorum * static_cast<double>(live))
+      kQuarantineQuorum * static_cast<double>(live))
     return;
-  for (std::size_t m = 0; m < opt_.members; ++m) {
+  for (std::size_t m = 0; m < setup_.members; ++m) {
     if (!gates(m) || acked_[m]) continue;
     if (++deficit_[m] >= need) {
       quarantined_[m] = true;
@@ -166,11 +190,11 @@ void NpSenderCore::update_quarantine() {
 void NpSenderCore::begin_next_tg(double now) {
   if (!catchup_) {
     // Skip TGs confirmed complete in a prior life; they are never re-sent.
-    while (tg_ < opt_.num_tgs && resumed(tg_)) {
+    while (tg_ < setup_.num_tgs && resumed(tg_)) {
       ++counters_.tgs_skipped;
       ++tg_;
     }
-    if (tg_ >= opt_.num_tgs) start_catch_up();
+    if (tg_ >= setup_.num_tgs) start_catch_up();
   }
   if (catchup_ && cu_tgs_.empty()) {
     finish();
@@ -181,7 +205,7 @@ void NpSenderCore::begin_next_tg(double now) {
     tg_ = cu_tgs_.back();
     cu_tgs_.pop_back();
     cu_targets_.clear();
-    for (std::size_t m = 0; m < opt_.members; ++m)
+    for (std::size_t m = 0; m < setup_.members; ++m)
       if (owed(m, tg_)) cu_targets_.push_back(m);
     if (cu_targets_.empty()) {
       // Served, evicted or banned since the work list was built: nobody
@@ -195,9 +219,9 @@ void NpSenderCore::begin_next_tg(double now) {
   // Round state initialises BEFORE the data burst: the engine may send
   // it asynchronously, and feedback racing in meanwhile must find
   // per-member state sized.
-  acked_.assign(opt_.members, false);
-  heard_.assign(opt_.members, false);
-  poll_backoff_.emplace(opt_.retry, Rng(opt_.seed).split(0x9100 + tg_));
+  acked_.assign(setup_.members, false);
+  heard_.assign(setup_.members, false);
+  poll_backoff_.emplace(params_.retry, Rng(setup_.seed).split(0x9100 + tg_));
   parities_used_ = parity_high_[tg_];
   window_pad_ = 0.0;
   repair_rounds_ = 0;
@@ -209,7 +233,7 @@ void NpSenderCore::begin_next_tg(double now) {
     return;
   }
   burst_kind_ = BurstKind::kData;
-  io_.send_burst({tg_, BurstKind::kData, 0, opt_.k, nullptr});
+  io_.send_burst({tg_, BurstKind::kData, 0, params_.k, nullptr});
 }
 
 // ---- slow-receiver catch-up (net/overload.hpp) ----------------------------
@@ -228,10 +252,10 @@ void NpSenderCore::begin_next_tg(double now) {
 void NpSenderCore::start_catch_up() {
   catchup_ = true;
   // Built back to front: begin_next_tg pops the lowest TG off the back.
-  for (std::size_t t = opt_.num_tgs; t-- > 0;) {
+  for (std::size_t t = setup_.num_tgs; t-- > 0;) {
     if (resumed(t)) continue;
     bool wanted = deferred_[t];
-    for (std::size_t m = 0; m < opt_.members && !wanted; ++m)
+    for (std::size_t m = 0; m < setup_.members && !wanted; ++m)
       wanted = owed(m, t);
     if (wanted) cu_tgs_.push_back(t);
   }
@@ -246,7 +270,7 @@ void NpSenderCore::on_burst_done(double now, bool crashed) {
   }
   if (burst_kind_ == BurstKind::kParity) ++repair_rounds_;
   if (burst_kind_ == BurstKind::kData) {
-    const std::size_t a = std::min(proactive_, opt_.h - parities_used_);
+    const std::size_t a = std::min(proactive_, params_.h - parities_used_);
     if (a > 0) {
       serve_parity(a, BurstKind::kProactive);
       return;
@@ -259,7 +283,7 @@ void NpSenderCore::send_poll(double now) {
   Packet poll;
   poll.header.type = PacketType::kPoll;
   poll.header.tg = static_cast<std::uint32_t>(tg_);
-  poll.header.k = static_cast<std::uint16_t>(opt_.k);
+  poll.header.k = static_cast<std::uint16_t>(params_.k);
   poll.header.seq = ++round_id_;
   if (!io_.send_poll(std::move(poll), targets())) {
     crashed_ = true;
@@ -277,7 +301,7 @@ void NpSenderCore::send_poll(double now) {
   // the largest backoff pad: a member answering just before each
   // timeout cannot stretch rounds past it.
   const double timeout = answer_rtt_.timeout(
-      opt_.poll_window, opt_.poll_window + opt_.retry.max_backoff);
+      setup_.poll_window, setup_.poll_window + params_.retry.max_backoff);
   const double window =
       std::min(timeout + window_pad_, deadline_.remaining(now));
   collect_deadline_ = now + window;
@@ -290,8 +314,8 @@ void NpSenderCore::on_feedback(double now, std::size_t m,
   if (finished_ || fb.type != PacketType::kNak ||
       fb.tg != static_cast<std::uint32_t>(tg_))
     return;
-  const std::size_t members = opt_.members;
-  if (opt_.reliable_control && m < members) {
+  const std::size_t members = setup_.members;
+  if (params_.reliable_control && m < members) {
     heard_[m] = true;
     silent_[m] = 0;
     if (fb.seq == round_id_ && answered_[m] != round_id_) {
@@ -317,8 +341,8 @@ void NpSenderCore::on_feedback(double now, std::size_t m,
   // Per-round feedback budget (Section 3.3 implosion control): NAKs past
   // the budget are dropped this round; the next round's POLL re-collects
   // anyone still unserved.
-  if (opt_.overload.feedback_budget > 0 &&
-      round_naks_ >= opt_.overload.feedback_budget) {
+  if (setup_.overload.feedback_budget > 0 &&
+      round_naks_ >= setup_.overload.feedback_budget) {
     ++counters_.naks_suppressed;
     return;
   }
@@ -332,7 +356,7 @@ void NpSenderCore::on_feedback_drained(double now) {
   // answered its POLL there is nothing left to wait for.  Checked after
   // the whole batch, and decided by the same after_window logic as a
   // timeout: only the timing moves.
-  if (!opt_.reliable_control || !collecting_ || finished_ || !all_answered())
+  if (!params_.reliable_control || !collecting_ || finished_ || !all_answered())
     return;
   collecting_ = false;
   io_.disarm_timer();
@@ -370,7 +394,7 @@ void NpSenderCore::after_window(double now) {
     next_tg();
   };
 
-  if (!opt_.reliable_control) {
+  if (!params_.reliable_control) {
     if (l_ == 0) {
       complete_current_tg();  // silence: all receivers reconstructed it
       next_tg();
@@ -383,8 +407,8 @@ void NpSenderCore::after_window(double now) {
     }
     if (end_if_deadline_passed(now)) return;
     if (catchup_) {
-      if (repair_rounds_ >= opt_.overload.catch_up_rounds ||
-          parities_used_ >= opt_.h) {
+      if (repair_rounds_ >= setup_.overload.catch_up_rounds ||
+          parities_used_ >= params_.h) {
         // Budget spent: evict the stragglers via the liveness machinery
         // so the group outcome stops waiting on them, then close the TG.
         for (const std::size_t m : cu_targets_) {
@@ -410,9 +434,9 @@ void NpSenderCore::after_window(double now) {
         // Expelled members are expected to be silent (their feedback is
         // dropped at the guard); aging them would turn every ban into a
         // spurious eviction and fail sessions the adversary cannot touch.
-        for (std::size_t m = 0; m < opt_.members; ++m) {
+        for (std::size_t m = 0; m < setup_.members; ++m) {
           if (evicted_[m] || expelled_[m] || acked_[m] || heard_[m]) continue;
-          if (++silent_[m] >= opt_.retry.grace_rounds) {
+          if (++silent_[m] >= params_.retry.grace_rounds) {
             evicted_[m] = true;
             ++counters_.evictions;
           }
@@ -435,7 +459,7 @@ void NpSenderCore::after_window(double now) {
     }
   }
 
-  const std::size_t l = std::min(l_, opt_.h - parities_used_);
+  const std::size_t l = std::min(l_, params_.h - parities_used_);
   if (l == 0) {
     ++counters_.tgs_exhausted;
     next_tg();
@@ -451,13 +475,13 @@ void NpSenderCore::serve_parity(std::size_t l, BurstKind kind) {
   // indices receivers already hold.
   parities_used_ += l;
   parity_high_[tg_] = parities_used_;
-  if (opt_.on_parities_sent) opt_.on_parities_sent(tg_, parities_used_);
+  if (params_.on_parities_sent) params_.on_parities_sent(tg_, parities_used_);
   burst_kind_ = kind;
   io_.send_burst({tg_, kind, parities_used_ - l, l, targets()});
 }
 
 void NpSenderCore::observe_first_round(std::size_t max_missing) {
-  if (!opt_.adaptive) return;
+  if (!setup_.adaptive) return;
   // The first round's largest NAK reports the worst member's losses
   // BEYOND the a proactive parities, so its loss count is max_missing + a;
   // silence only says the maximum was <= a (censored) — the estimate is
@@ -471,8 +495,8 @@ void NpSenderCore::observe_first_round(std::size_t max_missing) {
   // Invert E[max over R of Bin(n1, p) losses] = ewma for p, then pick the
   // smallest a with P(no member needs a round) >= the confidence.  The
   // estimator's samples are maxima over the k + a packets of round 1.
-  const auto n1 = static_cast<std::int64_t>(opt_.k + proactive_);
-  const double members = static_cast<double>(opt_.members);
+  const auto n1 = static_cast<std::int64_t>(params_.k + proactive_);
+  const double members = static_cast<double>(setup_.members);
   const auto expected_max = [&](double p) {
     double cdf = 0.0, sum = 0.0;
     for (std::int64_t j = 0; j < n1; ++j) {
@@ -491,9 +515,9 @@ void NpSenderCore::observe_first_round(std::size_t max_missing) {
     p_hat = 0.5 * (lo + hi);
   }
   std::size_t next = 0;
-  for (; next < opt_.h; ++next) {
+  for (; next < params_.h; ++next) {
     const double per =
-        binomial_cdf(static_cast<std::int64_t>(opt_.k + next),
+        binomial_cdf(static_cast<std::int64_t>(params_.k + next),
                      static_cast<std::int64_t>(next), p_hat);
     if (per > 0.0 && std::exp(members * std::log(per)) >= kAdaptiveConfidence)
       break;
@@ -508,7 +532,7 @@ void NpSenderCore::finish() {
   // A crashed sender never says goodbye — the receivers' phase-aware
   // idle clocks (or its own next incarnation) must end their runs.
   if (!crashed_) io_.send_end();
-  if (opt_.reliable_control) {
+  if (params_.reliable_control) {
     auto& rep = report_;
     rep.delivered = delivered_;
     rep.evicted = evicted_;
@@ -539,16 +563,19 @@ void NpSenderCore::finish() {
 // NpReceiverCore
 // ---------------------------------------------------------------------------
 
-NpReceiverCore::NpReceiverCore(const fec::RseCode& code, NpOptions options,
-                               Io& io, NpReceiverCounters& counters)
-    : code_(code), opt_(std::move(options)), io_(io), counters_(counters) {
-  if (opt_.data_loss < 0.0 || opt_.data_loss >= 1.0)
+NpReceiverCore::NpReceiverCore(const fec::RseCode& code,
+                               const NpParams& params, Setup setup, Io& io,
+                               NpReceiverCounters& counters)
+    : code_(code), params_(params), setup_(std::move(setup)), io_(io),
+      counters_(counters) {
+  if (setup_.data_loss < 0.0 || setup_.data_loss >= 1.0)
     throw std::invalid_argument("NpReceiverCore: data_loss in [0,1)");
-  if (opt_.reliable_control) opt_.retry.validate();
-  const std::size_t tgs = opt_.num_tgs;
-  if (!opt_.resume_decoded.empty() && opt_.resume_decoded.size() != tgs)
-    throw std::invalid_argument("NpReceiverCore: resume_decoded size mismatch");
-  if (!opt_.resume_completed.empty() && opt_.resume_completed.size() != tgs)
+  if (params_.reliable_control) params_.retry.validate();
+  const std::size_t tgs = setup_.num_tgs;
+  if (!setup_.prior_decoded.empty() && setup_.prior_decoded.size() != tgs)
+    throw std::invalid_argument("NpReceiverCore: prior_decoded size mismatch");
+  if (!params_.resume_completed.empty() &&
+      params_.resume_completed.size() != tgs)
     throw std::invalid_argument(
         "NpReceiverCore: resume_completed size mismatch");
   decoders_.resize(tgs);
@@ -560,17 +587,17 @@ NpReceiverCore::NpReceiverCore(const fec::RseCode& code, NpOptions options,
   // journal confirmed: the union protects against a lost receiver state
   // file (a confirmed TG still counts as delivered — its confirmation
   // proves a prior life ACKed it, which proves it decoded).
-  for (std::size_t i = 0; i < opt_.resume_decoded.size(); ++i)
-    if (opt_.resume_decoded[i]) prior_[i] = true;
-  for (std::size_t i = 0; i < opt_.resume_completed.size(); ++i)
-    if (opt_.resume_completed[i]) prior_[i] = confirmed_[i] = true;
+  for (std::size_t i = 0; i < setup_.prior_decoded.size(); ++i)
+    if (setup_.prior_decoded[i]) prior_[i] = true;
+  for (std::size_t i = 0; i < params_.resume_completed.size(); ++i)
+    if (params_.resume_completed[i]) prior_[i] = confirmed_[i] = true;
   for (std::size_t i = 0; i < tgs; ++i) {
     if (!prior_[i]) continue;
     done_[i] = true;  // decoded in a prior life counts toward completion
     ++done_count_;
   }
-  supp_rng_ = opt_.rng.split(0x510F);
-  known_inc_ = static_cast<std::uint8_t>(opt_.incarnation);
+  supp_rng_ = setup_.rng.split(0x510F);
+  known_inc_ = static_cast<std::uint8_t>(setup_.incarnation);
 }
 
 std::size_t NpReceiverCore::needed(std::uint32_t tg) const {
@@ -593,11 +620,11 @@ bool NpReceiverCore::absorbed_by_prior(std::uint32_t tg) {
 void NpReceiverCore::accept_block(Packet&& packet) {
   const fec::PacketHeader hdr = packet.header;  // packet moves below
   if (hdr.k != code_.k() || hdr.n != code_.n() || hdr.index >= code_.n() ||
-      packet.payload.size() != opt_.packet_len) {
+      packet.payload.size() != params_.packet_len) {
     ++counters_.rejected;  // foreign block shape: cannot be ours
     return;
   }
-  if (opt_.data_loss > 0.0 && opt_.rng.bernoulli(opt_.data_loss)) {
+  if (setup_.data_loss > 0.0 && setup_.rng.bernoulli(setup_.data_loss)) {
     ++counters_.dropped;
     return;
   }
@@ -610,7 +637,7 @@ void NpReceiverCore::accept_block(Packet&& packet) {
     return;
   }
   auto& dec = decoders_[hdr.tg];
-  if (!dec) dec.emplace(hdr.tg, code_, opt_.packet_len);
+  if (!dec) dec.emplace(hdr.tg, code_, params_.packet_len);
   if (!dec->add(std::move(packet))) {
     ++counters_.duplicates;
     return;
@@ -658,8 +685,8 @@ void NpReceiverCore::send_pending_nak(double now) {
     nak_pending_ = false;
     return;
   }
-  nak_retry_at_ = now + opt_.poll_window +
-                  (bo->exhausted() ? opt_.poll_window : bo->next());
+  nak_retry_at_ = now + setup_.poll_window +
+                  (bo->exhausted() ? setup_.poll_window : bo->next());
 }
 
 NpReceiverCore::Input NpReceiverCore::on_packet(double now, Packet&& packet) {
@@ -674,7 +701,7 @@ NpReceiverCore::Input NpReceiverCore::on_packet(double now, Packet&& packet) {
   known_inc_ = hdr.incarnation;
   if (hdr.type == PacketType::kPoll && hdr.tg == kEndOfSession)
     return Input::kEnd;
-  if (hdr.tg >= opt_.num_tgs) return Input::kOther;
+  if (hdr.tg >= setup_.num_tgs) return Input::kOther;
 
   if (hdr.type == PacketType::kPoll) {
     on_poll(now, hdr.tg, hdr.seq);
@@ -687,7 +714,7 @@ NpReceiverCore::Input NpReceiverCore::on_packet(double now, Packet&& packet) {
   // member's request covered ours (Section 5.1 damping).  NAK-only
   // members never re-ask, so there only an overheard NAK that covers
   // theirs may cancel it: a reordered DATA frame is no proof of a request.
-  if (opt_.reliable_control && nak_pending_ && hdr.tg == nak_tg_) {
+  if (params_.reliable_control && nak_pending_ && hdr.tg == nak_tg_) {
     if (nak_first_) {
       ++counters_.naks_suppressed;
       nak_first_ = false;
@@ -701,7 +728,7 @@ NpReceiverCore::Input NpReceiverCore::on_packet(double now, Packet&& packet) {
 void NpReceiverCore::on_poll(double now, std::uint32_t tg, std::uint32_t seq) {
   const std::size_t l = needed(tg);
   if (l == 0) {
-    if (opt_.reliable_control) {
+    if (params_.reliable_control) {
       // Reliable mode answers every POLL; silence is for the dead.
       send_feedback(tg, 0, seq);
       ++counters_.acks_sent;
@@ -711,20 +738,20 @@ void NpReceiverCore::on_poll(double now, std::uint32_t tg, std::uint32_t seq) {
   // Reliable mode arms the NAK for retransmission under this TG's backoff
   // until repair lands or the budget runs out.
   auto& bo = nak_backoffs_[tg];
-  if (opt_.reliable_control && !bo)
-    bo.emplace(opt_.retry, opt_.rng.split(0x7000 + tg));
+  if (params_.reliable_control && !bo)
+    bo.emplace(params_.retry, setup_.rng.split(0x7000 + tg));
   nak_pending_ = true;
   nak_first_ = true;
   nak_tg_ = tg;
   nak_round_ = seq;
-  if (opt_.slot <= 0.0) {
+  if (setup_.slot <= 0.0) {
     send_pending_nak(now);
     return;
   }
   // Slotting (Section 5.1): instead of answering the POLL at once, draw a
   // seeded slot delay keyed to how much we need — the needier answer
   // sooner — and send only if nothing covers it first.
-  nak_retry_at_ = now + nak_backoff(code_.k(), l, opt_.slot, supp_rng_);
+  nak_retry_at_ = now + nak_backoff(code_.k(), l, setup_.slot, supp_rng_);
 }
 
 void NpReceiverCore::on_overheard_nak(std::uint32_t tg, std::size_t count) {
@@ -746,7 +773,7 @@ void NpReceiverCore::on_late_block(Packet&& packet) {
     return;
   }
   if ((hdr.type == PacketType::kData || hdr.type == PacketType::kParity) &&
-      hdr.tg < opt_.num_tgs && !absorbed_by_prior(hdr.tg))
+      hdr.tg < setup_.num_tgs && !absorbed_by_prior(hdr.tg))
     accept_block(std::move(packet));
 }
 

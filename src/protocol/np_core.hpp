@@ -59,45 +59,54 @@ struct NpBurst {
   const std::vector<std::size_t>* targets = nullptr;
 };
 
-/// What the cores know of the session.  One struct serves both: the
-/// engine fills it once and adds each receiver's own fields.
-struct NpOptions {
-  std::size_t k = 8;
-  std::size_t h = 64;
-  std::size_t packet_len = 512;
-  std::size_t num_tgs = 0;
-  /// The NAK collect window; with reliable control the floor of the
-  /// RTT-based collect timeout.  Receivers space NAK retransmissions by
-  /// it plus the next backoff delay.
-  double poll_window = 0.08;
+/// Protocol NP's parameters (paper Section 5.1), declared once.  The
+/// DES's NpConfig and the reactor drivers' UdpNpConfig extend this struct
+/// with their own fields and defaults, and hand it to the cores as it is.
+struct NpParams {
+  std::size_t k = 8;             ///< data packets per TG
+  std::size_t h = 64;            ///< parity budget per TG (n = k + h <= 255)
+  std::size_t packet_len = 512;  ///< payload bytes per packet
+
+  /// Control-plane reliability (docs/ROBUSTNESS.md).  Off, silence after
+  /// a POLL means every receiver holds the TG: the paper's lossless-
+  /// feedback rule.  On, every receiver answers every POLL with its NAK
+  /// or an ACK (a NAK with count 0); a round closes once every gating
+  /// member answered; unanswered rounds are re-POLLed with a widened
+  /// collect window under `retry`'s seeded backoff; receivers retransmit
+  /// NAKs whose repair never comes; members silent for
+  /// retry.grace_rounds rounds are evicted; and retry.session_deadline
+  /// bounds the session.  Overheard-NAK damping is off, since a damped
+  /// receiver would look crashed.  Every exit fills the sender's
+  /// PartialDeliveryReport.
   bool reliable_control = false;
   RetryConfig retry{};
-  std::vector<bool> resume_completed;  ///< TGs a prior life's journal confirmed
 
-  // Sender only.
-  std::size_t members = 0;
-  std::uint64_t seed = 1;  ///< seeds the re-POLL backoff jitter
-  std::vector<std::uint16_t> resume_parities;  ///< parity high-water per TG
-  /// Feedback budget, quarantine and catch-up knobs (the rest of the
-  /// struct belongs to the engine's burst path).
-  net::OverloadConfig overload{};
-  std::size_t proactive = 0;  ///< parities sent with each TG's data
-  /// Re-plan `proactive` after each TG from its first round's largest NAK.
-  bool adaptive = false;
-  /// Write-ahead journal hooks (NpConfig's and UdpNpConfig's).
+  // Crash-resume (core/session_state.hpp journals these).
+  /// The sender's life, stamped into every DATA/PARITY/POLL header.
+  /// Receivers drop frames of older lives, so a dead life's stragglers,
+  /// its end marker included, cannot answer for the live one.
+  std::uint32_t incarnation = 0;
+  /// TGs a prior life's journal confirmed complete (empty = fresh
+  /// session, else one flag per TG).  The sender never re-sends them,
+  /// and a receiver counts any frame of one as an exactly-once violation.
+  std::vector<bool> resume_completed;
+  /// Per-TG parities-sent high-water (empty, or one per TG, each <= h):
+  /// a resumed TG serves fresh parity indices, never repair that the
+  /// receivers already hold.
+  std::vector<std::uint16_t> resume_parities;
+  /// Write-ahead hooks, called the moment the sender's durable progress
+  /// changes and before the frames that depend on it leave, so a journal
+  /// records it ahead of any crash.  Optional.
   std::function<void(std::size_t tg)> on_tg_completed;
   std::function<void(std::size_t tg, std::size_t parities_used)>
       on_parities_sent;
-
-  // Receiver only.
-  /// Section 5.1 slotting: a first NAK waits nak_backoff(k, l, slot).
-  /// 0 = answer at once.
-  double slot = 0.0;
-  double data_loss = 0.0;  ///< injected DATA/PARITY drop probability
-  Rng rng{1};              ///< drives injected loss, slots and backoff
-  std::vector<bool> resume_decoded;  ///< TGs this member decoded before
-  std::uint32_t incarnation = 0;     ///< newest sender life heard so far
 };
+
+/// Throws std::invalid_argument unless `groups` is a payload for
+/// `params`: at least one TG, each of k packets of packet_len bytes.
+void check_tg_shape(
+    const NpParams& params,
+    const std::vector<std::vector<std::vector<std::uint8_t>>>& groups);
 
 /// The sender core's counters.  The engine owns them (the reactor
 /// driver's UdpNpSenderStats extends this struct), the core updates them.
@@ -142,16 +151,33 @@ class NpSenderCore {
     ~Io() = default;
   };
 
-  /// `counters` must outlive the core.  Throws std::invalid_argument on
-  /// an inconsistent configuration.
-  NpSenderCore(NpOptions options, Io& io, NpSenderCounters& counters);
+  /// What only the engine knows of the session.
+  struct Setup {
+    std::size_t members = 0;
+    std::size_t num_tgs = 0;
+    /// The NAK collect window; with reliable control the floor of the
+    /// RTT-based collect timeout.
+    double poll_window = 0.08;
+    std::uint64_t seed = 1;  ///< seeds the re-POLL backoff jitter
+    /// Feedback budget, quarantine and catch-up knobs (the rest of the
+    /// struct belongs to the engine's burst path).
+    net::OverloadConfig overload{};
+    std::size_t proactive = 0;  ///< parities sent with each TG's data
+    /// Re-plan `proactive` after each TG from its first round's largest NAK.
+    bool adaptive = false;
+  };
+
+  /// `params` and `counters` must outlive the core.  Throws
+  /// std::invalid_argument on an inconsistent configuration.
+  NpSenderCore(const NpParams& params, Setup setup, Io& io,
+               NpSenderCounters& counters);
   NpSenderCore(const NpSenderCore&) = delete;
   NpSenderCore& operator=(const NpSenderCore&) = delete;
 
   /// Opens the session: the first TG's data burst goes out.
   void start(double now);
-  /// One NAK or ACK from `member` (NpOptions::members when the engine
-  /// cannot tell who sent it).
+  /// One NAK or ACK from `member` (Setup::members when the engine cannot
+  /// tell who sent it).
   void on_feedback(double now, std::size_t member,
                    const fec::PacketHeader& feedback);
   /// The engine delivered every queued feedback frame: with reliable
@@ -207,7 +233,8 @@ class NpSenderCore {
   void observe_first_round(std::size_t max_missing);
   void finish();
 
-  NpOptions opt_;
+  const NpParams& params_;
+  Setup setup_;
   Io& io_;
   NpSenderCounters& counters_;
   PartialDeliveryReport report_;
@@ -301,11 +328,26 @@ class NpReceiverCore {
     kOther,  ///< control, foreign, or repair of a TG held from a prior life
   };
 
-  /// `code` (the session's (k, k + h) code) and `counters` must outlive
-  /// the core.  Throws std::invalid_argument on an inconsistent
+  /// What only the engine knows of this member.
+  struct Setup {
+    std::size_t num_tgs = 0;
+    /// The sender's collect window: NAK retransmissions are spaced by it
+    /// plus the next backoff delay.
+    double poll_window = 0.08;
+    /// Section 5.1 slotting: a first NAK waits nak_backoff(k, l, slot).
+    /// 0 = answer at once.
+    double slot = 0.0;
+    double data_loss = 0.0;  ///< injected DATA/PARITY drop probability
+    Rng rng{1};              ///< drives injected loss, slots and backoff
+    std::vector<bool> prior_decoded{};  ///< TGs this member decoded before
+    std::uint32_t incarnation = 0;      ///< newest sender life heard so far
+  };
+
+  /// `code` (the session's (k, k + h) code), `params` and `counters` must
+  /// outlive the core.  Throws std::invalid_argument on an inconsistent
   /// configuration.
-  NpReceiverCore(const fec::RseCode& code, NpOptions options, Io& io,
-                 NpReceiverCounters& counters);
+  NpReceiverCore(const fec::RseCode& code, const NpParams& params,
+                 Setup setup, Io& io, NpReceiverCounters& counters);
   NpReceiverCore(const NpReceiverCore&) = delete;
   NpReceiverCore& operator=(const NpReceiverCore&) = delete;
 
@@ -337,7 +379,8 @@ class NpReceiverCore {
   void send_pending_nak(double now);
 
   const fec::RseCode& code_;
-  NpOptions opt_;
+  const NpParams& params_;
+  Setup setup_;
   Io& io_;
   NpReceiverCounters& counters_;
   /// Decoders of the TGs in flight: one is made by a TG's first block

@@ -18,9 +18,9 @@ using fec::PacketType;
 // latency accounting.  Every protocol decision is the cores'.
 struct NpSession::Impl final : NpSenderCore::Io {
   struct Receiver final : NpReceiverCore::Io {
-    Receiver(Impl& session, std::size_t index, NpOptions options)
+    Receiver(Impl& session, std::size_t index, NpReceiverCore::Setup setup)
         : s(session), r(index),
-          core(session.code, std::move(options), *this, counters) {}
+          core(session.code, session.cfg, std::move(setup), *this, counters) {}
 
     /// NAKs are multicast (other receivers overhear them for damping);
     /// an ACK goes to the sender alone.
@@ -53,20 +53,16 @@ struct NpSession::Impl final : NpSenderCore::Io {
         // uplink.
         window(2.0 * config.delay +
                static_cast<double>(config.k + 1) * config.slot),
-        sender(core_options(config, receivers, num_tgs, seed, window), *this,
-               sender_counters) {
-    if (receivers == 0) throw std::invalid_argument("NpSession: receivers >= 1");
-    if (num_tgs == 0) throw std::invalid_argument("NpSession: num_tgs >= 1");
-    if (config.k + config.h > 255)
-      throw std::invalid_argument("NpSession: k + h must be <= 255");
-    for (const auto hw : cfg.resume.parities_sent)
-      if (hw > config.h)
-        throw std::invalid_argument(
-            "NpSession: resume.parities_sent exceeds parity budget h");
-    for (const auto& prior : cfg.resume.receiver_decoded)
-      if (prior.size() != num_tgs)
-        throw std::invalid_argument(
-            "NpSession: resume.receiver_decoded shape mismatch");
+        sender(cfg,
+               {.members = receivers,
+                .num_tgs = num_tgs,
+                .poll_window = window,
+                .seed = seed,
+                .proactive = cfg.proactive,
+                .adaptive = cfg.adaptive},
+               *this, sender_counters) {
+    // The code, the channel and the cores check NP's parameters; the
+    // receivers' priors are this engine's own.
     if (!cfg.resume.receiver_decoded.empty() &&
         cfg.resume.receiver_decoded.size() != receivers)
       throw std::invalid_argument(
@@ -84,30 +80,26 @@ struct NpSession::Impl final : NpSenderCore::Io {
         }
       }
     } else {
-      for (const auto& tg : provided) {
-        if (tg.size() != cfg.k)
-          throw std::invalid_argument("NpSession: each TG needs exactly k packets");
-        for (const auto& pkt : tg)
-          if (pkt.size() != cfg.packet_len)
-            throw std::invalid_argument(
-                "NpSession: packets must be packet_len bytes");
-      }
       source = std::move(provided);
     }
+    check_tg_shape(cfg, source);
     encoders.reserve(num_tgs);
     for (std::size_t i = 0; i < num_tgs; ++i)
       encoders.emplace_back(static_cast<std::uint32_t>(i), code, source[i]);
 
     rx.reserve(receivers);
-    for (std::size_t r = 0; r < receivers; ++r) {
-      NpOptions o = core_options(cfg, receivers, num_tgs, seed, window);
-      o.slot = cfg.slot;
-      o.rng = Rng(seed).split(0x1000 + r);
-      if (!cfg.resume.receiver_decoded.empty())
-        o.resume_decoded = cfg.resume.receiver_decoded[r];
-      o.incarnation = cfg.resume.receiver_incarnation;
-      rx.push_back(std::make_unique<Receiver>(*this, r, std::move(o)));
-    }
+    const auto& priors = cfg.resume.receiver_decoded;
+    for (std::size_t r = 0; r < receivers; ++r)
+      rx.push_back(std::make_unique<Receiver>(
+          *this, r,
+          NpReceiverCore::Setup{
+              .num_tgs = num_tgs,
+              .poll_window = window,
+              .slot = cfg.slot,
+              .rng = Rng(seed).split(0x1000 + r),
+              .prior_decoded = priors.empty() ? std::vector<bool>{}
+                                              : priors[r],
+              .incarnation = cfg.resume.receiver_incarnation}));
     // Receivers that hold a TG from a prior life count toward its
     // all-receivers-done latency mark.
     tg_done.assign(num_tgs, 0);
@@ -126,28 +118,6 @@ struct NpSession::Impl final : NpSenderCore::Io {
       sender.on_feedback(sim.now(), r, p.header);
       sender.on_feedback_drained(sim.now());
     });
-  }
-
-  static NpOptions core_options(const NpConfig& cfg, std::size_t receivers,
-                                std::size_t num_tgs, std::uint64_t seed,
-                                double window) {
-    NpOptions o;
-    o.k = cfg.k;
-    o.h = cfg.h;
-    o.packet_len = cfg.packet_len;
-    o.num_tgs = num_tgs;
-    o.poll_window = window;
-    o.reliable_control = cfg.reliable_control;
-    o.retry = cfg.retry;
-    o.resume_completed = cfg.resume.completed;
-    o.members = receivers;
-    o.seed = seed;
-    o.resume_parities = cfg.resume.parities_sent;
-    o.proactive = cfg.proactive;
-    o.adaptive = cfg.adaptive;
-    o.on_tg_completed = cfg.on_tg_completed;
-    o.on_parities_sent = cfg.on_parities_sent;
-    return o;
   }
 
   // ---- sender engine -----------------------------------------------------
@@ -211,7 +181,7 @@ struct NpSession::Impl final : NpSenderCore::Io {
     last_send = sim.now();
     // Every downstream packet carries the sender's incarnation so a dead
     // incarnation's stragglers are recognisable at the receivers.
-    p.header.incarnation = static_cast<std::uint8_t>(cfg.resume.incarnation);
+    p.header.incarnation = static_cast<std::uint8_t>(cfg.incarnation);
     if (p.header.type == PacketType::kPoll) {
       channel.multicast_control_down(p);
       return true;

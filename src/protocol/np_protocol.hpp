@@ -17,6 +17,11 @@
 // Unlike the idealised models, this runs the real RSE codec on real bytes
 // and verifies the reconstruction, counts duplicate receptions, encode/
 // decode operations, NAKs sent and suppressed, and completion time.
+//
+// NpConfig is NP's parameters (NpParams, documented in np_core.hpp) plus
+// the simulated network's: spacing, slot, delay, impairment, the
+// receivers' priors and the crash fault.  NpSession hands it to the cores
+// as it is.
 #pragma once
 
 #include <cstdint>
@@ -28,32 +33,22 @@
 #include "fec/rse_code.hpp"
 #include "loss/loss_model.hpp"
 #include "net/channel.hpp"
-#include "protocol/retry.hpp"
+#include "protocol/np_core.hpp"
 
 namespace pbl::protocol {
 
 /// "Sender never crashes" sentinel for NpConfig::crash_after_tx.
 inline constexpr std::size_t kNoSenderCrash = static_cast<std::size_t>(-1);
 
-/// Progress a restarted sender carries into its next incarnation
-/// (recovered from a write-ahead journal; core/session_state.hpp).  In
-/// the DES each incarnation is a fresh NpSession object while the real
-/// receivers would have survived the sender's death, so the receivers'
-/// decoded-TG bitmaps are threaded through explicitly as priors.
+/// What the receivers carry into a restarted sender's next life.  The
+/// sender's own progress is NpParams' incarnation and resume vectors; in
+/// the DES each life is a fresh NpSession object while real receivers
+/// would have survived the sender's death, so their state is threaded
+/// through here explicitly.
 struct NpResume {
-  /// This run's incarnation id, carried in every DATA/PARITY/POLL
-  /// header; receivers reject packets from earlier incarnations.
-  std::uint32_t incarnation = 0;
   /// What the receivers had seen before the restart (stale-packet
   /// filtering starts from here rather than from zero).
   std::uint32_t receiver_incarnation = 0;
-  /// Sender progress: TGs confirmed complete in a prior life are never
-  /// retransmitted — the sender resumes at the first incomplete TG.
-  std::vector<bool> completed;
-  /// Per-TG parities-sent high-water mark: a resumed TG serves FRESH
-  /// parity indices, so repair packets receivers already hold are never
-  /// wastefully re-multicast.
-  std::vector<std::uint16_t> parities_sent;
   /// Receiver priors: decoded-TG bitmaps per receiver (may be empty =
   /// all receivers start cold).  A primed receiver answers POLLs for
   /// those TGs from its bitmap (ACK under reliable control, silence
@@ -61,10 +56,15 @@ struct NpResume {
   std::vector<std::vector<bool>> receiver_decoded;
 };
 
-struct NpConfig {
-  std::size_t k = 20;          ///< data packets per TG
-  std::size_t h = 100;         ///< parity budget per TG (n = k + h <= 255)
-  std::size_t packet_len = 256;///< payload bytes per packet
+/// The DES engine's configuration: NP's parameters (paper defaults k = 20,
+/// h = 100, 256-byte packets) plus the simulated network's.
+struct NpConfig : NpParams {
+  NpConfig() {
+    k = 20;
+    h = 100;
+    packet_len = 256;
+  }
+
   double delta = 0.001;        ///< packet send spacing [s]
   /// Ts: NAK suppression slot size [s].  A round collects NAKs for
   /// 2·delay + (k + 1)·Ts, the slowest slotted NAK's round trip.
@@ -77,32 +77,8 @@ struct NpConfig {
   /// NAK/POLL paths — see MulticastChannel::set_impairment.
   net::ImpairmentConfig impairment{};
 
-  /// Control-plane reliability layer (docs/ROBUSTNESS.md).  When set,
-  /// "silence after a POLL" no longer means completion: every receiver
-  /// answers every POLL, with its NAK or with an ACK (a NAK with count
-  /// == 0, unicast to the sender); a round closes once every receiver
-  /// answered, unanswered POLL rounds are re-polled under
-  /// `retry`'s seeded exponential backoff, receivers whose NAKs go
-  /// unanswered retransmit them, and receivers silent for
-  /// retry.grace_rounds consecutive rounds are evicted instead of
-  /// stalling the session.  NAK damping is disabled in this mode (a
-  /// suppressed receiver is indistinguishable from a crashed one), so
-  /// reliability is bought with more feedback traffic.  Every exit path
-  /// is total: budget or deadline exhaustion ends the session with
-  /// NpStats::report filled in, never a hang.  Off by default — the
-  /// paper's lossless-feedback fast path stays byte-identical.
-  bool reliable_control = false;
-  RetryConfig retry{};
-
-  /// Crash-recovery state for a restarted sender (default: fresh session).
+  /// The receivers' state from before a sender restart (default: cold).
   NpResume resume{};
-
-  /// Write-ahead hooks: invoked synchronously the moment the sender's
-  /// durable progress changes, so a journal (core/session_state.hpp) can
-  /// record it BEFORE the crash that makes it matter.  Optional.
-  std::function<void(std::size_t tg)> on_tg_completed;
-  std::function<void(std::size_t tg, std::size_t parities_used)>
-      on_parities_sent;
 
   /// Deterministic crash injection: the sender process "dies" after its
   /// Nth channel transmission (data, parity or poll — counted in emit
@@ -169,7 +145,7 @@ class NpSession {
             std::uint64_t seed = 1);
 
   /// Transmits the given groups: data[i] must hold exactly config.k
-  /// packets of config.packet_len bytes.
+  /// packets of config.packet_len bytes (check_tg_shape).
   NpSession(const loss::LossModel& loss, std::size_t receivers,
             std::vector<std::vector<std::vector<std::uint8_t>>> data,
             const NpConfig& config, std::uint64_t seed = 1);

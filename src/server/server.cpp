@@ -351,13 +351,9 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
     server_metrics_.inc("sessions_refused");
     return false;
   }
-  if (spec.groups.empty())
-    throw std::invalid_argument("MulticastServer: session needs >= 1 TG");
+  protocol::check_tg_shape(cfg_.np, spec.groups);
   if (spec.receivers == 0)
     throw std::invalid_argument("MulticastServer: session needs >= 1 receiver");
-  for (const auto& tg : spec.groups)
-    if (tg.size() != cfg_.np.k)
-      throw std::invalid_argument("MulticastServer: each TG needs k packets");
 
   auto session = std::make_unique<Session>(session_metric_defs());
   Session& s = *session;
@@ -382,24 +378,10 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
   std::vector<std::vector<bool>> recv_resume(s.spec.receivers);
   std::vector<std::uint32_t> recv_inc(s.spec.receivers, 0);
   if (!cfg_.journal_dir.empty()) {
-    core::SenderSessionState fresh;
-    fresh.session_id = id;
-    fresh.k = static_cast<std::uint32_t>(np.k);
-    fresh.h = static_cast<std::uint32_t>(np.h);
-    fresh.packet_len = static_cast<std::uint32_t>(np.packet_len);
-    fresh.num_tgs = static_cast<std::uint32_t>(num_tgs);
-    fresh.completed.assign(num_tgs, false);
-    fresh.parities_sent.assign(num_tgs, 0);
-    core::SessionJournal::Options jopt;
-    jopt.checkpoint_interval = cfg_.journal_checkpoint_interval;
-    jopt.sync_every = cfg_.journal_sync_every;
-    s.journal = std::make_unique<core::SessionJournal>(journal_path(id), fresh,
-                                                       jopt);
-    const core::SenderSessionState& st = s.journal->state();
-    np.incarnation = st.incarnation;
+    s.journal = core::open_session_journal(
+        journal_path(id), id, num_tgs, np,
+        {cfg_.journal_checkpoint_interval, cfg_.journal_sync_every});
     if (s.journal->resumed()) {
-      np.resume_completed = st.completed;
-      np.resume_parities = st.parities_sent;
       for (std::size_t r = 0; r < s.spec.receivers; ++r) {
         if (auto rs =
                 core::load_receiver_state_file(receiver_state_path(id, r))) {
@@ -410,19 +392,6 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
         }
       }
     }
-    // The journal's hooks run first (write-ahead order), then the
-    // caller's own from ServerConfig::np.
-    core::SessionJournal* journal = s.journal.get();
-    auto completed = std::move(np.on_tg_completed);
-    auto parities = std::move(np.on_parities_sent);
-    np.on_tg_completed = [journal, completed](std::size_t tg) {
-      journal->record_tg_completed(tg);
-      if (completed) completed(tg);
-    };
-    np.on_parities_sent = [journal, parities](std::size_t tg, std::size_t hw) {
-      journal->record_parities_sent(tg, hw);
-      if (parities) parities(tg, hw);
-    };
     if (cfg_.faults.journal_fail_every > 0)
       s.journal->journal().inject_write_failure(cfg_.faults.journal_fail_every);
   }
@@ -495,7 +464,6 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
                   .split(0xA000 + r);
     opt.impairment = s.spec.impairment;
     opt.resume_decoded = std::move(recv_resume[r]);
-    opt.resume_confirmed = np.resume_completed;
     opt.resume_incarnation = recv_inc[r];
     opt.expected = &s.spec.groups;
     s.receivers.push_back(std::make_unique<ReceiverSessionDriver>(

@@ -8,42 +8,16 @@ namespace pbl::server {
 
 namespace {
 
-/// The round machine's view of a session configuration.
-protocol::NpOptions core_options(const net::UdpNpConfig& cfg,
-                                 std::size_t num_tgs) {
-  protocol::NpOptions o;
-  o.k = cfg.k;
-  o.h = cfg.h;
-  o.packet_len = cfg.packet_len;
-  o.num_tgs = num_tgs;
-  o.poll_window = cfg.poll_window;
-  o.reliable_control = cfg.reliable_control;
-  o.retry = cfg.retry;
-  o.resume_completed = cfg.resume_completed;
-  o.seed = cfg.seed;
-  o.resume_parities = cfg.resume_parities;
-  o.overload = cfg.overload;
-  o.on_tg_completed = cfg.on_tg_completed;
-  o.on_parities_sent = cfg.on_parities_sent;
-  return o;
-}
+/// Reactor-timer retry cadence while kernel pushback stalls a burst [s].
+constexpr double kRetryInterval = 0.005;
 
-protocol::NpOptions receiver_options(
-    const net::UdpNpConfig& cfg, std::size_t num_tgs,
-    const ReceiverSessionDriver::Options& opt) {
-  protocol::NpOptions o = core_options(cfg, num_tgs);
-  // Runtime slotting answers reliable-mode POLLs only: NAK-only members
-  // answer at once (their NAKs are unicast, so nobody could damp them).
-  if (cfg.reliable_control && cfg.overload.nak_suppression)
-    o.slot = cfg.overload.nak_slot > 0.0
-                 ? cfg.overload.nak_slot
-                 : cfg.poll_window / static_cast<double>(cfg.k + 1);
-  o.data_loss = opt.data_loss;
-  o.rng = opt.rng;
-  o.resume_decoded = opt.resume_decoded;
-  o.resume_completed = opt.resume_confirmed;
-  o.incarnation = std::max(cfg.incarnation, opt.resume_incarnation);
-  return o;
+/// Runtime slotting answers reliable-mode POLLs only: NAK-only members
+/// answer at once (their NAKs are unicast, so nobody could damp them).
+double nak_slot(const net::UdpNpConfig& cfg) {
+  if (!cfg.reliable_control || !cfg.overload.nak_suppression) return 0.0;
+  return cfg.overload.nak_slot > 0.0
+             ? cfg.overload.nak_slot
+             : cfg.poll_window / static_cast<double>(cfg.k + 1);
 }
 
 }  // namespace
@@ -61,26 +35,19 @@ SenderSessionDriver::SenderSessionDriver(Reactor& reactor, net::UdpSocket socket
       cfg_(config), groups_(groups), code_(config.k, config.k + config.h),
       clk_(config.clock ? *config.clock : protocol::steady_clock()),
       on_finished_(std::move(on_finished)),
-      core_(
-          [&] {
-            auto o = core_options(config, groups.size());
-            o.members = group_.size();
-            return o;
-          }(),
-          *this, stats_) {
-  if (config.k + config.h > 255)
-    throw std::invalid_argument("SenderSessionDriver: k + h must be <= 255");
-  for (const auto& tg : groups_)
-    if (tg.size() != cfg_.k)
-      throw std::invalid_argument("SenderSessionDriver: each TG needs k packets");
-  std::size_t max_payload = cfg_.packet_len;
-  for (const auto& g : groups_)
-    if (!g.empty()) max_payload = std::max(max_payload, g[0].size());
+      core_(cfg_,
+            {.members = group_.size(),
+             .num_tgs = groups.size(),
+             .poll_window = config.poll_window,
+             .seed = config.seed,
+             .overload = config.overload},
+            *this, stats_) {
+  protocol::check_tg_shape(cfg_, groups_);
   const std::size_t frames =
       cfg_.arena_frames > 0 ? cfg_.arena_frames
                             : std::max({cfg_.k, cfg_.h, std::size_t{1}});
-  arena_ =
-      std::make_unique<net::PacketArena>(fec::wire_size(max_payload), frames);
+  arena_ = std::make_unique<net::PacketArena>(fec::wire_size(cfg_.packet_len),
+                                              frames);
 }
 
 SenderSessionDriver::~SenderSessionDriver() {
@@ -260,7 +227,7 @@ void SenderSessionDriver::pump_burst() {
           // are never shed — keep waiting on the retry timer.
         }
         if (core_.end_if_deadline_passed(now)) return;
-        arm_flush_timer(now + ov.retry_interval);
+        arm_flush_timer(now + kRetryInterval);
         return;
       }
       stall_since_ = -1.0;
@@ -421,7 +388,16 @@ ReceiverSessionDriver::ReceiverSessionDriver(
       code_(config.k, config.k + config.h),
       clk_(config.clock ? *config.clock : protocol::steady_clock()),
       on_finished_(std::move(on_finished)),
-      core_(code_, receiver_options(config, num_tgs, opt_), *this, result_) {
+      core_(code_, cfg_,
+            {.num_tgs = num_tgs,
+             .poll_window = config.poll_window,
+             .slot = nak_slot(config),
+             .data_loss = opt_.data_loss,
+             .rng = opt_.rng,
+             .prior_decoded = opt_.resume_decoded,
+             .incarnation =
+                 std::max(config.incarnation, opt_.resume_incarnation)},
+            *this, result_) {
   if (opt_.impairment.enabled() || opt_.impairment.control_enabled()) {
     impairment_ = std::make_shared<net::Impairment>(opt_.impairment);
     socket_.set_impairment(impairment_);

@@ -165,13 +165,11 @@ class ReceiverSessionDriver : private protocol::NpReceiverCore::Io {
     double data_loss = 0.0;         ///< injected DATA/PARITY drop prob
     Rng rng{1};                     ///< drives injected loss
     net::ImpairmentConfig impairment{};  ///< byte-level wire faults
-    /// Resume: TGs decoded in a prior life (empty = fresh receiver).
+    /// Resume: TGs decoded in a prior life (empty = fresh receiver).  The
+    /// TGs the sender's journal confirmed are the config's
+    /// resume_completed: a subset of what every member decoded, and the
+    /// only TGs whose reappearance is an exactly-once violation.
     std::vector<bool> resume_decoded;
-    /// Resume: TGs the SENDER's journal confirmed complete.  A strict
-    /// subset of what every member decoded (confirmation implies an ACK
-    /// implies a decode), and the only TGs whose reappearance is an
-    /// exactly-once violation.
-    std::vector<bool> resume_confirmed;
     /// Resume: highest sender incarnation heard in the prior life.
     std::uint32_t resume_incarnation = 0;
     /// When set, every decoded TG is compared against these bytes and

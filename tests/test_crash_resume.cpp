@@ -149,6 +149,44 @@ TEST_F(CrashResumeTest, SurvivesRepeatedCrashesUnderLoss) {
   EXPECT_TRUE(report.last.all_delivered);
 }
 
+TEST_F(CrashResumeTest, CallerHooksFireAfterTheJournals) {
+  // Every life runs the journal's write-ahead hooks first and then the
+  // caller's np hooks: each caller hook sees its event already on disk,
+  // and every TG reaches the caller once across both lives.
+  ResumableConfig cfg;
+  cfg.np.k = 8;
+  cfg.np.h = 40;
+  cfg.np.packet_len = 64;
+  cfg.np.reliable_control = true;
+  cfg.journal_path = temp_path();
+  cfg.crash_plan = {20};
+  constexpr std::size_t kTgs = 4;
+  std::vector<std::size_t> completions(kTgs, 0);
+  std::size_t parity_hooks = 0;
+  cfg.np.on_tg_completed = [&](std::size_t tg) {
+    ASSERT_LT(tg, kTgs);
+    ++completions[tg];
+    const auto st = peek_session_journal(cfg.journal_path);
+    ASSERT_TRUE(st.has_value());
+    EXPECT_TRUE(st->completed[tg])
+        << "TG " << tg << " reached the caller before the journal";
+  };
+  cfg.np.on_parities_sent = [&](std::size_t tg, std::size_t high_water) {
+    ++parity_hooks;
+    const auto st = peek_session_journal(cfg.journal_path);
+    ASSERT_TRUE(st.has_value());
+    EXPECT_EQ(st->parities_sent[tg], high_water) << "TG " << tg;
+  };
+  loss::BernoulliLossModel model(0.1);
+  const auto report = run_resumable_session(
+      model, 3, random_groups(kTgs, cfg.np.k, cfg.np.packet_len, 13), cfg,
+      chaos_seed(17));
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.incarnations, 2u);
+  EXPECT_EQ(completions, std::vector<std::size_t>(kTgs, 1));
+  EXPECT_GT(parity_hooks, 0u);  // 10 % loss needs repair
+}
+
 TEST_F(CrashResumeTest, TransferResumableVerifiesTheBlob) {
   ResumableConfig cfg = issue_config(temp_path());
   cfg.np.h = 8;  // headroom: the lossy channel must never exhaust a TG
@@ -195,7 +233,7 @@ TEST(NpIncarnation, StalePacketsFromADeadLifeAreRejected) {
     cfg.k = 4;
     cfg.h = 2;
     cfg.packet_len = 32;
-    cfg.resume.incarnation = lives.sender;
+    cfg.incarnation = lives.sender;
     cfg.resume.receiver_incarnation = lives.receiver;
     loss::BernoulliLossModel model(0.0);
     protocol::NpSession session(model, 2, 2, cfg, chaos_seed(31));
@@ -219,9 +257,9 @@ TEST(NpIncarnation, ResumeValidatesParityHighWater) {
   protocol::NpConfig cfg;
   cfg.k = 4;
   cfg.h = 2;
-  cfg.resume.incarnation = 1;
-  cfg.resume.completed = {false, false};
-  cfg.resume.parities_sent = {0, 3};  // above the h = 2 budget
+  cfg.incarnation = 1;
+  cfg.resume_completed = {false, false};
+  cfg.resume_parities = {0, 3};  // above the h = 2 budget
   loss::BernoulliLossModel model(0.0);
   EXPECT_THROW(protocol::NpSession(model, 1, 2, cfg), std::invalid_argument);
 }

@@ -247,9 +247,9 @@ TEST(DesPins, NpResumedLifeThatCrashes) {
   loss::BernoulliLossModel model(0.1);
   NpConfig cfg = reliable_np();
   cfg.proactive = 1;
-  cfg.resume.incarnation = 1;
-  cfg.resume.completed = {true, false, false, false, false, false};
-  cfg.resume.parities_sent = {0, 2, 0, 0, 0, 0};
+  cfg.incarnation = 1;
+  cfg.resume_completed = {true, false, false, false, false, false};
+  cfg.resume_parities = {0, 2, 0, 0, 0, 0};
   cfg.resume.receiver_decoded.assign(4, std::vector<bool>(6, false));
   cfg.resume.receiver_decoded[0] = {true, true, false, false, false, false};
   cfg.resume.receiver_decoded[1] = {true, false, false, false, false, false};

@@ -47,26 +47,31 @@ struct Session {
   NpSenderCounters counters;
   std::vector<std::size_t> completed;  ///< on_tg_completed calls, in order
   std::vector<std::pair<std::size_t, std::size_t>> high_water;
+  NpParams params;
   std::optional<NpSenderCore> core;
 
-  explicit Session(NpOptions o) {
-    o.on_tg_completed = [this](std::size_t tg) { completed.push_back(tg); };
-    o.on_parities_sent = [this](std::size_t tg, std::size_t used) {
+  Session(NpParams p, const NpSenderCore::Setup& setup)
+      : params(std::move(p)) {
+    params.on_tg_completed = [this](std::size_t tg) {
+      completed.push_back(tg);
+    };
+    params.on_parities_sent = [this](std::size_t tg, std::size_t used) {
       high_water.emplace_back(tg, used);
     };
-    core.emplace(std::move(o), io, counters);
+    core.emplace(params, setup, io, counters);
   }
 };
 
-NpOptions options(std::size_t members, std::size_t num_tgs, bool reliable) {
-  NpOptions o;
-  o.k = 4;
-  o.h = 5;
-  o.num_tgs = num_tgs;
-  o.members = members;
-  o.poll_window = 0.1;
-  o.reliable_control = reliable;
-  return o;
+NpParams np_params(bool reliable) {
+  NpParams p;
+  p.k = 4;
+  p.h = 5;
+  p.reliable_control = reliable;
+  return p;
+}
+
+NpSenderCore::Setup sender_setup(std::size_t members, std::size_t num_tgs) {
+  return {.members = members, .num_tgs = num_tgs, .poll_window = 0.1};
 }
 
 struct ReceiverRecorder final : NpReceiverCore::Io {
@@ -83,7 +88,7 @@ struct ReceiverRecorder final : NpReceiverCore::Io {
 };
 
 TEST(NpSenderCore, LosslessTgIsKDataOnePollAndOneJournalRecord) {
-  Session s(options(3, 1, true));
+  Session s(np_params(true), sender_setup(3, 1));
   s.core->start(0.0);
   ASSERT_EQ(s.io.bursts.size(), 1u);
   EXPECT_EQ(s.io.bursts[0].kind, BurstKind::kData);
@@ -114,7 +119,7 @@ TEST(NpSenderCore, LosslessTgIsKDataOnePollAndOneJournalRecord) {
 }
 
 TEST(NpSenderCore, ServesTheLargestNakWithFreshParityUntilTheBudget) {
-  Session s(options(3, 1, false));
+  Session s(np_params(false), sender_setup(3, 1));
   s.core->start(0.0);
   s.core->on_burst_done(0.004, false);
   // Round 1: three NAKs; the largest decides the repair burst.
@@ -153,9 +158,9 @@ TEST(NpSenderCore, ServesTheLargestNakWithFreshParityUntilTheBudget) {
 }
 
 TEST(NpSenderCore, EvictsAMemberOnlyAfterGraceRoundsOfSilence) {
-  NpOptions o = options(2, 1, true);
-  o.retry.grace_rounds = 2;
-  Session s(o);
+  NpParams p = np_params(true);
+  p.retry.grace_rounds = 2;
+  Session s(p, sender_setup(2, 1));
   s.core->start(0.0);
   s.core->on_burst_done(0.004, false);
   s.core->on_feedback(0.01, 0, answer(s.io, 0));  // member 1 stays silent
@@ -181,9 +186,9 @@ TEST(NpSenderCore, BannedStragglerStillLetsItsDeferredTgJournalOnce) {
   // straggler defers its journal record.  The guard then bans that
   // straggler before the catch-up pass: nobody is owed the TG any more,
   // and its record must still be written, exactly once.
-  NpOptions o = options(3, 2, true);
-  o.overload.quarantine_deficit = 1;
-  Session s(o);
+  NpSenderCore::Setup setup = sender_setup(3, 2);
+  setup.overload.quarantine_deficit = 1;
+  Session s(np_params(true), setup);
   s.core->start(0.0);
   s.core->on_burst_done(0.004, false);
   s.core->on_feedback(0.01, 0, answer(s.io, 0));
@@ -212,16 +217,18 @@ TEST(NpReceiverCore, DecodedTgIsDuplicatesAndAcksAfterItsDecoderIsReleased) {
   // Once a TG decodes the core drops its decoder.  Late DATA and PARITY
   // for it still count as received duplicates, and a POLL for it is
   // ACKed, not NAKed for k packets.
-  NpOptions o = options(1, 2, true);
-  o.packet_len = 16;
-  const fec::RseCode code(o.k, o.k + o.h);
+  NpParams p = np_params(true);
+  p.packet_len = 16;
+  const fec::RseCode code(p.k, p.k + p.h);
   std::vector<std::vector<std::uint8_t>> data(
-      o.k, std::vector<std::uint8_t>(o.packet_len));
-  for (std::size_t i = 0; i < o.k; ++i) data[i][0] = static_cast<std::uint8_t>(i);
+      p.k, std::vector<std::uint8_t>(p.packet_len));
+  for (std::size_t i = 0; i < p.k; ++i)
+    data[i][0] = static_cast<std::uint8_t>(i);
   fec::TgEncoder enc(0, code, data);
   ReceiverRecorder io;
   NpReceiverCounters counters;
-  NpReceiverCore core(code, o, io, counters);
+  NpReceiverCore core(code, p, {.num_tgs = 2, .poll_window = 0.1}, io,
+                      counters);
 
   // Data 0..2 and parity 0 decode TG 0 (data 3 rebuilt).
   for (std::size_t i = 0; i < 3; ++i)

@@ -269,7 +269,6 @@ TEST_F(OverloadTest, QuarantineUnblocksGroupCompletion) {
   np.clock = &reactor.clock();
   np.retry.session_deadline = 30.0;
   np.overload.quarantine_deficit = 3;
-  np.overload.quarantine_quorum = 0.5;
   np.overload.catch_up_rounds = 2;
 
   const auto groups = make_payload(1, 4, np.k, np.packet_len);
@@ -331,7 +330,6 @@ TEST_F(OverloadTest, RefusePolicyYieldsStructuredPartialDelivery) {
     np.seed = chaos_seed(77);
     np.clock = &reactor.clock();
     np.overload.stall_timeout = 0.05;
-    np.overload.retry_interval = 0.005;
     np.overload.shed_policy = net::ShedPolicy::kRefuse;
 
     const auto groups = make_payload(2, 2, np.k, np.packet_len);
@@ -385,7 +383,6 @@ TEST_F(OverloadTest, DropNewestParityShedsOnlyRepair) {
     np.clock = &reactor.clock();
     np.retry.session_deadline = 2.0;
     np.overload.stall_timeout = 0.05;
-    np.overload.retry_interval = 0.005;
     np.overload.shed_policy = net::ShedPolicy::kDropNewestParity;
 
     const auto groups = make_payload(3, 2, np.k, np.packet_len);

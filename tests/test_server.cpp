@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -26,7 +27,9 @@
 
 #include "core/session_state.hpp"
 #include "fec/packet.hpp"
+#include "loss/loss_model.hpp"
 #include "net/peer_guard.hpp"
+#include "protocol/np_protocol.hpp"
 #include "util/rng.hpp"
 
 namespace pbl::server {
@@ -282,6 +285,72 @@ TEST_F(ServerTest, JournalChainsCallerHooks) {
             kSessions * kTgs);
   EXPECT_GT(parity_bursts, 0u);  // 20 % loss needs repair
   EXPECT_TRUE(std::filesystem::is_empty(dir_));  // completed: files removed
+}
+
+TEST_F(ServerTest, SubmitRefusesPacketsThatAreNotPacketLen) {
+  // A TG with one short packet used to be admitted; its burst then threw
+  // out of reactor.run() and stranded every other session.  Uniformly
+  // short packets were admitted too, and failed with every block
+  // rejected.  Both are refused at submit, like a TG without k packets.
+  Reactor reactor;
+  MulticastServer server(reactor, base_config());
+  auto one_short = make_spec(1, 2);
+  one_short.groups[1][2].pop_back();
+  EXPECT_THROW(server.submit(std::move(one_short)), std::invalid_argument);
+  auto all_short = make_spec(2, 2);
+  for (auto& tg : all_short.groups)
+    for (auto& pkt : tg) pkt.resize(16);
+  EXPECT_THROW(server.submit(std::move(all_short)), std::invalid_argument);
+
+  ASSERT_TRUE(server.submit(make_spec(3, 2)));
+  reactor.run();
+  EXPECT_EQ(server.server_metrics().counter("sessions_admitted"), 1u);
+  EXPECT_EQ(server.completed_sessions(), 1u);
+}
+
+// One table of bad NP parameters through both engines.  The DES
+// NpSession and the server's drivers hand their config to the same core
+// checks, so each must refuse every row.
+TEST(NpParamChecks, BothEnginesRefuseTheSameBadParameters) {
+  using Spoil =
+      std::function<void(protocol::NpParams&, std::vector<net::TgBytes>&)>;
+  const std::pair<const char*, Spoil> cases[] = {
+      {"resume_completed of the wrong length",
+       [](protocol::NpParams& p, auto&) { p.resume_completed = {false}; }},
+      {"resume_parities of the wrong length",
+       [](protocol::NpParams& p, auto&) { p.resume_parities = {0}; }},
+      {"resume_parities above h",
+       [](protocol::NpParams& p, auto&) { p.resume_parities = {0, 9}; }},
+      {"a short packet",
+       [](protocol::NpParams&, std::vector<net::TgBytes>& groups) {
+         groups[1][2].pop_back();
+       }},
+  };
+  for (const auto& [name, spoil] : cases) {
+    SCOPED_TRACE(name);
+    protocol::NpConfig des;
+    des.k = 4;
+    des.h = 8;
+    des.packet_len = 32;
+    auto des_groups = make_payload(7, 2, des.k, des.packet_len);
+    spoil(des, des_groups);
+    loss::BernoulliLossModel model(0.0);
+    EXPECT_THROW(protocol::NpSession(model, 2, des_groups, des),
+                 std::invalid_argument);
+
+    Reactor reactor;
+    ServerConfig cfg;  // no journal: the spoiled fields reach the drivers
+    cfg.np.k = 4;
+    cfg.np.h = 8;
+    cfg.np.packet_len = 32;
+    MulticastServer::SessionSpec spec;
+    spec.id = 7;
+    spec.groups = make_payload(7, 2, cfg.np.k, cfg.np.packet_len);
+    spoil(cfg.np, spec.groups);
+    MulticastServer server(reactor, cfg);
+    EXPECT_THROW(server.submit(std::move(spec)), std::invalid_argument);
+    EXPECT_EQ(server.active_sessions(), 0u);
+  }
 }
 
 TEST_F(ServerTest, SnapshotJsonCarriesSchemaHeaderAndSessions) {

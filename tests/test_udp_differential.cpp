@@ -287,7 +287,6 @@ TEST(UdpDifferential, QuarantineCatchUpIsByteIdentical) {
   const auto groups = random_groups(5, 6, 128, 25);
   UdpNpConfig cfg = reliable_config();
   cfg.overload.quarantine_deficit = 2;
-  cfg.overload.quarantine_quorum = 0.5;
   cfg.overload.catch_up_rounds = 3;
   SessionSetup setup;
   setup.receivers = 3;

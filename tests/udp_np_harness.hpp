@@ -208,21 +208,7 @@ inline CrashRun run_crash_session(const std::vector<net::TgBytes>& groups,
                                   const std::string& journal,
                                   std::size_t crash_after_sends = 10) {
   std::remove(journal.c_str());
-  core::SenderSessionState fresh;
-  fresh.session_id = 0xF00D;
-  fresh.k = static_cast<std::uint32_t>(cfg.k);
-  fresh.h = static_cast<std::uint32_t>(cfg.h);
-  fresh.packet_len = static_cast<std::uint32_t>(cfg.packet_len);
-  fresh.num_tgs = static_cast<std::uint32_t>(groups.size());
-  const auto life_config = [&cfg](core::SessionJournal& sj) {
-    net::UdpNpConfig c = cfg;
-    c.incarnation = sj.state().incarnation;
-    c.on_tg_completed = [&sj](std::size_t tg) { sj.record_tg_completed(tg); };
-    c.on_parities_sent = [&sj](std::size_t tg, std::size_t hw) {
-      sj.record_parities_sent(tg, hw);
-    };
-    return c;
-  };
+  constexpr std::uint64_t kSessionId = 0xF00D;
 
   Loop loop;
   cfg.clock = &loop.reactor.clock();
@@ -243,23 +229,23 @@ inline CrashRun run_crash_session(const std::vector<net::TgBytes>& groups,
   receivers[0]->start();
 
   {
-    core::SessionJournal sj(journal, fresh);
-    net::UdpNpConfig c1 = life_config(sj);
+    net::UdpNpConfig c1 = cfg;
+    const auto sj =
+        core::open_session_journal(journal, kSessionId, groups.size(), c1);
     c1.crash_after_sends = crash_after_sends;
     SenderSessionDriver life1(loop.reactor, std::move(first_socket), group,
                               c1, groups, loop.notifier());
     life1.start();
     run.wedged = !loop.run([&] { return life1.finished(); });
     out.life1 = life1.stats();
-    out.complete_after_life1 = sj.state().all_complete();
+    out.complete_after_life1 = sj->state().all_complete();
   }  // the dead life's socket closes; its port frees up
 
-  core::SessionJournal sj(journal, fresh);
-  out.resumed = sj.resumed();
-  out.incarnation = sj.state().incarnation;
-  net::UdpNpConfig c2 = life_config(sj);
-  c2.resume_completed = sj.state().completed;
-  c2.resume_parities = sj.state().parities_sent;
+  net::UdpNpConfig c2 = cfg;
+  const auto sj =
+      core::open_session_journal(journal, kSessionId, groups.size(), c2);
+  out.resumed = sj->resumed();
+  out.incarnation = sj->state().incarnation;
   net::UdpSocket second_socket(sender_port);
   second_socket.set_tx_tap(tap);
   SenderSessionDriver life2(loop.reactor, std::move(second_socket), group, c2,
@@ -270,7 +256,7 @@ inline CrashRun run_crash_session(const std::vector<net::TgBytes>& groups,
   }) || run.wedged;
   run.sender = life2.stats();
   run.receivers = outcomes(receivers);
-  out.complete_after_life2 = sj.state().all_complete();
+  out.complete_after_life2 = sj->state().all_complete();
   std::remove(journal.c_str());
   return out;
 }
