@@ -171,6 +171,7 @@ class NpSenderCore {
   /// std::invalid_argument on an inconsistent configuration.
   NpSenderCore(const NpParams& params, Setup setup, Io& io,
                NpSenderCounters& counters);
+  NpSenderCore(NpParams&&, Setup, Io&, NpSenderCounters&) = delete;
   NpSenderCore(const NpSenderCore&) = delete;
   NpSenderCore& operator=(const NpSenderCore&) = delete;
 
@@ -348,6 +349,8 @@ class NpReceiverCore {
   /// configuration.
   NpReceiverCore(const fec::RseCode& code, const NpParams& params,
                  Setup setup, Io& io, NpReceiverCounters& counters);
+  NpReceiverCore(const fec::RseCode&, NpParams&&, Setup, Io&,
+                 NpReceiverCounters&) = delete;
   NpReceiverCore(const NpReceiverCore&) = delete;
   NpReceiverCore& operator=(const NpReceiverCore&) = delete;
 
