@@ -45,15 +45,16 @@ int main(int argc, char** argv) {
   const auto record = [&](const char* table, double slot_ms, std::size_t r,
                           const protocol::NpStats& stats) {
     ++sessions;
-    const double rounds = static_cast<double>(stats.polls_sent);
+    const auto& rx = stats.receivers;
+    const double rounds = static_cast<double>(stats.sender.polls_sent);
     const double per_round =
-        rounds > 0 ? static_cast<double>(stats.naks_sent) / rounds : 0.0;
+        rounds > 0 ? static_cast<double>(rx.naks_sent) / rounds : 0.0;
     json.point({{"source", "sim"},
                 {"table", table},
                 {"slot_ms", slot_ms},
                 {"R", static_cast<std::int64_t>(r)},
-                {"naks_sent", stats.naks_sent},
-                {"naks_suppressed", stats.naks_suppressed},
+                {"naks_sent", rx.naks_sent},
+                {"naks_suppressed", rx.naks_suppressed},
                 {"naks_per_round", per_round},
                 {"completion_s", stats.completion_time},
                 {"tx_per_packet", stats.tx_per_packet}});
@@ -73,8 +74,9 @@ int main(int argc, char** argv) {
     protocol::NpSession session(model, receivers, tgs, cfg, 42);
     const auto stats = session.run();
     const double per_round = record("slot", slot_ms, receivers, stats);
-    t.add_row({slot_ms, static_cast<long long>(stats.naks_sent),
-               static_cast<long long>(stats.naks_suppressed), per_round,
+    const auto& rx = stats.receivers;
+    t.add_row({slot_ms, static_cast<long long>(rx.naks_sent),
+               static_cast<long long>(rx.naks_suppressed), per_round,
                stats.completion_time, stats.tx_per_packet});
   }
   t.set_precision(4);
@@ -94,8 +96,9 @@ int main(int argc, char** argv) {
     const auto stats = session.run();
     const double per_round = record("population", 30.0, r, stats);
     t2.add_row({static_cast<long long>(r),
-                static_cast<long long>(stats.naks_sent),
-                static_cast<long long>(stats.naks_suppressed), per_round});
+                static_cast<long long>(stats.receivers.naks_sent),
+                static_cast<long long>(stats.receivers.naks_suppressed),
+                per_round});
   }
   t2.set_precision(4);
   std::printf("\n%s", t2.to_string().c_str());

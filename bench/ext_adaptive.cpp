@@ -2,6 +2,7 @@
 // redundancy from the losses its NAKs reveal, compared with the bare
 // reactive protocol and with statically planned redundancy, across loss
 // rates the sender was never told about.
+#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -20,6 +21,7 @@ int main(int argc, char** argv) {
   const std::size_t receivers =
       static_cast<std::size_t>(cli.get_int64("R", 50));
   const std::size_t tgs = static_cast<std::size_t>(cli.get_int64("tgs", 30));
+  const std::string json_path = cli.get_string("json", "");
   if (cli.has("help")) {
     std::puts(cli.usage().c_str());
     return 0;
@@ -31,6 +33,13 @@ int main(int argc, char** argv) {
           std::to_string(tgs) + " TGs, full DES protocol",
       "the controller converges to the offline planner's `a` for the true "
       "loss rate, trading a little bandwidth for most of the feedback");
+
+  bench::BenchJson json("ext_adaptive");
+  json.setup("R", static_cast<std::int64_t>(receivers));
+  json.setup("tgs", static_cast<std::int64_t>(tgs));
+  json.setup("k", static_cast<std::int64_t>(10));
+  std::uint64_t sessions = 0;
+  const auto t0 = std::chrono::steady_clock::now();
 
   Table t({"p", "variant", "tx_per_pkt", "naks", "rounds_polls", "final_a",
            "planned_a", "completion_s"});
@@ -51,14 +60,28 @@ int main(int argc, char** argv) {
         cfg.proactive = static_cast<std::size_t>(*planned);
       protocol::NpSession session(model, receivers, tgs, cfg, 5);
       const auto s = session.run();
+      ++sessions;
+      json.point({{"p", p},
+                  {"variant", variant},
+                  {"tx_per_packet", s.tx_per_packet},
+                  {"naks_sent", s.receivers.naks_sent},
+                  {"polls_sent", s.sender.polls_sent},
+                  {"final_proactive", s.final_proactive},
+                  {"planned_a", planned.value_or(-1)},
+                  {"completion_s", s.completion_time}});
       t.add_row({p, std::string(variant), s.tx_per_packet,
-                 static_cast<long long>(s.naks_sent),
-                 static_cast<long long>(s.polls_sent), s.final_proactive,
+                 static_cast<long long>(s.receivers.naks_sent),
+                 static_cast<long long>(s.sender.polls_sent), s.final_proactive,
                  static_cast<double>(planned.value_or(-1)),
                  s.completion_time});
     }
   }
   t.set_precision(4);
   std::printf("%s", t.to_string().c_str());
-  return 0;
+
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  json.perf(1, wall, sessions);
+  return json.write_file(json_path) ? 0 : 1;
 }

@@ -153,8 +153,8 @@ int main(int argc, char** argv) {
              protocol::NpSession session(model, receivers, tgs, cfg, s);
              const auto st = session.run();
              return Sample{st.tx_per_packet, st.completion_time,
-                           static_cast<double>(st.poll_retries),
-                           static_cast<double>(st.nak_retries),
+                           static_cast<double>(st.sender.poll_retries),
+                           static_cast<double>(st.receivers.nak_retries),
                            st.all_delivered && st.report.complete};
            }));
     report(q_f, "layered reliable",

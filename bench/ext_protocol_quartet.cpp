@@ -159,8 +159,8 @@ int main(int argc, char** argv) {
              protocol::NpSession session(model, receivers, tgs, cfg, s);
              const auto st = session.run();
              return Sample{st.tx_per_packet,
-                           static_cast<double>(st.naks_sent),
-                           static_cast<double>(st.duplicate_receptions),
+                           static_cast<double>(st.receivers.naks_sent),
+                           static_cast<double>(st.receivers.duplicates),
                            st.completion_time, st.all_delivered};
            }));
     report(receivers, "FEC1 (no feedback)", replicate([&](std::uint64_t s) {

@@ -66,13 +66,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long>(nps.data_sent),
               static_cast<unsigned long>(nps.parity_sent),
               static_cast<unsigned long>(nps.parities_encoded),
-              static_cast<unsigned long>(nps.polls_sent));
+              static_cast<unsigned long>(nps.sender.polls_sent));
   std::printf("               NAKs sent %lu, suppressed %lu; duplicates %lu; "
               "decoded %lu pkts; done at t = %.2f s\n",
-              static_cast<unsigned long>(nps.naks_sent),
-              static_cast<unsigned long>(nps.naks_suppressed),
-              static_cast<unsigned long>(nps.duplicate_receptions),
-              static_cast<unsigned long>(nps.packets_decoded),
+              static_cast<unsigned long>(nps.receivers.naks_sent),
+              static_cast<unsigned long>(nps.receivers.naks_suppressed),
+              static_cast<unsigned long>(nps.receivers.duplicates),
+              static_cast<unsigned long>(nps.receivers.decoded),
               nps.completion_time);
 
   // --- N2-style ARQ baseline (retransmits originals, bitmap NAKs) ---

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
               demo_receivers,
               stats.all_delivered ? "all delivered" : "FAILED",
               stats.tx_per_packet,
-              static_cast<unsigned long long>(stats.naks_sent),
+              static_cast<unsigned long long>(stats.receivers.naks_sent),
               cfg.proactive);
   return stats.all_delivered ? 0 : 1;
 }

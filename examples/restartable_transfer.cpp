@@ -10,8 +10,10 @@
 //   $ ./restartable_transfer        # life 2: resumes, crashes again
 //   $ ./restartable_transfer        # life 3: finishes, verifies, cleans up
 //
-// The first two lives die on a scripted schedule (override with
-// --crash-after=N, disable with --crash-after=0); every restart resumes
+// The first two lives die on a scripted schedule: each halfway through
+// the least its remaining TGs need, k data frames and a POLL apiece, so
+// the crash fires whatever the loss draws (override with
+// --crash-after=N, disable with --crash-after=0).  Every restart resumes
 // at the first incomplete TG, serves only fresh parity indices, and
 // stamps a bumped incarnation so straggler packets from the dead life
 // are rejected.  --reset discards the journals and starts over.
@@ -102,25 +104,23 @@ int main(int argc, char** argv) {
   core::SessionJournal& sj = *journal;
 
   const auto& st = sj.state();
+  const auto confirmed = static_cast<std::size_t>(
+      std::count(st.completed.begin(), st.completed.end(), true));
   std::printf("life %u (%s): %zu/%u TGs already confirmed complete\n",
               st.incarnation + 1, sj.resumed() ? "resumed" : "fresh session",
-              st.first_incomplete() == st.num_tgs
-                  ? static_cast<std::size_t>(st.num_tgs)
-                  : static_cast<std::size_t>(
-                        std::count(st.completed.begin(), st.completed.end(),
-                                   true)),
-              st.num_tgs);
+              confirmed, st.num_tgs);
 
   // Receiver journal: the surviving receivers' decoded bitmaps.
   auto rx_journal = util::Journal::open(rx_path, {.sync_every = 1});
   auto priors =
       load_receiver_priors(rx_journal, receivers, groups.size(), kSessionId);
 
-  // Scripted demo: the first two lives die partway unless overridden.
+  // Scripted demo: the first two lives die halfway through the least
+  // the TGs left need, unless overridden.
   std::size_t crash_after = protocol::kNoSenderCrash;
   if (crash_flag > 0) crash_after = static_cast<std::size_t>(crash_flag);
   if (crash_flag < 0 && st.incarnation < 2)
-    crash_after = 40;  // enough to confirm a few TGs, not the whole file
+    crash_after = (st.num_tgs - confirmed) * (cfg.k + 1) / 2;
 
   cfg.resume.receiver_incarnation = st.incarnation;  // heard the last life
   cfg.resume.receiver_decoded = priors;
@@ -145,11 +145,11 @@ int main(int argc, char** argv) {
 
   std::printf("  skipped %llu journaled TGs, sent %llu data + %llu parity, "
               "rejected %llu stale packets\n",
-              static_cast<unsigned long long>(stats.resumed_tgs_skipped),
+              static_cast<unsigned long long>(stats.sender.tgs_skipped),
               static_cast<unsigned long long>(stats.data_sent),
               static_cast<unsigned long long>(stats.parity_sent +
                                               stats.proactive_sent),
-              static_cast<unsigned long long>(stats.stale_rejected));
+              static_cast<unsigned long long>(stats.receivers.stale_rejected));
 
   if (stats.sender_crashed) {
     std::printf("  sender CRASHED mid-transfer; journal holds %zu/%u TGs "

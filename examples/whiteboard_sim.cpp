@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
               "| %llu NAKs | adapted to a = %.0f proactive parities\n",
               1e3 * nps.mean_tg_latency, 1e3 * nps.p95_tg_latency,
               nps.tx_per_packet,
-              static_cast<unsigned long long>(nps.naks_sent),
+              static_cast<unsigned long long>(nps.receivers.naks_sent),
               nps.final_proactive);
 
   protocol::ArqConfig arq_cfg;

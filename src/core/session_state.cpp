@@ -1,6 +1,11 @@
 #include "core/session_state.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -357,8 +362,8 @@ ResumableReport run_resumable_session(const loss::LossModel& loss,
     report.total_data_sent += stats.data_sent;
     report.total_parity_sent += stats.parity_sent;
     report.total_proactive_sent += stats.proactive_sent;
-    report.total_polls_sent += stats.polls_sent;
-    report.stale_rejected += stats.stale_rejected;
+    report.total_polls_sent += stats.sender.polls_sent;
+    report.stale_rejected += stats.receivers.stale_rejected;
     report.total_sim_time += stats.completion_time;
 
     // Real receivers outlive the sender; in the DES each life is a new
@@ -371,7 +376,8 @@ ResumableReport run_resumable_session(const loss::LossModel& loss,
     report.last = std::move(stats);
     if (!crashed) {
       report.complete = report.last.all_delivered &&
-                        report.last.tgs_failed == 0 &&
+                        report.last.sender.tgs_exhausted == 0 &&
+                        report.last.sender.tgs_unconfirmed == 0 &&
                         !report.last.report.deadline_expired;
       break;
     }
@@ -417,16 +423,34 @@ void save_receiver_state_file(const std::string& path,
                               const ReceiverSessionState& state) {
   const std::vector<std::uint8_t> bytes = state.serialize();
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw std::runtime_error("save_receiver_state_file: cannot write " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out)
-      throw std::runtime_error("save_receiver_state_file: short write " + tmp);
+  const auto fail = [&](const char* what) {
+    const std::string reason = std::strerror(errno);
+    ::unlink(tmp.c_str());
+    throw std::runtime_error(std::string("save_receiver_state_file: ") + what +
+                             " " + tmp + ": " + reason);
+  };
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) fail("cannot open");
+  // Write, fsync, rename, fsync the directory: the same order as
+  // util::Journal::compact, so a power cut leaves the old file or the
+  // new one, never an empty or torn one.
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      fail("cannot write");
+    }
+    off += static_cast<std::size_t>(n);
   }
-  std::filesystem::rename(tmp, path);
+  if (::fsync(fd) != 0) {
+    ::close(fd);
+    fail("cannot fsync");
+  }
+  ::close(fd);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) fail("cannot rename");
+  util::sync_parent_dir(path);
 }
 
 std::optional<ReceiverSessionState> load_receiver_state_file(
@@ -440,24 +464,6 @@ std::optional<ReceiverSessionState> load_receiver_state_file(
   } catch (const std::exception&) {
     return std::nullopt;  // damaged state file: fresh receiver
   }
-}
-
-ResumableTransferReport transfer_resumable(std::span<const std::uint8_t> blob,
-                                           const loss::LossModel& loss,
-                                           std::size_t receivers,
-                                           const ResumableConfig& config,
-                                           std::uint64_t seed) {
-  ResumableTransferReport out;
-  auto groups = segment_blob(blob, config.np.k, config.np.packet_len);
-  out.groups = groups.size();
-  out.payload_bytes = blob.size();
-  const auto reassembled = reassemble_blob(groups);
-  out.session =
-      run_resumable_session(loss, receivers, std::move(groups), config, seed);
-  out.blob_verified =
-      out.session.complete && reassembled.size() == blob.size() &&
-      std::equal(reassembled.begin(), reassembled.end(), blob.begin());
-  return out;
 }
 
 }  // namespace pbl::core

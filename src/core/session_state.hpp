@@ -201,9 +201,10 @@ std::optional<SenderSessionState> peek_session_journal(
 /// list, not an error.
 std::vector<std::string> list_session_journals(const std::string& dir);
 
-/// Atomically persists a receiver's durable progress to `path` (write
-/// temp, rename — a crash mid-save leaves the old file or the new one,
-/// never a torn hybrid).
+/// Persists a receiver's progress to `path` atomically and durably
+/// (write temp, fsync, rename, fsync the directory — a crash or power
+/// cut mid-save leaves the old file or the new one, never a torn
+/// hybrid).  Throws std::runtime_error on failure, leaving no temp file.
 void save_receiver_state_file(const std::string& path,
                               const ReceiverSessionState& state);
 
@@ -224,20 +225,5 @@ ResumableReport run_resumable_session(const loss::LossModel& loss,
                                       std::vector<TgData> data,
                                       const ResumableConfig& config,
                                       std::uint64_t seed = 1);
-
-/// segment_blob + run_resumable_session: a whole file delivered across
-/// sender crashes, with the framing round-trip re-verified at the end.
-struct ResumableTransferReport {
-  ResumableReport session;
-  std::size_t groups = 0;
-  std::size_t payload_bytes = 0;
-  bool blob_verified = false;
-};
-
-ResumableTransferReport transfer_resumable(std::span<const std::uint8_t> blob,
-                                           const loss::LossModel& loss,
-                                           std::size_t receivers,
-                                           const ResumableConfig& config,
-                                           std::uint64_t seed = 1);
 
 }  // namespace pbl::core

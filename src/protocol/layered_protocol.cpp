@@ -612,10 +612,6 @@ struct LayeredSession::Impl {
     rep.evicted.assign(rx.size(), false);
     for (std::size_t r = 0; r < evicted.size(); ++r)
       rep.evicted[r] = evicted[r];
-    rep.evictions = stats.evictions;
-    rep.units_failed = stats.blocks_unconfirmed;
-    rep.poll_retries = stats.poll_retries;
-    rep.nak_retries = stats.nak_retries;
     rep.complete = stats.all_delivered && stats.evictions == 0 &&
                    stats.blocks_unconfirmed == 0 && !rep.deadline_expired;
   }

@@ -536,17 +536,14 @@ void NpSenderCore::finish() {
     auto& rep = report_;
     rep.delivered = delivered_;
     rep.evicted = evicted_;
-    rep.evictions = counters_.evictions;
-    rep.units_failed = counters_.tgs_exhausted + counters_.tgs_unconfirmed;
-    rep.poll_retries = counters_.poll_retries;
-    rep.quarantined = counters_.members_quarantined;
     for (const bool e : expelled_) rep.expelled += e ? 1 : 0;
     // `complete` = every NON-expelled member delivered every unit, with
     // two exemptions: TGs a prior life confirmed (their rows are
     // vacuously incomplete this life), and members banished for hostile
     // behaviour (they forfeited the group's delivery obligation).
     rep.complete = !rep.deadline_expired && !rep.overloaded &&
-                   rep.evictions == 0 && rep.units_failed == 0;
+                   counters_.evictions == 0 && counters_.tgs_exhausted == 0 &&
+                   counters_.tgs_unconfirmed == 0;
     if (rep.complete)
       for (std::size_t m = 0; m < rep.delivered.size(); ++m) {
         if (expelled_[m]) continue;

@@ -285,8 +285,10 @@ class NpSenderCore {
   double ewma_max_missing_ = 0.0;
 };
 
-/// The receiver core's counters, engine-owned like NpSenderCounters (the
-/// driver's UdpNpReceiverResult extends this struct).
+/// The receiver core's counters, engine-owned like NpSenderCounters: the
+/// driver's UdpNpReceiverResult extends this struct, and the DES hands
+/// one to all its receiver cores, so it holds their sum.  A core only
+/// adds to them.
 struct NpReceiverCounters {
   std::uint64_t received = 0;      ///< packets accepted off the wire
   std::uint64_t dropped = 0;       ///< packets discarded by injected loss

@@ -20,7 +20,8 @@ struct NpSession::Impl final : NpSenderCore::Io {
   struct Receiver final : NpReceiverCore::Io {
     Receiver(Impl& session, std::size_t index, NpReceiverCore::Setup setup)
         : s(session), r(index),
-          core(session.code, session.cfg, std::move(setup), *this, counters) {}
+          core(session.code, session.cfg, std::move(setup), *this,
+               session.stats.receivers) {}
 
     /// NAKs are multicast (other receivers overhear them for damping);
     /// an ACK goes to the sender alone.
@@ -37,7 +38,6 @@ struct NpSession::Impl final : NpSenderCore::Io {
 
     Impl& s;
     std::size_t r;
-    NpReceiverCounters counters;
     NpReceiverCore core;
     sim::EventId timer = sim::kInvalidEvent;
   };
@@ -60,7 +60,7 @@ struct NpSession::Impl final : NpSenderCore::Io {
                 .seed = seed,
                 .proactive = cfg.proactive,
                 .adaptive = cfg.adaptive},
-               *this, sender_counters) {
+               *this, stats.sender) {
     // The code, the channel and the cores check NP's parameters; the
     // receivers' priors are this engine's own.
     if (!cfg.resume.receiver_decoded.empty() &&
@@ -247,29 +247,11 @@ struct NpSession::Impl final : NpSenderCore::Io {
   NpStats run() {
     sender.start(sim.now());
     sim.run();
-    const auto& c = sender_counters;
-    stats.polls_sent = c.polls_sent;
-    stats.acks_received = c.acks_received;
-    stats.poll_retries = c.poll_retries;
-    stats.evictions = c.evictions;
-    stats.tgs_completed = c.tgs_completed;
-    stats.tgs_failed = c.tgs_exhausted + c.tgs_unconfirmed;
-    stats.resumed_tgs_skipped = c.tgs_skipped;
-    stats.report.deadline_expired = sender.report().deadline_expired;
     for (const auto& enc : encoders)
       stats.parities_encoded += enc.parities_encoded();
     bool all = !corrupted;
-    for (const auto& rec : rx) {
-      const auto& rc = rec->counters;
-      stats.naks_sent += rc.naks_sent;
-      stats.naks_suppressed += rc.naks_suppressed;
-      stats.acks_sent += rc.acks_sent;
-      stats.nak_retries += rc.nak_retries;
-      stats.duplicate_receptions += rc.duplicates;
-      stats.packets_decoded += rc.decoded;
-      stats.stale_rejected += rc.stale_rejected;
+    for (const auto& rec : rx)
       if (rec->core.done_count() != num_tgs) all = false;
-    }
     stats.packet_deliveries = channel.stats().data_deliveries;
     stats.impairment = channel.impairment_stats();
     std::vector<double> latencies;
@@ -291,24 +273,16 @@ struct NpSession::Impl final : NpSenderCore::Io {
         static_cast<double>(stats.data_sent + stats.parity_sent +
                             stats.proactive_sent) /
         (static_cast<double>(cfg.k) * static_cast<double>(num_tgs));
-    build_report();
-    return stats;
-  }
-
-  /// Fills NpStats::report on every exit path — complete, degraded, or
-  /// deadline-expired alike.
-  void build_report() {
+    // The outcome on every exit path — complete, degraded, or
+    // deadline-expired alike.
     auto& rep = stats.report;
-    rep.delivered.assign(num_receivers, std::vector<bool>(num_tgs, false));
-    for (std::size_t r = 0; r < num_receivers; ++r)
-      rep.delivered[r] = rx[r]->core.done();
+    for (const auto& rec : rx) rep.delivered.push_back(rec->core.done());
     rep.evicted = sender.evicted();
-    rep.evictions = stats.evictions;
-    rep.units_failed = stats.tgs_failed;
-    rep.poll_retries = stats.poll_retries;
-    rep.nak_retries = stats.nak_retries;
-    rep.complete = stats.all_delivered && stats.evictions == 0 &&
-                   stats.tgs_failed == 0 && !rep.deadline_expired;
+    rep.deadline_expired = sender.report().deadline_expired;
+    rep.complete = all && stats.sender.evictions == 0 &&
+                   stats.sender.tgs_exhausted == 0 &&
+                   stats.sender.tgs_unconfirmed == 0 && !rep.deadline_expired;
+    return stats;
   }
 
   NpConfig cfg;
@@ -318,7 +292,9 @@ struct NpSession::Impl final : NpSenderCore::Io {
   fec::RseCode code;
   net::MulticastChannel channel;
   double window;
-  NpSenderCounters sender_counters;
+  // The sender core counts into stats.sender and every receiver core
+  // into stats.receivers, which so holds their sum.
+  NpStats stats;
   NpSenderCore sender;
 
   std::vector<std::vector<std::vector<std::uint8_t>>> source;
@@ -337,8 +313,6 @@ struct NpSession::Impl final : NpSenderCore::Io {
   std::vector<double> first_send;    // when its first data packet left
   std::vector<double> latency;       // set once every receiver holds it
   bool corrupted = false;
-
-  NpStats stats;
 };
 
 NpSession::NpSession(const loss::LossModel& loss, std::size_t receivers,

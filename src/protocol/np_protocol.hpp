@@ -98,41 +98,30 @@ struct NpConfig : NpParams {
   bool adaptive = false;
 };
 
+/// One DES session's results.  NP's counts are the cores' own, declared
+/// once in np_core.hpp; the rest is what only this engine measures.
 struct NpStats {
-  std::uint64_t data_sent = 0;
-  std::uint64_t parity_sent = 0;       ///< reactive (NAK-triggered) parities
-  std::uint64_t proactive_sent = 0;    ///< parities sent with the data
-  double final_proactive = 0.0;        ///< `a` in use after the last TG
-  std::uint64_t polls_sent = 0;
-  std::uint64_t naks_sent = 0;
-  std::uint64_t naks_suppressed = 0;
-  std::uint64_t duplicate_receptions = 0;  ///< across all receivers
-  std::uint64_t packet_deliveries = 0;     ///< data/parity receptions, all receivers
-  std::uint64_t parities_encoded = 0;      ///< sender-side encode operations
-  std::uint64_t packets_decoded = 0;       ///< receiver-side reconstructions
-  std::uint64_t tgs_completed = 0;
-  std::uint64_t tgs_failed = 0;            ///< parity budget exhausted
-  double completion_time = 0.0;            ///< when the last receiver finished
-  double mean_tg_latency = 0.0;            ///< mean time from a TG's first data
-                                           ///< packet to its last receiver decoding
-  double p95_tg_latency = 0.0;             ///< 95th percentile of the same
-  bool all_delivered = false;              ///< every receiver got every byte intact
-  double tx_per_packet = 0.0;              ///< (data+parity)/(k * num_tgs), E[M]
-  net::ImpairmentStats impairment{};       ///< channel fault counters (zero when clean)
+  NpSenderCounters sender{};       ///< the sender core's counters
+  NpReceiverCounters receivers{};  ///< the receiver cores', summed
 
-  // Reliable-control accounting (all zero unless reliable_control).
-  std::uint64_t acks_sent = 0;      ///< per-receiver TG acknowledgements
-  std::uint64_t acks_received = 0;  ///< ACKs that reached the sender
-  std::uint64_t poll_retries = 0;   ///< re-POLLs after unconfirmed rounds
-  std::uint64_t nak_retries = 0;    ///< receiver NAK retransmissions
-  std::uint64_t evictions = 0;      ///< receivers evicted for silence
+  std::uint64_t data_sent = 0;
+  std::uint64_t parity_sent = 0;     ///< reactive (NAK-triggered) parities
+  std::uint64_t proactive_sent = 0;  ///< parities sent with the data
+  double final_proactive = 0.0;      ///< `a` in use after the last TG
+  /// DATA/PARITY receptions, all receivers.
+  std::uint64_t packet_deliveries = 0;
+  std::uint64_t parities_encoded = 0;  ///< sender-side encode operations
+  double completion_time = 0.0;  ///< when the last receiver finished
+  /// Mean time from a TG's first data packet to its last receiver
+  /// decoding.
+  double mean_tg_latency = 0.0;
+  double p95_tg_latency = 0.0;   ///< 95th percentile of the same
+  bool all_delivered = false;    ///< every receiver got every byte intact
+  double tx_per_packet = 0.0;    ///< (data+parity)/(k * num_tgs), E[M]
+  net::ImpairmentStats impairment{};  ///< channel faults (zero when clean)
+  bool sender_crashed = false;        ///< crash_after_tx fired this run
   /// Structured degradation outcome; filled on every exit path.
   PartialDeliveryReport report{};
-
-  // Crash-recovery accounting.
-  bool sender_crashed = false;        ///< crash_after_tx fired this run
-  std::uint64_t stale_rejected = 0;   ///< packets dropped: dead incarnation
-  std::uint64_t resumed_tgs_skipped = 0;  ///< TGs carried in complete
 };
 
 /// One sender, `receivers` receivers, `num_tgs` groups of random data —

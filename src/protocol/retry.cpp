@@ -93,14 +93,10 @@ std::string PartialDeliveryReport::summary() const {
   s += " (" + std::to_string(completion_fraction() * 100.0) + "% delivered";
   if (deadline_expired) s += ", deadline expired";
   if (overloaded) s += ", overloaded";
+  const auto evictions = std::count(evicted.begin(), evicted.end(), true);
   if (evictions) s += ", " + std::to_string(evictions) + " evicted";
-  if (quarantined) s += ", " + std::to_string(quarantined) + " quarantined";
   if (expelled) s += ", " + std::to_string(expelled) + " expelled";
-  if (shed_frames) s += ", " + std::to_string(shed_frames) + " frames shed";
-  if (units_failed) s += ", " + std::to_string(units_failed) + " units failed";
-  s += ", " + std::to_string(poll_retries) + " poll retries, " +
-       std::to_string(nak_retries) + " nak retries)";
-  return s;
+  return s + ")";
 }
 
 }  // namespace pbl::protocol

@@ -131,26 +131,19 @@ class ManualClock final : public Clock {
 };
 
 /// Structured outcome of a session that may have degraded rather than
-/// completed: who got what, who was evicted, and which budget ended it.
-/// Every exit path of a reliable-control session is total and fills one
-/// of these — budget exhaustion and deadline expiry are reported, never
-/// thrown or spun on.
+/// completed: who got what, who was evicted, and what ended it.  Every
+/// exit path of a reliable-control session is total and fills one of
+/// these — budget exhaustion and deadline expiry are reported, never
+/// thrown or spun on.  The counts behind the outcome (evictions, failed
+/// units, retries, shed frames) stay in the engine's own counters.
 struct PartialDeliveryReport {
   bool complete = false;          ///< every receiver delivered every unit
   bool deadline_expired = false;  ///< the session Deadline ended the run
+  bool overloaded = false;        ///< ShedPolicy::kRefuse ended the run
   /// delivered[r][u]: receiver r completed unit u (TG for NP/UDP,
   /// application packet for layered).
   std::vector<std::vector<bool>> delivered;
   std::vector<bool> evicted;      ///< receivers evicted for silence
-  std::uint64_t evictions = 0;
-  std::uint64_t units_failed = 0; ///< units whose retry/parity budget ran out
-  std::uint64_t poll_retries = 0; ///< sender re-POLLs after silent rounds
-  std::uint64_t nak_retries = 0;  ///< receiver NAK retransmissions
-
-  // Overload outcomes (net/overload.hpp; zero/false on unhardened runs).
-  std::uint64_t shed_frames = 0;  ///< staged frames dropped under pushback
-  std::uint64_t quarantined = 0;  ///< members shifted to parity catch-up
-  bool overloaded = false;        ///< ShedPolicy::kRefuse ended the run
 
   // Hostile-peer outcome (net/peer_guard.hpp; zero on unguarded runs).
   /// Members banished for hostile behaviour (PeerGuard ban).  An

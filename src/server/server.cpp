@@ -396,6 +396,14 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
       s.journal->journal().inject_write_failure(cfg_.faults.journal_fail_every);
   }
 
+  // Drops a session that never started.  A fresh journal goes with it:
+  // left on disk, the next life's resume_journaled_sessions would
+  // resubmit a session that never ran.
+  const auto abandon = [&] {
+    s.journal.reset();
+    if (!resuming) remove_session_files(s);
+  };
+
   // Socket creation can fail (fd limit) — for real or by injection.  An
   // exhausted descriptor table refuses the admission; it never crashes
   // the server or strands a half-built session.
@@ -444,8 +452,7 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
       s.adversary->join(group);
     }
   } catch (const std::system_error&) {
-    s.journal.reset();
-    if (!resuming) remove_session_files(s);  // fresh journal: nothing to keep
+    abandon();
     server_metrics_.inc("sessions_refused");
     return false;
   }
@@ -456,32 +463,38 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
     sender_socket->inject_send_errno_every(EAGAIN, cfg_.faults.send_eagain_every,
                                            cfg_.faults.send_eagain_burst);
 
-  for (std::size_t r = 0; r < s.spec.receivers; ++r) {
-    ReceiverSessionDriver::Options opt;
-    opt.idle_timeout = cfg_.receiver_idle_timeout;
-    opt.data_loss = s.spec.data_loss;
-    opt.rng = Rng(s.spec.seed ^ (id * 0x9E3779B97F4A7C15ull))
-                  .split(0xA000 + r);
-    opt.impairment = s.spec.impairment;
-    opt.resume_decoded = std::move(recv_resume[r]);
-    opt.resume_incarnation = recv_inc[r];
-    opt.expected = &s.spec.groups;
-    s.receivers.push_back(std::make_unique<ReceiverSessionDriver>(
-        reactor_, std::move(receiver_sockets[r]), sender_port, num_tgs, np,
-        std::move(opt),
-        [this, id] {
-          Session& owner = *sessions_.at(id);
-          ++owner.receivers_finished;
+  // The drivers' cores check NP's parameters and throw on bad ones.
+  try {
+    for (std::size_t r = 0; r < s.spec.receivers; ++r) {
+      ReceiverSessionDriver::Options opt;
+      opt.idle_timeout = cfg_.receiver_idle_timeout;
+      opt.data_loss = s.spec.data_loss;
+      opt.rng = Rng(s.spec.seed ^ (id * 0x9E3779B97F4A7C15ull))
+                    .split(0xA000 + r);
+      opt.impairment = s.spec.impairment;
+      opt.resume_decoded = std::move(recv_resume[r]);
+      opt.resume_incarnation = recv_inc[r];
+      opt.expected = &s.spec.groups;
+      s.receivers.push_back(std::make_unique<ReceiverSessionDriver>(
+          reactor_, std::move(receiver_sockets[r]), sender_port, num_tgs, np,
+          std::move(opt),
+          [this, id] {
+            Session& owner = *sessions_.at(id);
+            ++owner.receivers_finished;
+            maybe_finish_session(id);
+          },
+          std::move(group_sockets[r])));
+    }
+    s.sender = std::make_unique<SenderSessionDriver>(
+        reactor_, std::move(*sender_socket), std::move(group), np,
+        s.spec.groups, [this, id] {
+          sessions_.at(id)->sender_finished = true;
           maybe_finish_session(id);
-        },
-        std::move(group_sockets[r])));
+        });
+  } catch (...) {
+    abandon();
+    throw;
   }
-  s.sender = std::make_unique<SenderSessionDriver>(
-      reactor_, std::move(*sender_socket), std::move(group), np, s.spec.groups,
-      [this, id] {
-        sessions_.at(id)->sender_finished = true;
-        maybe_finish_session(id);
-      });
 
   s.metrics.set_string("state", "active");
   s.metrics.set_string("end_reason", "none");

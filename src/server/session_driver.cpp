@@ -361,7 +361,6 @@ void SenderSessionDriver::session_over() {
         (static_cast<double>(cfg_.k) * static_cast<double>(groups_.size()));
   }
   stats_.report = core_.report();
-  if (cfg_.reliable_control) stats_.report.shed_frames = stats_.shed_frames;
   disarm_timer();
   disarm_flush_timer();
   bursting_ = false;

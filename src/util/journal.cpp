@@ -65,8 +65,8 @@ std::vector<std::uint8_t> read_file(int fd, const std::string& path) {
   return bytes;
 }
 
-/// fsync the directory containing `path`, so a freshly renamed file's
-/// directory entry is durable too.  Best-effort: some filesystems refuse.
+}  // namespace
+
 void sync_parent_dir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   const std::string dir = slash == std::string::npos
@@ -77,8 +77,6 @@ void sync_parent_dir(const std::string& path) {
   (void)::fsync(dfd);
   ::close(dfd);
 }
-
-}  // namespace
 
 std::vector<std::uint8_t> encode_journal_record(
     std::uint32_t type, std::span<const std::uint8_t> payload) {

@@ -58,6 +58,10 @@ std::vector<std::uint8_t> encode_journal_record(
 /// harness both go through it, so fuzz coverage is recovery coverage.
 JournalScanResult scan_journal(std::span<const std::uint8_t> bytes);
 
+/// fsync the directory containing `path`, so a freshly renamed file's
+/// directory entry is durable too.  Best-effort: some filesystems refuse.
+void sync_parent_dir(const std::string& path);
+
 struct JournalConfig {
   /// fsync after every Nth append; 0 = never (OS-buffered).
   std::size_t sync_every = 0;

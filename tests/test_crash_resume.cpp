@@ -97,7 +97,7 @@ TEST_F(CrashResumeTest, CrashAtEveryPacketStillDeliversExactlyOnce) {
   ASSERT_TRUE(clean.complete);
   const std::uint64_t total_tx = clean.last.data_sent + clean.last.parity_sent +
                                  clean.last.proactive_sent +
-                                 clean.last.polls_sent;
+                                 clean.last.sender.polls_sent;
   ASSERT_GE(total_tx, 3u * base.np.k);
 
   for (std::uint64_t i = 0; i <= total_tx; ++i) {
@@ -121,7 +121,7 @@ TEST_F(CrashResumeTest, CrashAtEveryPacketStillDeliversExactlyOnce) {
     // Journaled completions are never re-sent: in the final life every
     // TG is either skipped outright or transmitted exactly once.
     EXPECT_EQ(report.last.data_sent,
-              (report.state.num_tgs - report.last.resumed_tgs_skipped) *
+              (report.state.num_tgs - report.last.sender.tgs_skipped) *
                   base.np.k)
         << "crash index " << i;
   }
@@ -187,7 +187,9 @@ TEST_F(CrashResumeTest, CallerHooksFireAfterTheJournals) {
   EXPECT_GT(parity_hooks, 0u);  // 10 % loss needs repair
 }
 
-TEST_F(CrashResumeTest, TransferResumableVerifiesTheBlob) {
+TEST_F(CrashResumeTest, ThreeLivesDeliverASegmentedFile) {
+  // A file cut into TGs (segment_blob) reaches every receiver intact
+  // after two scripted crashes: the third life completes.
   ResumableConfig cfg = issue_config(temp_path());
   cfg.np.h = 8;  // headroom: the lossy channel must never exhaust a TG
   cfg.crash_plan = {5, 13};
@@ -195,12 +197,14 @@ TEST_F(CrashResumeTest, TransferResumableVerifiesTheBlob) {
   std::vector<std::uint8_t> blob(777);
   for (auto& b : blob) b = static_cast<std::uint8_t>(rng());
   loss::BernoulliLossModel model(0.05);
-  const auto report =
-      transfer_resumable(blob, model, 3, cfg, chaos_seed(21));
-  EXPECT_TRUE(report.session.complete);
-  EXPECT_TRUE(report.blob_verified);
-  EXPECT_EQ(report.payload_bytes, blob.size());
-  EXPECT_EQ(report.session.incarnations, 3u);
+  const auto report = run_resumable_session(
+      model, 3, segment_blob(blob, cfg.np.k, cfg.np.packet_len), cfg,
+      chaos_seed(21));
+  EXPECT_TRUE(report.complete);
+  EXPECT_TRUE(report.last.all_delivered);
+  EXPECT_EQ(report.incarnations, 3u);
+  EXPECT_EQ(report.state.incarnation, 2u);
+  EXPECT_TRUE(report.state.all_complete());
 }
 
 TEST_F(CrashResumeTest, RequiresJournalPathAndData) {
@@ -240,16 +244,16 @@ TEST(NpIncarnation, StalePacketsFromADeadLifeAreRejected) {
     const auto stats = session.run();
     if (!lives.stale) {
       EXPECT_TRUE(stats.all_delivered);
-      EXPECT_EQ(stats.stale_rejected, 0u);
+      EXPECT_EQ(stats.receivers.stale_rejected, 0u);
       continue;
     }
     EXPECT_FALSE(stats.all_delivered);
     // The wire still carries the packets (packet_deliveries is a channel
     // counter), but the protocol refuses every one of them: nothing is
     // decoded, everything is counted stale.
-    EXPECT_EQ(stats.packets_decoded, 0u);
-    EXPECT_GE(stats.stale_rejected, stats.packet_deliveries);
-    EXPECT_GT(stats.stale_rejected, 0u);
+    EXPECT_EQ(stats.receivers.decoded, 0u);
+    EXPECT_GE(stats.receivers.stale_rejected, stats.packet_deliveries);
+    EXPECT_GT(stats.receivers.stale_rejected, 0u);
   }
 }
 

@@ -69,29 +69,36 @@ std::string counters(const net::ImpairmentStats& s) {
   return o.str();
 }
 
-std::string counters(const PartialDeliveryReport& r) {
+// The report's outcome, then the counts behind it, which each engine
+// keeps in its own counters.
+std::string counters(const PartialDeliveryReport& r, std::uint64_t evictions,
+                     std::uint64_t failed, std::uint64_t poll_retries,
+                     std::uint64_t nak_retries) {
   std::ostringstream o;
   o << "report=" << r.complete << '/' << r.deadline_expired << '/'
-    << r.evictions << '/' << r.units_failed << '/' << r.poll_retries << '/'
-    << r.nak_retries;
+    << evictions << '/' << failed << '/' << poll_retries << '/'
+    << nak_retries;
   return o.str();
 }
 
 std::string counters(const NpStats& s) {
+  const auto& tx = s.sender;
+  const auto& rx = s.receivers;
+  const std::uint64_t failed = tx.tgs_exhausted + tx.tgs_unconfirmed;
   std::ostringstream o;
   o << "data=" << s.data_sent << " parity=" << s.parity_sent
-    << " proactive=" << s.proactive_sent << " polls=" << s.polls_sent
-    << " naks=" << s.naks_sent << " suppressed=" << s.naks_suppressed
-    << " dups=" << s.duplicate_receptions
-    << " deliveries=" << s.packet_deliveries
-    << " encoded=" << s.parities_encoded << " decoded=" << s.packets_decoded
-    << " completed=" << s.tgs_completed << " failed=" << s.tgs_failed
-    << " delivered=" << s.all_delivered << " acks=" << s.acks_sent << '/'
-    << s.acks_received << " retries=" << s.poll_retries << '/'
-    << s.nak_retries << " evictions=" << s.evictions
-    << " crashed=" << s.sender_crashed << " stale=" << s.stale_rejected
-    << " skipped=" << s.resumed_tgs_skipped << ' ' << counters(s.impairment)
-    << ' ' << counters(s.report);
+    << " proactive=" << s.proactive_sent << " polls=" << tx.polls_sent
+    << " naks=" << rx.naks_sent << " suppressed=" << rx.naks_suppressed
+    << " dups=" << rx.duplicates << " deliveries=" << s.packet_deliveries
+    << " encoded=" << s.parities_encoded << " decoded=" << rx.decoded
+    << " completed=" << tx.tgs_completed << " failed=" << failed
+    << " delivered=" << s.all_delivered << " acks=" << rx.acks_sent << '/'
+    << tx.acks_received << " retries=" << tx.poll_retries << '/'
+    << rx.nak_retries << " evictions=" << tx.evictions
+    << " crashed=" << s.sender_crashed << " stale=" << rx.stale_rejected
+    << " skipped=" << tx.tgs_skipped << ' ' << counters(s.impairment) << ' '
+    << counters(s.report, tx.evictions, failed, tx.poll_retries,
+                rx.nak_retries);
   return o.str();
 }
 
@@ -106,7 +113,9 @@ std::string counters(const LayeredStats& s) {
     << s.nak_retries << " late=" << s.late_naks
     << " evictions=" << s.evictions
     << " unconfirmed=" << s.blocks_unconfirmed << ' '
-    << counters(s.impairment) << ' ' << counters(s.report);
+    << counters(s.impairment) << ' '
+    << counters(s.report, s.evictions, s.blocks_unconfirmed, s.poll_retries,
+                s.nak_retries);
   return o.str();
 }
 
@@ -209,7 +218,7 @@ TEST(DesPins, NpReliableEvictsReceiversSilencedByControlLoss) {
   cfg.impairment.seed = 404;
   cfg.impairment.control_drop = 0.35;
   const auto run = run_np(model, 6, 4, cfg, 404);
-  EXPECT_GT(run.stats.evictions, 0u);
+  EXPECT_GT(run.stats.sender.evictions, 0u);
   EXPECT_FALSE(run.stats.report.complete);
   EXPECT_EQ(counters(run.stats),
             "data=32 parity=4 proactive=0 polls=13 naks=5 suppressed=0 "

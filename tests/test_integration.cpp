@@ -74,7 +74,7 @@ TEST(Integration, NpFeedbackIsPerGroupNotPerPacket) {
   const auto arq_stats = arq.run();
   ASSERT_TRUE(np_stats.all_delivered);
   ASSERT_TRUE(arq_stats.all_delivered);
-  EXPECT_LE(np_stats.naks_sent, arq_stats.naks_sent + 5);
+  EXPECT_LE(np_stats.receivers.naks_sent, arq_stats.naks_sent + 5);
 }
 
 TEST(Integration, NpDuplicatesFarBelowArq) {
@@ -95,7 +95,7 @@ TEST(Integration, NpDuplicatesFarBelowArq) {
   const auto arq_stats = arq.run();
   ASSERT_TRUE(np_stats.all_delivered);
   ASSERT_TRUE(arq_stats.all_delivered);
-  EXPECT_LT(np_stats.duplicate_receptions * 2,
+  EXPECT_LT(np_stats.receivers.duplicates * 2,
             arq_stats.duplicate_receptions + 1);
 }
 

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -352,6 +353,27 @@ TEST(SessionState, ReceiverSerializationRoundTrips) {
                      std::span<const std::uint8_t>(image.data(), cut)),
                  std::invalid_argument)
         << "cut=" << cut;
+}
+
+TEST_F(JournalTest, ReceiverStateFileLeavesNoTempFileBehind) {
+  // The save writes a temp file, fsyncs it, renames it over `path` and
+  // fsyncs the directory; what a power cut leaves cannot be shown here.
+  // A save that fails (a rename onto a directory) throws and removes its
+  // temp file.
+  const std::string path = temp_path();
+  ReceiverSessionState st;
+  st.session_id = 3;
+  st.num_tgs = 3;
+  st.decoded = {true, false, true};
+  core::save_receiver_state_file(path, st);
+  EXPECT_EQ(core::load_receiver_state_file(path), st);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  std::filesystem::remove(path);
+  std::filesystem::create_directory(path);
+  EXPECT_THROW(core::save_receiver_state_file(path, st), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 TEST(SessionState, RecoverFoldsSnapshotAndDeltas) {

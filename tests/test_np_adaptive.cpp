@@ -57,11 +57,11 @@ TEST(NpProactive, ReducesFeedbackRounds) {
     NpSession a(model, 40, 8, plain, seed);
     const auto sa = a.run();
     ASSERT_TRUE(sa.all_delivered);
-    plain_naks += sa.naks_sent;
+    plain_naks += sa.receivers.naks_sent;
     NpSession b(model, 40, 8, proactive, seed);
     const auto sb = b.run();
     ASSERT_TRUE(sb.all_delivered);
-    pro_naks += sb.naks_sent;
+    pro_naks += sb.receivers.naks_sent;
   }
   EXPECT_LT(pro_naks, plain_naks / 2);
 }
@@ -129,7 +129,7 @@ TEST(NpAdaptive, CutsNakTrafficOverTime) {
   const auto sb = b.run();
   ASSERT_TRUE(sa.all_delivered);
   ASSERT_TRUE(sb.all_delivered);
-  EXPECT_LT(sb.naks_sent, sa.naks_sent);
+  EXPECT_LT(sb.receivers.naks_sent, sa.receivers.naks_sent);
 }
 
 }  // namespace

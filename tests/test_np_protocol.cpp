@@ -36,10 +36,10 @@ TEST(NpSession, LosslessDeliveryIsExactlyK) {
   EXPECT_TRUE(stats.all_delivered);
   EXPECT_EQ(stats.data_sent, 8u * 5u);
   EXPECT_EQ(stats.parity_sent, 0u);
-  EXPECT_EQ(stats.naks_sent, 0u);
+  EXPECT_EQ(stats.receivers.naks_sent, 0u);
   EXPECT_DOUBLE_EQ(stats.tx_per_packet, 1.0);
-  EXPECT_EQ(stats.tgs_completed, 5u);
-  EXPECT_EQ(stats.packets_decoded, 0u);  // nothing lost, nothing decoded
+  EXPECT_EQ(stats.sender.tgs_completed, 5u);
+  EXPECT_EQ(stats.receivers.decoded, 0u);  // nothing lost, nothing decoded
 }
 
 TEST(NpSession, RecoversUnderLoss) {
@@ -48,9 +48,9 @@ TEST(NpSession, RecoversUnderLoss) {
   const auto stats = session.run();
   EXPECT_TRUE(stats.all_delivered);
   EXPECT_GT(stats.parity_sent, 0u);
-  EXPECT_GT(stats.naks_sent, 0u);
-  EXPECT_GT(stats.packets_decoded, 0u);
-  EXPECT_EQ(stats.tgs_failed, 0u);
+  EXPECT_GT(stats.receivers.naks_sent, 0u);
+  EXPECT_GT(stats.receivers.decoded, 0u);
+  EXPECT_EQ(stats.sender.tgs_exhausted + stats.sender.tgs_unconfirmed, 0u);
 }
 
 TEST(NpSession, NeverRetransmitsData) {
@@ -124,13 +124,13 @@ TEST(NpSession, SuppressionKeepsNaksNearOnePerRound)
   NpSession session(model, 100, 10, cfg, 3);
   const auto stats = session.run();
   ASSERT_TRUE(stats.all_delivered);
-  ASSERT_GT(stats.naks_sent, 0u);
+  ASSERT_GT(stats.receivers.naks_sent, 0u);
   // Rounds with feedback = polls that got answered; NAKs sent should be a
   // small multiple of that, and many receivers' NAKs suppressed.
-  EXPECT_GT(stats.naks_suppressed, 0u);
+  EXPECT_GT(stats.receivers.naks_suppressed, 0u);
   const double naks_per_feedback_round =
-      static_cast<double>(stats.naks_sent) /
-      static_cast<double>(stats.polls_sent);
+      static_cast<double>(stats.receivers.naks_sent) /
+      static_cast<double>(stats.sender.polls_sent);
   EXPECT_LT(naks_per_feedback_round, 3.0);
 }
 
@@ -147,7 +147,7 @@ TEST(NpSession, DuplicatesStayLow) {
   // one-duplicate-per-retransmission-per-receiver behaviour of plain ARQ
   // (cross-checked against ArqSession in test_integration.cpp).
   const double dup_rate =
-      static_cast<double>(stats.duplicate_receptions) /
+      static_cast<double>(stats.receivers.duplicates) /
       (static_cast<double>(stats.data_sent + stats.parity_sent) * 50.0);
   EXPECT_LT(dup_rate, 0.25);
 }
@@ -166,7 +166,7 @@ TEST(NpSession, ParityBudgetExhaustionIsReported) {
   NpSession session(model, 20, 2, cfg, 13);
   const auto stats = session.run();
   EXPECT_FALSE(stats.all_delivered);
-  EXPECT_GT(stats.tgs_failed, 0u);
+  EXPECT_GT(stats.sender.tgs_exhausted + stats.sender.tgs_unconfirmed, 0u);
 }
 
 TEST(NpSession, DeterministicForSameSeed) {
@@ -177,7 +177,7 @@ TEST(NpSession, DeterministicForSameSeed) {
   const auto sb = b.run();
   EXPECT_EQ(sa.data_sent, sb.data_sent);
   EXPECT_EQ(sa.parity_sent, sb.parity_sent);
-  EXPECT_EQ(sa.naks_sent, sb.naks_sent);
+  EXPECT_EQ(sa.receivers.naks_sent, sb.receivers.naks_sent);
   EXPECT_DOUBLE_EQ(sa.completion_time, sb.completion_time);
 }
 
@@ -188,7 +188,7 @@ TEST(NpSession, ScalesToManyReceivers) {
   EXPECT_TRUE(stats.all_delivered);
   // Feedback is per TG, not per packet/receiver: far fewer NAKs than
   // receivers-times-packets.
-  EXPECT_LT(stats.naks_sent, 500u);
+  EXPECT_LT(stats.receivers.naks_sent, 500u);
 }
 
 TEST(NpSession, SourceDataExposedForVerification) {
@@ -221,13 +221,13 @@ TEST(NpReliableControl, CleanRunDeliversAndFillsReport) {
   EXPECT_TRUE(stats.all_delivered);
   EXPECT_TRUE(stats.report.complete);
   EXPECT_DOUBLE_EQ(stats.report.completion_fraction(), 1.0);
-  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.sender.evictions, 0u);
   // Every receiver positively acknowledges every TG (proactively on
   // completion and again in answer to the POLL), and with a clean
   // channel every ACK arrives.
-  EXPECT_GE(stats.acks_received, 6u * 4u);
-  EXPECT_EQ(stats.acks_received, stats.acks_sent);
-  EXPECT_EQ(stats.poll_retries, 0u);
+  EXPECT_GE(stats.sender.acks_received, 6u * 4u);
+  EXPECT_EQ(stats.sender.acks_received, stats.receivers.acks_sent);
+  EXPECT_EQ(stats.sender.poll_retries, 0u);
 }
 
 TEST(NpReliableControl, ExactlyOnceUnderHeavyControlLoss) {
@@ -247,12 +247,12 @@ TEST(NpReliableControl, ExactlyOnceUnderHeavyControlLoss) {
   NpSession session(model, 10, 5, cfg, chaos_seed(3));
   const auto stats = session.run();
   EXPECT_TRUE(stats.all_delivered);
-  EXPECT_EQ(stats.tgs_completed, 5u);
-  EXPECT_EQ(stats.tgs_failed, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.sender.tgs_completed, 5u);
+  EXPECT_EQ(stats.sender.tgs_exhausted + stats.sender.tgs_unconfirmed, 0u);
+  EXPECT_EQ(stats.sender.evictions, 0u);
   EXPECT_TRUE(stats.report.complete) << stats.report.summary();
   // Recovery leaves traces: lost control must have forced retries.
-  EXPECT_GT(stats.poll_retries + stats.nak_retries, 0u);
+  EXPECT_GT(stats.sender.poll_retries + stats.receivers.nak_retries, 0u);
   EXPECT_GT(stats.impairment.control_dropped, 0u);
 }
 
@@ -266,9 +266,9 @@ TEST(NpReliableControl, DeterministicForSameSeed) {
   NpSession b(model, 8, 4, cfg, seed);
   const auto sa = a.run();
   const auto sb = b.run();
-  EXPECT_EQ(sa.poll_retries, sb.poll_retries);
-  EXPECT_EQ(sa.nak_retries, sb.nak_retries);
-  EXPECT_EQ(sa.acks_received, sb.acks_received);
+  EXPECT_EQ(sa.sender.poll_retries, sb.sender.poll_retries);
+  EXPECT_EQ(sa.receivers.nak_retries, sb.receivers.nak_retries);
+  EXPECT_EQ(sa.sender.acks_received, sb.sender.acks_received);
   EXPECT_EQ(sa.parity_sent, sb.parity_sent);
   EXPECT_DOUBLE_EQ(sa.completion_time, sb.completion_time);
 }

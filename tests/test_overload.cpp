@@ -308,10 +308,9 @@ TEST_F(OverloadTest, QuarantineUnblocksGroupCompletion) {
     EXPECT_EQ(receivers[r]->payload_mismatches(), 0u);
   }
   // The straggler was resolved: either caught up (complete) or evicted —
-  // in both cases the sender's report accounts for it.
-  const auto& rep = sender.stats().report;
-  EXPECT_TRUE(receivers[2]->result().complete || rep.evictions > 0)
-      << rep.summary();
+  // in both cases the sender accounts for it.
+  EXPECT_TRUE(receivers[2]->result().complete || sender.stats().evictions > 0)
+      << sender.stats().report.summary();
 }
 
 TEST_F(OverloadTest, RefusePolicyYieldsStructuredPartialDelivery) {

@@ -38,7 +38,7 @@ TEST(NpRobustness, ZeroParityBudgetFailsCleanly) {
   const auto stats = session.run();
   EXPECT_FALSE(stats.all_delivered);
   EXPECT_EQ(stats.parity_sent, 0u);
-  EXPECT_GT(stats.tgs_failed, 0u);
+  EXPECT_GT(stats.sender.tgs_exhausted + stats.sender.tgs_unconfirmed, 0u);
 }
 
 TEST(NpRobustness, SingleReceiver) {
@@ -51,7 +51,7 @@ TEST(NpRobustness, SingleReceiver) {
   const auto stats = session.run();
   EXPECT_TRUE(stats.all_delivered);
   // One receiver: no suppression possible, one NAK per repair round.
-  EXPECT_EQ(stats.naks_suppressed, 0u);
+  EXPECT_EQ(stats.receivers.naks_suppressed, 0u);
 }
 
 TEST(NpRobustness, LossyControlTerminatesButMayFail) {
@@ -99,7 +99,7 @@ TEST(NpRobustness, LargePopulationSoak) {
   NpSession session(model, 2000, 3, cfg, 13);
   const auto stats = session.run();
   EXPECT_TRUE(stats.all_delivered);
-  EXPECT_LT(stats.naks_sent, 2000u);
+  EXPECT_LT(stats.receivers.naks_sent, 2000u);
   EXPECT_LT(stats.tx_per_packet, 2.0);
 }
 
@@ -133,15 +133,16 @@ TEST(NpImpairment, DeliversUnderReorderDupCorruptAcrossLossRates) {
     const auto stats = session.run();
     EXPECT_TRUE(stats.all_delivered) << "p = " << p;
     // Exactly-once completion: no TG completes twice, none is left over.
-    EXPECT_EQ(stats.tgs_completed, 4u) << "p = " << p;
-    EXPECT_EQ(stats.tgs_failed, 0u) << "p = " << p;
+    EXPECT_EQ(stats.sender.tgs_completed, 4u) << "p = " << p;
+    EXPECT_EQ(stats.sender.tgs_exhausted + stats.sender.tgs_unconfirmed, 0u)
+        << "p = " << p;
     // The faults actually happened and were counted.
     EXPECT_GT(stats.impairment.duplicated, 0u);
     EXPECT_GT(stats.impairment.corrupted, 0u);
     EXPECT_GT(stats.impairment.corrupt_dropped, 0u);
     EXPECT_GT(stats.impairment.reordered, 0u);
     // Duplicated deliveries surface as duplicate receptions, not as data.
-    EXPECT_GT(stats.duplicate_receptions, 0u);
+    EXPECT_GT(stats.receivers.duplicates, 0u);
   }
 }
 
@@ -160,8 +161,8 @@ TEST(NpImpairment, SeededImpairmentIsReproducible) {
   const auto b = run_once();
   EXPECT_EQ(a.data_sent, b.data_sent);
   EXPECT_EQ(a.parity_sent, b.parity_sent);
-  EXPECT_EQ(a.naks_sent, b.naks_sent);
-  EXPECT_EQ(a.duplicate_receptions, b.duplicate_receptions);
+  EXPECT_EQ(a.receivers.naks_sent, b.receivers.naks_sent);
+  EXPECT_EQ(a.receivers.duplicates, b.receivers.duplicates);
   EXPECT_EQ(a.impairment.corrupt_dropped, b.impairment.corrupt_dropped);
   EXPECT_EQ(a.impairment.reordered, b.impairment.reordered);
   EXPECT_DOUBLE_EQ(a.completion_time, b.completion_time);

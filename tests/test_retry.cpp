@@ -234,8 +234,8 @@ TEST(ReliableControl, BackoffScheduleIsThreadInvariant) {
     NpSession session(model, 4, 2, cfg, rng());
     const auto stats = session.run();
     return stats.completion_time +
-           static_cast<double>(stats.poll_retries) * 1e3 +
-           static_cast<double>(stats.nak_retries) * 1e6;
+           static_cast<double>(stats.sender.poll_retries) * 1e3 +
+           static_cast<double>(stats.receivers.nak_retries) * 1e6;
   };
   sim::ReplicateOptions one;
   one.threads = 1;

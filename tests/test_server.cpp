@@ -308,6 +308,32 @@ TEST_F(ServerTest, SubmitRefusesPacketsThatAreNotPacketLen) {
   EXPECT_EQ(server.completed_sessions(), 1u);
 }
 
+TEST_F(ServerTest, RefusedSessionLeavesNoJournal) {
+  // The journal opens before the drivers, whose cores check the
+  // parameters.  A session they refuse must take its fresh journal with
+  // it, or the next life would resubmit a session that never ran.
+  ServerConfig cfg = base_config();
+  ASSERT_FALSE(cfg.journal_dir.empty());
+  ASSERT_TRUE(cfg.np.reliable_control);
+  cfg.np.retry.max_backoff = -1;
+  {
+    Reactor reactor;
+    MulticastServer server(reactor, cfg);
+    EXPECT_THROW(server.submit(make_spec(5, 2)), std::invalid_argument);
+    EXPECT_EQ(server.active_sessions(), 0u);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+
+  Reactor reactor;
+  MulticastServer next_life(reactor, base_config());
+  EXPECT_EQ(next_life.resume_journaled_sessions(
+                [&](const core::SenderSessionState& state) {
+                  return std::optional<MulticastServer::SessionSpec>(
+                      make_spec(state.session_id, 2));
+                }),
+            0u);
+}
+
 // One table of bad NP parameters through both engines.  The DES
 // NpSession and the server's drivers hand their config to the same core
 // checks, so each must refuse every row.

@@ -180,9 +180,6 @@ void expect_same_report(const protocol::PartialDeliveryReport& a,
   EXPECT_EQ(a.deadline_expired, b.deadline_expired);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.evicted, b.evicted);
-  EXPECT_EQ(a.evictions, b.evictions);
-  EXPECT_EQ(a.units_failed, b.units_failed);
-  EXPECT_EQ(a.poll_retries, b.poll_retries);
 }
 
 void expect_same_receivers(const SessionRun& a, const SessionRun& b) {

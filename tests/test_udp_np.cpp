@@ -515,8 +515,6 @@ TEST_P(UdpNpReliable, HopelessMemberBoundsRoundsAndCountsFailedTgs) {
   EXPECT_LE(stats.polls_sent,
             groups.size() * (cfg.h + cfg.retry.max_retries + 1));
   EXPECT_GT(stats.tgs_exhausted + stats.tgs_unconfirmed, 0u);
-  EXPECT_EQ(stats.report.units_failed,
-            stats.tgs_exhausted + stats.tgs_unconfirmed);
   EXPECT_FALSE(stats.report.complete) << stats.report.summary();
   EXPECT_TRUE(session.receivers[0].result.complete);
   EXPECT_FALSE(session.receivers[1].result.complete);
