@@ -8,7 +8,8 @@ namespace pbl::fec {
 
 TgEncoder::TgEncoder(std::uint32_t tg_id, const RseCode& code,
                      std::vector<std::vector<std::uint8_t>> data)
-    : tg_id_(tg_id), code_(&code), data_(std::move(data)) {
+    : tg_id_(tg_id), code_(&code), data_(std::move(data)),
+      views_(data_.begin(), data_.end()) {
   if (data_.size() != code_->k())
     throw std::invalid_argument("TgEncoder: need exactly k data packets");
   for (const auto& d : data_)
@@ -87,9 +88,7 @@ std::size_t TgEncoder::write_parity_frame(std::size_t j,
 }
 
 void TgEncoder::encode_parity(std::size_t j, std::span<std::uint8_t> out) {
-  const std::vector<std::span<const std::uint8_t>> views(data_.begin(),
-                                                         data_.end());
-  code_->encode_parity(j, views, out);
+  code_->encode_parity(j, views_, out);
   ++encoded_count_;
 }
 
@@ -140,30 +139,29 @@ const std::vector<std::vector<std::uint8_t>>& TgDecoder::reconstruct() {
     throw std::logic_error("TgDecoder: not enough packets to reconstruct");
 
   // Each received data shard moves into the reconstruction, so its bytes
-  // stay in the buffer add(Packet&&) took; RseCode::decode skips the copy
-  // of an output that aliases its input.  Only the l missing packets get
-  // fresh buffers: they cannot reuse a chosen parity shard, since every
-  // output reads every chosen input.
+  // stay in the buffer add(Packet&&) took.  Only the l missing packets
+  // get fresh buffers, and the solve runs in the parity shards this
+  // decoder owns: they become the syndromes, which every missing packet
+  // reads, so none of them can double as an output.
   const std::size_t k = code_->k();
   std::vector<std::vector<std::uint8_t>> out(k);
-  std::vector<Shard> received;
-  received.reserve(received_count_);
-  std::size_t missing = 0;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (i >= k) {
-      if (shards_[i]) received.push_back({i, *shards_[i]});
-    } else if (shards_[i]) {
+  std::vector<std::size_t> lost;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (shards_[i]) {
       out[i] = std::move(*shards_[i]);
-      received.push_back({i, out[i]});
     } else {
       out[i].resize(packet_len_);
-      ++missing;
+      lost.push_back(i);
     }
   }
-  std::vector<std::span<std::uint8_t>> views(out.begin(), out.end());
-  code_->decode(received, views);
+  std::vector<ParityShard> parity;
+  parity.reserve(lost.size());
+  for (std::size_t i = k; i < shards_.size() && parity.size() < lost.size(); ++i)
+    if (shards_[i]) parity.push_back({i, *shards_[i]});
+  const std::vector<std::span<std::uint8_t>> views(out.begin(), out.end());
+  code_->decode_in_place(views, lost, parity);
 
-  decoded_packets_ += missing;
+  decoded_packets_ += lost.size();
   result_ = std::move(out);
   // The shards are spent: parity buffers go, and result_ now marks every
   // later packet of the block a duplicate.

@@ -22,6 +22,12 @@ class TgEncoder {
   /// `data` must contain exactly k equal-length packets.
   TgEncoder(std::uint32_t tg_id, const RseCode& code,
             std::vector<std::vector<std::uint8_t>> data);
+  // Move-only: the encode views point into the packets' buffers, which a
+  // move hands over and a copy would not.
+  TgEncoder(const TgEncoder&) = delete;
+  TgEncoder& operator=(const TgEncoder&) = delete;
+  TgEncoder(TgEncoder&&) noexcept = default;
+  TgEncoder& operator=(TgEncoder&&) noexcept = default;
 
   std::uint32_t tg_id() const noexcept { return tg_id_; }
   std::size_t k() const noexcept { return code_->k(); }
@@ -66,6 +72,7 @@ class TgEncoder {
   std::uint32_t tg_id_;
   const RseCode* code_;
   std::vector<std::vector<std::uint8_t>> data_;
+  std::vector<std::span<const std::uint8_t>> views_;  // of data_, for encode
   std::size_t encoded_count_ = 0;
 };
 

@@ -1,20 +1,35 @@
 #include "fec/rse_code.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace pbl::fec {
 
-RseCode::RseCode(std::size_t k, std::size_t n)
-    : k_(k), n_(n), gf_(gf::Gf256::instance()),
-      generator_(gf::Matrix::systematic_generator(gf_.field(), n, k)) {
+namespace {
+
+/// The generator of the (k, n) code, shared by every code of that shape.
+/// The shape is checked first, so a bad one never enters the cache.  A
+/// shape's generator is built once, under the lock, and kept for the
+/// life of the process (a handful of shapes, a few KiB each).
+const gf::Matrix& shared_generator(std::size_t k, std::size_t n) {
   if (k == 0 || k > n) throw std::invalid_argument("RseCode: need 0 < k <= n");
   if (n > 255)
     throw std::invalid_argument("RseCode: GF(2^8) limits the block to n <= 255");
+  static std::mutex mu;
+  static std::map<std::pair<std::size_t, std::size_t>,
+                  std::unique_ptr<const gf::Matrix>>
+      cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = cache[{k, n}];
+  if (!slot)
+    slot = std::make_unique<const gf::Matrix>(gf::Matrix::systematic_generator(
+        gf::Gf256::instance().field(), n, k));
+  return *slot;
 }
-
-namespace {
 
 void check_equal_lengths(std::span<const std::span<const std::uint8_t>> data) {
   for (std::size_t i = 1; i < data.size(); ++i)
@@ -23,6 +38,10 @@ void check_equal_lengths(std::span<const std::span<const std::uint8_t>> data) {
 }
 
 }  // namespace
+
+RseCode::RseCode(std::size_t k, std::size_t n)
+    : k_(k), n_(n), gf_(gf::Gf256::instance()),
+      generator_(&shared_generator(k, n)) {}
 
 void RseCode::encode_parity(std::size_t j,
                             std::span<const std::span<const std::uint8_t>> data,
@@ -34,7 +53,7 @@ void RseCode::encode_parity(std::size_t j,
     throw std::invalid_argument("RseCode: output length mismatch");
   // The first contribution assigns instead of accumulating (mul_assign
   // with c == 0 zero-fills), saving a clear pass over the output.
-  const auto row = generator_.row(k_ + j);
+  const auto row = generator_->row(k_ + j);
   gf_.mul_assign(out.data(), data[0].data(), out.size(),
                  static_cast<std::uint8_t>(row[0]));
   for (std::size_t i = 1; i < k_; ++i) {
@@ -67,6 +86,7 @@ void RseCode::decode(std::span<const Shard> received,
   }
   for (const auto& s : received)
     if (s.index < k_ && chosen.size() < k_) chosen.push_back(&s);
+  const std::size_t data_chosen = chosen.size();
   for (const auto& s : received)
     if (s.index >= k_ && chosen.size() < k_) chosen.push_back(&s);
 
@@ -78,35 +98,83 @@ void RseCode::decode(std::span<const Shard> received,
     if (o.size() != len)
       throw std::invalid_argument("RseCode: output length mismatch");
 
-  // Which data packets are already present?
-  std::vector<bool> have_data(k_, false);
-  for (const auto* s : chosen)
-    if (s->index < k_) {
-      have_data[s->index] = true;
-      auto& dst = out[s->index];
-      if (dst.data() != s->data.data())
-        std::memcpy(dst.data(), s->data.data(), len);
-    }
-
-  if (std::all_of(have_data.begin(), have_data.end(), [](bool b) { return b; }))
+  // Received data packets copy through (unless already in place).
+  for (std::size_t c = 0; c < data_chosen; ++c) {
+    const Shard& s = *chosen[c];
+    const auto& dst = out[s.index];
+    if (dst.data() != s.data.data()) std::memcpy(dst.data(), s.data.data(), len);
+  }
+  if (data_chosen == k_)
     return;  // nothing lost: no decoding required (paper, Section 2.1)
 
-  // Invert the k x k decode matrix formed by the chosen generator rows.
-  std::vector<std::size_t> rows(k_);
-  for (std::size_t i = 0; i < k_; ++i) rows[i] = chosen[i]->index;
-  const gf::Matrix dec =
-      generator_.select_rows(rows).inverted();  // d = dec * y
+  std::vector<std::size_t> lost;
+  lost.reserve(k_ - data_chosen);
+  for (std::size_t i = 0; i < k_; ++i)
+    if (!index_seen[i]) lost.push_back(i);
+  // The received parities are read-only, so the syndromes go to a copy.
+  std::vector<std::uint8_t> scratch(lost.size() * len);
+  std::vector<ParityShard> parity(lost.size());
+  for (std::size_t a = 0; a < lost.size(); ++a) {
+    const Shard& s = *chosen[data_chosen + a];
+    parity[a] = {s.index, {scratch.data() + a * len, len}};
+    std::memcpy(parity[a].data.data(), s.data.data(), len);
+  }
+  decode_in_place(out, lost, parity);
+}
 
-  // Reconstruct only the missing data packets: d_i = sum_j dec[i][j] y_j.
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (have_data[i]) continue;
-    auto dst = out[i];
-    gf_.mul_assign(dst.data(), chosen[0]->data.data(), len,
-                   static_cast<std::uint8_t>(dec.at(i, 0)));
-    for (std::size_t j = 1; j < k_; ++j) {
-      gf_.mul_add(dst.data(), chosen[j]->data.data(), len,
-                  static_cast<std::uint8_t>(dec.at(i, j)));
-    }
+void RseCode::decode_in_place(std::span<const std::span<std::uint8_t>> data,
+                              std::span<const std::size_t> lost,
+                              std::span<const ParityShard> parity) const {
+  if (data.size() != k_) throw std::invalid_argument("RseCode: need k data buffers");
+  const std::size_t l = lost.size();
+  if (parity.size() < l)
+    throw std::invalid_argument("RseCode: need a parity shard per lost packet");
+  const std::size_t len = data[0].size();
+  for (const auto& d : data)
+    if (d.size() != len)
+      throw std::invalid_argument("RseCode: packets must have equal length");
+  std::array<bool, 255> is_lost{};
+  for (const std::size_t i : lost) {
+    if (i >= k_ || is_lost[i])
+      throw std::invalid_argument("RseCode: bad lost data index");
+    is_lost[i] = true;
+  }
+  std::array<bool, 255> parity_seen{};
+  for (std::size_t a = 0; a < l; ++a) {
+    const ParityShard& p = parity[a];
+    if (p.index < k_ || p.index >= n_ || parity_seen[p.index])
+      throw std::invalid_argument("RseCode: bad parity shard index");
+    if (p.data.size() != len)
+      throw std::invalid_argument("RseCode: packets must have equal length");
+    parity_seen[p.index] = true;
+  }
+  if (l == 0) return;
+
+  // Parity row J_a reads y = P_{J_a,D} x_D + P_{J_a,L} x_L.  Adding the
+  // survivors' share leaves the syndrome s_a = P_{J_a,L} x_L.
+  for (std::size_t a = 0; a < l; ++a) {
+    const auto row = generator_->row(parity[a].index);
+    std::uint8_t* s = parity[a].data.data();
+    for (std::size_t i = 0; i < k_; ++i)
+      if (!is_lost[i])
+        gf_.mul_add(s, data[i].data(), len, static_cast<std::uint8_t>(row[i]));
+  }
+
+  // x_L = (P_{J,L})^{-1} s: an l x l inverse (any l x l block of the
+  // parity rows is invertible, the MDS property), applied in l^2 ops.
+  gf::Matrix coupling(gf_.field(), l, l);
+  for (std::size_t a = 0; a < l; ++a) {
+    const auto row = generator_->row(parity[a].index);
+    for (std::size_t b = 0; b < l; ++b) coupling.at(a, b) = row[lost[b]];
+  }
+  const gf::Matrix inv = coupling.inverted();
+  for (std::size_t b = 0; b < l; ++b) {
+    std::uint8_t* dst = data[lost[b]].data();
+    gf_.mul_assign(dst, parity[0].data.data(), len,
+                   static_cast<std::uint8_t>(inv.at(b, 0)));
+    for (std::size_t a = 1; a < l; ++a)
+      gf_.mul_add(dst, parity[a].data.data(), len,
+                  static_cast<std::uint8_t>(inv.at(b, a)));
   }
 }
 
