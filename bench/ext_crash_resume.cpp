@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
             cfg.np.h = 8 * k;
             cfg.np.packet_len = 64;
             cfg.np.reliable_control = true;
-            cfg.checkpoint_interval = interval;
+            cfg.journal.checkpoint_interval = interval;
             cfg.crash_plan = {k * tgs / 3, k * tgs / 2};
             cfg.journal_path = tmpdir + "/pbl_crash_bench_" +
                                std::to_string(seed) + "_" +

@@ -8,8 +8,8 @@
 //   hardened  — bounded arena (one frame), token-bucket pacing, runtime
 //               NAK suppression with a per-round feedback budget.
 //
-// Every session still completes byte-perfect in both modes (the shed
-// policy stays `defer`, which is lossless); what the sweep shows is HOW
+// Every session still completes byte-perfect in both modes (pushback
+// only defers a burst, it never drops one); what the sweep shows is HOW
 // the server degrades: goodput (delivered data packets/s) and the
 // p99 session-completion bucket should fall smoothly with load rather
 // than collapse, and the hardened mode's would_block/arena-deferral

@@ -100,8 +100,6 @@ int main(int argc, char** argv) {
   // Overload hardening (docs/ROBUSTNESS.md): all knobs default off.
   const double pace_rate = cli.get_double("pace-rate", 0.0);
   const double pace_burst = cli.get_double("pace-burst", 16.0);
-  const double stall_timeout = cli.get_double("stall-timeout", 0.0);
-  const std::string shed_policy = cli.get_string("shed-policy", "defer");
   const bool nak_suppression = cli.get_bool("nak-suppression", false);
   const double nak_slot = cli.get_double("nak-slot", 0.0);
   const int feedback_budget = cli.get_int("feedback-budget", 0);
@@ -146,15 +144,6 @@ int main(int argc, char** argv) {
   cfg.np.retry.session_deadline = session_deadline;
   cfg.np.overload.pace_rate = pace_rate;
   cfg.np.overload.pace_burst = pace_burst;
-  cfg.np.overload.stall_timeout = stall_timeout;
-  if (shed_policy == "drop") {
-    cfg.np.overload.shed_policy = pbl::net::ShedPolicy::kDropNewestParity;
-  } else if (shed_policy == "refuse") {
-    cfg.np.overload.shed_policy = pbl::net::ShedPolicy::kRefuse;
-  } else if (shed_policy != "defer") {
-    std::cerr << "unknown --shed-policy (want defer|drop|refuse)\n";
-    return 2;
-  }
   cfg.np.overload.nak_suppression = nak_suppression;
   cfg.np.overload.nak_slot = nak_slot;
   cfg.np.overload.feedback_budget = static_cast<std::size_t>(feedback_budget);
@@ -243,7 +232,7 @@ int main(int argc, char** argv) {
   std::printf(
       "multicast_server: backend=%s submitted=%zu resumed=%zu refused=%zu "
       "completed=%llu failed=%llu drained=%llu redelivered_prior=%llu "
-      "payload_mismatches=%llu would_block=%llu shed=%llu suppressed=%llu "
+      "payload_mismatches=%llu would_block=%llu suppressed=%llu "
       "quarantined=%llu faults=%llu peer_rejected=%llu peer_banned=%llu\n",
       reactor.backend() == pbl::server::Reactor::Backend::kEpoll ? "epoll"
                                                                  : "poll",
@@ -254,7 +243,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(redelivered),
       static_cast<unsigned long long>(mismatches),
       static_cast<unsigned long long>(sm.counter("would_block_total")),
-      static_cast<unsigned long long>(sm.counter("total_shed_frames")),
       static_cast<unsigned long long>(sm.counter("total_naks_suppressed")),
       static_cast<unsigned long long>(sm.counter("total_members_quarantined")),
       static_cast<unsigned long long>(sm.counter("fault_injected_send") +

@@ -348,7 +348,7 @@ ResumableReport run_resumable_session(const loss::LossModel& loss,
     protocol::NpConfig np = config.np;
     const auto sj =
         open_session_journal(config.journal_path, seed, data.size(), np,
-                             {config.checkpoint_interval, config.sync_every});
+                             config.journal);
     report.incarnations = life + 1;
     np.resume.receiver_incarnation = receiver_incarnation;
     np.resume.receiver_decoded = priors;

@@ -160,8 +160,7 @@ struct ResumableConfig {
   protocol::NpConfig np{};
   /// Where the sender's write-ahead journal lives.  Required.
   std::string journal_path;
-  std::size_t checkpoint_interval = 16;
-  std::size_t sync_every = 1;
+  SessionJournal::Options journal{};
   /// Deterministic crash schedule: incarnation i dies after
   /// crash_plan[i] transmissions (entries beyond the vector: no crash).
   std::vector<std::size_t> crash_plan;

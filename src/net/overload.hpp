@@ -1,8 +1,10 @@
 // Overload-robustness knobs for the server-side session drivers
-// (docs/ROBUSTNESS.md, "Overload"): what to do when the kernel pushes
-// back for longer than a burst, how receivers damp NAK implosion at
-// runtime, and when a persistently lagging member is quarantined onto
-// parity-only catch-up instead of stalling the group (paper Section 3.3).
+// (docs/ROBUSTNESS.md, "Overload"): how fast a sender may put packets on
+// the wire, how receivers damp NAK implosion at runtime, and when a
+// persistently lagging member is quarantined onto parity-only catch-up
+// instead of stalling the group (paper Section 3.3).  Kernel pushback
+// needs no knob: the driver defers the burst on a retry timer, and the
+// session deadline bounds a socket that never drains.
 //
 // Every knob defaults to OFF and the default-configured driver is
 // wire-identical to the pre-overload one — the differential suites pin
@@ -13,20 +15,6 @@
 
 namespace pbl::net {
 
-/// What a sender sheds once kernel pushback outlasts `stall_timeout`.
-enum class ShedPolicy {
-  /// Keep deferring on the retry timer — never drop, never fail.  The
-  /// session deadline (when set) is the only bound.
-  kDefer,
-  /// Drop the unsent tail of the stalled PARITY burst and move on; the
-  /// next NAK round re-requests what the drop cost.  DATA bursts always
-  /// defer — shedding originals would guarantee repair work.
-  kDropNewestParity,
-  /// Give up: finish the session immediately with a structured
-  /// PartialDeliveryReport (overloaded = true), refusing further work.
-  kRefuse,
-};
-
 struct OverloadConfig {
   /// Token-bucket pacing of logical packet sends (DATA/PARITY), in
   /// packets per second; 0 disables.  A paced sender degrades to this
@@ -34,11 +22,6 @@ struct OverloadConfig {
   double pace_rate = 0.0;
   /// Bucket depth in packets (burst tolerance above the rate floor).
   double pace_burst = 16.0;
-
-  /// Sustained-would-block budget [s] before `shed_policy` applies;
-  /// 0 = defer indefinitely (the session deadline still bounds the run).
-  double stall_timeout = 0.0;
-  ShedPolicy shed_policy = ShedPolicy::kDefer;
 
   /// Receiver-side runtime NAK suppression (Section 5.1 slotting): a
   /// POLLed receiver needing l packets delays its NAK by a seeded slot

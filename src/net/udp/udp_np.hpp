@@ -44,7 +44,7 @@ struct UdpNpConfig : protocol::NpParams {
   /// it is the floor of the collect timeout instead: a round closes once
   /// every gating member answered, or after max(poll_window, SRTT +
   /// 4·RTTVAR) of measured POLL→answer latency, capped at poll_window +
-  /// retry.max_backoff (docs/ROBUSTNESS.md).
+  /// protocol::kMaxBackoff (docs/ROBUSTNESS.md).
   double poll_window = 0.08;
 
   std::uint64_t seed = 1;        ///< seeds the reliable-mode backoff jitter
@@ -75,8 +75,8 @@ struct UdpNpConfig : protocol::NpParams {
 
   // ---- overload hardening (docs/ROBUSTNESS.md, "Overload") -------------
 
-  /// Pacing, load shedding, NAK suppression and quarantine knobs; every
-  /// field defaults to OFF (net/overload.hpp).
+  /// Pacing, NAK suppression and quarantine knobs; every field defaults
+  /// to OFF (net/overload.hpp).
   OverloadConfig overload{};
   /// Sender packet-arena capacity in frames; 0 = max(k, h) (enough for
   /// the largest burst).  Smaller values force arena exhaustion: the
@@ -107,7 +107,6 @@ struct UdpNpSenderStats : protocol::NpSenderCounters {
   // net/overload.hpp).
   std::uint64_t would_block = 0;       ///< kWouldBlock batch results seen
   std::uint64_t arena_deferrals = 0;   ///< burst pauses on arena exhaustion
-  std::uint64_t shed_frames = 0;       ///< staged frames dropped by shedding
 
   // Hostile-peer accounting (net/peer_guard.hpp).
   /// Feedback whose advertised member identity contradicted the

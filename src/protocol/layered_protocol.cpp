@@ -477,8 +477,7 @@ struct LayeredSession::Impl {
           if (!rec.poll_seen[b] && rec.watchdog[b] == sim::kInvalidEvent) {
             const double n = static_cast<double>(cfg.k + cfg.h);
             const double wait = n * cfg.delta + 2.0 * cfg.delay +
-                                (n + 1.0) * cfg.slot +
-                                cfg.retry.initial_backoff;
+                                (n + 1.0) * cfg.slot + kInitialBackoff;
             rec.watchdog[b] =
                 sim.schedule_in(wait, [this, r, b] { on_watchdog(r, b); });
           }

@@ -152,11 +152,6 @@ bool NpSenderCore::end_if_deadline_passed(double now) {
   return true;
 }
 
-void NpSenderCore::abort_overloaded() {
-  report_.overloaded = true;
-  finish();
-}
-
 void NpSenderCore::complete_current_tg() {
   if (params_.on_tg_completed) params_.on_tg_completed(tg_);
   ++counters_.tgs_completed;
@@ -301,7 +296,7 @@ void NpSenderCore::send_poll(double now) {
   // the largest backoff pad: a member answering just before each
   // timeout cannot stretch rounds past it.
   const double timeout = answer_rtt_.timeout(
-      setup_.poll_window, setup_.poll_window + params_.retry.max_backoff);
+      setup_.poll_window, setup_.poll_window + kMaxBackoff);
   const double window =
       std::min(timeout + window_pad_, deadline_.remaining(now));
   collect_deadline_ = now + window;
@@ -541,8 +536,8 @@ void NpSenderCore::finish() {
     // two exemptions: TGs a prior life confirmed (their rows are
     // vacuously incomplete this life), and members banished for hostile
     // behaviour (they forfeited the group's delivery obligation).
-    rep.complete = !rep.deadline_expired && !rep.overloaded &&
-                   counters_.evictions == 0 && counters_.tgs_exhausted == 0 &&
+    rep.complete = !rep.deadline_expired && counters_.evictions == 0 &&
+                   counters_.tgs_exhausted == 0 &&
                    counters_.tgs_unconfirmed == 0;
     if (rep.complete)
       for (std::size_t m = 0; m < rep.delivered.size(); ++m) {

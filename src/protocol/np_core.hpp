@@ -194,8 +194,6 @@ class NpSenderCore {
   void on_banned(std::size_t member);
   /// Ends the session as deadline-expired if the deadline has passed.
   bool end_if_deadline_passed(double now);
-  /// Ends the session as overloaded (ShedPolicy::kRefuse).
-  void abort_overloaded();
 
   bool finished() const noexcept { return finished_; }
   /// Filled on every exit path (the per-member rows with reliable

@@ -9,15 +9,6 @@
 namespace pbl::protocol {
 
 void RetryConfig::validate() const {
-  if (initial_backoff <= 0.0)
-    throw std::invalid_argument("RetryConfig: initial_backoff must be > 0");
-  if (multiplier < 1.0)
-    throw std::invalid_argument("RetryConfig: multiplier must be >= 1");
-  if (max_backoff < initial_backoff)
-    throw std::invalid_argument(
-        "RetryConfig: max_backoff must be >= initial_backoff");
-  if (jitter < 0.0 || jitter >= 1.0)
-    throw std::invalid_argument("RetryConfig: jitter must be in [0, 1)");
   if (session_deadline < 0.0)
     throw std::invalid_argument("RetryConfig: session_deadline must be >= 0");
 }
@@ -30,13 +21,12 @@ Backoff::Backoff(const RetryConfig& config, Rng rng)
 double Backoff::next() {
   if (exhausted()) throw std::logic_error("Backoff: retry budget exhausted");
   const double base =
-      std::min(cfg_.max_backoff,
-               cfg_.initial_backoff *
-                   std::pow(cfg_.multiplier,
-                            static_cast<double>(attempts_)));
+      std::min(kMaxBackoff,
+               kInitialBackoff * std::pow(kBackoffMultiplier,
+                                          static_cast<double>(attempts_)));
   ++attempts_;
   // Symmetric jitter desynchronises retries without changing the mean.
-  return base * (1.0 + cfg_.jitter * (2.0 * rng_.uniform() - 1.0));
+  return base * (1.0 + kBackoffJitter * (2.0 * rng_.uniform() - 1.0));
 }
 
 double Deadline::remaining(double now) const noexcept {
@@ -92,7 +82,6 @@ std::string PartialDeliveryReport::summary() const {
   std::string s = complete ? "complete" : "partial";
   s += " (" + std::to_string(completion_fraction() * 100.0) + "% delivered";
   if (deadline_expired) s += ", deadline expired";
-  if (overloaded) s += ", overloaded";
   const auto evictions = std::count(evicted.begin(), evicted.end(), true);
   if (evictions) s += ", " + std::to_string(evictions) + " evicted";
   if (expelled) s += ", " + std::to_string(expelled) + " expelled";

@@ -19,11 +19,14 @@
 
 namespace pbl::protocol {
 
+/// The backoff schedule's shape, shared by every retry in both engines.
+inline constexpr double kInitialBackoff = 0.05;    ///< first retry delay [s]
+inline constexpr double kBackoffMultiplier = 2.0;  ///< growth per retry
+inline constexpr double kMaxBackoff = 0.4;         ///< delay ceiling [s]
+/// Symmetric jitter fraction: d *= 1 + kBackoffJitter * (2u - 1).
+inline constexpr double kBackoffJitter = 0.1;
+
 struct RetryConfig {
-  double initial_backoff = 0.05;  ///< first retry delay [s]
-  double multiplier = 2.0;        ///< geometric growth per retry
-  double max_backoff = 0.4;      ///< delay ceiling [s]
-  double jitter = 0.1;            ///< symmetric fraction: d *= 1 + j*(2u-1)
   std::size_t max_retries = 8;    ///< retry budget per unit (TG/block/NAK)
   std::size_t grace_rounds = 3;   ///< unanswered polls before eviction
   double session_deadline = 0.0;  ///< total session budget [s]; 0 = unbounded
@@ -32,9 +35,10 @@ struct RetryConfig {
 };
 
 /// Deterministic jittered exponential backoff: delay i (0-based) is
-/// min(max_backoff, initial * multiplier^i) * (1 + jitter * (2u - 1)),
-/// u uniform in [0, 1) from the Rng handed in at construction.  The
-/// schedule depends only on (config, rng state) — bit-reproducible.
+/// min(kMaxBackoff, kInitialBackoff * kBackoffMultiplier^i) *
+/// (1 + kBackoffJitter * (2u - 1)), u uniform in [0, 1) from the Rng
+/// handed in at construction.  The schedule depends only on the rng
+/// state — bit-reproducible; the config sets the retry budget.
 class Backoff {
  public:
   Backoff() : Backoff(RetryConfig{}, Rng(1)) {}
@@ -135,11 +139,10 @@ class ManualClock final : public Clock {
 /// exit path of a reliable-control session is total and fills one of
 /// these — budget exhaustion and deadline expiry are reported, never
 /// thrown or spun on.  The counts behind the outcome (evictions, failed
-/// units, retries, shed frames) stay in the engine's own counters.
+/// units, retries) stay in the engine's own counters.
 struct PartialDeliveryReport {
   bool complete = false;          ///< every receiver delivered every unit
   bool deadline_expired = false;  ///< the session Deadline ended the run
-  bool overloaded = false;        ///< ShedPolicy::kRefuse ended the run
   /// delivered[r][u]: receiver r completed unit u (TG for NP/UDP,
   /// application packet for layered).
   std::vector<std::vector<bool>> delivered;

@@ -123,9 +123,6 @@ const SessionCounter kSessionCounters[] = {
      "total_arena_deferrals",
      "bursts deferred on packet-arena exhaustion, all sessions",
      sender_stat<&SS::arena_deferrals>},
-    {"shed_frames", "frames shed under sustained overload",
-     "total_shed_frames", "frames shed under sustained overload, all sessions",
-     sender_stat<&SS::shed_frames>},
     {"naks_suppressed",
      "NAKs suppressed by slotting or the sender feedback budget",
      "total_naks_suppressed",
@@ -380,7 +377,7 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
   if (!cfg_.journal_dir.empty()) {
     s.journal = core::open_session_journal(
         journal_path(id), id, num_tgs, np,
-        {cfg_.journal_checkpoint_interval, cfg_.journal_sync_every});
+        {.sync_every = cfg_.journal_sync_every});
     if (s.journal->resumed()) {
       for (std::size_t r = 0; r < s.spec.receivers; ++r) {
         if (auto rs =

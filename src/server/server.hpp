@@ -62,8 +62,8 @@ struct ServerConfig {
   /// Stop the reactor once every submitted session has finalized (batch
   /// mode — the soak harness); off = keep serving (daemon mode).
   bool exit_when_idle = false;
-  std::size_t journal_checkpoint_interval = 16;
   /// util::JournalConfig::sync_every; 0 = OS-buffered (soak-friendly).
+  /// Journals compact at SessionJournal::Options' checkpoint interval.
   std::size_t journal_sync_every = 0;
   /// Deterministic resource-exhaustion fault injection, applied to every
   /// admitted session (docs/ROBUSTNESS.md).  All zeros = no faults.

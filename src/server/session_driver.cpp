@@ -149,7 +149,6 @@ void SenderSessionDriver::send_burst(const protocol::NpBurst& burst) {
   stage_count_ = burst.count;
   stage_next_ = 0;
   burst_sent_ = 0;
-  stall_since_ = -1.0;
   burst_.clear();
   arena_->release_all();
   pump_burst();
@@ -157,7 +156,6 @@ void SenderSessionDriver::send_burst(const protocol::NpBurst& burst) {
 
 void SenderSessionDriver::pump_burst() {
   if (finished_ || stopped_ || !bursting_) return;
-  const auto& ov = cfg_.overload;
   for (;;) {
     const double now = clk_.now();
     bool arena_full = false;
@@ -201,36 +199,13 @@ void SenderSessionDriver::pump_burst() {
           std::span<const net::FrameRef>(burst_).subspan(burst_sent_));
       burst_sent_ += r.sent;
       if (r.status == net::SendStatus::kWouldBlock) {
+        // Nothing is ever dropped: wait on the retry timer.  A socket
+        // that never drains is ended by the session deadline.
         ++stats_.would_block;
-        // Partial progress restarts the stall clock: shedding is for a
-        // socket that stopped draining, not one draining slowly.
-        if (r.sent > 0 || stall_since_ < 0.0) stall_since_ = now;
-        if (ov.stall_timeout > 0.0 &&
-            now - stall_since_ >= ov.stall_timeout) {
-          const bool parity_burst = spec_.kind != protocol::BurstKind::kData;
-          if (ov.shed_policy == net::ShedPolicy::kDropNewestParity &&
-              parity_burst) {
-            // Shed the unsent tail of the repair burst: the next NAK
-            // round re-requests whatever this drop cost.
-            stats_.shed_frames += burst_.size() - burst_sent_;
-            burst_sent_ = burst_.size();
-            stage_count_ = stage_next_;
-            stall_since_ = -1.0;
-            continue;
-          }
-          if (ov.shed_policy == net::ShedPolicy::kRefuse) {
-            stats_.shed_frames += burst_.size() - burst_sent_;
-            core_.abort_overloaded();
-            return;
-          }
-          // kDefer (and data bursts under kDropNewestParity): originals
-          // are never shed — keep waiting on the retry timer.
-        }
         if (core_.end_if_deadline_passed(now)) return;
         arm_flush_timer(now + kRetryInterval);
         return;
       }
-      stall_since_ = -1.0;
     }
 
     // Everything staged so far is on the wire.
@@ -261,7 +236,6 @@ void SenderSessionDriver::on_burst_complete() {
   burst_sent_ = 0;
   stage_next_ = 0;
   stage_count_ = 0;
-  stall_since_ = -1.0;
   arena_->release_all();
   disarm_flush_timer();
   core_.on_burst_done(clk_.now(), stats_.crashed);

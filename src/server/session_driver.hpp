@@ -140,7 +140,6 @@ class SenderSessionDriver : private protocol::NpSenderCore::Io {
   std::size_t stage_next_ = 0;    ///< next logical packet to stage
   std::size_t stage_count_ = 0;   ///< logical packets in this burst
   std::size_t burst_sent_ = 0;    ///< FrameRefs already on the wire
-  double stall_since_ = -1.0;     ///< when sustained pushback began
   Reactor::TimerId flush_timer_ = 0;
   bool flush_timer_armed_ = false;
 

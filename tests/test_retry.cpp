@@ -30,21 +30,6 @@ std::uint64_t chaos_seed(std::uint64_t base) {
 TEST(RetryConfig, ValidatesFields) {
   RetryConfig cfg;
   EXPECT_NO_THROW(cfg.validate());
-  cfg.initial_backoff = 0.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = RetryConfig{};
-  cfg.multiplier = 0.5;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = RetryConfig{};
-  cfg.max_backoff = cfg.initial_backoff / 2.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = RetryConfig{};
-  cfg.jitter = 1.0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = RetryConfig{};
-  cfg.jitter = -0.1;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = RetryConfig{};
   cfg.session_deadline = -1.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
@@ -70,33 +55,31 @@ TEST(Backoff, ScheduleIsDeterministicPerSeed) {
 
 TEST(Backoff, DelaysStayWithinJitterBand) {
   RetryConfig cfg;
-  cfg.initial_backoff = 0.05;
-  cfg.multiplier = 2.0;
-  cfg.max_backoff = 0.4;
-  cfg.jitter = 0.1;
   cfg.max_retries = 16;
   Backoff bo(cfg, Rng(chaos_seed(3)));
   for (std::size_t i = 0; i < cfg.max_retries; ++i) {
     const double base =
-        std::min(cfg.max_backoff,
-                 cfg.initial_backoff * std::pow(cfg.multiplier,
-                                                static_cast<double>(i)));
+        std::min(kMaxBackoff,
+                 kInitialBackoff * std::pow(kBackoffMultiplier,
+                                            static_cast<double>(i)));
     const double d = bo.next();
-    EXPECT_GE(d, base * (1.0 - cfg.jitter)) << "draw " << i;
-    EXPECT_LE(d, base * (1.0 + cfg.jitter)) << "draw " << i;
+    EXPECT_GE(d, base * (1.0 - kBackoffJitter)) << "draw " << i;
+    EXPECT_LE(d, base * (1.0 + kBackoffJitter)) << "draw " << i;
   }
 }
 
-TEST(Backoff, ZeroJitterReproducesExactGeometricCappedSchedule) {
+TEST(Backoff, ReproducesExactGeometricCappedSchedule) {
+  // The schedule at the constants: 50 ms doubling to a 400 ms ceiling,
+  // each delay scaled by the jitter draw of the same seeded Rng.
   RetryConfig cfg;
-  cfg.initial_backoff = 0.01;
-  cfg.multiplier = 3.0;
-  cfg.max_backoff = 0.2;
-  cfg.jitter = 0.0;
   cfg.max_retries = 6;
   Backoff bo(cfg, Rng(99));
-  const double expect[] = {0.01, 0.03, 0.09, 0.2, 0.2, 0.2};
-  for (double e : expect) EXPECT_DOUBLE_EQ(bo.next(), e);
+  Rng draws(99);
+  const double base[] = {0.05, 0.1, 0.2, 0.4, 0.4, 0.4};
+  for (double b : base) {
+    const double scale = 1.0 + kBackoffJitter * (2.0 * draws.uniform() - 1.0);
+    EXPECT_DOUBLE_EQ(bo.next(), b * scale);
+  }
 }
 
 TEST(Backoff, ExhaustionThrowsAndResetRestores) {
@@ -117,7 +100,7 @@ TEST(Backoff, ExhaustionThrowsAndResetRestores) {
 
 TEST(Backoff, RejectsInvalidConfig) {
   RetryConfig cfg;
-  cfg.initial_backoff = -1.0;
+  cfg.session_deadline = -1.0;
   EXPECT_THROW(Backoff(cfg, Rng(1)), std::invalid_argument);
 }
 

@@ -315,7 +315,7 @@ TEST_F(ServerTest, RefusedSessionLeavesNoJournal) {
   ServerConfig cfg = base_config();
   ASSERT_FALSE(cfg.journal_dir.empty());
   ASSERT_TRUE(cfg.np.reliable_control);
-  cfg.np.retry.max_backoff = -1;
+  cfg.np.retry.session_deadline = -1;
   {
     Reactor reactor;
     MulticastServer server(reactor, cfg);
@@ -471,7 +471,6 @@ TEST_F(ServerTest, TotalsAreSumsOfFinalizedSessions) {
       {"total_payload_mismatches", "payload_mismatches"},
       {"would_block_total", "would_block"},
       {"total_arena_deferrals", "arena_deferrals"},
-      {"total_shed_frames", "shed_frames"},
       {"total_naks_suppressed", "naks_suppressed"},
       {"total_members_quarantined", "members_quarantined"},
       {"total_peer_rejected", "peer_rejected"},

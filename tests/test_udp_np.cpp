@@ -443,11 +443,11 @@ TEST_P(UdpNpReliable, RoundsCloseOnTheirLastAnswerWithoutTheClock) {
 TEST_P(UdpNpReliable, LateAnswersCannotStretchRoundsPastTheCeiling) {
   // One member answers every POLL just before its round would time out,
   // so each of its samples is the largest the estimator has seen.  The
-  // collect timeout stops at poll_window + max_backoff: rounds stay
+  // collect timeout stops at poll_window + kMaxBackoff: rounds stay
   // bounded, and the honest receivers, on the default 10 s idle budget,
   // finish cleanly however long the session runs.
   UdpNpConfig cfg = reliable_config();
-  const double ceiling = cfg.poll_window + cfg.retry.max_backoff;
+  const double ceiling = cfg.poll_window + protocol::kMaxBackoff;
   net::UdpSocket late;
   ManualSession session(cfg, 8, 24, {late.port()}, 10.0);
   const auto& stats = session.sender->stats();
