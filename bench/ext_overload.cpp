@@ -90,7 +90,6 @@ RunResult run_point(const std::string& dir, bool hardened,
   cfg.np.h = 8;
   cfg.np.packet_len = packet_len;
   cfg.np.poll_window = 0.02;
-  cfg.np.drain_timeout = 0.3;
   cfg.np.reliable_control = true;
   cfg.receiver_idle_timeout = 10.0;
   cfg.journal_dir = dir;

@@ -2,16 +2,14 @@
 // (docs/DATAPLANE.md).
 //
 // Tx rate: loopback packet rate (pps) and wire throughput (Gbps) of
-// send_batch_blocking under the sendmmsg backend vs the portable
-// per-sendto fallback, across payload sizes.  The frames are built once
-// per point through the zero-copy tx path the protocol senders use: a
-// net::PacketArena slab, sealed in place with fec::serialize_into — so
-// the measured loop is exactly the production data plane minus the
-// protocol logic.  The receiver socket is never drained; once its buffer
-// fills the kernel drops on delivery, which is the standard way to
-// measure raw tx syscall rate without a consumer thread.  Differences
-// between the two backends are therefore pure syscall amortisation: one
-// sendmmsg per 128 frames vs one sendto each.
+// send_batch_blocking (one sendmmsg per 128 frames) across payload
+// sizes.  The frames are built once per point through the zero-copy tx
+// path the protocol senders use: a net::PacketArena slab, sealed in
+// place with fec::serialize_into — so the measured loop is exactly the
+// production data plane minus the protocol logic.  The receiver socket
+// is never drained; once its buffer fills the kernel drops on delivery,
+// which is the standard way to measure raw tx syscall rate without a
+// consumer thread.
 //
 // Drained delivery: process CPU per packet delivered to all R members,
 // for send_batch_blocking plus a recvmmsg drain of every member, all on
@@ -86,7 +84,6 @@ std::size_t drain_fd(int fd) {
   constexpr std::size_t kBuf = 2048;  // > the largest frame measured
   static std::vector<std::uint8_t> bufs(kBatch * kBuf);
   std::size_t got = 0;
-#ifdef PBL_HAVE_MMSG
   iovec iovs[kBatch];
   mmsghdr msgs[kBatch]{};
   for (std::size_t i = 0; i < kBatch; ++i) {
@@ -102,10 +99,6 @@ std::size_t drain_fd(int fd) {
     }
     got += static_cast<std::size_t>(n);
   }
-#else
-  while (::recv(fd, bufs.data(), kBuf, MSG_DONTWAIT) >= 0) ++got;
-  return got;
-#endif
 }
 
 struct Drained {
@@ -187,19 +180,17 @@ int main(int argc, char** argv) {
   }
 
   bench::banner(
-      "Extension: UDP data-plane rate (sendmmsg vs per-sendto) and drained "
-      "delivery cost (fan-out vs IP multicast group)",
+      "Extension: UDP data-plane rate (sendmmsg) and drained delivery "
+      "cost (fan-out vs IP multicast group)",
       std::to_string(frames) + " arena-built frames per pass, best of " +
           std::to_string(reps) + " passes, payloads {64, 512, 1400} B, "
           "loopback, undrained receiver",
-      "batching amortises one syscall over 128 frames, so small payloads "
-      "(syscall-bound) gain the most; large payloads converge toward the "
-      "kernel's per-byte copy cost");
+      "one syscall per 128 frames leaves small payloads bound by the "
+      "kernel's per-datagram cost and large ones by its per-byte copy");
 
   bench::BenchJson json("ext_udp_rate");
   json.setup("frames", static_cast<std::int64_t>(frames));
   json.setup("reps", static_cast<std::int64_t>(reps));
-  json.setup("batched_available", net::udp_batched_available());
   json.setup("drain_frames", static_cast<std::int64_t>(drain_frames));
   json.setup("group_delivery_available",
              net::udp_group_delivery_available());
@@ -207,7 +198,7 @@ int main(int argc, char** argv) {
   double total_wall = 0.0;
   std::uint64_t total_frames = 0;
 
-  Table t({"payload_B", "backend", "pps", "gbps", "speedup_vs_sendto"});
+  Table t({"payload_B", "pps", "gbps"});
   for (const std::size_t payload :
        {std::size_t{64}, std::size_t{512}, std::size_t{1400}}) {
     net::UdpSocket rx;  // never drained: the kernel drops once rcvbuf fills
@@ -233,33 +224,13 @@ int main(int argc, char** argv) {
       refs.push_back({rx.port(), frame->bytes});
     }
 
-    Rate fallback, batched;
-    {
-      net::ScopedUdpBackendOverride o(net::UdpBackend::kFallback);
-      fallback = measure(tx, refs, reps);
-    }
-    {
-      net::ScopedUdpBackendOverride o(net::UdpBackend::kBatched);
-      batched = measure(tx, refs, reps);
-    }
-    total_wall += fallback.wall + batched.wall;
-    total_frames += 2 * frames;
-
-    const double speedup =
-        fallback.pps > 0.0 ? batched.pps / fallback.pps : 0.0;
-    t.add_row({static_cast<long long>(payload), std::string("fallback"),
-               fallback.pps, fallback.gbps, 1.0});
-    t.add_row({static_cast<long long>(payload), std::string("batched"),
-               batched.pps, batched.gbps, speedup});
+    const Rate rate = measure(tx, refs, reps);
+    total_wall += rate.wall;
+    total_frames += frames;
+    t.add_row({static_cast<long long>(payload), rate.pps, rate.gbps});
     json.point({{"payload", static_cast<std::int64_t>(payload)},
-                {"backend", "fallback"},
-                {"pps", fallback.pps},
-                {"gbps", fallback.gbps}});
-    json.point({{"payload", static_cast<std::int64_t>(payload)},
-                {"backend", "batched"},
-                {"pps", batched.pps},
-                {"gbps", batched.gbps},
-                {"speedup_vs_sendto", speedup}});
+                {"pps", rate.pps},
+                {"gbps", rate.gbps}});
   }
 
   t.set_precision(4);

@@ -81,7 +81,6 @@ int main(int argc, char** argv) {
   const double wire_reorder = cli.get_double("wire-reorder", 0.0);
   const double poll_window = cli.get_double("poll-window", 0.03);
   const double idle_timeout = cli.get_double("idle-timeout", 30.0);
-  const double drain_timeout = cli.get_double("drain-timeout", 0.5);
   const double drain_grace = cli.get_double("drain-grace", 5.0);
   const double snapshot_interval = cli.get_double("snapshot-interval", 0.25);
   const double session_deadline = cli.get_double("session-deadline", 0.0);
@@ -137,7 +136,6 @@ int main(int argc, char** argv) {
   cfg.np.h = static_cast<std::size_t>(h);
   cfg.np.packet_len = static_cast<std::size_t>(packet_len);
   cfg.np.poll_window = poll_window;
-  cfg.np.drain_timeout = drain_timeout;
   cfg.np.reliable_control = reliable;
   cfg.np.retry.grace_rounds = static_cast<std::size_t>(grace_rounds);
   cfg.np.retry.max_retries = static_cast<std::size_t>(max_retries);

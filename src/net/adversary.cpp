@@ -111,10 +111,7 @@ void AdversaryPeer::observe(double wait_s) {
 void AdversaryPeer::learn_from(UdpSocket& socket) {
   while (!stop_.load(std::memory_order_relaxed)) {
     auto dg = socket.receive_from(0.0);
-    if (!dg) {
-      if (!socket.has_pending()) break;
-      continue;
-    }
+    if (!dg) break;
     const auto& hdr = dg->packet.header;
     ++stats_.captured;
     last_inc_ = std::max(last_inc_, hdr.incarnation);

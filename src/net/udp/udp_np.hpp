@@ -43,8 +43,12 @@ struct UdpNpConfig : protocol::NpParams {
   /// Seconds the sender collects NAKs per round.  With reliable_control
   /// it is the floor of the collect timeout instead: a round closes once
   /// every gating member answered, or after max(poll_window, SRTT +
-  /// 4·RTTVAR) of measured POLL→answer latency, capped at poll_window +
-  /// protocol::kMaxBackoff (docs/ROBUSTNESS.md).
+  /// 4·RTTVAR) of measured POLL→answer latency, capped at
+  /// protocol::collect_ceiling(poll_window) (docs/ROBUSTNESS.md).  A
+  /// receiver that holds every TG waits protocol::drain_wait of silence
+  /// for the (possibly lost) end-of-session marker instead of its
+  /// mid-session idle timeout, and reports which of the two ended the
+  /// run (UdpNpReceiverResult::end_reason).
   double poll_window = 0.08;
 
   std::uint64_t seed = 1;        ///< seeds the reliable-mode backoff jitter
@@ -52,17 +56,10 @@ struct UdpNpConfig : protocol::NpParams {
   /// The ONE time source every deadline in the session reads: retry
   /// deadlines, poll collect windows, NAK retransmit timers, and the
   /// receiver's idle/drain clocks.  nullptr = protocol::steady_clock().
-  /// Injecting a single clock means the drain timeout and the retry
+  /// Injecting a single clock means the drain wait and the retry
   /// deadlines can never skew against each other, and the drivers can be
   /// tested on a ManualClock.
   const protocol::Clock* clock = nullptr;
-
-  /// Receiver-side phase-aware timers (always active): once a receiver
-  /// holds every TG it waits only `drain_timeout` seconds of silence for
-  /// the (possibly lost) end-of-session marker instead of the full
-  /// mid-session idle timeout, and reports which of the two ended the
-  /// run (see UdpNpReceiverResult::end_reason).
-  double drain_timeout = 1.0;
 
   /// Fault injection for liveness tests: the receiver falls silent (as
   /// if crashed) after completing this many TGs.  SIZE_MAX disables.

@@ -13,7 +13,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
@@ -66,24 +65,6 @@ bool is_would_block(int err) noexcept {
   // not a broken socket; the caller defers or treats the frame as loss.
   return err == EAGAIN || err == EWOULDBLOCK || err == ENOBUFS ||
          err == ENOMEM;
-}
-
-// Backend selection state.  -1 = no scoped override.  The environment
-// default is resolved once (first use) so a mid-run setenv cannot split
-// a session across backends.
-std::atomic<int> g_backend_override{-1};
-
-UdpBackend env_default_backend() {
-  static const UdpBackend resolved = [] {
-    if (const char* env = std::getenv("PBL_UDP_BACKEND")) {
-      if (std::string(env) == "fallback") return UdpBackend::kFallback;
-      if (std::string(env) == "batched" && udp_batched_available())
-        return UdpBackend::kBatched;
-    }
-    return udp_batched_available() ? UdpBackend::kBatched
-                                   : UdpBackend::kFallback;
-  }();
-  return resolved;
 }
 
 // Delivery selection state.  -1 = no scoped override.
@@ -173,54 +154,24 @@ std::optional<UdpSocket> UdpGroup::join(std::uint16_t member_port) {
   return socket;
 }
 
-std::string to_string(UdpBackend backend) {
-  switch (backend) {
-    case UdpBackend::kBatched: return "batched";
-    case UdpBackend::kFallback: return "fallback";
-  }
-  return "unknown";
-}
-
-bool udp_batched_available() noexcept {
-#ifdef PBL_HAVE_MMSG
-  return true;
-#else
-  return false;
-#endif
-}
-
-UdpBackend active_udp_backend() noexcept {
-  const int override = g_backend_override.load(std::memory_order_acquire);
-  if (override >= 0) {
-    const auto requested = static_cast<UdpBackend>(override);
-    if (requested == UdpBackend::kBatched && !udp_batched_available())
-      return UdpBackend::kFallback;
-    return requested;
-  }
-  return env_default_backend();
-}
-
-ScopedUdpBackendOverride::ScopedUdpBackendOverride(UdpBackend backend)
-    : previous_(g_backend_override.exchange(static_cast<int>(backend),
-                                            std::memory_order_acq_rel)) {}
-
-ScopedUdpBackendOverride::~ScopedUdpBackendOverride() {
-  g_backend_override.store(previous_, std::memory_order_release);
-}
-
 UdpSocket::UdpSocket(std::uint16_t port) : UdpSocket(Adopt{}, open_udp()) {
   bind_to(INADDR_LOOPBACK, port);
 }
 
 UdpSocket::UdpSocket(Adopt, int fd) : fd_(fd) {}
 
+void UdpSocket::Fd::reset() noexcept {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
+
 void UdpSocket::bind_to(std::uint32_t addr, std::uint16_t port) {
   const sockaddr_in sa = ipv4(addr, port);
-  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) < 0)
+  if (::bind(fd_.get(), reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) < 0)
     throw std::system_error(errno, std::generic_category(), "bind");
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
-  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&bound), &len) < 0)
+  if (::getsockname(fd_.get(), reinterpret_cast<sockaddr*>(&bound), &len) < 0)
     throw std::system_error(errno, std::generic_category(), "getsockname");
   port_ = ntohs(bound.sin_port);
 }
@@ -231,17 +182,18 @@ UdpSocket UdpSocket::group_member(std::uint32_t group, std::uint16_t port) {
   // SO_REUSEADDR, so the kernel picks a port no live group holds, and
   // only then opens it to the members that follow.
   if (port != 0)
-    set_int_option(s.fd_, SOL_SOCKET, SO_REUSEADDR, 1, "SO_REUSEADDR");
+    set_int_option(s.fd_.get(), SOL_SOCKET, SO_REUSEADDR, 1, "SO_REUSEADDR");
   s.bind_to(group, port);
-  set_int_option(s.fd_, SOL_SOCKET, SO_REUSEADDR, 1, "SO_REUSEADDR");
+  set_int_option(s.fd_.get(), SOL_SOCKET, SO_REUSEADDR, 1, "SO_REUSEADDR");
   ip_mreqn join{};
   join.imr_multiaddr.s_addr = htonl(group);
   join.imr_address.s_addr = htonl(INADDR_LOOPBACK);
-  set_option(s.fd_, IPPROTO_IP, IP_ADD_MEMBERSHIP, &join, sizeof(join),
+  set_option(s.fd_.get(), IPPROTO_IP, IP_ADD_MEMBERSHIP, &join, sizeof(join),
              "IP_ADD_MEMBERSHIP");
 #ifdef IP_MULTICAST_ALL
   // Only the joined group's traffic, never another membership's.
-  set_int_option(s.fd_, IPPROTO_IP, IP_MULTICAST_ALL, 0, "IP_MULTICAST_ALL");
+  set_int_option(s.fd_.get(), IPPROTO_IP, IP_MULTICAST_ALL, 0,
+                 "IP_MULTICAST_ALL");
 #endif
   return s;
 }
@@ -249,62 +201,11 @@ UdpSocket UdpSocket::group_member(std::uint32_t group, std::uint16_t port) {
 void UdpSocket::enable_group_send() {
   in_addr out{};
   out.s_addr = htonl(INADDR_LOOPBACK);
-  set_option(fd_, IPPROTO_IP, IP_MULTICAST_IF, &out, sizeof(out),
+  set_option(fd_.get(), IPPROTO_IP, IP_MULTICAST_IF, &out, sizeof(out),
              "IP_MULTICAST_IF");
-  set_int_option(fd_, IPPROTO_IP, IP_MULTICAST_LOOP, 1, "IP_MULTICAST_LOOP");
+  set_int_option(fd_.get(), IPPROTO_IP, IP_MULTICAST_LOOP, 1,
+                 "IP_MULTICAST_LOOP");
   group_send_ = true;
-}
-
-UdpSocket::~UdpSocket() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-UdpSocket::UdpSocket(UdpSocket&& other) noexcept
-    : fd_(other.fd_), port_(other.port_),
-      impairment_(std::move(other.impairment_)),
-      parsed_(std::move(other.parsed_)),
-      frame_resyncs_(other.frame_resyncs_),
-      frames_skipped_(other.frames_skipped_), tx_tap_(std::move(other.tx_tap_)),
-      inject_errno_(other.inject_errno_), inject_count_(other.inject_count_),
-      inject_every_errno_(other.inject_every_errno_),
-      inject_every_(other.inject_every_), inject_burst_(other.inject_burst_),
-      inject_burst_left_(other.inject_burst_left_),
-      attempted_sends_(other.attempted_sends_),
-      injected_failures_(other.injected_failures_),
-      group_send_(other.group_send_) {
-  other.fd_ = -1;
-  other.port_ = 0;
-  other.inject_count_ = 0;
-  other.inject_every_ = 0;
-  other.inject_burst_left_ = 0;
-}
-
-UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = other.fd_;
-    port_ = other.port_;
-    impairment_ = std::move(other.impairment_);
-    parsed_ = std::move(other.parsed_);
-    frame_resyncs_ = other.frame_resyncs_;
-    frames_skipped_ = other.frames_skipped_;
-    tx_tap_ = std::move(other.tx_tap_);
-    inject_errno_ = other.inject_errno_;
-    inject_count_ = other.inject_count_;
-    inject_every_errno_ = other.inject_every_errno_;
-    inject_every_ = other.inject_every_;
-    inject_burst_ = other.inject_burst_;
-    inject_burst_left_ = other.inject_burst_left_;
-    attempted_sends_ = other.attempted_sends_;
-    injected_failures_ = other.injected_failures_;
-    group_send_ = other.group_send_;
-    other.fd_ = -1;
-    other.port_ = 0;
-    other.inject_count_ = 0;
-    other.inject_every_ = 0;
-    other.inject_burst_left_ = 0;
-  }
-  return *this;
 }
 
 int UdpSocket::consume_injected_send() {
@@ -331,108 +232,71 @@ void UdpSocket::set_impairment(std::shared_ptr<Impairment> impairment) {
   parsed_.clear();
 }
 
-SendStatus UdpSocket::send_raw(const FrameRef& frame) {
-  if (frame.group != 0 && !group_send_) enable_group_send();
-  const sockaddr_in dest = destination(frame);
-  for (;;) {
-    if (const int inj = consume_injected_send()) {
-      if (is_would_block(inj)) return SendStatus::kWouldBlock;
-      throw std::system_error(inj, std::generic_category(),
-                              "sendto (injected)");
-    }
-    const ssize_t sent =
-        ::sendto(fd_, frame.bytes.data(), frame.bytes.size(), 0,
-                 reinterpret_cast<const sockaddr*>(&dest), sizeof(dest));
-    if (sent >= 0) {
-      if (tx_tap_) tx_tap_(frame);
-      return SendStatus::kSent;
-    }
-    if (errno == EINTR) continue;
-    // Transient pushback is backpressure, not failure: callers either
-    // retry (send_batch_blocking) or treat the frame as lost, which the
-    // FEC/NAK machinery repairs like any other loss.
-    if (is_would_block(errno)) return SendStatus::kWouldBlock;
-    throw std::system_error(errno, std::generic_category(), "sendto");
-  }
-}
-
 SendStatus UdpSocket::send_to(std::uint16_t dest_port,
                               const fec::Packet& packet) {
   const auto bytes = fec::serialize(packet);
-  return send_raw({dest_port, bytes});
+  return send_frame(dest_port, bytes);
 }
 
 SendStatus UdpSocket::send_frame(std::uint16_t dest_port,
                                  std::span<const std::uint8_t> frame) {
-  return send_raw({dest_port, frame});
+  const FrameRef ref{dest_port, frame};
+  return send_batch({&ref, 1}).status;
 }
 
 BatchSendResult UdpSocket::send_batch(std::span<const FrameRef> frames) {
   BatchSendResult result;
-#ifdef PBL_HAVE_MMSG
-  if (active_udp_backend() == UdpBackend::kBatched) {
-    while (result.sent < frames.size()) {
-      const std::size_t chunk =
-          std::min(kTxChunk, frames.size() - result.sent);
-      sockaddr_in dests[kTxChunk];
-      iovec iovs[kTxChunk];
-      mmsghdr msgs[kTxChunk];
-      std::memset(msgs, 0, chunk * sizeof(mmsghdr));
-      for (std::size_t i = 0; i < chunk; ++i) {
-        const FrameRef& f = frames[result.sent + i];
-        if (f.group != 0 && !group_send_) enable_group_send();
-        dests[i] = destination(f);
-        iovs[i].iov_base = const_cast<std::uint8_t*>(f.bytes.data());
-        iovs[i].iov_len = f.bytes.size();
-        msgs[i].msg_hdr.msg_name = &dests[i];
-        msgs[i].msg_hdr.msg_namelen = sizeof(dests[i]);
-        msgs[i].msg_hdr.msg_iov = &iovs[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
+  while (result.sent < frames.size()) {
+    const std::size_t chunk = std::min(kTxChunk, frames.size() - result.sent);
+    sockaddr_in dests[kTxChunk];
+    iovec iovs[kTxChunk];
+    mmsghdr msgs[kTxChunk];
+    std::memset(msgs, 0, chunk * sizeof(mmsghdr));
+    for (std::size_t i = 0; i < chunk; ++i) {
+      const FrameRef& f = frames[result.sent + i];
+      if (f.group != 0 && !group_send_) enable_group_send();
+      dests[i] = destination(f);
+      iovs[i].iov_base = const_cast<std::uint8_t*>(f.bytes.data());
+      iovs[i].iov_len = f.bytes.size();
+      msgs[i].msg_hdr.msg_name = &dests[i];
+      msgs[i].msg_hdr.msg_namelen = sizeof(dests[i]);
+      msgs[i].msg_hdr.msg_iov = &iovs[i];
+      msgs[i].msg_hdr.msg_iovlen = 1;
+    }
+    int n;
+    for (;;) {
+      if (const int inj = consume_injected_send()) {
+        errno = inj;
+        n = -1;
+      } else {
+        n = ::sendmmsg(fd_.get(), msgs, static_cast<unsigned>(chunk), 0);
       }
-      int n;
-      for (;;) {
-        if (const int inj = consume_injected_send()) {
-          errno = inj;
-          n = -1;
-        } else {
-          n = ::sendmmsg(fd_, msgs, static_cast<unsigned>(chunk), 0);
-        }
-        if (n < 0 && errno == EINTR) continue;
-        break;
-      }
-      if (n < 0) {
-        result.last_errno = errno;
-        if (is_would_block(errno)) {
-          result.status = SendStatus::kWouldBlock;
-          return result;
-        }
-        throw std::system_error(errno, std::generic_category(), "sendmmsg");
-      }
-      if (tx_tap_) {
-        for (int i = 0; i < n; ++i) {
-          tx_tap_(frames[result.sent + static_cast<std::size_t>(i)]);
-        }
-      }
-      result.sent += static_cast<std::size_t>(n);
-      if (static_cast<std::size_t>(n) < chunk) {
-        // Kernel took a prefix of the chunk: partial send.  Report
-        // would-block so the caller resumes from frames[sent].
+      if (n < 0 && errno == EINTR) continue;
+      break;
+    }
+    if (n < 0) {
+      result.last_errno = errno;
+      // Transient pushback is backpressure, not failure: callers either
+      // retry (send_batch_blocking) or treat the frames as lost, which
+      // the FEC/NAK machinery repairs like any other loss.
+      if (is_would_block(errno)) {
         result.status = SendStatus::kWouldBlock;
-        result.last_errno = EAGAIN;
         return result;
       }
+      throw std::system_error(errno, std::generic_category(), "sendmmsg");
     }
-    return result;
-  }
-#endif
-  // Portable fallback: same frames, same order, one syscall each.
-  for (const FrameRef& f : frames) {
-    if (send_raw(f) == SendStatus::kWouldBlock) {
+    if (tx_tap_) {
+      for (int i = 0; i < n; ++i)
+        tx_tap_(frames[result.sent + static_cast<std::size_t>(i)]);
+    }
+    result.sent += static_cast<std::size_t>(n);
+    if (static_cast<std::size_t>(n) < chunk) {
+      // Kernel took a prefix of the chunk: partial send.  Report
+      // would-block so the caller resumes from frames[sent].
       result.status = SendStatus::kWouldBlock;
       result.last_errno = EAGAIN;
       return result;
     }
-    ++result.sent;
   }
   return result;
 }
@@ -446,65 +310,46 @@ void UdpSocket::send_batch_blocking(std::span<const FrameRef> frames) {
     // Backpressure: wait for the socket to drain, then resume from the
     // first unsent frame.  Loopback drains fast; the poll keeps a
     // pathological stall from spinning.
-    pollfd pfd{fd_, POLLOUT, 0};
+    pollfd pfd{fd_.get(), POLLOUT, 0};
     ::poll(&pfd, 1, 100);
   }
 }
 
 std::size_t UdpSocket::drain_ready() {
-#ifdef PBL_HAVE_MMSG
-  if (active_udp_backend() == UdpBackend::kBatched) {
-    // Scratch shared by every socket on this thread: kRxChunk max-size
-    // datagram buffers plus the mmsg scaffolding (~1 MiB/thread), wired
-    // once.  recvmmsg writes only msg_len, msg_flags and msg_namelen
-    // back, so a call resets just msg_namelen.
-    struct RxScratch {
-      std::vector<std::uint8_t> bufs =
-          std::vector<std::uint8_t>(kRxChunk * kMaxDatagram);
-      sockaddr_in srcs[kRxChunk]{};
-      iovec iovs[kRxChunk]{};
-      mmsghdr msgs[kRxChunk]{};
-      RxScratch() {
-        for (std::size_t i = 0; i < kRxChunk; ++i) {
-          iovs[i].iov_base = bufs.data() + i * kMaxDatagram;
-          iovs[i].iov_len = kMaxDatagram;
-          msgs[i].msg_hdr.msg_iov = &iovs[i];
-          msgs[i].msg_hdr.msg_iovlen = 1;
-          msgs[i].msg_hdr.msg_name = &srcs[i];
-        }
+  // Scratch shared by every socket on this thread: kRxChunk max-size
+  // datagram buffers plus the mmsg scaffolding (~1 MiB/thread), wired
+  // once.  recvmmsg writes only msg_len, msg_flags and msg_namelen back,
+  // so a call resets just msg_namelen.
+  struct RxScratch {
+    std::vector<std::uint8_t> bufs =
+        std::vector<std::uint8_t>(kRxChunk * kMaxDatagram);
+    sockaddr_in srcs[kRxChunk]{};
+    iovec iovs[kRxChunk]{};
+    mmsghdr msgs[kRxChunk]{};
+    RxScratch() {
+      for (std::size_t i = 0; i < kRxChunk; ++i) {
+        iovs[i].iov_base = bufs.data() + i * kMaxDatagram;
+        iovs[i].iov_len = kMaxDatagram;
+        msgs[i].msg_hdr.msg_iov = &iovs[i];
+        msgs[i].msg_hdr.msg_iovlen = 1;
+        msgs[i].msg_hdr.msg_name = &srcs[i];
       }
-    };
-    thread_local RxScratch scratch;
-    for (mmsghdr& m : scratch.msgs)
-      m.msg_hdr.msg_namelen = sizeof(sockaddr_in);
-    int n;
-    do {
-      n = ::recvmmsg(fd_, scratch.msgs, kRxChunk, MSG_DONTWAIT, nullptr);
-    } while (n < 0 && errno == EINTR);
-    if (n <= 0) return 0;
-    // Parsed in kernel receive order — exactly the order the fallback's
-    // one-at-a-time loop sees — before the next recvmmsg reuses the
-    // buffers.
-    for (int i = 0; i < n; ++i)
-      accept_datagram(
-          ntohs(scratch.srcs[i].sin_port),
-          {static_cast<const std::uint8_t*>(scratch.iovs[i].iov_base),
-           scratch.msgs[i].msg_len});
-    return static_cast<std::size_t>(n);
-  }
-#endif
-  std::uint8_t buf[kMaxDatagram];
-  sockaddr_in src_addr{};
-  socklen_t src_len = sizeof(src_addr);
-  ssize_t got;
+    }
+  };
+  thread_local RxScratch scratch;
+  for (mmsghdr& m : scratch.msgs) m.msg_hdr.msg_namelen = sizeof(sockaddr_in);
+  int n;
   do {
-    got = ::recvfrom(fd_, buf, sizeof(buf), MSG_DONTWAIT,
-                     reinterpret_cast<sockaddr*>(&src_addr), &src_len);
-  } while (got < 0 && errno == EINTR);
-  if (got < 0) return 0;
-  accept_datagram(ntohs(src_addr.sin_port),
-                  {buf, static_cast<std::size_t>(got)});
-  return 1;
+    n = ::recvmmsg(fd_.get(), scratch.msgs, kRxChunk, MSG_DONTWAIT, nullptr);
+  } while (n < 0 && errno == EINTR);
+  if (n <= 0) return 0;
+  // Parsed in kernel receive order, before the next recvmmsg reuses the
+  // buffers.
+  for (int i = 0; i < n; ++i)
+    accept_datagram(ntohs(scratch.srcs[i].sin_port),
+                    {static_cast<const std::uint8_t*>(scratch.iovs[i].iov_base),
+                     scratch.msgs[i].msg_len});
+  return static_cast<std::size_t>(n);
 }
 
 void UdpSocket::accept_datagram(std::uint16_t src_port,
@@ -568,7 +413,7 @@ std::optional<Datagram> UdpSocket::receive_from(double timeout_s) {
       // must wait, not busy-spin as timeout 0.
       ms = static_cast<int>(std::ceil(remaining * 1000.0));
     }
-    pollfd pfd{fd_, POLLIN, 0};
+    pollfd pfd{fd_.get(), POLLIN, 0};
     if (::poll(&pfd, 1, ms) <= 0) return std::nullopt;
     if (drain_ready() == 0) return std::nullopt;
   }
@@ -588,7 +433,7 @@ std::size_t UdpSocket::receive_batch(std::vector<fec::Packet>& out,
   if (produced >= max_packets) return produced;
   const int ms =
       timeout_s < 0 ? -1 : static_cast<int>(std::ceil(timeout_s * 1000.0));
-  pollfd pfd{fd_, POLLIN, 0};
+  pollfd pfd{fd_.get(), POLLIN, 0};
   if (::poll(&pfd, 1, ms) <= 0) return produced;
   drain_ready();
   take_pending();

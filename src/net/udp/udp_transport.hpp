@@ -12,14 +12,10 @@
 // pins one for a test's scope.  Feedback and catch-up repair are
 // unicast on either path (docs/DATAPLANE.md, "Group delivery").
 //
-// Data plane: sends and receives are batched.  Where the libc provides
-// sendmmsg/recvmmsg (PBL_HAVE_MMSG at configure time) a whole batch of
-// frames crosses the kernel boundary in one syscall; otherwise a portable
-// one-datagram-at-a-time fallback runs the identical framing code.  The
-// two backends are wire-exact: byte-identical streams per seed, proven by
-// tests/test_udp_differential.cpp.  PBL_UDP_BACKEND=batched|fallback
-// forces either at runtime, and ScopedUdpBackendOverride pins one for a
-// test's scope.
+// Data plane: one path.  Sends go out through sendmmsg, receives come
+// in through recvmmsg, a whole batch of frames per kernel crossing; a
+// single frame is a batch of one.  tests/test_udp_differential.cpp pins
+// the wire bytes each session puts in front of every member.
 #pragma once
 
 #include <cstdint>
@@ -29,44 +25,13 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fec/packet.hpp"
 #include "net/impairment.hpp"
 
 namespace pbl::net {
-
-enum class UdpBackend {
-  kBatched,   ///< sendmmsg/recvmmsg, many frames per syscall
-  kFallback,  ///< portable sendto/recv loop, one frame per syscall
-};
-
-std::string to_string(UdpBackend backend);
-
-/// True when the batched backend was compiled in (PBL_HAVE_MMSG).
-bool udp_batched_available() noexcept;
-
-/// The backend sockets currently use.  Resolution order: active
-/// ScopedUdpBackendOverride, then the PBL_UDP_BACKEND environment
-/// variable ("batched"/"fallback", read once), then kBatched when
-/// available.  Requests for an unavailable batched backend degrade to
-/// kFallback.
-UdpBackend active_udp_backend() noexcept;
-
-/// Pins the backend for a scope (differential tests run each session
-/// once per backend).  Nestable; restores the previous state on
-/// destruction.
-class ScopedUdpBackendOverride {
- public:
-  explicit ScopedUdpBackendOverride(UdpBackend backend);
-  ~ScopedUdpBackendOverride();
-  ScopedUdpBackendOverride(const ScopedUdpBackendOverride&) = delete;
-  ScopedUdpBackendOverride& operator=(const ScopedUdpBackendOverride&) =
-      delete;
-
- private:
-  int previous_;
-};
 
 /// How a sender reaches a session's members.
 enum class UdpDelivery {
@@ -149,17 +114,16 @@ class UdpSocket {
 
   /// Observes every frame the socket actually hands to the kernel, in
   /// send order (destination + wire bytes); a group frame is seen once.
-  /// The differential tests record the tap of each backend and delivery
-  /// path and require the per-member streams byte-identical.
+  /// The differential tests record the tap of each delivery path and
+  /// require the per-member streams byte-identical.
   using TxTap = std::function<void(const FrameRef&)>;
 
   /// Binds a UDP socket to 127.0.0.1:port (0 picks an ephemeral port).
   /// Throws std::system_error on failure.
   explicit UdpSocket(std::uint16_t port = 0);
-  ~UdpSocket();
 
-  UdpSocket(UdpSocket&& other) noexcept;
-  UdpSocket& operator=(UdpSocket&& other) noexcept;
+  UdpSocket(UdpSocket&&) noexcept = default;
+  UdpSocket& operator=(UdpSocket&&) noexcept = default;
   UdpSocket(const UdpSocket&) = delete;
   UdpSocket& operator=(const UdpSocket&) = delete;
 
@@ -167,12 +131,7 @@ class UdpSocket {
 
   /// The raw descriptor, for event-loop registration (server/reactor).
   /// The socket still owns it; callers must not close it.
-  int fd() const noexcept { return fd_; }
-
-  /// True when parsed packets are queued: a receive_from(0) can return
-  /// packets even if the descriptor is not readable, so event-driven
-  /// callers must drain until both are empty.
-  bool has_pending() const noexcept { return !parsed_.empty(); }
+  int fd() const noexcept { return fd_.get(); }
 
   /// Sends a packet to 127.0.0.1:dest_port.  Returns kWouldBlock on
   /// transient kernel pushback (EAGAIN/EWOULDBLOCK/ENOBUFS) instead of
@@ -184,10 +143,9 @@ class UdpSocket {
   SendStatus send_frame(std::uint16_t dest_port,
                         std::span<const std::uint8_t> frame);
 
-  /// Hands a batch of frames to the kernel — one sendmmsg per chunk on
-  /// the batched backend, a sendto loop on the fallback.  Stops at the
-  /// first would-block; `sent` frames (a prefix) are on the wire.  Hard
-  /// errors throw after reporting nothing-sent-beyond-`sent`.
+  /// Hands a batch of frames to the kernel, one sendmmsg per chunk.
+  /// Stops at the first would-block; `sent` frames (a prefix) are on the
+  /// wire.  Hard errors throw.
   BatchSendResult send_batch(std::span<const FrameRef> frames);
 
   /// send_batch with partial-send resume: polls the socket writable and
@@ -210,8 +168,8 @@ class UdpSocket {
 
   /// Batched receive: drains queued datagrams, then waits up to
   /// `timeout_s` for the socket once and pulls everything readable in a
-  /// single recvmmsg (single recv on the fallback).  Parsed packets are
-  /// appended to `out`, at most `max_packets`; returns how many.
+  /// single recvmmsg.  Parsed packets are appended to `out`, at most
+  /// `max_packets`; returns how many.
   std::size_t receive_batch(std::vector<fec::Packet>& out,
                             std::size_t max_packets, double timeout_s);
 
@@ -219,8 +177,8 @@ class UdpSocket {
   /// before parsing: drops, duplicates, bit corruption, truncation and
   /// holdback reordering all happen on the raw bytes, exercising the
   /// real fec::deserialize path.  Impairment is applied per datagram in
-  /// receive order on both backends.  Pass nullptr to remove (queued
-  /// packets are discarded either way).
+  /// receive order.  Pass nullptr to remove (queued packets are
+  /// discarded either way).
   void set_impairment(std::shared_ptr<Impairment> impairment);
 
   /// Installs a tap observing every frame sent (nullptr to remove).
@@ -271,21 +229,41 @@ class UdpSocket {
   /// IP_MULTICAST_ALL off.
   static UdpSocket group_member(std::uint32_t group, std::uint16_t port);
 
+  /// Owns the descriptor, so the moves are the defaults: closed on
+  /// destruction and when overwritten by a move, -1 once moved from.
+  class Fd {
+   public:
+    explicit Fd(int fd) noexcept : fd_(fd) {}
+    ~Fd() { reset(); }
+    Fd(Fd&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+    Fd& operator=(Fd&& other) noexcept {
+      if (this != &other) {
+        reset();
+        fd_ = std::exchange(other.fd_, -1);
+      }
+      return *this;
+    }
+    int get() const noexcept { return fd_; }
+
+   private:
+    void reset() noexcept;
+    int fd_;
+  };
+
   struct Adopt {};
   /// Owns `fd`, not yet bound.
   UdpSocket(Adopt, int fd);
   /// Binds to addr:port and records the port the kernel assigned.
   void bind_to(std::uint32_t addr, std::uint16_t port);
-  SendStatus send_raw(const FrameRef& frame);
   /// Points group sends out of 127.0.0.1 with loopback delivery on; run
   /// once, before the socket's first group frame.
   void enable_group_send();
-  /// Injection gate shared by every send syscall site: returns the errno
-  /// this attempt must fail with, or 0 to let the real syscall run.
+  /// Injection gate in front of each sendmmsg: returns the errno this
+  /// attempt must fail with, or 0 to let the real syscall run.
   int consume_injected_send();
-  /// One non-blocking read (a recvmmsg batch, or one recvfrom on the
-  /// fallback); each datagram is parsed into parsed_ straight from the
-  /// receive buffer.  Returns the number of raw datagrams read.
+  /// One non-blocking recvmmsg; each datagram is parsed into parsed_
+  /// straight from the receive buffer.  Returns the number of raw
+  /// datagrams read.
   std::size_t drain_ready();
   /// Runs one received datagram through the impairment, if any, and
   /// parses what comes out.
@@ -297,7 +275,7 @@ class UdpSocket {
                       std::span<const std::uint8_t> bytes);
   std::optional<Datagram> pop_parsed();
 
-  int fd_ = -1;
+  Fd fd_;
   std::uint16_t port_ = 0;
   std::shared_ptr<Impairment> impairment_;
   std::deque<Datagram> parsed_;  // received, parsed, awaiting delivery

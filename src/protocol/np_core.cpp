@@ -292,11 +292,8 @@ void NpSenderCore::send_poll(double now) {
   poll_sent_at_ = now;
   // The estimator learns only from answers that echo a round id, which
   // NAK-only receivers never send: that mode keeps the fixed window T.
-  // The ceiling is the longest round the fixed window ever ran, T plus
-  // the largest backoff pad: a member answering just before each
-  // timeout cannot stretch rounds past it.
   const double timeout = answer_rtt_.timeout(
-      setup_.poll_window, setup_.poll_window + kMaxBackoff);
+      setup_.poll_window, collect_ceiling(setup_.poll_window));
   const double window =
       std::min(timeout + window_pad_, deadline_.remaining(now));
   collect_deadline_ = now + window;

@@ -102,6 +102,34 @@ struct NpParams {
       on_parities_sent;
 };
 
+/// The longest collect timeout a reliable sender runs: the fixed window
+/// T plus the largest backoff.  The RTT-based timeout stops there, so a
+/// member answering just before each timeout cannot stretch rounds past
+/// the longest round the fixed window ever ran.
+constexpr double collect_ceiling(double poll_window) noexcept {
+  return poll_window + kMaxBackoff;
+}
+
+/// The longest a reliable sender stays silent towards a member it still
+/// POLLs: a round at the collect ceiling widened by the largest re-POLL
+/// pad, kMaxBackoff·(1 + kBackoffJitter).
+constexpr double longest_poll_gap(double poll_window) noexcept {
+  return collect_ceiling(poll_window) + kMaxBackoff * (1.0 + kBackoffJitter);
+}
+
+/// How long a receiver that holds every TG waits in silence for the end
+/// marker.  The sender evicts a member after retry.grace_rounds
+/// unanswered rounds, each at most longest_poll_gap long, so a member
+/// that heard nothing for that long was evicted or the session is over.
+/// One gap is not enough: a lost ACK followed by a run of lost re-POLLs
+/// (send pushback drops them) would evict a member that holds it all.
+constexpr double drain_wait(const NpParams& params,
+                            double poll_window) noexcept {
+  const std::size_t rounds = params.retry.grace_rounds;
+  return static_cast<double>(rounds > 0 ? rounds : 1) *
+         longest_poll_gap(poll_window);
+}
+
 /// Throws std::invalid_argument unless `groups` is a payload for
 /// `params`: at least one TG, each of k packets of packet_len bytes.
 void check_tg_shape(

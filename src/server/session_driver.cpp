@@ -285,10 +285,7 @@ void SenderSessionDriver::on_readable() {
 void SenderSessionDriver::drain_feedback() {
   while (!finished_ && !stopped_) {
     auto dg = socket_.receive_from(0.0);
-    if (!dg) {
-      if (!socket_.has_pending()) break;
-      continue;
-    }
+    if (!dg) break;
     const fec::PacketHeader& hdr = dg->packet.header;
     const double now = clk_.now();
     // Hostile-peer admission runs before ANY protocol state is touched:
@@ -430,8 +427,9 @@ void ReceiverSessionDriver::stop() {
 }
 
 double ReceiverSessionDriver::idle_deadline() const {
-  const double budget = core_.done_count() == num_tgs_ ? cfg_.drain_timeout
-                                                       : opt_.idle_timeout;
+  const double budget = core_.done_count() == num_tgs_
+                            ? protocol::drain_wait(cfg_, cfg_.poll_window)
+                            : opt_.idle_timeout;
   return last_rx_ + budget;
 }
 
@@ -482,10 +480,7 @@ void ReceiverSessionDriver::on_readable(bool unicast) {
 void ReceiverSessionDriver::drain(net::UdpSocket& socket) {
   while (!finished_) {
     auto dg = socket.receive_from(0.0);
-    if (!dg) {
-      if (!socket.has_pending()) break;
-      continue;
-    }
+    if (!dg) break;
     // Guarded receivers only listen to their sender: a peer injecting
     // frames directly at members (fake end markers, garbage repair) is
     // rejected on source address before any header field is believed.

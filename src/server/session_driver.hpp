@@ -7,9 +7,9 @@
 // or NpReceiverCore (protocol/np_core.hpp), the same state machine the
 // discrete-event NpSession runs.  A driver adds what sockets need:
 // draining them, PeerGuard admission and keyed control frames, the burst
-// engine (pacer, arena, load shedding, flush timer), reactor timers,
-// group versus catch-up fan-out, idle and drain clocks, and the crash
-// and loss faults.  Time comes exclusively from the injected clock in
+// engine (pacer, arena, flush timer), reactor timers, group versus
+// catch-up fan-out, idle and drain clocks, and the crash and loss
+// faults.  Time comes exclusively from the injected clock in
 // UdpNpConfig::clock, so the drivers can be unit-tested on a ManualClock
 // by pumping events by hand.  tests/test_udp_differential.cpp pins their
 // wire bytes.

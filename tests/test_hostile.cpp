@@ -65,7 +65,6 @@ class HostileTest : public ::testing::Test {
     cfg.np.h = 8;
     cfg.np.packet_len = 32;
     cfg.np.poll_window = 0.02;
-    cfg.np.drain_timeout = 0.3;
     cfg.np.reliable_control = true;
     cfg.np.retry.grace_rounds = 8;
     cfg.np.guard.enabled = true;

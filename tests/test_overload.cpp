@@ -60,7 +60,6 @@ class OverloadTest : public ::testing::Test {
     cfg.np.h = 8;
     cfg.np.packet_len = 32;
     cfg.np.poll_window = 0.02;
-    cfg.np.drain_timeout = 0.3;
     cfg.np.reliable_control = true;
     cfg.receiver_idle_timeout = 5.0;
     cfg.journal_dir = dir_;
@@ -263,7 +262,6 @@ TEST_F(OverloadTest, QuarantineUnblocksGroupCompletion) {
   np.h = 8;
   np.packet_len = 32;
   np.poll_window = 0.02;
-  np.drain_timeout = 0.3;
   np.reliable_control = true;
   np.seed = chaos_seed(55);
   np.clock = &reactor.clock();
@@ -325,7 +323,6 @@ TEST_F(OverloadTest, StuckSocketEndsAtTheSessionDeadline) {
     np.h = 8;
     np.packet_len = 32;
     np.poll_window = 0.02;
-    np.drain_timeout = 0.2;
     np.reliable_control = true;
     np.seed = chaos_seed(78);
     np.clock = &reactor.clock();

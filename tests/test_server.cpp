@@ -66,7 +66,6 @@ class ServerTest : public ::testing::Test {
     cfg.np.h = 8;
     cfg.np.packet_len = 32;
     cfg.np.poll_window = 0.02;
-    cfg.np.drain_timeout = 0.3;
     cfg.np.reliable_control = true;
     cfg.receiver_idle_timeout = 5.0;
     cfg.journal_dir = dir_;

@@ -1,8 +1,8 @@
 // Differential proof that the reactor drivers put the same bytes on the
-// wire whatever the data plane underneath: the same seeded session, run
-// on one private Reactor once per path — each UDP backend, under unicast
-// fan-out and under group delivery (IP multicast on lo) — must put
-// byte-identical streams in front of every member (captured via the
+// wire whatever the delivery path: the same seeded session, run on one
+// private Reactor once under unicast fan-out and once under group
+// delivery (IP multicast on lo), must put byte-identical streams in
+// front of every member (captured via the
 // socket tx tap; a group frame counts once per member), produce
 // identical sender stats and PartialDeliveryReports, and leave every
 // receiver with identical counters.  Each stream is also pinned to
@@ -41,7 +41,7 @@ UdpNpConfig base_config() {
   cfg.packet_len = 128;
   // Generous collect window: the differential assertion needs every NAK
   // inside its round on both runs, so timing noise cannot skew the
-  // repair schedule between backends.
+  // repair schedule between paths.
   cfg.poll_window = 0.08;
   return cfg;
 }
@@ -55,21 +55,11 @@ UdpNpConfig reliable_config() {
   return cfg;
 }
 
-/// One data plane a session can run on.
-struct Path {
-  UdpBackend backend;
-  UdpDelivery delivery;
-};
+/// The delivery paths a session can run on; fan-out, the reference,
+/// comes first.
+constexpr UdpDelivery kPaths[] = {UdpDelivery::kFanOut, UdpDelivery::kGroup};
 
-/// Fan-out on the batched backend, the reference, comes first.
-constexpr Path kPaths[] = {{UdpBackend::kBatched, UdpDelivery::kFanOut},
-                           {UdpBackend::kFallback, UdpDelivery::kFanOut},
-                           {UdpBackend::kBatched, UdpDelivery::kGroup},
-                           {UdpBackend::kFallback, UdpDelivery::kGroup}};
-
-std::string path_name(std::size_t i) {
-  return to_string(kPaths[i].backend) + "/" + to_string(kPaths[i].delivery);
-}
+std::string path_name(std::size_t i) { return to_string(kPaths[i]); }
 
 /// Runs the session once per path, in kPaths order.
 std::vector<SessionRun> run_paths(const std::vector<TgBytes>& groups,
@@ -77,8 +67,7 @@ std::vector<SessionRun> run_paths(const std::vector<TgBytes>& groups,
                                   const SessionSetup& setup) {
   std::vector<SessionRun> runs;
   for (std::size_t i = 0; i < std::size(kPaths); ++i) {
-    ScopedUdpBackendOverride backend(kPaths[i].backend);
-    ScopedUdpDeliveryOverride delivery(kPaths[i].delivery);
+    ScopedUdpDeliveryOverride delivery(kPaths[i]);
     runs.push_back(server::harness::run_session(groups, cfg, setup));
     EXPECT_FALSE(runs.back().wedged) << "watchdog fired on " << path_name(i);
   }
@@ -123,14 +112,14 @@ std::uint32_t stream_digest(std::span<const std::uint8_t> stream) {
 }
 
 // Recorded from the blocking UdpNp sender/receiver pair that preceded
-// the reactor drivers as the real-socket engine, on both backends, for
-// the sessions below (same groups, configs, loss seeds).  The drivers
-// must reproduce that engine's wire bytes exactly.
+// the reactor drivers as the real-socket engine, on both UDP backends the
+// tree then had, for the sessions below (same groups, configs, loss
+// seeds).  The drivers must reproduce that engine's wire bytes exactly.
 constexpr WireDigest kCleanDigest{0x2863ba19u, 2876};        // 22 frames
 constexpr WireDigest kLossyDigest{0xf5518d22u, 5702};        // 47 frames
 constexpr WireDigest kReliableDigest{0x974d0cf7u, 3544};     // 28 frames
 constexpr WireDigest kCrashResumeDigest{0x2662f1cau, 3338};  // 25 frames
-// Recorded from the reactor drivers, on both backends, before the
+// Recorded from the reactor drivers, on both UDP backends, before the
 // quarantine catch-up pass was folded into the main round machine.
 // Catch-up unicasts to the stragglers, so each member gets its own
 // stream.
@@ -329,8 +318,7 @@ TEST(UdpDifferential, CrashResumeClampsAtTheSameFrame) {
                               std::to_string(::getpid()) + "_pbl_diff.log";
   std::vector<server::harness::CrashRun> runs;
   for (std::size_t i = 0; i < std::size(kPaths); ++i) {
-    ScopedUdpBackendOverride backend(kPaths[i].backend);
-    ScopedUdpDeliveryOverride delivery(kPaths[i].delivery);
+    ScopedUdpDeliveryOverride delivery(kPaths[i]);
     runs.push_back(
         server::harness::run_crash_session(groups, base_config(), journal));
     EXPECT_FALSE(runs.back().session.wedged)

@@ -5,9 +5,10 @@ Drives the full crash-tolerance story end to end:
 
 1. **Run 1** starts the server on N concurrent impaired sessions with
    write-ahead journaling and interval snapshots, then (with
-   ``--kill-after T``) delivers SIGTERM mid-run.  The server drains:
-   in-flight sessions are checkpointed to journals + receiver state
-   files and reported as ``drained``.
+   ``--kill-after T``) delivers SIGTERM mid-run.  Run 1 gets
+   ``--drain-grace=0``, so the drain stops every in-flight session at
+   once: each is checkpointed to its journal + receiver state files and
+   reported as ``drained``.
 2. **Run 2** restarts with ``--resume`` and the same flags: every
    journaled session must come back and finish.
 
@@ -15,6 +16,9 @@ The harness then gates on the invariants the server promises:
 
 * every snapshot from both runs validates against metrics-schema.json
   (closed-world key sets, kinds, histogram consistency);
+* with a kill, run 1 drained at least one session and run 2 resumed
+  exactly the sessions run 1 drained — a kill that lands after the last
+  session finished checks nothing;
 * ``run1.completed + run2.completed == sessions`` — every session
   completes exactly once across the two lives;
 * ``redelivered_prior == 0`` in both runs — no journal-confirmed TG was
@@ -106,7 +110,7 @@ def run_server(binary, flags, kill_after):
         try:
             proc.send_signal(signal.SIGTERM)
         except ProcessLookupError:
-            pass  # finished before the chaos landed: run 2 resumes nothing
+            pass  # finished before the kill: the drained gate fails
     out, _ = proc.communicate(timeout=600)
     sys.stdout.write(out)
     m = SUMMARY_RE.search(out)
@@ -186,8 +190,10 @@ def main():
         common += HOSTILE_FLAGS
 
     errors = []
-    code1, run1 = run_server(args.binary, common + [f"--snapshot-dir={sdir1}"],
-                             args.kill_after)
+    run1_flags = common + [f"--snapshot-dir={sdir1}"]
+    if args.kill_after > 0:
+        run1_flags.append("--drain-grace=0")
+    code1, run1 = run_server(args.binary, run1_flags, args.kill_after)
     if code1 != 0:
         errors.append(f"run 1 exited {code1}")
     journals = [f for f in os.listdir(jdir) if f.endswith(".journal")]
@@ -203,6 +209,13 @@ def main():
             common + [f"--snapshot-dir={sdir2}", "--resume"], 0.0)
         if code2 != 0:
             errors.append(f"run 2 exited {code2}")
+        if run1["drained"] == 0:
+            errors.append("run 1 drained no session: the kill landed after "
+                          "every session finished, so the restart checked "
+                          "nothing (lower --kill-after or raise --tgs)")
+        if run2["resumed"] != run1["drained"]:
+            errors.append(f"run 2 resumed {run2['resumed']} session(s), run "
+                          f"1 drained {run1['drained']}")
         leftovers = os.listdir(jdir)
         if leftovers:
             errors.append(f"run 2 left {len(leftovers)} journal/state "

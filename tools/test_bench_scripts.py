@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Tests for bench/check_regression.py, bench/compare_points.py,
-tools/check_e2e_counts.py and tools/validate_metrics.py.
+tools/check_e2e_counts.py, tools/validate_metrics.py and the gates of
+tools/soak.py.
 
 The gate scripts decide whether CI legs pass, so their failure
 modes (malformed JSON, missing baselines, silently dropped points) are
@@ -30,6 +31,7 @@ sys.path.insert(0, os.path.join(REPO, "tools"))
 import check_e2e_counts  # noqa: E402
 import check_regression  # noqa: E402
 import compare_points  # noqa: E402
+import soak  # noqa: E402
 import validate_metrics  # noqa: E402
 
 
@@ -260,38 +262,44 @@ class CheckE2eCountsTest(ScriptCase):
         self.assertEqual(code, 1, out)
 
 
+METRICS_SCHEMA = {
+    "schema": "pbl-metrics-v1", "version": 1, "kind": "schema",
+    "server": [
+        {"name": "server_state", "kind": "string", "help": "",
+         "allowed": ["running", "stopped"]},
+        {"name": "sessions_completed", "kind": "counter", "help": ""},
+        {"name": "uptime_seconds", "kind": "gauge", "help": ""},
+        {"name": "session_tx_per_packet", "kind": "histogram", "help": "",
+         "buckets": [1.0, 2.0]}],
+    "session": [
+        {"name": "label", "kind": "string", "help": ""},
+        {"name": "data_sent", "kind": "counter", "help": ""}]}
+
+
+def metrics_snapshot():
+    """A snapshot that is valid under METRICS_SCHEMA."""
+    return {"schema": "pbl-metrics-v1", "version": 1, "kind": "snapshot",
+            "time": 1.5,
+            "server": {"server_state": "stopped",
+                       "sessions_completed": 2,
+                       "uptime_seconds": 1.5,
+                       "session_tx_per_packet": {
+                           "buckets": [1.0, 2.0], "counts": [0, 2, 0],
+                           "count": 2, "sum": 2.5}},
+            "sessions": {"0": {"label": "any text", "data_sent": 8},
+                         "1": {"label": "", "data_sent": 8}}}
+
+
 class ValidateMetricsTest(ScriptCase):
     """The closed-world snapshot checker behind soak_smoke and the CI
     --require gates: one valid snapshot passes, each kind of violation
     fails on its own."""
 
-    SCHEMA = {"schema": "pbl-metrics-v1", "version": 1, "kind": "schema",
-              "server": [
-                  {"name": "server_state", "kind": "string", "help": "",
-                   "allowed": ["running", "stopped"]},
-                  {"name": "sessions_completed", "kind": "counter",
-                   "help": ""},
-                  {"name": "uptime_seconds", "kind": "gauge", "help": ""},
-                  {"name": "session_tx_per_packet", "kind": "histogram",
-                   "help": "", "buckets": [1.0, 2.0]}],
-              "session": [
-                  {"name": "label", "kind": "string", "help": ""},
-                  {"name": "data_sent", "kind": "counter", "help": ""}]}
-
     def snapshot(self):
-        return {"schema": "pbl-metrics-v1", "version": 1, "kind": "snapshot",
-                "time": 1.5,
-                "server": {"server_state": "stopped",
-                           "sessions_completed": 2,
-                           "uptime_seconds": 1.5,
-                           "session_tx_per_packet": {
-                               "buckets": [1.0, 2.0], "counts": [0, 2, 0],
-                               "count": 2, "sum": 2.5}},
-                "sessions": {"0": {"label": "any text", "data_sent": 8},
-                             "1": {"label": "", "data_sent": 8}}}
+        return metrics_snapshot()
 
     def validate(self, snap=None, require=()):
-        argv = ["--schema", self.write("schema.json", self.SCHEMA)]
+        argv = ["--schema", self.write("schema.json", METRICS_SCHEMA)]
         for name in require:
             argv += ["--require", name]
         if snap is not None:
@@ -345,6 +353,61 @@ class ValidateMetricsTest(ScriptCase):
                 code, out = self.validate(require=[name])
                 self.assertEqual(code, 1, out)
                 self.assertIn("%r not declared" % name, out)
+
+
+class SoakGateTest(ScriptCase):
+    """soak.py's restart gates, against a stand-in for multicast_server
+    that writes one valid snapshot and prints the summary line."""
+
+    SESSIONS = 4
+
+    def fake_server(self, drained, resumed):
+        """Run 1 completes all but `drained` sessions; the --resume run
+        reports `resumed` and completes the drained ones.  Run 1 fails
+        unless it was given --drain-grace=0.  It ignores the SIGTERM,
+        which may land before or after it printed."""
+        summary = ("multicast_server: backend=epoll submitted=%d "
+                   "resumed=%d refused=0 completed=%d failed=0 drained=%d "
+                   "redelivered_prior=0 payload_mismatches=0 would_block=0 "
+                   "suppressed=0 quarantined=0 faults=0 peer_rejected=0 "
+                   "peer_banned=0")
+        run1 = summary % (self.SESSIONS, 0, self.SESSIONS - drained, drained)
+        run2 = summary % (0, resumed, drained, 0)
+        path = os.path.join(self.dir.name, "fake_server")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("#!%s\nimport json, os, signal, sys\n" % sys.executable)
+            f.write("signal.signal(signal.SIGTERM, signal.SIG_IGN)\n")
+            f.write("resume = '--resume' in sys.argv\n")
+            f.write("assert resume or '--drain-grace=0' in sys.argv, "
+                    "sys.argv\n")
+            f.write("d = [a.split('=', 1)[1] for a in sys.argv\n"
+                    "     if a.startswith('--snapshot-dir=')][0]\n")
+            f.write("with open(os.path.join(d, 's.json'), 'w') as f:\n"
+                    "    json.dump(%r, f)\n" % metrics_snapshot())
+            f.write("print(%r if resume else %r)\n" % (run2, run1))
+        os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
+        return path
+
+    def soak(self, drained, resumed):
+        return self.run_main(soak, [
+            "--binary", self.fake_server(drained, resumed),
+            "--schema", self.write("schema.json", METRICS_SCHEMA),
+            "--workdir", os.path.join(self.dir.name, "work"),
+            "--sessions", str(self.SESSIONS), "--kill-after", "0.5"])
+
+    def test_resumed_drained_sessions_pass(self):
+        code, out = self.soak(drained=2, resumed=2)
+        self.assertEqual(code, 0, out)
+
+    def test_kill_that_drained_nothing_fails(self):
+        code, out = self.soak(drained=0, resumed=0)
+        self.assertEqual(code, 1, out)
+        self.assertIn("run 1 drained no session", out)
+
+    def test_resumed_must_equal_drained(self):
+        code, out = self.soak(drained=2, resumed=1)
+        self.assertEqual(code, 1, out)
+        self.assertIn("run 2 resumed 1 session(s), run 1 drained 2", out)
 
 
 if __name__ == "__main__":
