@@ -10,6 +10,8 @@
 // ReceiverSessionDriver::Options::expected.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -25,6 +27,18 @@
 #include "util/rng.hpp"
 
 namespace pbl::server::harness {
+
+/// The parameterized UDP suites (test_udp, test_udp_np) run each case
+/// once per delivery path, both on the one sendmmsg/recvmmsg data plane:
+/// `batched` under group delivery where the host has it, `fallback`
+/// under fan-out delivery, the one-unicast-copy-per-member path a host
+/// without multicast on lo falls back to.  The instance names are those
+/// of the retired {batched, fallback} data-plane pair, kept as the
+/// cases' identities.
+inline std::string delivery_instance_name(
+    const ::testing::TestParamInfo<net::UdpDelivery>& info) {
+  return info.param == net::UdpDelivery::kGroup ? "batched" : "fallback";
+}
 
 inline std::vector<net::TgBytes> random_groups(std::size_t tgs, std::size_t k,
                                                std::size_t len,
