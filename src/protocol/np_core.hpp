@@ -121,8 +121,9 @@ constexpr double longest_poll_gap(double poll_window) noexcept {
 /// marker.  The sender evicts a member after retry.grace_rounds
 /// unanswered rounds, each at most longest_poll_gap long, so a member
 /// that heard nothing for that long was evicted or the session is over.
-/// One gap is not enough: a lost ACK followed by a run of lost re-POLLs
-/// (send pushback drops them) would evict a member that holds it all.
+/// One gap is not enough: a lost ACK followed by a run of re-POLLs lost
+/// to network control loss would evict a member that holds it all.  (The
+/// sender itself drops no POLL: pushback only delays it.)
 constexpr double drain_wait(const NpParams& params,
                             double poll_window) noexcept {
   const std::size_t rounds = params.retry.grace_rounds;

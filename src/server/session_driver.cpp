@@ -104,33 +104,31 @@ bool SenderSessionDriver::send_poll(fec::Packet packet,
   // bytes identical per member, so one group send serves them all.
   if (cfg_.guard.auth && packet.header.type == fec::PacketType::kPoll)
     net::append_auth_trailer(packet, group_key_, ++ctl_seq_);
-  // Best-effort control fan-out: a would-block tail is dropped rather
-  // than parking the reactor in a blocking socket wait — control loss is
-  // protocol-legal (re-POLL and NAK-retransmit machinery repairs it),
-  // while a blocking retry under sustained pushback would starve every
-  // other session on this thread.
-  const auto bytes = fec::serialize(packet);
-  std::vector<net::FrameRef> refs;
-  refs.reserve(group_.members().size());
-  fan_out(bytes, targets, refs);
-  if (socket_.send_batch(refs).status == net::SendStatus::kWouldBlock)
-    ++stats_.would_block;
+  // The POLL queues behind whatever pushback still holds, and the retry
+  // timer already armed for that carries it; only the network can lose
+  // it, which the re-POLL and NAK-retransmit machinery repairs.
+  const bool waiting = queue_sent_ < queue_.size();
+  if (!waiting) recycle();
+  if (control_used_ == control_.size()) control_.emplace_back();
+  ControlSlot& slot = control_[control_used_++];
+  const std::size_t len = fec::serialize_into(packet, slot);
+  fan_out(std::span<const std::uint8_t>(slot).first(len), targets);
+  if (!waiting) flush(clk_.now());
   return true;
 }
 
 void SenderSessionDriver::fan_out(std::span<const std::uint8_t> frame,
-                                  const std::vector<std::size_t>* targets,
-                                  std::vector<net::FrameRef>& out) const {
+                                  const std::vector<std::size_t>* targets) {
   const auto& members = group_.members();
   if (targets) {
-    for (const std::size_t m : *targets) out.push_back({members[m], frame});
+    for (const std::size_t m : *targets) queue_.push_back({members[m], frame});
     return;
   }
   if (group_.multicast()) {
-    out.push_back(group_.to_all(frame));  // one send reaches every member
+    queue_.push_back(group_.to_all(frame));  // one send reaches every member
     return;
   }
-  for (const std::uint16_t port : members) out.push_back({port, frame});
+  for (const std::uint16_t port : members) queue_.push_back({port, frame});
 }
 
 void SenderSessionDriver::send_end() {
@@ -148,14 +146,13 @@ void SenderSessionDriver::send_burst(const protocol::NpBurst& burst) {
   bursting_ = true;
   stage_count_ = burst.count;
   stage_next_ = 0;
-  burst_sent_ = 0;
-  burst_.clear();
-  arena_->release_all();
-  pump_burst();
+  // A POLL still held by pushback leaves first: the burst stages behind it.
+  if (queue_sent_ == queue_.size()) recycle();
+  pump();
 }
 
-void SenderSessionDriver::pump_burst() {
-  if (finished_ || stopped_ || !bursting_) return;
+void SenderSessionDriver::pump() {
+  if (finished_ || stopped_) return;
   for (;;) {
     const double now = clk_.now();
     bool arena_full = false;
@@ -164,7 +161,7 @@ void SenderSessionDriver::pump_burst() {
     // crash counter ticks per logical packet before its frames stage,
     // clamping the burst at the same wire position regardless of how
     // many arena generations or pacer deferrals the burst spans.
-    while (stage_next_ < stage_count_) {
+    while (bursting_ && stage_next_ < stage_count_) {
       if (crash_fired()) break;
       if (!pacer_.ready(now)) {
         pacer_blocked = true;
@@ -188,25 +185,24 @@ void SenderSessionDriver::pump_burst() {
         len = encoder_->write_parity_frame(index, inc, frame->bytes);
         ++stats_.parity_sent;
       }
-      fan_out(frame->bytes.first(len), spec_.targets, burst_);
+      fan_out(frame->bytes.first(len), spec_.targets);
       ++stage_next_;
     }
 
-    // Flush everything staged but unsent.  send_batch's prefix contract
-    // keeps the wire byte-identical however the burst is chopped.
-    if (burst_sent_ < burst_.size()) {
-      const auto r = socket_.send_batch(
-          std::span<const net::FrameRef>(burst_).subspan(burst_sent_));
-      burst_sent_ += r.sent;
-      if (r.status == net::SendStatus::kWouldBlock) {
-        // Nothing is ever dropped: wait on the retry timer.  A socket
-        // that never drains is ended by the session deadline.
-        ++stats_.would_block;
-        if (core_.end_if_deadline_passed(now)) return;
-        arm_flush_timer(now + kRetryInterval);
-        return;
-      }
+    if (!flush(now)) {
+      // A socket that never drains is ended by the session deadline; an
+      // end marker stuck behind it gives up at end_by_.
+      if (!core_.finished())
+        core_.end_if_deadline_passed(now);
+      else if (now >= end_by_)
+        finish_session();
+      return;
     }
+    if (core_.finished()) {
+      finish_session();  // the end marker is on the wire
+      return;
+    }
+    if (!bursting_) return;  // a queued POLL went out
 
     // Everything staged so far is on the wire.
     if (stage_next_ >= stage_count_ || stats_.crashed) {
@@ -217,9 +213,7 @@ void SenderSessionDriver::pump_burst() {
       // The staged generation is fully flushed: recycle the arena and
       // keep staging — a tiny arena costs extra kernel batches, never
       // different bytes.
-      burst_.clear();
-      burst_sent_ = 0;
-      arena_->release_all();
+      recycle();
       continue;
     }
     if (pacer_blocked) {
@@ -230,13 +224,31 @@ void SenderSessionDriver::pump_burst() {
   }
 }
 
+bool SenderSessionDriver::flush(double now) {
+  if (queue_sent_ == queue_.size()) return true;
+  // send_batch's prefix contract keeps the wire byte-identical however
+  // the queue is chopped.
+  const auto r = socket_.send_batch(
+      std::span<const net::FrameRef>(queue_).subspan(queue_sent_));
+  queue_sent_ += r.sent;
+  if (r.status != net::SendStatus::kWouldBlock) return true;
+  ++stats_.would_block;
+  arm_flush_timer(now + kRetryInterval);
+  return false;
+}
+
+void SenderSessionDriver::recycle() {
+  queue_.clear();
+  queue_sent_ = 0;
+  control_used_ = 0;
+  arena_->release_all();
+}
+
 void SenderSessionDriver::on_burst_complete() {
   bursting_ = false;
-  burst_.clear();
-  burst_sent_ = 0;
+  recycle();
   stage_next_ = 0;
   stage_count_ = 0;
-  arena_->release_all();
   disarm_flush_timer();
   core_.on_burst_done(clk_.now(), stats_.crashed);
 }
@@ -245,7 +257,7 @@ void SenderSessionDriver::arm_flush_timer(double when) {
   if (flush_timer_armed_) reactor_.cancel_timer(flush_timer_);
   flush_timer_ = reactor_.add_timer(when, [this] {
     flush_timer_armed_ = false;
-    pump_burst();
+    pump();
   });
   flush_timer_armed_ = true;
 }
@@ -333,12 +345,24 @@ void SenderSessionDriver::session_over() {
   }
   stats_.report = core_.report();
   disarm_timer();
-  disarm_flush_timer();
   bursting_ = false;
   if (fd_registered_) {
     reactor_.remove_fd(socket_.fd());
     fd_registered_ = false;
   }
+  if (queue_sent_ == queue_.size()) {
+    finish_session();
+    return;
+  }
+  // Frames still held by pushback, the end marker last unless the sender
+  // crashed, keep flushing on the retry timer already armed.  By
+  // drain_wait from now every member that decoded everything has stopped
+  // waiting for the marker, so the session finishes then regardless.
+  end_by_ = clk_.now() + protocol::drain_wait(cfg_, cfg_.poll_window);
+}
+
+void SenderSessionDriver::finish_session() {
+  disarm_flush_timer();
   finished_ = true;
   if (on_finished_) on_finished_();  // may reschedule our destruction; last
 }

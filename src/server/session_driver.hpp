@@ -6,16 +6,19 @@
 // The round logic is not here: each driver runs a protocol::NpSenderCore
 // or NpReceiverCore (protocol/np_core.hpp), the same state machine the
 // discrete-event NpSession runs.  A driver adds what sockets need:
-// draining them, PeerGuard admission and keyed control frames, the burst
-// engine (pacer, arena, flush timer), reactor timers, group versus
-// catch-up fan-out, idle and drain clocks, and the crash and loss
-// faults.  Time comes exclusively from the injected clock in
-// UdpNpConfig::clock, so the drivers can be unit-tested on a ManualClock
-// by pumping events by hand.  tests/test_udp_differential.cpp pins their
-// wire bytes.
+// draining them, PeerGuard admission and keyed control frames, the
+// sender's one send queue (pacer, arena, retry timer) that every DATA,
+// PARITY, POLL and end-marker frame leaves through in wire order,
+// reactor timers, group versus catch-up fan-out, idle and drain clocks,
+// and the crash and loss faults.  Time comes exclusively from the
+// injected clock in UdpNpConfig::clock, so the drivers can be
+// unit-tested on a ManualClock by pumping events by hand.
+// tests/test_udp_differential.cpp pins their wire bytes.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -80,8 +83,8 @@ class SenderSessionDriver : private protocol::NpSenderCore::Io {
  private:
   // protocol::NpSenderCore::Io
   void send_burst(const protocol::NpBurst& burst) override;
-  /// Best-effort send of a control packet (POLLs and the end marker);
-  /// false once the crash fault has fired.
+  /// Queues a POLL or the end marker behind every frame still waiting
+  /// and flushes; false once the crash fault has fired.
   bool send_poll(fec::Packet packet,
                  const std::vector<std::size_t>* targets) override;
   void send_end() override;
@@ -95,17 +98,24 @@ class SenderSessionDriver : private protocol::NpSenderCore::Io {
   void on_window_expired();
   /// The crash fault: true once crash_after_sends sends were made.
   bool crash_fired();
-  /// Appends the frame's destinations: one group frame (or one unicast
+  /// Queues the frame's destinations: one group frame (or one unicast
   /// copy per member on a fan-out group), or one copy per target member.
   void fan_out(std::span<const std::uint8_t> frame,
-               const std::vector<std::size_t>* targets,
-               std::vector<net::FrameRef>& out) const;
-  /// The burst engine: stages frames as the pacer and arena allow,
-  /// flushes them with non-blocking send_batch, and on pushback or
-  /// exhaustion defers itself on a reactor timer instead of blocking —
-  /// the reactor thread is never parked in a socket wait.
-  void pump_burst();
+               const std::vector<std::size_t>* targets);
+  /// Stages the burst's frames as the pacer and arena allow and flushes
+  /// the queue; on pushback or exhaustion it defers itself on a reactor
+  /// timer instead of blocking, so the reactor thread is never parked in
+  /// a socket wait.
+  void pump();
+  /// Sends the queue's unsent tail with non-blocking send_batch.  False
+  /// on pushback, with the retry timer armed; nothing is ever dropped.
+  bool flush(double now);
+  /// Empties the queue, all of it on the wire, and frees its slots.
+  void recycle();
   void on_burst_complete();
+  /// Reports the session finished: the core is over and the end marker
+  /// has left, or waited drain_wait behind pushback.
+  void finish_session();
   void arm_flush_timer(double when);
   void disarm_flush_timer();
   std::size_t member_of(std::uint16_t port) const;
@@ -129,19 +139,29 @@ class SenderSessionDriver : private protocol::NpSenderCore::Io {
   Reactor::TimerId window_timer_ = 0;
   bool timer_armed_ = false;
 
-  // Resumable burst engine (pump_burst).  DATA/PARITY frames are written
-  // in place into arena slabs and batched per burst.
+  // The send queue: every frame the session sends, in wire order.
+  // DATA/PARITY frames are written in place into arena slabs.  POLLs and
+  // the end marker take control slots of their own, sized for the auth
+  // trailer: a burst stalled by pushback may hold every arena slab when
+  // the session deadline's end marker must queue behind it.
+  using ControlSlot =
+      std::array<std::uint8_t, fec::wire_size(net::kAuthTrailerSize)>;
   std::unique_ptr<net::PacketArena> arena_;
-  std::vector<net::FrameRef> burst_;
+  std::deque<ControlSlot> control_;
+  std::size_t control_used_ = 0;  ///< slots of control_ in the queue
+  std::vector<net::FrameRef> queue_;
+  std::size_t queue_sent_ = 0;    ///< FrameRefs already on the wire
   std::optional<fec::TgEncoder> encoder_;
   protocol::NpBurst spec_;        ///< the burst in flight
   bool bursting_ = false;
   net::Pacer pacer_;
   std::size_t stage_next_ = 0;    ///< next logical packet to stage
   std::size_t stage_count_ = 0;   ///< logical packets in this burst
-  std::size_t burst_sent_ = 0;    ///< FrameRefs already on the wire
   Reactor::TimerId flush_timer_ = 0;
   bool flush_timer_armed_ = false;
+  /// Set when the core ends with frames still queued: the queue keeps
+  /// flushing until then, and the session finishes either way.
+  double end_by_ = 0.0;
 
   // Hostile-peer defense (net/peer_guard.hpp; null when guard off).
   std::unique_ptr<net::PeerGuard> guard_;

@@ -8,7 +8,8 @@
 // receiver with identical counters.  Each stream is also pinned to
 // a committed CRC-32, so a change to the session engine that moves one
 // byte fails here, and two knobs documented as "same bytes" (a one-frame
-// arena, a pacer that never binds) are held to that claim.
+// arena, a pacer that never binds) are held to that claim, as is kernel
+// pushback on the sender's socket.
 //
 // Also holds the FrameStreamDecoder segmentation-invariance contract
 // (the deterministic twin of fuzz/fuzz_frame_batch.cpp) so tier-1 runs
@@ -17,9 +18,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/udp/frame_stream.hpp"
@@ -211,23 +214,38 @@ void expect_digest(const std::vector<SessionRun>& runs, WireDigest want) {
 
 // UdpNpConfig::arena_frames promises "same bytes, bounded memory": a
 // one-frame arena fills every burst across many arena generations.  A
-// pacer defers bursts on reactor timers when it binds.  Neither may move
-// a byte, so a pinned session must reproduce its digest on every path
-// with a one-frame arena, and with a pacer far above the session's send
-// rate.
+// pacer defers bursts on reactor timers when it binds.  Pushback on the
+// sender's socket (bursts of EAGAIN) holds DATA, PARITY, POLLs and the
+// end marker alike in the send queue until its retry timer.  None of
+// them may move a byte, so a pinned session must reproduce its digest
+// on every path with a one-frame arena, with a pacer far above the
+// session's send rate, and under EAGAIN bursts.
 void expect_knobs_keep_bytes(const std::vector<TgBytes>& groups,
                              std::size_t receivers, const UdpNpConfig& cfg,
                              double inject_loss, WireDigest want) {
+  SessionSetup setup;
+  setup.receivers = receivers;
+  setup.data_loss = inject_loss;
+  SessionSetup pushback = setup;
+  pushback.sender_hook = [](server::SenderSessionDriver& sender) {
+    sender.socket().inject_send_errno_every(EAGAIN, /*every=*/4,
+                                            /*burst=*/2);
+  };
   UdpNpConfig one_frame_arena = cfg;
   one_frame_arena.arena_frames = 1;
   UdpNpConfig idle_pacer = cfg;
   idle_pacer.overload.pace_rate = 1e9;
-  for (const auto& variant : {one_frame_arena, idle_pacer}) {
-    const auto runs = run_paths(groups, receivers, variant, inject_loss);
+  const std::pair<UdpNpConfig, SessionSetup> variants[] = {
+      {one_frame_arena, setup}, {idle_pacer, setup}, {cfg, pushback}};
+  for (const auto& [variant, variant_setup] : variants) {
+    const auto runs = run_paths(groups, variant, variant_setup);
     expect_digest(runs, want);
-    if (cfg.reliable_control) {
-      for (const auto& run : runs) {
+    for (const auto& run : runs) {
+      if (cfg.reliable_control) {
         EXPECT_TRUE(run.sender.report.complete) << run.sender.report.summary();
+      }
+      if (variant_setup.sender_hook) {
+        EXPECT_GT(run.sender.would_block, 0u) << "no pushback was injected";
       }
     }
   }

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/file_transfer.hpp"
@@ -477,6 +479,94 @@ TEST(UdpNpReliable, DecodedMemberOutlastsLostRePolls) {
   EXPECT_EQ(member.result().end_reason, UdpNpEndReason::kEndOfSession);
   EXPECT_TRUE(member.result().complete);
   EXPECT_EQ(member.payload_mismatches(), 0u);
+}
+
+/// One lossless member and the sender under reliable control on a
+/// hand-driven clock, started with the sender socket's `failing`-th send
+/// attempt (one sendmmsg each) failing with EAGAIN, and settled.  The 1-TG session's attempts are the
+/// data burst, its POLL and then the end marker.
+struct PushbackSession {
+  protocol::ManualClock clock;
+  Reactor reactor{Reactor::Backend::kAuto, &clock};
+  UdpNpConfig cfg;
+  std::vector<net::TgBytes> groups;
+  std::unique_ptr<ReceiverSessionDriver> member;
+  std::unique_ptr<SenderSessionDriver> sender;
+
+  explicit PushbackSession(std::size_t failing)
+      : cfg(reliable_config()),
+        groups(random_groups(1, cfg.k, cfg.packet_len, 42)) {
+    cfg.clock = &clock;
+    net::UdpSocket sender_socket;
+    net::UdpSocket rx_socket;
+    net::UdpGroup group = net::UdpGroup::open();
+    auto rx_group_socket = group.join(rx_socket.port());
+    ReceiverSessionDriver::Options opt;
+    opt.idle_timeout = 1e6;
+    opt.expected = &groups;
+    member = std::make_unique<ReceiverSessionDriver>(
+        reactor, std::move(rx_socket), sender_socket.port(), 1, cfg,
+        std::move(opt), nullptr, std::move(rx_group_socket));
+    sender = std::make_unique<SenderSessionDriver>(
+        reactor, std::move(sender_socket), std::move(group), cfg, groups,
+        nullptr);
+    sender->socket().inject_send_errno_every(EAGAIN, failing, 1);
+    member->start();
+    sender->start();
+    settle();
+    sender->socket().inject_send_errno_every(EAGAIN, 0, 1);  // that one only
+  }
+
+  void settle() {
+    while (reactor.poll_once(0.02)) {
+    }
+  }
+};
+
+TEST_P(UdpNpReliable, PollHeldByPushbackIsAnsweredWithoutARePoll) {
+  // The POLL's send attempt fails with EAGAIN.  The POLL waits in the
+  // send queue for the retry timer, well inside its collect window, and
+  // the member answers that first POLL: no re-POLL round is spent.
+  PushbackSession s(2);
+  const auto& stats = s.sender->stats();
+  EXPECT_EQ(stats.would_block, 1u);
+  EXPECT_EQ(stats.acks_received, 0u);
+  EXPECT_FALSE(s.member->finished());
+
+  s.clock.set(s.cfg.poll_window / 2);  // past the retry timer only
+  s.settle();
+  EXPECT_EQ(stats.acks_received, 1u) << "the POLL never left";
+  ASSERT_TRUE(s.sender->finished());
+  EXPECT_EQ(stats.poll_retries, 0u);
+  EXPECT_EQ(stats.polls_sent, 1u);
+  EXPECT_GT(stats.would_block, 0u);
+  EXPECT_TRUE(stats.report.complete) << stats.report.summary();
+  ASSERT_TRUE(s.member->finished());
+  EXPECT_EQ(s.member->result().end_reason, UdpNpEndReason::kEndOfSession);
+  EXPECT_EQ(s.member->payload_mismatches(), 0u);
+}
+
+TEST_P(UdpNpReliable, EndMarkerHeldByPushbackStillEndsTheSession) {
+  // The end marker's send attempt fails with EAGAIN.  It waits in the
+  // send queue, and the sender reports finished only once it has left.
+  // The member, holding every TG, must end on the marker, not on its
+  // drain_wait.
+  PushbackSession s(3);
+  const auto& stats = s.sender->stats();
+  EXPECT_EQ(stats.acks_received, 1u);
+  EXPECT_EQ(stats.would_block, 1u);
+  EXPECT_FALSE(s.sender->finished()) << "finished with the end marker queued";
+  EXPECT_FALSE(s.member->finished());
+
+  s.clock.set(s.cfg.poll_window / 2);  // past the retry timer
+  s.settle();
+  ASSERT_TRUE(s.sender->finished());
+  EXPECT_TRUE(stats.report.complete) << stats.report.summary();
+  s.clock.set(2.0 * protocol::drain_wait(s.cfg, s.cfg.poll_window));
+  s.settle();
+  ASSERT_TRUE(s.member->finished());
+  EXPECT_EQ(s.member->result().end_reason, UdpNpEndReason::kEndOfSession);
+  EXPECT_TRUE(s.member->result().complete);
 }
 
 TEST_P(UdpNpReliable, RoundsCloseOnTheirLastAnswerWithoutTheClock) {

@@ -117,6 +117,8 @@ struct SessionSetup {
   /// Per-receiver config override (crash one member, move its
   /// incarnation on, ...).
   std::function<void(std::size_t, net::UdpNpConfig&)> receiver_config;
+  /// Runs on the sender before it starts (inject send faults, ...).
+  std::function<void(SenderSessionDriver&)> sender_hook;
 };
 
 /// Appends each frame the socket sends to its member's stream; a group
@@ -194,6 +196,7 @@ inline SessionRun run_session(const std::vector<net::TgBytes>& groups,
                                       sender_port, groups, cfg, setup, r));
   SenderSessionDriver sender(loop.reactor, std::move(sender_socket), group,
                              cfg, groups, loop.notifier());
+  if (setup.sender_hook) setup.sender_hook(sender);
   for (auto& r : receivers) r->start();
   sender.start();
   run.wedged = !loop.run([&] {

@@ -25,7 +25,11 @@ The harness then gates on the invariants the server promises:
   ever re-multicast;
 * ``payload_mismatches == 0`` in both runs — every decoded TG matched
   the sender's bytes end to end;
-* no journal files survive run 2 (all sessions resolved).
+* no journal files survive run 2 (all sessions resolved);
+* ``--scenario overload`` with ``--control-loss 0 --wire-drop 0``: no
+  session that ended in its run (completed or failed, not drained)
+  reads ``end_reason`` ``drain_timeout`` in that run's final snapshot —
+  pushback defers the end marker, it never loses it.
 
 With ``--kill-after 0`` the kill phase is skipped and a single run must
 complete everything (plain soak, no chaos).
@@ -65,6 +69,9 @@ SUMMARY_RE = re.compile(
 # storms and journal write failures, and runtime NAK suppression.  The
 # sender never drops a frame under pushback, so completions still must
 # equal submissions — overload slows delivery, it never corrupts it.
+# With --control-loss 0 and --wire-drop 0 nothing else can lose an end
+# marker either, so no session that ended in its run may have ended by
+# drain_timeout.
 OVERLOAD_FLAGS = [
     "--arena-frames=1",
     "--pace-rate=30000",
@@ -134,6 +141,18 @@ def validate_dir(schema, snapdir, errors):
     for p in problems:
         errors.append(f"schema violation: {p}")
     return len(files)
+
+
+def drain_timeouts(snapdir):
+    """Ids of the sessions that ended in this run (not drained) whose
+    end_reason in the run's final snapshot is drain_timeout."""
+    files = sorted(f for f in os.listdir(snapdir) if f.endswith(".json"))
+    if not files:
+        return []
+    final = validate_metrics.load_json(os.path.join(snapdir, files[-1]))
+    return sorted((sid for sid, s in final.get("sessions", {}).items()
+                   if s.get("state") != "drained"
+                   and s.get("end_reason") == "drain_timeout"), key=int)
 
 
 def main():
@@ -251,6 +270,17 @@ def main():
         if stress == 0:
             errors.append("overload scenario: no stress counter moved — "
                           "the injection knobs are not reaching the server")
+        if args.control_loss == 0 and args.wire_drop == 0:
+            runs = [("run 1", sdir1)]
+            if args.kill_after > 0:
+                runs.append(("run 2", sdir2))
+            for label, snapdir in runs:
+                stuck = drain_timeouts(snapdir)
+                if stuck:
+                    errors.append(
+                        f"{label}: {len(stuck)} session(s) ended by "
+                        f"drain_timeout with no control loss, so the "
+                        f"sender lost their end marker: {stuck[:5]}")
 
     if args.scenario == "hostile":
         rejected = run1["peer_rejected"] + run2["peer_rejected"]

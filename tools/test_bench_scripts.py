@@ -355,22 +355,36 @@ class ValidateMetricsTest(ScriptCase):
                 self.assertIn("%r not declared" % name, out)
 
 
+# A session schema with the two strings soak.py's drain_timeout gate reads.
+SOAK_SCHEMA = dict(METRICS_SCHEMA, session=METRICS_SCHEMA["session"] + [
+    {"name": "state", "kind": "string", "help": ""},
+    {"name": "end_reason", "kind": "string", "help": ""}])
+
+
 class SoakGateTest(ScriptCase):
-    """soak.py's restart gates, against a stand-in for multicast_server
-    that writes one valid snapshot and prints the summary line."""
+    """soak.py's restart and end-marker gates, against a stand-in for
+    multicast_server that writes one valid snapshot and prints the
+    summary line."""
 
     SESSIONS = 4
 
-    def fake_server(self, drained, resumed):
+    def fake_server(self, drained, resumed, last_session):
         """Run 1 completes all but `drained` sessions; the --resume run
         reports `resumed` and completes the drained ones.  Run 1 fails
         unless it was given --drain-grace=0.  It ignores the SIGTERM,
-        which may land before or after it printed."""
+        which may land before or after it printed.  Both runs' snapshot
+        holds a session that ended cleanly and `last_session`, a
+        (state, end_reason) pair."""
         summary = ("multicast_server: backend=epoll submitted=%d "
                    "resumed=%d refused=0 completed=%d failed=0 drained=%d "
-                   "redelivered_prior=0 payload_mismatches=0 would_block=0 "
+                   "redelivered_prior=0 payload_mismatches=0 would_block=1 "
                    "suppressed=0 quarantined=0 faults=0 peer_rejected=0 "
                    "peer_banned=0")
+        snap = metrics_snapshot()
+        snap["sessions"]["0"].update(state="completed",
+                                     end_reason="end_of_session")
+        snap["sessions"]["1"].update(state=last_session[0],
+                                     end_reason=last_session[1])
         run1 = summary % (self.SESSIONS, 0, self.SESSIONS - drained, drained)
         run2 = summary % (0, resumed, drained, 0)
         path = os.path.join(self.dir.name, "fake_server")
@@ -383,17 +397,19 @@ class SoakGateTest(ScriptCase):
             f.write("d = [a.split('=', 1)[1] for a in sys.argv\n"
                     "     if a.startswith('--snapshot-dir=')][0]\n")
             f.write("with open(os.path.join(d, 's.json'), 'w') as f:\n"
-                    "    json.dump(%r, f)\n" % metrics_snapshot())
+                    "    json.dump(%r, f)\n" % snap)
             f.write("print(%r if resume else %r)\n" % (run2, run1))
         os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
         return path
 
-    def soak(self, drained, resumed):
+    def soak(self, drained, resumed, extra=(),
+             last_session=("completed", "end_of_session")):
         return self.run_main(soak, [
-            "--binary", self.fake_server(drained, resumed),
-            "--schema", self.write("schema.json", METRICS_SCHEMA),
+            "--binary", self.fake_server(drained, resumed, last_session),
+            "--schema", self.write("schema.json", SOAK_SCHEMA),
             "--workdir", os.path.join(self.dir.name, "work"),
-            "--sessions", str(self.SESSIONS), "--kill-after", "0.5"])
+            "--sessions", str(self.SESSIONS), "--kill-after", "0.5",
+            *extra])
 
     def test_resumed_drained_sessions_pass(self):
         code, out = self.soak(drained=2, resumed=2)
@@ -408,6 +424,29 @@ class SoakGateTest(ScriptCase):
         code, out = self.soak(drained=2, resumed=1)
         self.assertEqual(code, 1, out)
         self.assertIn("run 2 resumed 1 session(s), run 1 drained 2", out)
+
+    CLEAN_OVERLOAD = ("--scenario", "overload", "--control-loss", "0",
+                      "--wire-drop", "0")
+
+    def test_clean_control_overload_exempts_drained_sessions(self):
+        code, out = self.soak(drained=2, resumed=2,
+                              extra=self.CLEAN_OVERLOAD,
+                              last_session=("drained", "drain_timeout"))
+        self.assertEqual(code, 0, out)
+
+    def test_clean_control_overload_fails_on_a_drain_timeout(self):
+        code, out = self.soak(drained=2, resumed=2,
+                              extra=self.CLEAN_OVERLOAD,
+                              last_session=("completed", "drain_timeout"))
+        self.assertEqual(code, 1, out)
+        self.assertIn("run 1: 1 session(s) ended by drain_timeout", out)
+        self.assertIn("run 2: 1 session(s) ended by drain_timeout", out)
+
+    def test_drain_timeout_gate_needs_clean_control(self):
+        code, out = self.soak(drained=2, resumed=2,
+                              extra=("--scenario", "overload"),
+                              last_session=("completed", "drain_timeout"))
+        self.assertEqual(code, 0, out)
 
 
 if __name__ == "__main__":
