@@ -3,7 +3,12 @@
 // SIGTERM drain, crash-resume, and schema'd metrics snapshots.
 //
 //   multicast_server --sessions=32 --receivers=3 --data-loss=0.1
-//       --control-loss=0.05 --journal-dir=/tmp/j --snapshot-dir=/tmp/s
+//       --reliable=true --control-loss=0.05 --journal-dir=/tmp/j
+//       --snapshot-dir=/tmp/s --snapshot-interval=0.25
+//
+// Flags default to their ServerConfig or SessionSpec field's library
+// value (--help lists them).  A bad value, an unknown flag or a
+// configuration the library rejects exits 2 with a message naming it.
 //
 // Payloads are regenerated deterministically from (--payload-seed,
 // session id), so a restarted process can resume journaled sessions
@@ -20,7 +25,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "server/server.hpp"
@@ -59,6 +66,12 @@ void raise_fd_limit() {
   }
 }
 
+// Prints a bad-flag or bad-configuration message; the exit status 2.
+int usage_error(const std::string& what) {
+  std::cerr << "multicast_server: " << what << "\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,154 +82,143 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const int sessions = cli.get_int("sessions", 8);
-  const int receivers = cli.get_int("receivers", 2);
-  const int tgs = cli.get_int("tgs", 4);
-  const int k = cli.get_int("k", 8);
-  const int h = cli.get_int("h", 24);
-  const int packet_len = cli.get_int("packet-len", 256);
-  const double data_loss = cli.get_double("data-loss", 0.05);
-  const double control_loss = cli.get_double("control-loss", 0.0);
-  const double wire_drop = cli.get_double("wire-drop", 0.0);
-  const double wire_reorder = cli.get_double("wire-reorder", 0.0);
-  const double poll_window = cli.get_double("poll-window", 0.03);
-  const double idle_timeout = cli.get_double("idle-timeout", 30.0);
-  const double drain_grace = cli.get_double("drain-grace", 5.0);
-  const double snapshot_interval = cli.get_double("snapshot-interval", 0.25);
-  const double session_deadline = cli.get_double("session-deadline", 0.0);
-  const int grace_rounds = cli.get_int("grace-rounds", 8);
-  const int max_retries = cli.get_int("max-retries", 10);
-  const bool reliable = cli.get_bool("reliable", true);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(cli.get_int64("seed", 1));
-  const std::uint64_t payload_seed =
-      static_cast<std::uint64_t>(cli.get_int64("payload-seed", 42));
-  const int max_sessions = cli.get_int("max-sessions", sessions);
+  // Every flag with a ServerConfig or SessionSpec field defaults to that
+  // field's library value; the others are the batch run's own.
+  pbl::server::ServerConfig cfg;
+  MulticastServer::SessionSpec spec;
+  std::size_t sessions = 8;
+  std::size_t tgs = 4;
+  std::uint64_t seed = 0;
+  std::uint64_t payload_seed = 0;
+  // Reads --name into field, whose current value is the default.
+  const auto read = [&cli](const char* name, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, bool>)
+      field = cli.get_bool(name, field);
+    else if constexpr (std::is_same_v<T, double>)
+      field = cli.get_double(name, field);
+    else if constexpr (std::is_same_v<T, std::string>)
+      field = cli.get_string(name, field);
+    else if constexpr (std::is_same_v<T, std::size_t>)
+      field = cli.get_size(name, field);
+    else
+      static_assert(sizeof(T) == 0, "no getter for this field type");
+  };
+  try {
+    read("sessions", sessions);
+    read("tgs", tgs);
+    seed = static_cast<std::uint64_t>(cli.get_int64("seed", 1));
+    payload_seed =
+        static_cast<std::uint64_t>(cli.get_int64("payload-seed", 42));
+
+    auto& np = cfg.np;
+    read("k", np.k);
+    read("h", np.h);
+    read("packet-len", np.packet_len);
+    read("poll-window", np.poll_window);
+    read("reliable", np.reliable_control);
+    read("grace-rounds", np.retry.grace_rounds);
+    read("max-retries", np.retry.max_retries);
+    read("session-deadline", np.retry.session_deadline);
+    // Overload hardening (docs/ROBUSTNESS.md): all knobs default off.
+    read("pace-rate", np.overload.pace_rate);
+    read("pace-burst", np.overload.pace_burst);
+    read("nak-suppression", np.overload.nak_suppression);
+    read("nak-slot", np.overload.nak_slot);
+    read("feedback-budget", np.overload.feedback_budget);
+    read("quarantine-deficit", np.overload.quarantine_deficit);
+    read("catch-up-rounds", np.overload.catch_up_rounds);
+    read("arena-frames", np.arena_frames);
+    // Hostile-peer hardening (docs/ROBUSTNESS.md): all knobs default off.
+    read("guard", np.guard.enabled);
+    read("guard-auth", np.guard.auth);
+    read("guard-rate", np.guard.feedback_rate);
+    read("guard-burst", np.guard.feedback_burst);
+    read("greylist-after", np.guard.greylist_after);
+    read("ban-after", np.guard.ban_after);
+    read("greylist-duration", np.guard.greylist_duration);
+    read("ban-duration", np.guard.ban_duration);
+    // Byzantine-receiver injection ("" = none; see net/adversary.hpp).
+    const std::string hostile = cli.get_string("hostile", "");
+    if (!hostile.empty() &&
+        !pbl::net::parse_adversary_profile(hostile,
+                                           cfg.hostile.profile.emplace()))
+      throw std::invalid_argument(
+          "--hostile: unknown profile '" + hostile +
+          "' (want storm|spoof|replay|garbage|false-completion)");
+    read("hostile-rate", cfg.hostile.rate);
+    // Resource-exhaustion fault injection: all off by default.
+    read("fault-send-every", cfg.faults.send_eagain_every);
+    read("fault-send-burst", cfg.faults.send_eagain_burst);
+    read("fault-journal-every", cfg.faults.journal_fail_every);
+    read("fault-socket-nth", cfg.faults.socket_fail_nth);
+    read("journal-dir", cfg.journal_dir);
+    read("snapshot-dir", cfg.snapshot_dir);
+    read("csv", cfg.csv_path);
+    read("snapshot-interval", cfg.snapshot_interval);
+    read("drain-grace", cfg.drain_grace);
+    read("idle-timeout", cfg.receiver_idle_timeout);
+
+    read("receivers", spec.receivers);
+    read("data-loss", spec.data_loss);
+    read("control-loss", spec.impairment.control_drop);
+    read("wire-drop", spec.impairment.drop_prob);
+    read("wire-reorder", spec.impairment.reorder_prob);
+    if (spec.impairment.reorder_prob > 0.0) spec.impairment.reorder_window = 4;
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
+  }
   const bool resume = cli.has("resume");
-  const std::string journal_dir = cli.get_string("journal-dir", "");
-  const std::string snapshot_dir = cli.get_string("snapshot-dir", "");
-  const std::string csv_path = cli.get_string("csv", "");
-  // Overload hardening (docs/ROBUSTNESS.md): all knobs default off.
-  const double pace_rate = cli.get_double("pace-rate", 0.0);
-  const double pace_burst = cli.get_double("pace-burst", 16.0);
-  const bool nak_suppression = cli.get_bool("nak-suppression", false);
-  const double nak_slot = cli.get_double("nak-slot", 0.0);
-  const int feedback_budget = cli.get_int("feedback-budget", 0);
-  const int quarantine_deficit = cli.get_int("quarantine-deficit", 0);
-  const int catch_up_rounds = cli.get_int("catch-up-rounds", 4);
-  const int arena_frames = cli.get_int("arena-frames", 0);
-  // Resource-exhaustion fault injection: all off by default.
-  const int fault_send_every = cli.get_int("fault-send-every", 0);
-  const int fault_send_burst = cli.get_int("fault-send-burst", 4);
-  const int fault_journal_every = cli.get_int("fault-journal-every", 0);
-  const int fault_socket_nth = cli.get_int("fault-socket-nth", 0);
-  // Hostile-peer hardening (docs/ROBUSTNESS.md): all knobs default off.
-  const bool guard = cli.get_bool("guard", false);
-  const bool guard_auth = cli.get_bool("guard-auth", false);
-  const double guard_rate = cli.get_double("guard-rate", 0.0);
-  const double guard_burst = cli.get_double("guard-burst", 16.0);
-  const int greylist_after = cli.get_int("greylist-after", 8);
-  const int ban_after = cli.get_int("ban-after", 24);
-  const double greylist_duration = cli.get_double("greylist-duration", 0.25);
-  const double ban_duration = cli.get_double("ban-duration", 5.0);
-  // Byzantine-receiver injection ("" = none; see net/adversary.hpp).
-  const std::string hostile = cli.get_string("hostile", "");
-  const double hostile_rate = cli.get_double("hostile-rate", 200.0);
 
   if (cli.has("help")) {
     std::cout << cli.usage();
     return 0;
   }
+  if (const auto unknown = cli.unqueried(); !unknown.empty()) {
+    std::string names;
+    for (const auto& name : unknown) names += " --" + name;
+    return usage_error("unknown flag(s):" + names);
+  }
+
+  // Batch mode admits everything it submits.
+  cfg.max_sessions = sessions;
+  cfg.exit_when_idle = true;
 
   raise_fd_limit();
-
-  pbl::server::ServerConfig cfg;
-  cfg.max_sessions = static_cast<std::size_t>(max_sessions);
-  cfg.np.k = static_cast<std::size_t>(k);
-  cfg.np.h = static_cast<std::size_t>(h);
-  cfg.np.packet_len = static_cast<std::size_t>(packet_len);
-  cfg.np.poll_window = poll_window;
-  cfg.np.reliable_control = reliable;
-  cfg.np.retry.grace_rounds = static_cast<std::size_t>(grace_rounds);
-  cfg.np.retry.max_retries = static_cast<std::size_t>(max_retries);
-  cfg.np.retry.session_deadline = session_deadline;
-  cfg.np.overload.pace_rate = pace_rate;
-  cfg.np.overload.pace_burst = pace_burst;
-  cfg.np.overload.nak_suppression = nak_suppression;
-  cfg.np.overload.nak_slot = nak_slot;
-  cfg.np.overload.feedback_budget = static_cast<std::size_t>(feedback_budget);
-  cfg.np.overload.quarantine_deficit =
-      static_cast<std::size_t>(quarantine_deficit);
-  cfg.np.overload.catch_up_rounds = static_cast<std::size_t>(catch_up_rounds);
-  cfg.np.arena_frames = static_cast<std::size_t>(arena_frames);
-  cfg.np.guard.enabled = guard;
-  cfg.np.guard.auth = guard_auth;
-  cfg.np.guard.feedback_rate = guard_rate;
-  cfg.np.guard.feedback_burst = guard_burst;
-  cfg.np.guard.greylist_after = static_cast<std::size_t>(greylist_after);
-  cfg.np.guard.ban_after = static_cast<std::size_t>(ban_after);
-  cfg.np.guard.greylist_duration = greylist_duration;
-  cfg.np.guard.ban_duration = ban_duration;
-  if (!hostile.empty()) {
-    pbl::net::AdversaryProfile profile;
-    if (!pbl::net::parse_adversary_profile(hostile, profile)) {
-      std::cerr << "unknown --hostile profile (want storm|spoof|replay|"
-                   "garbage|false-completion)\n";
-      return 2;
-    }
-    cfg.hostile.enabled = true;
-    cfg.hostile.profile = hostile;
-    cfg.hostile.rate = hostile_rate;
-  }
-  cfg.faults.send_eagain_every = static_cast<std::size_t>(fault_send_every);
-  cfg.faults.send_eagain_burst = static_cast<std::size_t>(fault_send_burst);
-  cfg.faults.journal_fail_every = static_cast<std::size_t>(fault_journal_every);
-  cfg.faults.socket_fail_nth = static_cast<std::size_t>(fault_socket_nth);
-  cfg.journal_dir = journal_dir;
-  cfg.snapshot_dir = snapshot_dir;
-  cfg.csv_path = csv_path;
-  cfg.snapshot_interval = snapshot_interval;
-  cfg.drain_grace = drain_grace;
-  cfg.receiver_idle_timeout = idle_timeout;
-  cfg.exit_when_idle = true;
 
   pbl::server::Reactor reactor;
   MulticastServer server(reactor, cfg);
   server.install_signal_handlers();
 
   const auto make_spec = [&](std::uint64_t id) {
-    MulticastServer::SessionSpec spec;
-    spec.id = id;
-    spec.groups =
-        make_payload(payload_seed, id, static_cast<std::size_t>(tgs),
-                     static_cast<std::size_t>(k),
-                     static_cast<std::size_t>(packet_len));
-    spec.receivers = static_cast<std::size_t>(receivers);
-    spec.data_loss = data_loss;
-    spec.impairment.control_drop = control_loss;
-    spec.impairment.drop_prob = wire_drop;
-    spec.impairment.reorder_prob = wire_reorder;
-    if (wire_reorder > 0.0) spec.impairment.reorder_window = 4;
-    spec.seed = pbl::Rng(seed ^ 0x5e55u).split(id)();
-    return spec;
+    MulticastServer::SessionSpec s = spec;
+    s.id = id;
+    s.groups =
+        make_payload(payload_seed, id, tgs, cfg.np.k, cfg.np.packet_len);
+    s.seed = pbl::Rng(seed ^ 0x5e55u).split(id)();
+    return s;
   };
 
   std::size_t resumed = 0;
   std::size_t submitted = 0;
   std::size_t refused = 0;
-  if (resume) {
-    resumed = server.resume_journaled_sessions(
-        [&](const pbl::core::SenderSessionState& state) {
-          return std::optional<MulticastServer::SessionSpec>(
-              make_spec(state.session_id));
-        });
-  } else {
-    for (int id = 0; id < sessions; ++id) {
-      if (server.submit(make_spec(static_cast<std::uint64_t>(id))))
-        ++submitted;
-      else
-        ++refused;
+  try {
+    if (resume) {
+      resumed = server.resume_journaled_sessions(
+          [&](const pbl::core::SenderSessionState& state) {
+            return std::optional<MulticastServer::SessionSpec>(
+                make_spec(state.session_id));
+          });
+    } else {
+      for (std::uint64_t id = 0; id < sessions; ++id) {
+        if (server.submit(make_spec(id)))
+          ++submitted;
+        else
+          ++refused;
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    return usage_error(e.what());
   }
 
   if (server.active_sessions() > 0)

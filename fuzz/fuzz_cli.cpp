@@ -3,9 +3,9 @@
 // The input is split on '\n' into argv tokens; every getter is then
 // exercised both on a fixed set of flag names and on names recovered from
 // the tokens themselves (so "--k=12junk" stresses get_int("k")).
-// Contract under test (util/cli.hpp): the numeric getters either return a
-// fully-parsed value or throw std::invalid_argument — never a bare
-// std::out_of_range from the std::sto* family, never UB.
+// Contract under test (util/cli.hpp): the numeric and boolean getters
+// either return a fully-parsed value or throw std::invalid_argument —
+// never a bare std::out_of_range from the std::sto* family, never UB.
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -62,12 +62,14 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     (void)cli.has(name);
     expect_value_or_invalid_argument([&] { (void)cli.get_int(name, 7); });
     expect_value_or_invalid_argument([&] { (void)cli.get_int64(name, 1); });
+    expect_value_or_invalid_argument([&] { (void)cli.get_size(name, 3); });
     expect_value_or_invalid_argument([&] { (void)cli.get_double(name, 0.5); });
     expect_value_or_invalid_argument(
         [&] { (void)cli.get_doubles(name, {1.0, 2.0}); });
-    (void)cli.get_bool(name, false);
+    expect_value_or_invalid_argument([&] { (void)cli.get_bool(name, false); });
     (void)cli.get_string(name, "default");
   }
   (void)cli.usage();
+  (void)cli.unqueried();
   return 0;
 }

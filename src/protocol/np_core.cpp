@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "protocol/nak_suppression.hpp"
@@ -28,6 +29,10 @@ constexpr double kQuarantineQuorum = 0.5;
 void check_tg_shape(
     const NpParams& params,
     const std::vector<std::vector<std::vector<std::uint8_t>>>& groups) {
+  if (params.k == 0 || params.k + params.h > 255)
+    throw std::invalid_argument(
+        "NP params: need 0 < k and k + h <= 255 (GF(2^8)), got k = " +
+        std::to_string(params.k) + ", h = " + std::to_string(params.h));
   if (groups.empty())
     throw std::invalid_argument("NP payload: a session needs >= 1 TG");
   for (const auto& tg : groups) {

@@ -131,8 +131,9 @@ constexpr double drain_wait(const NpParams& params,
          longest_poll_gap(poll_window);
 }
 
-/// Throws std::invalid_argument unless `groups` is a payload for
-/// `params`: at least one TG, each of k packets of packet_len bytes.
+/// Throws std::invalid_argument unless the code shape fits GF(2^8)
+/// (0 < k, k + h <= 255) and `groups` is a payload for `params`: at
+/// least one TG, each of k packets of packet_len bytes.
 void check_tg_shape(
     const NpParams& params,
     const std::vector<std::vector<std::vector<std::uint8_t>>>& groups);

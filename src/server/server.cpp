@@ -430,12 +430,9 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
     // the group as a full member — the sender multicasts to it, tracks
     // it, and owes it completeness until the guard bans (expels) it.  It
     // is NOT in `receivers`, so honest-side accounting is untouched.
-    if (cfg_.hostile.enabled) {
+    if (cfg_.hostile.profile) {
       net::AdversaryConfig ac;
-      if (!net::parse_adversary_profile(cfg_.hostile.profile, ac.profile))
-        throw std::invalid_argument(
-            "MulticastServer: unknown hostile profile " +
-            cfg_.hostile.profile);
+      ac.profile = *cfg_.hostile.profile;
       ac.sender_port = sender_socket->port();
       ac.victims = group.members();  // honest members only, joined so far
       ac.rate = cfg_.hostile.rate;

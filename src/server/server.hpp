@@ -85,9 +85,8 @@ struct ServerConfig {
   /// (net/adversary.hpp).  Drives test_hostile and soak --scenario
   /// hostile; the np.guard knobs are what the adversary is up against.
   struct HostilePlan {
-    bool enabled = false;
-    std::string profile = "storm";  ///< parse_adversary_profile names
-    double rate = 200.0;            ///< attack frames per second
+    std::optional<net::AdversaryProfile> profile;  ///< nullopt = no adversary
+    double rate = 200.0;  ///< attack frames per second
   } hostile{};
 };
 

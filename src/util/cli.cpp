@@ -24,6 +24,7 @@ Cli::Cli(int argc, const char* const* argv) {
 }
 
 bool Cli::has(const std::string& name) const {
+  queried_.insert(name);
   return values_.count(name) != 0;
 }
 
@@ -81,6 +82,7 @@ std::optional<std::string> Cli::raw(const std::string& name) const {
 
 void Cli::record(const std::string& name, const std::string& def) {
   defaults_seen_.emplace(name, def);
+  queried_.insert(name);
 }
 
 int Cli::get_int(const std::string& name, int def) {
@@ -95,8 +97,22 @@ std::int64_t Cli::get_int64(const std::string& name, std::int64_t def) {
   return v ? parse_int64(name, *v) : def;
 }
 
-double Cli::get_double(const std::string& name, double def) {
+std::size_t Cli::get_size(const std::string& name, std::size_t def) {
   record(name, std::to_string(def));
+  const auto v = raw(name);
+  if (!v) return def;
+  const std::int64_t n = parse_int64(name, *v);
+  if (n < 0)
+    throw std::invalid_argument("--" + name +
+                                ": expected a non-negative integer, got '" +
+                                *v + "'");
+  return static_cast<std::size_t>(n);
+}
+
+double Cli::get_double(const std::string& name, double def) {
+  std::ostringstream os;
+  os << def;
+  record(name, os.str());
   const auto v = raw(name);
   return v ? parse_double(name, *v) : def;
 }
@@ -111,7 +127,11 @@ bool Cli::get_bool(const std::string& name, bool def) {
   record(name, def ? "true" : "false");
   const auto v = raw(name);
   if (!v) return def;
-  return *v == "true" || *v == "1" || *v == "yes";
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  throw std::invalid_argument("--" + name +
+                              ": expected true/false/1/0/yes/no, got '" + *v +
+                              "'");
 }
 
 std::vector<double> Cli::get_doubles(const std::string& name,
@@ -139,6 +159,13 @@ std::string Cli::usage() const {
   for (const auto& [name, def] : defaults_seen_)
     os << "  --" << name << " (default=" << def << ")\n";
   return os.str();
+}
+
+std::vector<std::string> Cli::unqueried() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : values_)
+    if (queried_.count(name) == 0) out.push_back(name);
+  return out;
 }
 
 }  // namespace pbl

@@ -8,9 +8,11 @@
 // registered flags and exits.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@ class Cli {
   Cli(int argc, const char* const* argv);
 
   /// True if a bare flag (e.g. --verbose) or any valued flag was passed.
+  /// Counts as a read for unqueried().
   bool has(const std::string& name) const;
 
   /// Numeric getters parse the full value: trailing garbage, overflow or
@@ -28,8 +31,12 @@ class Cli {
   /// flag (rather than stoi's silent prefix parse or bare exception).
   int get_int(const std::string& name, int def);
   std::int64_t get_int64(const std::string& name, std::int64_t def);
+  /// As get_int64, but a negative value throws too (a count or size).
+  std::size_t get_size(const std::string& name, std::size_t def);
   double get_double(const std::string& name, double def);
   std::string get_string(const std::string& name, std::string def);
+  /// true/1/yes, false/0/no, or a bare flag (true); any other value
+  /// throws std::invalid_argument naming the flag.
   bool get_bool(const std::string& name, bool def);
 
   /// Comma-separated list of doubles, e.g. --ks=7,20,100.
@@ -38,6 +45,10 @@ class Cli {
 
   /// Prints "--flag (default=...)" lines for all flags queried so far.
   std::string usage() const;
+
+  /// Flags that were passed but never read by a getter or has(), e.g. a
+  /// misspelt name.
+  std::vector<std::string> unqueried() const;
 
   const std::string& program() const { return program_; }
 
@@ -48,6 +59,7 @@ class Cli {
   std::string program_;
   std::map<std::string, std::string> values_;
   std::map<std::string, std::string> defaults_seen_;
+  mutable std::set<std::string> queried_;
 };
 
 }  // namespace pbl

@@ -124,14 +124,16 @@ class HostileTest : public ::testing::Test {
 // greylisted or banned.  (The acceptance bar for the whole subsystem.)
 TEST_F(HostileTest, EveryProfileContainedHonestCompleteExactlyOnce) {
   on_each_delivery([&] {
-    const char* profiles[] = {"storm", "spoof", "replay", "garbage",
-                              "false-completion"};
+    using net::AdversaryProfile;
+    const AdversaryProfile profiles[] = {
+        AdversaryProfile::kStorm, AdversaryProfile::kSpoof,
+        AdversaryProfile::kReplay, AdversaryProfile::kGarbage,
+        AdversaryProfile::kFalseCompletion};
     std::uint64_t id = 0;
-    for (const char* profile : profiles) {
-      SCOPED_TRACE(profile);
+    for (const AdversaryProfile profile : profiles) {
+      SCOPED_TRACE(net::to_string(profile));
       Reactor reactor;
       ServerConfig cfg = guarded_config();
-      cfg.hostile.enabled = true;
       cfg.hostile.profile = profile;
       cfg.hostile.rate = 400.0;
       MulticastServer server(reactor, cfg);
@@ -161,8 +163,7 @@ TEST_F(HostileTest, StormParityOverheadBounded) {
     const auto run = [&](bool hostile) {
       Reactor reactor;
       ServerConfig cfg = guarded_config();
-      cfg.hostile.enabled = hostile;
-      cfg.hostile.profile = "storm";
+      if (hostile) cfg.hostile.profile = net::AdversaryProfile::kStorm;
       cfg.hostile.rate = 500.0;  // honest: ~50 feedback/s per member
       MulticastServer server(reactor, cfg);
       for (std::uint64_t id = 0; id < kSessions; ++id)
@@ -193,8 +194,7 @@ TEST_F(HostileTest, GarbageLeavesFrameEvidence) {
   on_each_delivery([&] {
     Reactor reactor;
     ServerConfig cfg = guarded_config();
-    cfg.hostile.enabled = true;
-    cfg.hostile.profile = "garbage";
+    cfg.hostile.profile = net::AdversaryProfile::kGarbage;
     cfg.hostile.rate = 400.0;
     MulticastServer server(reactor, cfg);
     ASSERT_TRUE(server.submit(make_spec(0, 5, 0.05)));
@@ -219,8 +219,7 @@ TEST_F(HostileTest, GuardOffAddrMismatchStillRejected) {
     ServerConfig cfg = guarded_config();
     cfg.np.guard.enabled = false;
     cfg.np.guard.auth = false;
-    cfg.hostile.enabled = true;
-    cfg.hostile.profile = "false-completion";
+    cfg.hostile.profile = net::AdversaryProfile::kFalseCompletion;
     cfg.hostile.rate = 400.0;
     MulticastServer server(reactor, cfg);
     ASSERT_TRUE(server.submit(make_spec(0, 5, 0.1)));
@@ -246,8 +245,7 @@ TEST_F(HostileTest, ReplayedFramesAtReceiversRejected) {
   on_each_delivery([&] {
     Reactor reactor;
     ServerConfig cfg = guarded_config();
-    cfg.hostile.enabled = true;
-    cfg.hostile.profile = "replay";
+    cfg.hostile.profile = net::AdversaryProfile::kReplay;
     cfg.hostile.rate = 400.0;
     MulticastServer server(reactor, cfg);
     ASSERT_TRUE(server.submit(make_spec(0, 6, 0.05)));
@@ -271,8 +269,7 @@ TEST_F(HostileTest, TgsOwedToABannedStragglerAreStillJournaled) {
   on_each_delivery([&] {
     Reactor reactor;
     ServerConfig cfg = guarded_config();
-    cfg.hostile.enabled = true;
-    cfg.hostile.profile = "storm";
+    cfg.hostile.profile = net::AdversaryProfile::kStorm;
     cfg.hostile.rate = 400.0;
     cfg.np.overload.quarantine_deficit = 1;
     std::vector<std::size_t> completions;

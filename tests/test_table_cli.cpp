@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -89,6 +92,35 @@ TEST(Cli, DoubleListDefault) {
 TEST(Cli, Int64Values) {
   auto cli = make_cli({"--R=1000000"});
   EXPECT_EQ(cli.get_int64("R", 0), 1000000);
+}
+
+TEST(Cli, SizeValues) {
+  auto cli = make_cli({"--n=12"});
+  EXPECT_EQ(cli.get_size("n", 0), 12u);
+  EXPECT_EQ(cli.get_size("absent", 5), 5u);
+}
+
+TEST(Cli, SizeRejectsNegativeAndTrailingCharacters) {
+  auto cli = make_cli({"--receivers=-1", "--k=12x"});
+  EXPECT_THROW(cli.get_size("receivers", 2), std::invalid_argument);
+  EXPECT_THROW(cli.get_size("k", 8), std::invalid_argument);
+}
+
+TEST(Cli, BoolAcceptsOnlyBooleanSpellings) {
+  auto cli = make_cli({"--a=yes", "--b=0", "--c=no", "--d=1", "--e=maybe"});
+  EXPECT_TRUE(cli.get_bool("a", false));
+  EXPECT_FALSE(cli.get_bool("b", true));
+  EXPECT_FALSE(cli.get_bool("c", true));
+  EXPECT_TRUE(cli.get_bool("d", false));
+  EXPECT_THROW(cli.get_bool("e", false), std::invalid_argument);
+}
+
+TEST(Cli, UnqueriedListsOnlyFlagsNeverRead) {
+  auto cli = make_cli({"--grace-round=1", "--k=7", "--resume"});
+  cli.get_int("k", 8);
+  cli.get_int("grace-rounds", 3);
+  EXPECT_TRUE(cli.has("resume"));
+  EXPECT_EQ(cli.unqueried(), std::vector<std::string>{"grace-round"});
 }
 
 TEST(Cli, UsageListsQueriedFlags) {

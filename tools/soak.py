@@ -63,6 +63,20 @@ SUMMARY_RE = re.compile(
     r"faults=(?P<faults>\d+) peer_rejected=(?P<peer_rejected>\d+) "
     r"peer_banned=(?P<peer_banned>\d+)")
 
+# multicast_server's flags default to the library's settings.  The soak
+# and its CI entries were tuned on these, so it passes them explicitly:
+# reliable control, since the soak loses control frames; grace_rounds 8,
+# which at the 0.05 s poll window gives a complete receiver a drain_wait
+# of 7.1 s for a lost end marker; and the rest as they were tuned.
+SETTINGS_FLAGS = [
+    "--h=24",
+    "--packet-len=256",
+    "--reliable=true",
+    "--grace-rounds=8",
+    "--max-retries=10",
+    "--idle-timeout=30",
+]
+
 # The overload scenario rides the same exactly-once/byte-identity gates
 # as the plain soak, but with every delivery squeezed through bounded
 # resources: a one-frame packet arena, paced bursts, injected EAGAIN
@@ -202,7 +216,7 @@ def main():
         f"--poll-window={args.poll_window}",
         f"--snapshot-interval={args.snapshot_interval}",
         f"--seed={args.seed}", f"--journal-dir={jdir}",
-    ]
+    ] + SETTINGS_FLAGS
     if args.scenario == "overload":
         common += OVERLOAD_FLAGS
     elif args.scenario == "hostile":
