@@ -7,7 +7,8 @@
 //       --snapshot-dir=/tmp/s --snapshot-interval=0.25
 //
 // Flags default to their ServerConfig or SessionSpec field's library
-// value (--help lists them).  A bad value, an unknown flag or a
+// value (--help lists them).  A bad value, an unknown flag, a stray
+// argument, a journal or snapshot directory that cannot be created, or a
 // configuration the library rejects exits 2 with a message naming it.
 //
 // Payloads are regenerated deterministically from (--payload-seed,
@@ -24,10 +25,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "server/server.hpp"
@@ -138,11 +142,11 @@ int main(int argc, char** argv) {
     read("ban-after", np.guard.ban_after);
     read("greylist-duration", np.guard.greylist_duration);
     read("ban-duration", np.guard.ban_duration);
-    // Byzantine-receiver injection ("" = none; see net/adversary.hpp).
+    // Byzantine-receiver injection ("" = none; see server/adversary.hpp).
     const std::string hostile = cli.get_string("hostile", "");
     if (!hostile.empty() &&
-        !pbl::net::parse_adversary_profile(hostile,
-                                           cfg.hostile.profile.emplace()))
+        !pbl::server::parse_adversary_profile(hostile,
+                                              cfg.hostile.profile.emplace()))
       throw std::invalid_argument(
           "--hostile: unknown profile '" + hostile +
           "' (want storm|spoof|replay|garbage|false-completion)");
@@ -176,8 +180,20 @@ int main(int argc, char** argv) {
   }
   if (const auto unknown = cli.unqueried(); !unknown.empty()) {
     std::string names;
-    for (const auto& name : unknown) names += " --" + name;
-    return usage_error("unknown flag(s):" + names);
+    for (const auto& arg : unknown) names += " " + arg;
+    return usage_error("unknown argument(s):" + names);
+  }
+
+  // The library expects its directories to exist; a missing one would
+  // abort the run at the first journal or snapshot write.
+  for (const auto& [flag, dir] :
+       {std::pair{"--journal-dir", cfg.journal_dir},
+        std::pair{"--snapshot-dir", cfg.snapshot_dir}}) {
+    std::error_code ec;
+    if (!dir.empty()) std::filesystem::create_directories(dir, ec);
+    if (ec)
+      return usage_error(std::string(flag) + ": cannot create '" + dir +
+                         "': " + ec.message());
   }
 
   // Batch mode admits everything it submits.

@@ -49,16 +49,14 @@ double RttEstimator::timeout(double floor, double ceiling) const noexcept {
   return std::min(ceiling, std::max(floor, srtt_ + 4.0 * rttvar_));
 }
 
-double retry_clock_now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 namespace {
 class ProcessSteadyClock final : public Clock {
  public:
-  double now() const override { return retry_clock_now(); }
+  double now() const override {
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
 };
 }  // namespace
 

@@ -7,7 +7,7 @@
 // Everything is deterministic: a Backoff draws its jitter from an explicit
 // Rng substream, so a fixed seed reproduces the exact retry schedule —
 // in simulation the delays feed sim::EventQueue, over UDP they feed
-// wall-clock timeouts (retry_clock_now).
+// timers on the session's injected Clock (steady_clock() by default).
 #pragma once
 
 #include <cstddef>
@@ -59,8 +59,8 @@ class Backoff {
   std::size_t attempts_ = 0;
 };
 
-/// Monotonic deadline on whatever clock the caller runs (sim time or
-/// retry_clock_now()).  A budget <= 0 means unbounded.
+/// Monotonic deadline on whatever clock the caller runs (sim time or a
+/// Clock's now()).  A budget <= 0 means unbounded.
 class Deadline {
  public:
   Deadline() = default;
@@ -101,15 +101,10 @@ class RttEstimator {
   std::uint64_t samples_ = 0;
 };
 
-/// Wall-clock seconds on a monotonic clock (std::chrono::steady_clock),
-/// for driving Deadline outside the simulator.
-double retry_clock_now();
-
 /// Injectable time source.  Every wall-clock read a protocol component
 /// makes — retry deadlines, poll windows, drain/idle timeouts — goes
 /// through ONE Clock, so two timers in the same session can never skew
-/// against each other (the old code mixed retry_clock_now() with raw
-/// std::chrono::steady_clock reads), and tests can drive state machines
+/// against each other, and tests can drive state machines
 /// deterministically with a ManualClock instead of sleeping.
 class Clock {
  public:
@@ -117,8 +112,9 @@ class Clock {
   virtual double now() const = 0;
 };
 
-/// The process-wide monotonic clock (retry_clock_now under the hood).
-/// Components take `const Clock*` defaulting to nullptr == this one.
+/// The process-wide monotonic clock (std::chrono::steady_clock seconds),
+/// the one wall-clock reader.  Components take `const Clock*` defaulting
+/// to nullptr == this one.
 const Clock& steady_clock() noexcept;
 
 /// Hand-advanced clock for deterministic timer tests: time moves only

@@ -431,7 +431,7 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
     // it, and owes it completeness until the guard bans (expels) it.  It
     // is NOT in `receivers`, so honest-side accounting is untouched.
     if (cfg_.hostile.profile) {
-      net::AdversaryConfig ac;
+      AdversaryConfig ac;
       ac.profile = *cfg_.hostile.profile;
       ac.sender_port = sender_socket->port();
       ac.victims = group.members();  // honest members only, joined so far
@@ -441,8 +441,7 @@ bool MulticastServer::admit(SessionSpec spec, bool resuming) {
       ac.num_tgs = num_tgs;
       ac.auth = np.guard.auth;
       ac.auth_key = np.guard.auth_key;
-      ac.incarnation = static_cast<std::uint8_t>(np.incarnation);
-      s.adversary = std::make_unique<net::AdversaryPeer>(std::move(ac));
+      s.adversary = std::make_unique<AdversaryPeer>(reactor_, std::move(ac));
       s.adversary->join(group);
     }
   } catch (const std::system_error&) {
@@ -590,7 +589,7 @@ void MulticastServer::finalize_session(std::uint64_t id, bool drained) {
   const auto it = sessions_.find(id);
   if (it == sessions_.end() || it->second->finalized) return;
   Session& s = *it->second;
-  // The attack thread must stop before the sockets it aims at close.
+  // The adversary stops before the sockets it aims at close.
   if (s.adversary) s.adversary->stop();
   refresh_session_metrics(s);
   const double duration = reactor_.now() - s.started_at;

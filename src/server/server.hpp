@@ -11,7 +11,8 @@
 //        journal checkpointed + receiver bitmaps persisted for the next
 //        life; resume_journaled_sessions() picks them up after restart.
 //
-// Everything runs on the reactor thread; no locks anywhere.  The
+// Everything runs on the reactor thread, the hostile-test AdversaryPeer
+// included: no server code starts a thread, and no locks anywhere.  The
 // metrics registries are closed-world (obs/metrics.hpp): the def lists
 // in server.cpp ARE the pbl-metrics-v1 schema, and the committed
 // metrics-schema.json is generated from them via
@@ -29,9 +30,9 @@
 #include <vector>
 
 #include "core/session_state.hpp"
-#include "net/adversary.hpp"
 #include "net/udp/udp_np.hpp"
 #include "obs/metrics.hpp"
+#include "server/adversary.hpp"
 #include "server/reactor.hpp"
 #include "server/session_driver.hpp"
 
@@ -82,10 +83,10 @@ struct ServerConfig {
   } faults{};
   /// Byzantine-receiver injection: every admitted session gets one
   /// AdversaryPeer joined to its group, attacking per the profile
-  /// (net/adversary.hpp).  Drives test_hostile and soak --scenario
+  /// (server/adversary.hpp).  Drives test_hostile and soak --scenario
   /// hostile; the np.guard knobs are what the adversary is up against.
   struct HostilePlan {
-    std::optional<net::AdversaryProfile> profile;  ///< nullopt = no adversary
+    std::optional<AdversaryProfile> profile;  ///< nullopt = no adversary
     double rate = 200.0;  ///< attack frames per second
   } hostile{};
 };
@@ -177,7 +178,7 @@ class MulticastServer {
     std::vector<std::unique_ptr<ReceiverSessionDriver>> receivers;
     /// The session's Byzantine member (ServerConfig::HostilePlan); its
     /// port is in the group but it is NOT counted among `receivers`.
-    std::unique_ptr<net::AdversaryPeer> adversary;
+    std::unique_ptr<AdversaryPeer> adversary;
     obs::MetricsRegistry metrics;
     double started_at = 0.0;
     bool resumed = false;

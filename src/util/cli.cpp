@@ -10,7 +10,10 @@ Cli::Cli(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0) {
+      strays_.push_back(arg);
+      continue;
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -164,7 +167,8 @@ std::string Cli::usage() const {
 std::vector<std::string> Cli::unqueried() const {
   std::vector<std::string> out;
   for (const auto& [name, value] : values_)
-    if (queried_.count(name) == 0) out.push_back(name);
+    if (queried_.count(name) == 0) out.push_back("--" + name);
+  out.insert(out.end(), strays_.begin(), strays_.end());
   return out;
 }
 

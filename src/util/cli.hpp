@@ -46,8 +46,10 @@ class Cli {
   /// Prints "--flag (default=...)" lines for all flags queried so far.
   std::string usage() const;
 
-  /// Flags that were passed but never read by a getter or has(), e.g. a
-  /// misspelt name.
+  /// Arguments that were passed but never read, as typed: flags no
+  /// getter or has() asked for ("--grace-round" for a misspelt name),
+  /// then every argument that is neither a flag nor a flag's value
+  /// ("-k=3", "sessions=3").
   std::vector<std::string> unqueried() const;
 
   const std::string& program() const { return program_; }
@@ -58,6 +60,7 @@ class Cli {
 
   std::string program_;
   std::map<std::string, std::string> values_;
+  std::vector<std::string> strays_;  ///< arguments not starting with "--"
   std::map<std::string, std::string> defaults_seen_;
   mutable std::set<std::string> queried_;
 };

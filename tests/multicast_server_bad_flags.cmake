@@ -7,7 +7,10 @@ set(cases
   "--receivers=-1|--receivers"
   "--grace-round=1|--grace-round"
   "--reliable=maybe|--reliable"
-  "--h=300|h = 300")
+  "--h=300|h = 300"
+  "-k=300|-k=300"
+  "sessions=3|sessions=3"
+  "--journal-dir=${BINARY}/j|--journal-dir")
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" parts "${case}")
   list(GET parts 0 flag)

@@ -5,9 +5,10 @@
 // bounded, and the adversary ends greylisted or banned with the
 // defenses' work recorded in the session metrics.
 //
-// The adversary is a real thread against real sockets (net/adversary.hpp),
-// so frame COUNTS vary run to run; the properties asserted here must
-// hold regardless, under group delivery and under unicast fan-out.
+// The adversary runs on the session's reactor against real sockets
+// (server/adversary.hpp).  The reactor reads the wall clock here, so
+// frame COUNTS vary run to run; the properties asserted here must hold
+// regardless, under group delivery and under unicast fan-out.
 // Chaos runs (CI) perturb seeds via PBL_CHAOS_SEED.
 
 #include <gtest/gtest.h>
@@ -124,14 +125,13 @@ class HostileTest : public ::testing::Test {
 // greylisted or banned.  (The acceptance bar for the whole subsystem.)
 TEST_F(HostileTest, EveryProfileContainedHonestCompleteExactlyOnce) {
   on_each_delivery([&] {
-    using net::AdversaryProfile;
     const AdversaryProfile profiles[] = {
         AdversaryProfile::kStorm, AdversaryProfile::kSpoof,
         AdversaryProfile::kReplay, AdversaryProfile::kGarbage,
         AdversaryProfile::kFalseCompletion};
     std::uint64_t id = 0;
     for (const AdversaryProfile profile : profiles) {
-      SCOPED_TRACE(net::to_string(profile));
+      SCOPED_TRACE(to_string(profile));
       Reactor reactor;
       ServerConfig cfg = guarded_config();
       cfg.hostile.profile = profile;
@@ -163,7 +163,7 @@ TEST_F(HostileTest, StormParityOverheadBounded) {
     const auto run = [&](bool hostile) {
       Reactor reactor;
       ServerConfig cfg = guarded_config();
-      if (hostile) cfg.hostile.profile = net::AdversaryProfile::kStorm;
+      if (hostile) cfg.hostile.profile = AdversaryProfile::kStorm;
       cfg.hostile.rate = 500.0;  // honest: ~50 feedback/s per member
       MulticastServer server(reactor, cfg);
       for (std::uint64_t id = 0; id < kSessions; ++id)
@@ -194,7 +194,7 @@ TEST_F(HostileTest, GarbageLeavesFrameEvidence) {
   on_each_delivery([&] {
     Reactor reactor;
     ServerConfig cfg = guarded_config();
-    cfg.hostile.profile = net::AdversaryProfile::kGarbage;
+    cfg.hostile.profile = AdversaryProfile::kGarbage;
     cfg.hostile.rate = 400.0;
     MulticastServer server(reactor, cfg);
     ASSERT_TRUE(server.submit(make_spec(0, 5, 0.05)));
@@ -219,7 +219,7 @@ TEST_F(HostileTest, GuardOffAddrMismatchStillRejected) {
     ServerConfig cfg = guarded_config();
     cfg.np.guard.enabled = false;
     cfg.np.guard.auth = false;
-    cfg.hostile.profile = net::AdversaryProfile::kFalseCompletion;
+    cfg.hostile.profile = AdversaryProfile::kFalseCompletion;
     cfg.hostile.rate = 400.0;
     MulticastServer server(reactor, cfg);
     ASSERT_TRUE(server.submit(make_spec(0, 5, 0.1)));
@@ -245,7 +245,7 @@ TEST_F(HostileTest, ReplayedFramesAtReceiversRejected) {
   on_each_delivery([&] {
     Reactor reactor;
     ServerConfig cfg = guarded_config();
-    cfg.hostile.profile = net::AdversaryProfile::kReplay;
+    cfg.hostile.profile = AdversaryProfile::kReplay;
     cfg.hostile.rate = 400.0;
     MulticastServer server(reactor, cfg);
     ASSERT_TRUE(server.submit(make_spec(0, 6, 0.05)));
@@ -269,7 +269,7 @@ TEST_F(HostileTest, TgsOwedToABannedStragglerAreStillJournaled) {
   on_each_delivery([&] {
     Reactor reactor;
     ServerConfig cfg = guarded_config();
-    cfg.hostile.profile = net::AdversaryProfile::kStorm;
+    cfg.hostile.profile = AdversaryProfile::kStorm;
     cfg.hostile.rate = 400.0;
     cfg.np.overload.quarantine_deficit = 1;
     std::vector<std::size_t> completions;

@@ -492,7 +492,7 @@ TEST_F(ServerTest, TotalsAreSumsOfFinalizedSessions) {
   cfg.np.guard.greylist_after = 2;
   cfg.np.guard.ban_after = 6;
   cfg.np.guard.ban_duration = 30.0;
-  cfg.hostile.profile = net::AdversaryProfile::kSpoof;
+  cfg.hostile.profile = AdversaryProfile::kSpoof;
   cfg.hostile.rate = 400.0;
   MulticastServer server(reactor, cfg);
   const std::uint64_t kSessions = 3;

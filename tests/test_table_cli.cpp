@@ -120,7 +120,15 @@ TEST(Cli, UnqueriedListsOnlyFlagsNeverRead) {
   cli.get_int("k", 8);
   cli.get_int("grace-rounds", 3);
   EXPECT_TRUE(cli.has("resume"));
-  EXPECT_EQ(cli.unqueried(), std::vector<std::string>{"grace-round"});
+  EXPECT_EQ(cli.unqueried(), std::vector<std::string>{"--grace-round"});
+}
+
+TEST(Cli, UnqueriedListsStrayArgumentsAsTyped) {
+  auto cli = make_cli({"-k=300", "--k", "7", "sessions=3", "--resume"});
+  EXPECT_EQ(cli.get_int("k", 8), 7);
+  EXPECT_TRUE(cli.has("resume"));
+  EXPECT_EQ(cli.unqueried(),
+            (std::vector<std::string>{"-k=300", "sessions=3"}));
 }
 
 TEST(Cli, UsageListsQueriedFlags) {

@@ -577,8 +577,8 @@ TEST_P(UdpNpReliable, RoundsCloseOnTheirLastAnswerWithoutTheClock) {
   UdpNpConfig cfg = reliable_config();
   cfg.poll_window = 1000.0;
   ManualSession session(cfg, 4, 21);
-  const double give_up = protocol::retry_clock_now() + 10.0;
-  while (!session.finished() && protocol::retry_clock_now() < give_up)
+  const double give_up = protocol::steady_clock().now() + 10.0;
+  while (!session.finished() && protocol::steady_clock().now() < give_up)
     session.reactor.poll_once(0.01);
   ASSERT_TRUE(session.finished()) << "a round waited for its window";
   EXPECT_EQ(session.clock.now(), 0.0);
